@@ -48,7 +48,7 @@ Subcommands:
   committed anchor in a directory (``--gate``);
 - ``serve``    — run the sharded multi-tenant dedup-memory service:
   synthesize seeded zipfian tenant traffic, drive it through N data-plane
-  shards under the lease/heartbeat control plane, and report cross-tenant
+  shards under deterministic admission control, and report cross-tenant
   dedup ratio, per-shard wear balance and p50/p99 simulated latency
   (``--events`` streams lifecycle records for ``repro watch``);
 - ``loadgen``  — synthesize the same seeded traffic plan without running
@@ -1477,12 +1477,16 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.serve.control import AdmissionPolicy
     from repro.serve.service import ServiceConfig, run_service
 
-    config = ServiceConfig(
-        traffic=_traffic_config(args),
-        policy=AdmissionPolicy(max_tenant_slots=args.max_slots, tenant_quota=args.quota),
-        shards=args.shards,
-        controller=args.controller,
-    )
+    try:
+        config = ServiceConfig(
+            traffic=_traffic_config(args),
+            policy=AdmissionPolicy(max_tenant_slots=args.max_slots, tenant_quota=args.quota),
+            shards=args.shards,
+            controller=args.controller,
+        )
+    except ValueError as error:
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
     cache = _configure_runner(args)
     events = _event_bus(args.events) if args.events else NULL_EVENTS
     progress = stderr_progress if args.progress else None
@@ -1503,7 +1507,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             events.close()
     report = outcome.report
     print(report.render())
-    print(outcome.leases.render(), file=sys.stderr)
     print(outcome.run.cache_stats_line(), file=sys.stderr)
     if args.json_out:
         blob = json.dumps(report.to_dict(), sort_keys=True, indent=2)
@@ -1526,8 +1529,12 @@ def _run_loadgen(args: argparse.Namespace) -> int:
     from repro.serve.control import AdmissionPolicy
     from repro.serve.loadgen import build_load_plan
 
-    policy = AdmissionPolicy(max_tenant_slots=args.max_slots, tenant_quota=args.quota)
-    plan = build_load_plan(_traffic_config(args), policy, args.shards)
+    try:
+        policy = AdmissionPolicy(max_tenant_slots=args.max_slots, tenant_quota=args.quota)
+        plan = build_load_plan(_traffic_config(args), policy, args.shards)
+    except ValueError as error:
+        print(f"loadgen: {error}", file=sys.stderr)
+        return 2
     print(plan.render())
     if args.json_out:
         blob = json.dumps(plan.to_dict(), sort_keys=True, indent=2)

@@ -67,10 +67,6 @@ BARRIER_MODULES = frozenset(
         "repro.obs.ledger",
         "repro.obs.watch",
         "repro.obs.chrome",
-        # The serve control plane's lease/heartbeat protocol stamps wall
-        # time into custody records; lease state never enters a
-        # SimulationReport or service report payload (architecture §18).
-        "repro.serve.control",
     }
 )
 

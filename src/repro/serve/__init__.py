@@ -4,12 +4,12 @@ The subsystem splits along the classic control/data plane line:
 
 - **control plane** (:mod:`repro.serve.tenants`,
   :mod:`repro.serve.control`): the shard map and tenant registry that
-  carve the address space, the admission/backpressure policy, and the
-  lease/heartbeat custody protocol for dispatched shard jobs;
+  carve the address space, and the admission/backpressure policy;
 - **data plane** (:mod:`repro.serve.service`): one content-keyed
   ``serve-shard`` job per shard, each driving a
   :class:`~repro.core.interface.MemoryController` over its synthesized
-  tenant stream through the fused batch kernels;
+  tenant stream through the fused batch kernels (the global stream is
+  routed once per process; each shard synthesizes only its own slice);
 - **aggregation** (:mod:`repro.serve.report`): a pure fold merging the
   per-shard payloads into one :class:`~repro.system.metrics.SimulationReport`
   plus the service-level tables (cross-tenant dedup ratio, per-shard
@@ -18,8 +18,7 @@ The subsystem splits along the classic control/data plane line:
   million-tenant traffic plan, inspectable without running a simulation.
 
 Everything the data plane computes is a pure function of the seeded
-:class:`~repro.workloads.tenants.TenantTrafficConfig`; only the lease
-table in :mod:`repro.serve.control` reads the wall clock, and its state
-never enters a result payload (see ``docs/architecture.md`` §18 for the
+:class:`~repro.workloads.tenants.TenantTrafficConfig`; nothing in the
+subsystem reads the wall clock (see ``docs/architecture.md`` §18 for the
 determinism argument).
 """

@@ -1,34 +1,17 @@
-"""Admission policy and the lease/heartbeat custody protocol.
+"""Admission policy: the serve control plane's deterministic backpressure.
 
-The admission side is **deterministic**: :class:`AdmissionPolicy` is
-applied at stream-synthesis time (per-tenant quotas, shard slot caps),
-so backpressure is a property of the seeded plan, never of execution
-timing.
-
-The lease side is the DedupFS-style job custody protocol and is the one
-place the serve subsystem touches the wall clock: every dispatched shard
-job is claimed under a lease with an expiry, heartbeats extend it, and a
-worker that dies leaves a *stale* lease that :meth:`LeaseTable.reclaim_stale`
-returns to ``pending`` for deterministic re-dispatch (sorted shard
-order, bounded attempts).  Lease state is environment metadata — wall
-timestamps, attempt counts — and never enters a
-:class:`~repro.system.metrics.SimulationReport` or a service report
-payload; this module is registered as a SIM101 determinism barrier on
-exactly that argument (the runtime diff gates treat its timestamps the
-way they treat the event bus's).
-
-``clock`` is injectable everywhere (defaults to :func:`time.time`) so
-the protocol is unit-testable with a fake clock.
+:class:`AdmissionPolicy` is applied at stream-synthesis time (per-tenant
+quotas, shard slot caps), so backpressure is a property of the seeded
+plan, never of execution timing.  Shard-job failures need no custody
+protocol here: the runner engine retries a failed job once, and
+:func:`repro.serve.service.run_service` raises on any shard that still
+fails.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Callable
-
-#: Lease lifecycle states, in normal progression order.
-LEASE_STATES = ("pending", "leased", "done", "failed")
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -68,172 +51,3 @@ class AdmissionPolicy:
             max_tenant_slots=int(payload["max_tenant_slots"]),
             tenant_quota=int(payload["tenant_quota"]),
         )
-
-
-@dataclass
-class ShardLease:
-    """Custody record of one shard's dispatched job."""
-
-    shard: int
-    state: str = "pending"
-    worker: str = ""
-    attempts: int = 0
-    claimed_unix_s: float = 0.0
-    heartbeat_unix_s: float = 0.0
-    expires_unix_s: float = 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        """Lossless JSON-shaped snapshot (wall stamps are custody metadata)."""
-        return {
-            "shard": self.shard,
-            "state": self.state,
-            "worker": self.worker,
-            "attempts": self.attempts,
-            "claimed_unix_s": self.claimed_unix_s,
-            "heartbeat_unix_s": self.heartbeat_unix_s,
-            "expires_unix_s": self.expires_unix_s,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ShardLease":
-        """Rebuild a lease from :meth:`to_dict` output."""
-        return cls(
-            shard=int(payload["shard"]),
-            state=str(payload["state"]),
-            worker=str(payload["worker"]),
-            attempts=int(payload["attempts"]),
-            claimed_unix_s=float(payload["claimed_unix_s"]),
-            heartbeat_unix_s=float(payload["heartbeat_unix_s"]),
-            expires_unix_s=float(payload["expires_unix_s"]),
-        )
-
-
-class LeaseTable:
-    """One lease per shard, with claim/heartbeat/expire/reclaim semantics."""
-
-    def __init__(
-        self,
-        shards: int,
-        *,
-        clock: Callable[[], float] = time.time,
-        lease_s: float = 30.0,
-    ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
-        if lease_s <= 0:
-            raise ValueError(f"lease_s must be positive, got {lease_s}")
-        self.lease_s = float(lease_s)
-        self._clock = clock
-        self._leases = [ShardLease(shard=shard) for shard in range(shards)]
-
-    def __len__(self) -> int:
-        return len(self._leases)
-
-    def lease(self, shard: int) -> ShardLease:
-        """The lease record of ``shard``."""
-        return self._leases[shard]
-
-    def state_of(self, shard: int) -> str:
-        """Current lease state of ``shard``."""
-        return self._leases[shard].state
-
-    def claim(self, shard: int, worker: str) -> ShardLease:
-        """Claim custody of ``shard`` for ``worker``.
-
-        Valid from ``pending`` (first dispatch) or ``failed`` (the
-        re-dispatch path); claiming a ``leased`` or ``done`` shard is a
-        protocol error and raises.
-        """
-        lease = self._leases[shard]
-        if lease.state not in ("pending", "failed"):
-            raise ValueError(
-                f"shard {shard} lease is {lease.state!r}; only pending/failed "
-                f"shards can be claimed"
-            )
-        now_s = self._clock()
-        lease.state = "leased"
-        lease.worker = worker
-        lease.attempts += 1
-        lease.claimed_unix_s = now_s
-        lease.heartbeat_unix_s = now_s
-        lease.expires_unix_s = now_s + self.lease_s
-        return lease
-
-    def heartbeat(self, shard: int) -> None:
-        """Extend a live lease (a worker proving liveness)."""
-        lease = self._leases[shard]
-        if lease.state != "leased":
-            raise ValueError(f"cannot heartbeat shard {shard} in state {lease.state!r}")
-        now_s = self._clock()
-        lease.heartbeat_unix_s = now_s
-        lease.expires_unix_s = now_s + self.lease_s
-
-    def mark_done(self, shard: int) -> None:
-        """Terminal success: the shard's payload landed."""
-        lease = self._leases[shard]
-        if lease.state != "leased":
-            raise ValueError(f"cannot complete shard {shard} in state {lease.state!r}")
-        lease.state = "done"
-
-    def mark_failed(self, shard: int) -> None:
-        """Terminal failure of this attempt; the shard becomes reclaimable."""
-        lease = self._leases[shard]
-        if lease.state != "leased":
-            raise ValueError(f"cannot fail shard {shard} in state {lease.state!r}")
-        lease.state = "failed"
-
-    def reclaim_stale(self) -> list[int]:
-        """Return expired ``leased`` shards to ``pending``; sorted shard list.
-
-        A worker that died without reporting leaves its lease ticking;
-        once the expiry passes, custody reverts and the shard is
-        re-dispatchable.  Recovery order is sorted, so it is the same
-        whatever order the expirations were noticed in.
-        """
-        now_s = self._clock()
-        reclaimed: list[int] = []
-        for lease in self._leases:
-            if lease.state == "leased" and lease.expires_unix_s < now_s:
-                lease.state = "pending"
-                reclaimed.append(lease.shard)
-        return sorted(reclaimed)
-
-    def counts(self) -> dict[str, int]:
-        """Lease-state histogram (every state present, zero or not)."""
-        histogram = {state: 0 for state in LEASE_STATES}
-        for lease in self._leases:
-            histogram[lease.state] = histogram.get(lease.state, 0) + 1
-        return histogram
-
-    def total_attempts(self) -> int:
-        """Claims issued across every shard (re-dispatches included)."""
-        return sum(lease.attempts for lease in self._leases)
-
-    def render(self) -> str:
-        """One custody summary line (for stderr; wall metadata, not results)."""
-        counts = self.counts()
-        parts = ", ".join(
-            f"{counts[state]} {state}" for state in LEASE_STATES if counts[state]
-        )
-        return f"leases: {parts or 'none'} ({self.total_attempts()} claim(s))"
-
-    def to_dict(self) -> dict[str, Any]:
-        """Lossless JSON-shaped snapshot of the whole table."""
-        return {
-            "lease_s": self.lease_s,
-            "leases": [lease.to_dict() for lease in self._leases],
-        }
-
-    @classmethod
-    def from_dict(
-        cls,
-        payload: dict[str, Any],
-        *,
-        clock: Callable[[], float] = time.time,
-    ) -> "LeaseTable":
-        """Rebuild a table from :meth:`to_dict` output."""
-        leases = [ShardLease.from_dict(entry) for entry in payload["leases"]]
-        table = cls(max(len(leases), 1), clock=clock, lease_s=float(payload["lease_s"]))
-        if leases:
-            table._leases = leases
-        return table

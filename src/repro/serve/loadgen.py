@@ -2,7 +2,7 @@
 
 Synthesizes every shard's stream through exactly the code path the
 service uses (:func:`repro.workloads.tenants.synthesize_shard_stream`
-with the same shard map, registry and admission policy) but runs **no
+with the same routing, registry and admission policy) but runs **no
 simulation**: the output is the plan itself — per-shard tenant/access
 balance, admission outcomes, and a content fingerprint census that
 predicts the dedup ratio the service will observe.  Because synthesis is
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.serve.control import AdmissionPolicy
-from repro.serve.tenants import ShardMap, TenantRegistry
+from repro.serve.tenants import TenantRegistry
 from repro.workloads.tenants import TenantTrafficConfig, synthesize_shard_stream
 
 
@@ -135,7 +135,6 @@ def build_load_plan(
     """
     if shards < 1:
         raise ValueError(f"shards must be positive, got {shards}")
-    shard_map = ShardMap(shards=shards, seed=traffic.seed)
     loads: list[ShardLoad] = []
     seen: set[int] = set()
     total_writes = 0
@@ -148,7 +147,7 @@ def build_load_plan(
         stream = synthesize_shard_stream(
             traffic,
             shard=shard,
-            shard_of=shard_map.shard_of,
+            shards=shards,
             registry=registry,
             tenant_quota=policy.tenant_quota,
         )

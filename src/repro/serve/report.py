@@ -3,7 +3,7 @@
 Everything in this module is a pure function of the shard job payloads
 (it reads dicts, folds counters, and constructs the merged
 :class:`~repro.system.metrics.SimulationReport`); nothing here touches
-the wall clock, the runner, or the lease table, which is what lets the
+the wall clock or the runner, which is what lets the
 CI system test assert that two executions of the same seeded plan emit
 **byte-identical** serialised reports.
 
@@ -187,8 +187,8 @@ def shard_summary_from_payload(payload: dict[str, Any]) -> ShardSummary:
 class ServiceReport:
     """The service run's result: merged report + shard tables + latency.
 
-    Deliberately excludes anything wall-clock-derived (lease stamps,
-    runner elapsed time): serialising two runs of the same seeded config
+    Deliberately excludes anything wall-clock-derived (runner elapsed
+    time, retry counts): serialising two runs of the same seeded config
     must produce identical bytes.
     """
 

@@ -1,20 +1,15 @@
-"""Service orchestration: shard jobs, the lease loop, and the run entry.
+"""Service orchestration: shard jobs and the run entry.
 
 One ``serve-shard`` job per shard is the data plane's unit of work: it
-re-derives its slice of the global seeded tenant stream, sizes a private
-NVM device from the tenants it actually carved space for, and drives the
-controller through the fused batch path with a summary-mode
+synthesizes its slice of the global seeded tenant stream (routed once per
+worker process by :func:`repro.workloads.tenants.route_accesses`), sizes
+a private NVM device from the tenants it actually carved space for, and
+drives the controller through the fused batch path with a summary-mode
 :class:`~repro.obs.stages.StageAccumulator` attached (full tracing would
 force the scalar loop).  Jobs are content-keyed :class:`JobSpec`\\ s, so
-the runner's cache, memoisation, dedup and parallel transport all apply
-unchanged, and a sharded run with ``--parallel N`` is bit-identical to
-the same plan executed serially.
-
-The control plane wraps dispatch in the lease protocol from
-:mod:`repro.serve.control`: every shard is claimed before ``run_jobs``,
-completed shards are heartbeat-then-done, failed shards are marked and
-given one deterministic re-dispatch pass (sorted shard order) before the
-service gives up and raises.
+the runner's cache, memoisation, dedup, retry-once and parallel transport
+all apply unchanged, and a sharded run with ``--parallel N`` is
+bit-identical to the same plan executed serially.
 """
 
 from __future__ import annotations
@@ -29,13 +24,13 @@ from repro.runner import provider as provider_module
 from repro.runner.cache import ResultCache
 from repro.runner.engine import RunReport, run_jobs
 from repro.runner.jobs import JobSpec, canonical_json
-from repro.serve.control import AdmissionPolicy, LeaseTable
+from repro.serve.control import AdmissionPolicy
 from repro.serve.report import (
     ServiceReport,
     merge_shard_reports,
     shard_summary_from_payload,
 )
-from repro.serve.tenants import ShardMap, TenantRegistry
+from repro.serve.tenants import TenantRegistry
 from repro.workloads.tenants import TenantTrafficConfig, synthesize_shard_stream
 
 #: The serve data plane's job kind (registered in :mod:`repro.runner.jobs`).
@@ -90,10 +85,11 @@ def shard_spec(config: ServiceConfig, shard: int) -> JobSpec:
 def run_shard_job(params: dict[str, Any]) -> dict[str, Any]:
     """Execute one shard's slice of the service (the ``serve-shard`` kind).
 
-    Everything is re-derived from the seeded params: the shard map routes
-    tenants, the registry carves address windows in first-appearance
-    order, the synthesizer walks the global access counter, and the
-    controller consumes the resulting batch through the fused kernels.
+    Everything is re-derived from the seeded params: the synthesizer
+    routes the global stream (once per process) and keeps this shard's
+    accesses, the registry carves address windows in first-appearance
+    order, and the controller consumes the resulting batch through the
+    fused kernels.
     The NVM device is sized to the carved windows (with a geometry floor)
     so address space scales with the tenants this shard actually admits,
     not with the nominal million-tenant population.
@@ -107,14 +103,13 @@ def run_shard_job(params: dict[str, Any]) -> dict[str, Any]:
     shard = int(params["shard"])
     traffic = TenantTrafficConfig.from_dict(params["traffic"])
     policy = AdmissionPolicy.from_dict(params["policy"])
-    shard_map = ShardMap(shards=int(params["shards"]), seed=traffic.seed)
     registry = TenantRegistry(
         traffic.lines_per_tenant, max_slots=policy.max_tenant_slots
     )
     stream = synthesize_shard_stream(
         traffic,
         shard=shard,
-        shard_of=shard_map.shard_of,
+        shards=int(params["shards"]),
         registry=registry,
         tenant_quota=policy.tenant_quota,
     )
@@ -164,14 +159,13 @@ def run_shard_job(params: dict[str, Any]) -> dict[str, Any]:
 class ServiceRun:
     """Outcome of :func:`run_service`: the report plus execution metadata.
 
-    ``report`` is deterministic; ``run`` (cache hits, elapsed wall time)
-    and ``leases`` (custody stamps, attempts) are environment metadata
-    and are intentionally *not* part of :class:`ServiceReport`.
+    ``report`` is deterministic; ``run`` (cache hits, retries, elapsed
+    wall time) is environment metadata and is intentionally *not* part of
+    :class:`ServiceReport`.
     """
 
     report: ServiceReport
     run: RunReport
-    leases: LeaseTable
 
 
 def _gather_fallbacks() -> dict[str, float]:
@@ -192,80 +186,40 @@ def run_service(
     job_timeout_s: float = 600.0,
     events: EventBusLike = NULL_EVENTS,
     progress: Callable[[str], None] | None = None,
-    leases: LeaseTable | None = None,
 ) -> ServiceRun:
-    """Run the whole service: claim, dispatch, reclaim, merge.
+    """Run the whole service: dispatch every shard job, then merge.
 
-    Dispatch goes through :func:`repro.runner.engine.run_jobs`, so shard
-    jobs cache, dedup, parallelise and emit lifecycle events exactly like
-    every other job kind.  Shards whose jobs fail are marked on the lease
-    table and re-dispatched once, in sorted shard order; shards that still
-    fail raise with their names, never a partial merge.
+    Dispatch is one :func:`repro.runner.engine.run_jobs` call, so shard
+    jobs cache, dedup, parallelise, retry once and emit lifecycle events
+    exactly like every other job kind.  Shards that still fail after the
+    retry raise with their names, never a partial merge.
     """
     specs = [shard_spec(config, shard) for shard in range(config.shards)]
-    table = leases if leases is not None else LeaseTable(config.shards)
-    reports: list[RunReport] = []
-
-    def dispatch(shards: list[int]) -> list[int]:
-        """Claim + run one wave; returns the shards that failed."""
-        for shard in shards:
-            table.claim(shard, worker=f"wave-{table.lease(shard).attempts + 1}")
-        wave = [specs[shard] for shard in shards]
-        run_report = run_jobs(
-            wave,
-            parallel=parallel,
-            cache=cache,
-            job_timeout_s=job_timeout_s,
-            progress=progress,
-            events=events,
+    run = run_jobs(
+        specs,
+        parallel=parallel,
+        cache=cache,
+        job_timeout_s=job_timeout_s,
+        progress=progress,
+        events=events,
+    )
+    if run.failures:
+        failed = {failure.spec.identity for failure in run.failures}
+        names = ", ".join(
+            str(shard) for shard, spec in enumerate(specs) if spec.identity in failed
         )
-        reports.append(run_report)
-        failed_identities = {failure.spec.identity for failure in run_report.failures}
-        failed: list[int] = []
-        for shard in shards:
-            if specs[shard].identity in failed_identities:
-                table.mark_failed(shard)
-                failed.append(shard)
-            else:
-                table.heartbeat(shard)
-                table.mark_done(shard)
-        return failed
-
-    failed = dispatch(list(range(config.shards)))
-    if failed:
-        # One deterministic recovery pass: sorted order, fresh claims.
-        failed = dispatch(sorted(failed))
-    if failed:
-        names = ", ".join(str(shard) for shard in sorted(failed))
-        raise RuntimeError(f"shard(s) {names} failed after re-dispatch")
+        raise RuntimeError(f"shard(s) {names} failed")
 
     provider = provider_module.active()
-    payloads = [provider.get(spec) for spec in specs]
-    merged = merge_shard_reports(payloads)
+    payloads = [provider.get(spec) for spec in specs]  # in shard order
     stages = StageAccumulator()
-    for payload in sorted(payloads, key=lambda p: int(p["shard"])):
+    for payload in payloads:
         stages.merge(payload["stages"])
-    summaries = tuple(
-        shard_summary_from_payload(payload)
-        for payload in sorted(payloads, key=lambda p: int(p["shard"]))
-    )
-
-    combined = RunReport(
-        planned=sum(r.planned for r in reports),
-        unique=sum(r.unique for r in reports),
-        disk_hits=sum(r.disk_hits for r in reports),
-        executed=sum(r.executed for r in reports),
-        simulations=sum(r.simulations for r in reports),
-        retries=sum(r.retries for r in reports),
-        failures=[],
-        elapsed_s=sum(r.elapsed_s for r in reports),
-        job_timings=[timing for r in reports for timing in r.job_timings],
-    )
     report = ServiceReport(
         config=config.to_dict(),
-        merged=merged,
+        merged=merge_shard_reports(payloads),
         stages=stages,
-        shards=summaries,
+        shards=tuple(shard_summary_from_payload(payload) for payload in payloads),
         fallbacks=_gather_fallbacks(),
     )
-    return ServiceRun(report=report, run=combined, leases=table)
+    return ServiceRun(report=report, run=run)

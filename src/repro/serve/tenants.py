@@ -2,7 +2,9 @@
 
 A tenant's home shard is a pure function of ``(seed, tenant_id)`` — no
 directory service, no rebalancing state — so any worker (or a verifier
-re-deriving the plan later) routes identically.  Within a shard the
+re-deriving the plan later) routes identically; the hash itself is
+:func:`repro.workloads.tenants.tenant_shard`, the one the traffic
+synthesizer routes the stream with.  Within a shard the
 :class:`TenantRegistry` carves the NVM address space into fixed
 ``lines_per_tenant`` windows, assigned in first-appearance order; the
 registry is therefore a deterministic product of the traffic walk, and
@@ -17,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.workloads.tenants import mix64
-
-#: Domain-separation salt for shard routing (distinct from every traffic
-#: salt in :mod:`repro.workloads.tenants`, so routing never correlates
-#: with content or op draws).
-_SALT_SHARD = 0x5D
+from repro.workloads.tenants import tenant_shard
 
 #: Floor on a shard device's line count: keeps the bank geometry sane for
 #: near-empty shards (8 banks want more than a handful of lines).
@@ -42,7 +39,7 @@ class ShardMap:
 
     def shard_of(self, tenant: int) -> int:
         """Home shard of ``tenant`` (uniform under the 64-bit mixer)."""
-        return mix64(self.seed, _SALT_SHARD, tenant) % self.shards
+        return tenant_shard(self.seed, tenant, self.shards)
 
     def to_dict(self) -> dict[str, Any]:
         """Lossless JSON-shaped snapshot."""

@@ -9,11 +9,12 @@ load-bearing:
 - **Counter-based determinism.**  Every decision (which tenant issues
   global access *i*, read vs write, address offset, line content, gap)
   is a pure function of ``(seed, i)`` through the splitmix64-style
-  :func:`mix64` finaliser — there is no sequential RNG state.  A shard
-  worker therefore reconstructs exactly its slice of the global
-  interleaved stream with one cheap pass over the access counter,
-  skipping accesses owned by other shards, and the traffic is identical
-  whatever the shard count, worker count or execution order.
+  :func:`mix64` finaliser — there is no sequential RNG state.  The
+  global stream is routed to shards once per process by
+  :func:`route_accesses` (one memoised pass over the access counter),
+  and each shard then synthesizes only the indices it owns, so the
+  traffic is identical whatever the shard count, worker count or
+  execution order.
 
 - **Controlled cross-tenant overlap.**  Each write draws its line either
   from a small shared content pool (probability ``content_overlap``) or
@@ -30,21 +31,25 @@ approximation (rank ``~ u^(-1/(s-1))`` shape), the standard choice when
 the population is too large to materialise a CDF table.
 
 The synthesizer is deliberately decoupled from the control plane: the
-shard-routing function and the slot registry are passed in as plain
-callables/objects (see :mod:`repro.serve.tenants`), so the workloads
-layer never imports the serve subsystem.
+shard-routing hash lives here (:func:`tenant_shard`, which
+:class:`repro.serve.tenants.ShardMap` delegates to) and the slot registry
+is passed in as a plain object, so the workloads layer never imports the
+serve subsystem.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from functools import lru_cache
+from typing import Any, NamedTuple, Protocol
 
 from repro.workloads.batch import AccessBatch, BatchBuilder
 
 _MASK64 = (1 << 64) - 1
+_UNIT = 2.0**64
 
 # Domain-separation salts: one per decision stream, so e.g. the op choice
 # of access i is independent of its gap draw.
@@ -55,6 +60,24 @@ _SALT_GAP = 0x04
 _SALT_PERSIST = 0x05
 _SALT_POOL = 0x06
 _SALT_POOL_PICK = 0x07
+# Shard routing, distinct from every traffic salt so routing never
+# correlates with content or op draws.
+_SALT_SHARD = 0x5D
+
+
+def _draw(prefix: int, part: int) -> int:
+    """``mix64(*parts, part)`` given its folded prefix ``mix64(*parts)``.
+
+    One splitmix64 finaliser round; :func:`mix64` is a chain of these, so
+    a hot loop folds each decision's ``(seed, salt)`` once and then pays
+    a single round per access.
+    """
+    value = (prefix + part) & _MASK64
+    value ^= value >> 30
+    value = (value * 0xBF58476D1CE4E5B9) & _MASK64
+    value ^= value >> 27
+    value = (value * 0x94D049BB133111EB) & _MASK64
+    return value ^ (value >> 31)
 
 
 def mix64(*parts: int) -> int:
@@ -63,23 +86,18 @@ def mix64(*parts: int) -> int:
     The serve subsystem derives *all* of its randomness from this: tenant
     draws, shard routing, address offsets and content choices.  Unlike a
     sequential ``random.Random``, any single decision is addressable in
-    O(1), which is what lets a shard worker skip foreign accesses without
-    replaying their draws.
+    O(1), which is what lets a shard synthesize only the accesses it owns
+    without replaying anyone else's draws.
     """
     value = 0x9E3779B97F4A7C15
     for part in parts:
-        value = (value + (part & _MASK64)) & _MASK64
-        value ^= value >> 30
-        value = (value * 0xBF58476D1CE4E5B9) & _MASK64
-        value ^= value >> 27
-        value = (value * 0x94D049BB133111EB) & _MASK64
-        value ^= value >> 31
+        value = _draw(value, part)
     return value
 
 
 def mix01(*parts: int) -> float:
     """Uniform float in [0, 1) derived from :func:`mix64`."""
-    return mix64(*parts) / 2.0**64
+    return mix64(*parts) / _UNIT
 
 
 def zipf_rank(u: float, population: int, s: float) -> int:
@@ -101,6 +119,11 @@ def zipf_rank(u: float, population: int, s: float) -> int:
         exponent = 1.0 - s
         rank = int((1.0 + u * (top**exponent - 1.0)) ** (1.0 / exponent))
     return min(max(rank - 1, 0), population - 1)
+
+
+def tenant_shard(seed: int, tenant: int, shards: int) -> int:
+    """Home shard of ``tenant`` among ``shards`` (uniform under the mixer)."""
+    return mix64(seed, _SALT_SHARD, tenant) % shards
 
 
 class SlotRegistry(Protocol):
@@ -198,6 +221,57 @@ class TenantTrafficConfig:
         )
 
 
+class ShardRoute(NamedTuple):
+    """The global accesses one shard owns, as parallel ``array`` columns.
+
+    ``indices`` are global access indices in increasing order; ``tenants``
+    holds the tenant that issues each one.
+    """
+
+    indices: array
+    tenants: array
+
+
+@lru_cache(maxsize=1)
+def route_accesses(config: TenantTrafficConfig, shards: int) -> tuple[ShardRoute, ...]:
+    """Route the global access stream to ``shards`` shards in one pass.
+
+    Draws the issuing tenant of every global access and appends the
+    access to its tenant's home shard (:func:`tenant_shard`), so every
+    index in ``range(config.accesses)`` lands in exactly one route.
+
+    Memoised per process (the config is frozen, hence hashable): the
+    shard jobs a worker runs for one service share a single walk.  The
+    returned arrays are shared by every caller and must not be mutated.
+    """
+    if shards < 1:
+        raise ValueError(f"shards must be positive, got {shards}")
+    routes = tuple(ShardRoute(array("q"), array("q")) for _ in range(shards))
+    home: dict[int, ShardRoute] = {}
+    prefix = mix64(config.seed, _SALT_TENANT)
+    # zipf_rank with its per-population constants hoisted; the float
+    # expressions are the same, so the ranks are bit-identical.
+    top = float(config.tenants + 1)
+    last = config.tenants - 1
+    logarithmic = abs(config.zipf_s - 1.0) < 1e-9
+    if logarithmic:
+        span = inverse = 0.0
+    else:
+        exponent = 1.0 - config.zipf_s
+        span = top**exponent - 1.0
+        inverse = 1.0 / exponent
+    for index in range(config.accesses):
+        u = _draw(prefix, index) / _UNIT
+        rank = int(top**u) if logarithmic else int((1.0 + u * span) ** inverse)
+        tenant = min(max(rank - 1, 0), last)
+        route = home.get(tenant)
+        if route is None:
+            route = home[tenant] = routes[tenant_shard(config.seed, tenant, shards)]
+        route.indices.append(index)
+        route.tenants.append(tenant)
+    return routes
+
+
 @dataclass(frozen=True)
 class ShardStream:
     """One shard's synthesized stream plus its admission accounting.
@@ -234,46 +308,47 @@ def synthesize_shard_stream(
     config: TenantTrafficConfig,
     *,
     shard: int,
-    shard_of: Callable[[int], int],
+    shards: int,
     registry: SlotRegistry,
     tenant_quota: int = 0,
 ) -> ShardStream:
     """Synthesize shard ``shard``'s slice of the global tenant stream.
 
-    Walks the global access counter ``0..accesses`` and keeps exactly the
-    accesses whose tenant routes to ``shard`` under ``shard_of``, so the
-    union of every shard's stream is the full interleaved trace and each
-    access appears in exactly one shard whatever the shard count.
+    Consumes only the accesses :func:`route_accesses` gives ``shard``
+    among ``shards``, in global order, so the union of every shard's
+    stream is the full interleaved trace and each access appears in
+    exactly one shard whatever the shard count.
 
     ``registry`` carves the shard's address space: each admitted tenant
     gets a ``lines_per_tenant`` window at its slot, assigned in first-
-    appearance order (deterministic, since the walk order is the global
-    counter).  ``tenant_quota`` > 0 defers accesses beyond that many per
+    appearance order (deterministic, since the route is in global
+    order).  ``tenant_quota`` > 0 defers accesses beyond that many per
     tenant — the control plane's per-tenant backpressure, applied at
     synthesis time so it is a property of the plan, not of execution.
 
     A tenant's first admitted access is always a write (reads target the
     tenant's last written line, so there is always something to read).
     """
-    if shard < 0:
-        raise ValueError(f"shard must be non-negative, got {shard}")
+    if not 0 <= shard < shards:
+        raise ValueError(f"shard must be in [0, {shards}), got {shard}")
     if tenant_quota < 0:
         raise ValueError(f"tenant_quota must be non-negative, got {tenant_quota}")
 
+    route = route_accesses(config, shards)[shard]
     seed = config.seed
+    gap_prefix = mix64(seed, _SALT_GAP)
+    op_prefix = mix64(seed, _SALT_OP)
+    address_prefix = mix64(seed, _SALT_ADDRESS)
+    pool_prefix = mix64(seed, _SALT_POOL)
+    pick_prefix = mix64(seed, _SALT_POOL_PICK)
+    persist_prefix = mix64(seed, _SALT_PERSIST)
     builder = BatchBuilder(line_size=config.line_size)
     pool_cache: dict[int, bytes] = {}
     last_written: dict[int, int] = {}
     admitted_per_tenant: dict[int, int] = {}
-    offered = admitted = deferred = rejected = 0
+    deferred = rejected = 0
 
-    for index in range(config.accesses):
-        tenant = zipf_rank(
-            mix01(seed, _SALT_TENANT, index), config.tenants, config.zipf_s
-        )
-        if shard_of(tenant) != shard:
-            continue
-        offered += 1
+    for index, tenant in zip(route.indices, route.tenants):
         used = admitted_per_tenant.get(tenant, 0)
         if tenant_quota and used >= tenant_quota:
             deferred += 1
@@ -283,35 +358,34 @@ def synthesize_shard_stream(
             rejected += 1
             continue
 
-        gap = mix64(seed, _SALT_GAP, index) % (config.max_gap + 1)
-        first_line = slot * config.lines_per_tenant
+        gap = _draw(gap_prefix, index) % (config.max_gap + 1)
         last = last_written.get(tenant)
-        if last is None or mix01(seed, _SALT_OP, index) >= config.read_fraction:
-            offset = mix64(seed, _SALT_ADDRESS, tenant, used) % config.lines_per_tenant
-            address = first_line + offset
-            if mix01(seed, _SALT_POOL, index) < config.content_overlap:
-                pick = mix64(seed, _SALT_POOL_PICK, index) % config.shared_pool_lines
+        if last is None or _draw(op_prefix, index) / _UNIT >= config.read_fraction:
+            offset = _draw(_draw(address_prefix, tenant), used) % config.lines_per_tenant
+            address = slot * config.lines_per_tenant + offset
+            if _draw(pool_prefix, index) / _UNIT < config.content_overlap:
+                pick = _draw(pick_prefix, index) % config.shared_pool_lines
                 data = pool_cache.get(pick)
                 if data is None:
                     data = tenant_line(seed, pick, line_size=config.line_size)
                     pool_cache[pick] = data
             else:
                 data = tenant_line(seed, tenant, used, line_size=config.line_size)
-            persistent = mix01(seed, _SALT_PERSIST, index) < config.persistent_fraction
+            persistent = _draw(persist_prefix, index) / _UNIT < config.persistent_fraction
             builder.append_write(0, address, data, gap_instructions=gap,
                                  persistent=persistent)
             last_written[tenant] = address
         else:
             builder.append_read(0, last, gap_instructions=gap)
         admitted_per_tenant[tenant] = used + 1
-        admitted += 1
 
+    offered = len(route.indices)
     return ShardStream(
         shard=shard,
         batch=builder.build(),
         tenants_seen=len(admitted_per_tenant),
         offered=offered,
-        admitted=admitted,
+        admitted=offered - deferred - rejected,
         deferred=deferred,
         rejected=rejected,
     )

@@ -1,19 +1,11 @@
-"""Control plane: shard routing, tenant registry, admission, leases."""
+"""Control plane: shard routing, tenant registry, admission."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.serve.control import AdmissionPolicy, LeaseTable, ShardLease
+from repro.serve.control import AdmissionPolicy
 from repro.serve.tenants import MIN_SHARD_LINES, ShardMap, TenantRegistry
-
-
-class _FakeClock:
-    def __init__(self, start: float = 100.0) -> None:
-        self.now = start
-
-    def __call__(self) -> float:
-        return self.now
 
 
 class TestShardMap:
@@ -92,94 +84,3 @@ class TestAdmissionPolicy:
         with pytest.raises(ValueError):
             AdmissionPolicy(tenant_quota=-1)
 
-
-class TestLeaseTable:
-    def test_claim_stamps_custody(self):
-        clock = _FakeClock(100.0)
-        table = LeaseTable(4, clock=clock, lease_s=30.0)
-        lease = table.claim(2, "wave-1")
-        assert lease.state == "leased"
-        assert lease.worker == "wave-1"
-        assert lease.attempts == 1
-        assert lease.claimed_unix_s == 100.0
-        assert lease.expires_unix_s == 130.0
-        assert table.state_of(2) == "leased"
-
-    def test_claiming_a_live_or_done_lease_raises(self):
-        table = LeaseTable(2, clock=_FakeClock())
-        table.claim(0, "a")
-        with pytest.raises(ValueError):
-            table.claim(0, "b")
-        table.mark_done(0)
-        with pytest.raises(ValueError):
-            table.claim(0, "c")
-
-    def test_failed_shard_is_reclaimable(self):
-        table = LeaseTable(2, clock=_FakeClock())
-        table.claim(1, "wave-1")
-        table.mark_failed(1)
-        lease = table.claim(1, "wave-2")
-        assert lease.attempts == 2
-        assert lease.worker == "wave-2"
-
-    def test_heartbeat_extends_the_lease(self):
-        clock = _FakeClock(100.0)
-        table = LeaseTable(1, clock=clock, lease_s=30.0)
-        table.claim(0, "w")
-        clock.now = 120.0
-        table.heartbeat(0)
-        assert table.lease(0).heartbeat_unix_s == 120.0
-        assert table.lease(0).expires_unix_s == 150.0
-
-    def test_heartbeat_requires_a_live_lease(self):
-        table = LeaseTable(1, clock=_FakeClock())
-        with pytest.raises(ValueError):
-            table.heartbeat(0)
-
-    def test_reclaim_stale_returns_expired_leases_sorted(self):
-        clock = _FakeClock(100.0)
-        table = LeaseTable(4, clock=clock, lease_s=10.0)
-        for shard in (3, 0, 1):
-            table.claim(shard, "w")
-        table.mark_done(1)
-        clock.now = 200.0
-        assert table.reclaim_stale() == [0, 3]
-        assert table.state_of(0) == "pending"
-        assert table.state_of(1) == "done"
-        # Live leases survive.
-        clock.now = 201.0
-        table.claim(0, "w2")
-        assert table.reclaim_stale() == []
-
-    def test_counts_and_render(self):
-        table = LeaseTable(3, clock=_FakeClock())
-        table.claim(0, "w")
-        table.mark_done(0)
-        table.claim(1, "w")
-        assert table.counts() == {"pending": 1, "leased": 1, "done": 1, "failed": 0}
-        line = table.render()
-        assert "1 done" in line
-        assert "2 claim(s)" in line
-
-    def test_round_trip(self):
-        clock = _FakeClock(50.0)
-        table = LeaseTable(3, clock=clock, lease_s=15.0)
-        table.claim(0, "w")
-        table.mark_failed(0)
-        table.claim(2, "w")
-        clone = LeaseTable.from_dict(table.to_dict(), clock=clock)
-        assert clone.to_dict() == table.to_dict()
-        assert len(clone) == 3
-        assert clone.state_of(0) == "failed"
-
-    def test_shard_lease_round_trip(self):
-        lease = ShardLease(shard=5, state="leased", worker="w", attempts=2,
-                           claimed_unix_s=1.0, heartbeat_unix_s=2.0,
-                           expires_unix_s=3.0)
-        assert ShardLease.from_dict(lease.to_dict()) == lease
-
-    def test_rejects_bad_construction(self):
-        with pytest.raises(ValueError):
-            LeaseTable(0)
-        with pytest.raises(ValueError):
-            LeaseTable(1, lease_s=0.0)

@@ -1,12 +1,18 @@
-"""Service orchestration: shard jobs, the lease loop, run_service."""
+"""Service orchestration: shard jobs, dispatch with retry, run_service."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.obs.metrics import reset_registry
 from repro.runner import provider
-from repro.serve.control import AdmissionPolicy, LeaseTable
+from repro.serve.control import AdmissionPolicy
 from repro.serve.service import (
     SERVE_JOB_KIND,
     ServiceConfig,
@@ -29,14 +35,6 @@ def _hermetic():
     yield
     reset_registry()
     provider.reset()
-
-
-class _FakeClock:
-    def __init__(self, start: float = 100.0) -> None:
-        self.now = start
-
-    def __call__(self) -> float:
-        return self.now
 
 
 class TestServiceConfig:
@@ -96,16 +94,15 @@ class TestRunShardJob:
 
 
 class TestRunService:
-    def test_smoke_run_completes_every_lease(self):
-        table = LeaseTable(CONFIG.shards, clock=_FakeClock())
-        outcome = run_service(CONFIG, leases=table)
-        assert outcome.leases.counts()["done"] == CONFIG.shards
-        assert outcome.leases.total_attempts() == CONFIG.shards
+    def test_smoke_run_completes_every_shard(self):
+        outcome = run_service(CONFIG)
         report = outcome.report
         assert len(report.shards) == CONFIG.shards
         assert report.fallbacks == {}
         assert report.merged.stats.writes_requested > 0
         assert outcome.run.planned == CONFIG.shards
+        assert outcome.run.retries == 0
+        assert not outcome.run.failures
         # The whole seeded budget was offered across the shard set.
         assert sum(s.offered for s in report.shards) == TRAFFIC.accesses
 
@@ -113,25 +110,28 @@ class TestRunService:
         import repro.serve.service as service_module
 
         real = run_shard_job
+        attempts = {"shard 1": 0}
 
         def broken(params):
             if int(params["shard"]) == 1:
+                attempts["shard 1"] += 1
                 raise RuntimeError("shard 1 exploded")
             return real(params)
 
         monkeypatch.setattr(service_module, "run_shard_job", broken)
-        table = LeaseTable(CONFIG.shards, clock=_FakeClock())
-        with pytest.raises(RuntimeError, match="shard\\(s\\) 1 failed"):
-            run_service(CONFIG, leases=table)
-        assert table.state_of(0) == "done"
-        assert table.state_of(1) == "failed"
-        assert table.lease(1).attempts == 2
+        with pytest.raises(RuntimeError, match=r"shard\(s\) 1 failed"):
+            run_service(CONFIG)
+        # The engine's retry-once is the only re-dispatch.
+        assert attempts["shard 1"] == 2
 
     def test_flaky_shard_recovers_on_redispatch(self, monkeypatch):
         import repro.serve.service as service_module
 
+        clean = run_service(CONFIG).report.to_dict()
+        reset_registry()
+        provider.reset()
         real = run_shard_job
-        crashes = {"left": 2}  # run_jobs retries once, so 2 kills wave one
+        crashes = {"left": 1}
 
         def flaky(params):
             if int(params["shard"]) == 1 and crashes["left"] > 0:
@@ -140,12 +140,12 @@ class TestRunService:
             return real(params)
 
         monkeypatch.setattr(service_module, "run_shard_job", flaky)
-        table = LeaseTable(CONFIG.shards, clock=_FakeClock())
-        outcome = run_service(CONFIG, leases=table)
-        assert table.state_of(1) == "done"
-        assert table.lease(1).attempts == 2
-        assert table.lease(0).attempts == 1
-        assert len(outcome.report.shards) == CONFIG.shards
+        outcome = run_service(CONFIG)
+        assert crashes["left"] == 0
+        assert outcome.run.retries == 1
+        assert not outcome.run.failures
+        # The retry leaves no trace in the deterministic report.
+        assert outcome.report.to_dict() == clean
 
     def test_shard_metrics_are_published(self):
         run_service(CONFIG)
@@ -154,3 +154,21 @@ class TestRunService:
         snapshot = registry().to_dict()
         for shard in range(CONFIG.shards):
             assert f"serve.shard.{shard}.admitted" in snapshot
+
+
+class TestImports:
+    def test_serve_stack_never_imports_numpy(self):
+        src = Path(repro.__file__).resolve().parents[1]
+        code = (
+            "import sys, repro.serve.service, repro.workloads.tenants; "
+            "print('numpy' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"

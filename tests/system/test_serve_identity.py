@@ -9,8 +9,8 @@ Two equalities are the subsystem's correctness contract:
 
 2. **Sharded service ≡ plain simulation.**  A ``shards=1`` service run's
    merged report equals a direct :func:`simulate` of the same
-   synthesized stream: the whole serve stack (job specs, runner, lease
-   loop, merge fold) adds exactly nothing to the simulated physics.
+   synthesized stream: the whole serve stack (job specs, runner, merge
+   fold) adds exactly nothing to the simulated physics.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class TestServeIdentity:
         from repro.core.registry import build_controller
         from repro.nvm.config import NvmConfig, NvmOrganization
         from repro.nvm.memory import NvmMainMemory
-        from repro.serve.tenants import ShardMap, TenantRegistry
+        from repro.serve.tenants import TenantRegistry
         from repro.system.simulator import simulate
         from repro.workloads.tenants import synthesize_shard_stream
         from repro.workloads.trace import Trace
@@ -61,10 +61,9 @@ class TestServeIdentity:
 
         # Re-derive the stream and drive the controller directly, sizing
         # the device exactly as the shard job does.
-        shard_map = ShardMap(shards=1, seed=TRAFFIC.seed)
         registry = TenantRegistry(TRAFFIC.lines_per_tenant)
         stream = synthesize_shard_stream(
-            TRAFFIC, shard=0, shard_of=shard_map.shard_of, registry=registry
+            TRAFFIC, shard=0, shards=1, registry=registry
         )
         data_lines = registry.device_lines()
         total_lines = data_lines + data_lines // 4 + 256

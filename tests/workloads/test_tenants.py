@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+from array import array
+
 import pytest
 
 from repro.serve.tenants import ShardMap, TenantRegistry
-from repro.workloads.batch import OP_WRITE
+from repro.workloads.batch import OP_WRITE, BatchBuilder
 from repro.workloads.tenants import (
+    ShardStream,
     TenantTrafficConfig,
     mix01,
     mix64,
+    route_accesses,
     synthesize_shard_stream,
     tenant_line,
     zipf_rank,
@@ -18,13 +23,97 @@ from repro.workloads.tenants import (
 CFG = TenantTrafficConfig(tenants=2000, accesses=1500, seed=13)
 
 
+# The decision-stream salts, pinned: the reference walk below defines the
+# traffic the routed synthesizer must reproduce bit for bit.
+SALT_TENANT, SALT_OP, SALT_ADDRESS, SALT_GAP, SALT_PERSIST, SALT_POOL, SALT_PICK = range(1, 8)
+SALT_SHARD = 0x5D
+
+
 def _stream(config: TenantTrafficConfig, shards: int, shard: int, **kwargs):
-    shard_map = ShardMap(shards=shards, seed=config.seed)
     registry = TenantRegistry(config.lines_per_tenant,
                               max_slots=kwargs.pop("max_slots", 0))
     return synthesize_shard_stream(
-        config, shard=shard, shard_of=shard_map.shard_of, registry=registry, **kwargs
+        config, shard=shard, shards=shards, registry=registry, **kwargs
     ), registry
+
+
+def _reference_mix64(*parts: int) -> int:
+    """The mixer as a plain fold: one full splitmix64 round per part."""
+    mask = (1 << 64) - 1
+    value = 0x9E3779B97F4A7C15
+    for part in parts:
+        value = (value + (part & mask)) & mask
+        value ^= value >> 30
+        value = (value * 0xBF58476D1CE4E5B9) & mask
+        value ^= value >> 27
+        value = (value * 0x94D049BB133111EB) & mask
+        value ^= value >> 31
+    return value
+
+
+def _reference_stream(config, shards, shard, *, tenant_quota=0, max_slots=0):
+    """Per-index reference walk: draw every global access's tenant with
+    zipf_rank, route it with ShardMap.shard_of, skip foreign accesses and
+    derive every decision from a full mixer fold."""
+
+    def draw(*parts: int) -> int:
+        return _reference_mix64(config.seed, *parts)
+
+    shard_map = ShardMap(shards=shards, seed=config.seed)
+    registry = TenantRegistry(config.lines_per_tenant, max_slots=max_slots)
+    builder = BatchBuilder(line_size=config.line_size)
+    last_written: dict[int, int] = {}
+    used_by: dict[int, int] = {}
+    offered = deferred = rejected = 0
+    for index in range(config.accesses):
+        u = draw(SALT_TENANT, index) / 2.0**64
+        tenant = zipf_rank(u, config.tenants, config.zipf_s)
+        if shard_map.shard_of(tenant) != shard:
+            continue
+        offered += 1
+        used = used_by.get(tenant, 0)
+        if tenant_quota and used >= tenant_quota:
+            deferred += 1
+            continue
+        slot = registry.slot_of(tenant)
+        if slot is None:
+            rejected += 1
+            continue
+        gap = draw(SALT_GAP, index) % (config.max_gap + 1)
+        last = last_written.get(tenant)
+        if last is None or draw(SALT_OP, index) / 2.0**64 >= config.read_fraction:
+            offset = draw(SALT_ADDRESS, tenant, used) % config.lines_per_tenant
+            address = slot * config.lines_per_tenant + offset
+            if draw(SALT_POOL, index) / 2.0**64 < config.content_overlap:
+                pick = draw(SALT_PICK, index) % config.shared_pool_lines
+                data = tenant_line(config.seed, pick, line_size=config.line_size)
+            else:
+                data = tenant_line(config.seed, tenant, used, line_size=config.line_size)
+            persistent = draw(SALT_PERSIST, index) / 2.0**64 < config.persistent_fraction
+            builder.append_write(0, address, data, gap_instructions=gap,
+                                 persistent=persistent)
+            last_written[tenant] = address
+        else:
+            builder.append_read(0, last, gap_instructions=gap)
+        used_by[tenant] = used + 1
+    return ShardStream(
+        shard=shard, batch=builder.build(), tenants_seen=len(used_by),
+        offered=offered, admitted=offered - deferred - rejected,
+        deferred=deferred, rejected=rejected,
+    )
+
+
+def _snapshot(stream: ShardStream) -> tuple:
+    batch = stream.batch
+    return (
+        bytes(batch.ops), list(batch.cores), list(batch.addresses), list(batch.gaps),
+        bytes(batch.persistent), bytes(batch.payload), list(batch.slots),
+        stream.tenants_seen, stream.offered, stream.admitted,
+        stream.deferred, stream.rejected,
+    )
+
+
+GRID = list(itertools.product((1, 3, 8), (0.8, 1.0, 1.1), (1, 300, 1_000_000), (False, True)))
 
 
 class TestMixers:
@@ -32,6 +121,10 @@ class TestMixers:
         assert mix64(1, 2, 3) == mix64(1, 2, 3)
         assert mix64(1, 2, 3) != mix64(1, 2, 4)
         assert mix64(1, 2, 3) != mix64(3, 2, 1)
+
+    def test_mix64_matches_the_plain_fold(self):
+        for parts in [(), (7,), (7, 1, 0), (13, 0x5D, 999_999), (-3, 2, 2**64 + 5)]:
+            assert mix64(*parts) == _reference_mix64(*parts)
 
     def test_mix01_in_unit_interval(self):
         for i in range(200):
@@ -154,3 +247,41 @@ class TestSynthesis:
         # 2000 writes drawing 90 % from an 8-line pool: far fewer distinct
         # lines than writes.
         assert len(contents) < stream.admitted / 2
+
+
+class TestRouting:
+    @pytest.mark.parametrize("shards, zipf_s, tenants, admission", GRID)
+    def test_matches_the_reference_walk(self, shards, zipf_s, tenants, admission):
+        config = TenantTrafficConfig(
+            tenants=tenants, accesses=400, seed=29, zipf_s=zipf_s,
+            shared_pool_lines=32, lines_per_tenant=8,
+        )
+        knobs = {"tenant_quota": 3, "max_slots": 5} if admission else {}
+        for shard in range(shards):
+            routed, _ = _stream(config, shards, shard, **knobs)
+            expected = _reference_stream(config, shards, shard, **knobs)
+            assert _snapshot(routed) == _snapshot(expected)
+
+    def test_routes_partition_the_access_range(self):
+        routes = route_accesses(CFG, 8)
+        owned = sorted(index for route in routes for index in route.indices)
+        assert owned == list(range(CFG.accesses))
+        for shard, route in enumerate(routes):
+            assert isinstance(route.indices, array)
+            assert isinstance(route.tenants, array)
+            assert list(route.indices) == sorted(route.indices)
+            for tenant in route.tenants:
+                assert _reference_mix64(CFG.seed, SALT_SHARD, tenant) % 8 == shard
+
+    def test_one_walk_serves_every_shard(self):
+        config = TenantTrafficConfig(tenants=5000, accesses=900, seed=41)
+        route_accesses.cache_clear()
+        for shard in range(8):
+            _stream(config, 8, shard)
+        assert route_accesses.cache_info().misses == 1
+
+    def test_rejects_out_of_range_shards(self):
+        with pytest.raises(ValueError):
+            _stream(CFG, 4, 4)
+        with pytest.raises(ValueError):
+            route_accesses(CFG, 0)
