@@ -1273,6 +1273,7 @@ def _run_diff(args: argparse.Namespace) -> int:
         diff_stages,
         stage_percentiles,
     )
+    from repro.obs.drift import RegressionReport
     from repro.obs.manifest import ManifestError, load_manifest
 
     if bool(args.trace_a) != bool(args.trace_b):
@@ -1289,48 +1290,41 @@ def _run_diff(args: argparse.Namespace) -> int:
         return 2
 
     diff = diff_manifests(manifest_a, manifest_b)
-    drift = diff.deterministic_drift
     stage_notes: list[str] = []
-    if args.trace_a:
-        stage_notes = diff_stages(
-            stage_percentiles(args.trace_a),
-            stage_percentiles(args.trace_b),
-            tolerance=args.tolerance,
-        )
-        drift = drift or bool(stage_notes)
-    figure_reports: dict[str, object] = {}
+    figure_reports: dict[str, RegressionReport] = {}
     figure_notes: list[str] = []
-    if args.figures_a:
-        figure_reports, figure_notes = diff_figure_dirs(
-            args.figures_a, args.figures_b, tolerance=args.tolerance
-        )
-        drift = drift or bool(figure_notes)
-        drift = drift or any(not report.clean for report in figure_reports.values())
+    try:
+        if args.trace_a:
+            stage_notes = diff_stages(
+                stage_percentiles(args.trace_a),
+                stage_percentiles(args.trace_b),
+                tolerance=args.tolerance,
+            )
+        if args.figures_a:
+            figure_reports, figure_notes = diff_figure_dirs(
+                args.figures_a, args.figures_b, tolerance=args.tolerance
+            )
+    except (OSError, ValueError) as error:
+        print(f"diff: {error}", file=sys.stderr)
+        return 2
+    drift = (
+        diff.deterministic_drift
+        or bool(stage_notes)
+        or bool(figure_notes)
+        or any(not report.clean for report in figure_reports.values())
+    )
 
     if args.json:
+        import dataclasses
         import json
 
+        manifest_payload = dataclasses.asdict(diff)
+        manifest_payload["wall_clock_deltas"] = manifest_payload.pop("info_deltas")
+        for delta in manifest_payload["counter_drifts"]:
+            del delta["kind"]
         payload = {
             "deterministic_drift": drift,
-            "manifest": {
-                "context": diff.context,
-                "counter_drifts": [
-                    {"name": d.name, "a": d.a, "b": d.b} for d in diff.counter_drifts
-                ],
-                "appeared_counters": diff.appeared_counters,
-                "vanished_counters": diff.vanished_counters,
-                "counters_compared": diff.counters_compared,
-                "timeline_drifts": diff.timeline_drifts,
-                "timeline_windows_compared": diff.timeline_windows_compared,
-                "faults_drifts": diff.faults_drifts,
-                "faults_scenarios_compared": diff.faults_scenarios_compared,
-                "stages_drifts": diff.stages_drifts,
-                "stages_compared": diff.stages_compared,
-                "wall_clock_deltas": [
-                    {"name": d.name, "kind": d.kind, "a": d.a, "b": d.b}
-                    for d in diff.info_deltas
-                ],
-            },
+            "manifest": manifest_payload,
             "stages": stage_notes,
             "figures": {
                 "notes": figure_notes,
@@ -1681,14 +1675,17 @@ def _run_figure(args: argparse.Namespace) -> int:
 
 
 def _run_regress(args: argparse.Namespace) -> int:
-    from repro.analysis.export import load_json
-    from repro.analysis.regression import compare_tables
+    from repro.obs.drift import compare_tables, load_table
 
-    report = compare_tables(
-        load_json(args.reference),
-        load_json(args.current),
-        relative_tolerance=args.tolerance,
-    )
+    try:
+        report = compare_tables(
+            load_table(args.reference),
+            load_table(args.current),
+            relative_tolerance=args.tolerance,
+        )
+    except (OSError, ValueError) as error:
+        print(f"regress: {error}", file=sys.stderr)
+        return 2
     print(report.summary())
     return 0 if report.clean else 1
 

@@ -38,8 +38,8 @@ from repro.analysis.registry import (
     plan_for,
     register_experiment,
 )
-from repro.analysis.regression import RegressionReport, compare_tables
 from repro.analysis.reporting import Table
+from repro.obs.drift import RegressionReport, compare_tables
 
 __all__ = [
     "ExperimentSettings",

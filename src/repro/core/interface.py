@@ -19,7 +19,6 @@ every controller is batch-addressable without opting in.
 from __future__ import annotations
 
 import abc
-import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.batching import BatchCursor, BatchOutcome
@@ -103,24 +102,6 @@ class MemoryController(abc.ABC):
 
     def _propagate_observers(self, tracer: TracerLike, timeline: TimelineLike) -> None:
         """Hook for subclasses to hand the observers to internal components."""
-
-    def attach_tracer(self, tracer: TracerLike) -> None:
-        """Deprecated: use :meth:`attach_observers`."""
-        warnings.warn(
-            "attach_tracer() is deprecated; use attach_observers(tracer=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.attach_observers(tracer=tracer)
-
-    def attach_timeline(self, timeline: TimelineLike) -> None:
-        """Deprecated: use :meth:`attach_observers`."""
-        warnings.warn(
-            "attach_timeline() is deprecated; use attach_observers(timeline=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.attach_observers(timeline=timeline)
 
     # -- scalar request interface ----------------------------------------------
 

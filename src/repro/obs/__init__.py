@@ -15,6 +15,9 @@ The observability layer for the simulator stack:
   across worker processes;
 - :mod:`repro.obs.manifest` — schema-versioned ``manifest.json`` records
   written by every ``python -m repro run`` invocation;
+- :mod:`repro.obs.drift` — the one set of drift rules (keyed match,
+  tolerance, directional verdict) every comparison below applies, plus
+  figure-table regression (``python -m repro regress``);
 - :mod:`repro.obs.diff` — run-to-run comparison separating deterministic
   simulation drift from wall-clock noise (``python -m repro diff``);
 - :mod:`repro.obs.bench` — the continuous microbenchmark harness and its

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.obs.drift import match, relative_change, verdict
 from repro.obs.manifest import git_sha
 
 #: Bump when the bench record shape changes.
@@ -388,6 +389,14 @@ def composite_baseline(records: list[dict[str, Any]]) -> dict[str, Any]:
     return baseline
 
 
+def format_case_delta(entry: dict[str, Any]) -> str:
+    """``name: 1.00ms -> 1.50ms (+50.0%)`` for one compared case."""
+    return (
+        f"{entry['name']}: {entry['baseline_s'] * 1000:.2f}ms -> "
+        f"{entry['current_s'] * 1000:.2f}ms ({entry['change']:+.1%})"
+    )
+
+
 def _anchor_suffix(entry: dict[str, Any]) -> str:
     """`` [anchor <sha>]`` when the composite baseline recorded provenance."""
     sha = entry.get("anchor_git_sha")
@@ -423,17 +432,9 @@ class BenchComparison:
             f"{len(self.regressions)} regressed, {len(self.improvements)} improved"
         ]
         for entry in self.regressions:
-            lines.append(
-                f"  REGRESSED {entry['name']}: {entry['baseline_s'] * 1000:.2f}ms -> "
-                f"{entry['current_s'] * 1000:.2f}ms ({entry['change']:+.1%})"
-                + _anchor_suffix(entry)
-            )
+            lines.append(f"  REGRESSED {format_case_delta(entry)}{_anchor_suffix(entry)}")
         for entry in self.improvements:
-            lines.append(
-                f"  improved  {entry['name']}: {entry['baseline_s'] * 1000:.2f}ms -> "
-                f"{entry['current_s'] * 1000:.2f}ms ({entry['change']:+.1%})"
-                + _anchor_suffix(entry)
-            )
+            lines.append(f"  improved  {format_case_delta(entry)}{_anchor_suffix(entry)}")
         if self.appeared:
             lines.append(f"  appeared (no baseline): {', '.join(self.appeared)}")
         if self.vanished:
@@ -452,10 +453,12 @@ def compare_records(
 ) -> BenchComparison:
     """Gate ``current`` against ``baseline`` with noise-aware thresholds.
 
-    A case regresses when its best time grew by more than ``threshold``
-    relatively **and** by more than ``absolute_floor_s`` absolutely;
-    min-of-repeats sampling means noise can only inflate ``current``, so
-    a pass is trustworthy while a fail may warrant a re-run on a quieter
+    Each case present on both sides gets the drift engine's verdict
+    (:func:`repro.obs.drift.verdict`): it regresses when its best time
+    grew by more than ``threshold`` relatively **and** by more than
+    ``absolute_floor_s`` absolutely, or became NaN.  Min-of-repeats
+    sampling means noise can only inflate ``current``, so a pass is
+    trustworthy while a fail may warrant a re-run on a quieter
     machine.  Cases present on only one side are reported separately,
     never as ±inf regressions.
 
@@ -467,24 +470,18 @@ def compare_records(
     """
     current_results = current.get("results", {})
     baseline_results = baseline.get("results", {})
-    regressions: list[dict[str, Any]] = []
-    improvements: list[dict[str, Any]] = []
-    within = 0
-    for name in sorted(set(current_results) & set(baseline_results)):
+    vanished, appeared, common = match(baseline_results, current_results)
+    verdicts: dict[str, list[dict[str, Any]]] = {"regressed": [], "improved": [], "within": []}
+    for name in common:
         base = float(baseline_results[name]["best_s"])
         cur = float(current_results[name]["best_s"])
-        delta = cur - base
-        change = delta / base if base > 0 else 0.0
+        change = relative_change(base, cur)
         entry = {"name": name, "baseline_s": base, "current_s": cur, "change": change}
         anchor_sha = baseline_results[name].get("anchor_git_sha")
         if isinstance(anchor_sha, str) and anchor_sha:
             entry["anchor_git_sha"] = anchor_sha
-        if delta > absolute_floor_s and change > threshold:
-            regressions.append(entry)
-        elif -delta > absolute_floor_s and -change > threshold:
-            improvements.append(entry)
-        else:
-            within += 1
+        verdicts[verdict(base, cur, threshold=threshold, floor=absolute_floor_s)].append(entry)
+    regressions = verdicts["regressed"]
     stage_notes = [
         note
         for entry in regressions
@@ -498,10 +495,10 @@ def compare_records(
     return BenchComparison(
         threshold=threshold,
         regressions=regressions,
-        improvements=improvements,
-        appeared=sorted(set(current_results) - set(baseline_results)),
-        vanished=sorted(set(baseline_results) - set(current_results)),
-        within=within,
+        improvements=verdicts["improved"],
+        appeared=appeared,
+        vanished=vanished,
+        within=len(verdicts["within"]),
         stage_notes=stage_notes,
     )
 
@@ -522,22 +519,20 @@ def _attribute_stage_drift(
     if not isinstance(current_entry, dict) or not isinstance(baseline_entry, dict):
         return None
     kernel = current_entry.get("kernel", case)
-    current_totals = {
-        stage: float(fields.get("total_ns", 0.0))
-        for stage, fields in current_entry.get("stages", {}).items()
-    }
-    baseline_totals = {
-        stage: float(fields.get("total_ns", 0.0))
-        for stage, fields in baseline_entry.get("stages", {}).items()
-    }
-    worst_stage = None
-    worst_drift = 0.0
-    for stage in sorted(set(current_totals) | set(baseline_totals)):
-        drift = abs(current_totals.get(stage, 0.0) - baseline_totals.get(stage, 0.0))
-        if drift > worst_drift:
-            worst_drift = drift
-            worst_stage = stage
-    if worst_stage is None:
+    current_totals, baseline_totals = (
+        {
+            stage: float(fields.get("total_ns", 0.0))
+            for stage, fields in entry.get("stages", {}).items()
+        }
+        for entry in (current_entry, baseline_entry)
+    )
+
+    def moved(stage: str) -> float:
+        return abs(current_totals.get(stage, 0.0) - baseline_totals.get(stage, 0.0))
+
+    stages = sorted(current_totals.keys() | baseline_totals.keys())
+    worst_stage = max(stages, key=moved, default=None)
+    if worst_stage is None or moved(worst_stage) <= 0:
         return (
             f"{case}: simulated stage totals unchanged in {kernel} — "
             "the slowdown is host-side (code), not modelled work"

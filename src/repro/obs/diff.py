@@ -7,44 +7,41 @@ JSONs) and separates **deterministic** divergence from wall-clock noise:
 - *counters* in the metrics section (simulations executed, jobs per
   kind) are products of the seeded simulation — any mismatch is real
   drift;
-- the *timeline* section (per-window dedup/write/bit-flip counters over
-  the simulated clock) is likewise deterministic and compared exactly;
-- the *faults* section (crash-recovery consistency verdicts from seeded
-  fault plans — see :mod:`repro.faults`) is a pure product of the seed
-  and the fault plan, so any scenario mismatch is deterministic drift;
-- the *stages* section (summary-mode per-stage totals written by
-  ``python -m repro profile``) tracks the simulated clock only, so any
-  histogram mismatch is deterministic drift;
+- the *timeline* (per-window counters over the simulated clock),
+  *faults* (crash-recovery verdicts from seeded fault plans, see
+  :mod:`repro.faults`) and *stages* (summary-mode per-stage totals from
+  ``python -m repro profile``) sections are pure products of the seed,
+  so they compare entry by entry and field by field, exactly;
 - per-stage latency percentiles extracted from JSONL sinks use the
   **sim** clock only, so p50/p95/p99 deltas are code-behaviour changes,
   not scheduler luck;
 - gauges, histograms and elapsed/RSS numbers are wall-clock and reported
   as informational deltas, never as drift;
-- figure tables drift through the existing
-  :func:`repro.analysis.regression.compare_tables` tolerance machinery.
+- figure tables drift through :func:`repro.obs.drift.compare_tables`.
 
-Two manifests of the same figure at the same git SHA must diff clean —
+Every comparison applies the rules of :mod:`repro.obs.drift`.  Two
+manifests of the same figure at the same git SHA must diff clean —
 that property is the CI acceptance gate for this module.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any, Callable
 
+from repro.obs.chrome import read_trace_jsonl
+from repro.obs.drift import (
+    Match,
+    RegressionReport,
+    compare_tables,
+    differing_fields,
+    drifted,
+    load_table,
+    match,
+)
 from repro.obs.manifest import summarize_manifest
 from repro.obs.trace import percentile
-
-if TYPE_CHECKING:  # imported lazily at runtime: repro.analysis pulls in the
-    # whole experiment stack, which itself imports repro.obs (cycle).
-    from repro.analysis.regression import RegressionReport
-
-#: Metric kinds whose values depend on host wall time, never on
-#: the simulation: differences are reported but are not drift.
-_WALL_METRIC_KINDS = ("gauge", "histogram")
 
 #: Counters measuring how much work the *runner* performed, which depends
 #: on cache warmth (a warm run executes zero jobs), not on what the
@@ -163,44 +160,36 @@ def diff_manifests(a: dict[str, Any], b: dict[str, Any]) -> ManifestDiff:
 
     metrics_a = a.get("metrics", {}) or {}
     metrics_b = b.get("metrics", {}) or {}
-    for name in sorted(set(metrics_a) | set(metrics_b)):
-        entry_a, entry_b = metrics_a.get(name), metrics_b.get(name)
-        if entry_a is None or entry_b is None:
-            present = entry_a if entry_b is None else entry_b
-            if present.get("kind") == "counter" and not _environment_counter(name):
-                target = diff.vanished_counters if entry_b is None else diff.appeared_counters
-                target.append(name)
-            else:
-                value = _metric_value(present)
-                diff.info_deltas.append(
-                    MetricDelta(
-                        name,
-                        str(present.get("kind")),
-                        value if entry_b is None else 0.0,
-                        0.0 if entry_b is None else value,
-                    )
-                )
-            continue
-        kind = entry_a.get("kind")
-        va, vb = _metric_value(entry_a), _metric_value(entry_b)
+    keys = match(metrics_a, metrics_b)
+    for name in keys.only_a + keys.only_b:
+        vanished = name in metrics_a
+        present = metrics_a[name] if vanished else metrics_b[name]
+        if present.get("kind") == "counter" and not _environment_counter(name):
+            (diff.vanished_counters if vanished else diff.appeared_counters).append(name)
+        else:
+            value = _metric_value(present)
+            va, vb = (value, 0.0) if vanished else (0.0, value)
+            diff.info_deltas.append(MetricDelta(name, str(present.get("kind")), va, vb))
+    for name in keys.both:
+        kind = metrics_a[name].get("kind")
+        va, vb = _metric_value(metrics_a[name]), _metric_value(metrics_b[name])
         if kind == "counter" and not _environment_counter(name):
             diff.counters_compared += 1
-            if not math.isclose(va, vb):
+            if drifted(va, vb):
                 diff.counter_drifts.append(MetricDelta(name, "counter", va, vb))
-        elif not math.isclose(va, vb, rel_tol=1e-9):
+        elif drifted(va, vb):
             diff.info_deltas.append(MetricDelta(name, str(kind), va, vb))
+    diff.info_deltas.sort(key=lambda delta: delta.name)
 
-    notes, compared = diff_timelines(a.get("timeline"), b.get("timeline"))
-    diff.timeline_drifts.extend(notes)
-    diff.timeline_windows_compared = compared
-
-    notes, compared = diff_faults(a.get("faults"), b.get("faults"))
-    diff.faults_drifts.extend(notes)
-    diff.faults_scenarios_compared = compared
-
-    notes, compared = diff_stage_sections(a.get("stages"), b.get("stages"))
-    diff.stages_drifts.extend(notes)
-    diff.stages_compared = compared
+    diff.timeline_drifts, diff.timeline_windows_compared = diff_timelines(
+        a.get("timeline"), b.get("timeline")
+    )
+    diff.faults_drifts, diff.faults_scenarios_compared = diff_faults(
+        a.get("faults"), b.get("faults")
+    )
+    diff.stages_drifts, diff.stages_compared = diff_stage_sections(
+        a.get("stages"), b.get("stages")
+    )
 
     for which, summary in (("a", summary_a), ("b", summary_b)):
         elapsed = summary.get("elapsed_s")
@@ -209,131 +198,110 @@ def diff_manifests(a: dict[str, Any], b: dict[str, Any]) -> ManifestDiff:
     return diff
 
 
-def diff_timelines(
-    a: dict[str, Any] | None, b: dict[str, Any] | None
+def _diff_section(
+    a: dict[str, Any] | None,
+    b: dict[str, Any] | None,
+    section: str,
+    noun: str,
+    header: Callable[[dict[str, Any], dict[str, Any]], str | None],
+    entries: Callable[[dict[str, Any]], dict[Any, dict[str, Any]]],
+    *,
+    label: Callable[[Any], str] = str,
+    sort_key: Callable[[Any], Any] | None = None,
+    one_sided: Callable[[Match], list[str]] | None = None,
 ) -> tuple[list[str], int]:
-    """Deterministic divergences between two timeline snapshots.
+    """Deterministic divergences between two keyed manifest sections.
 
-    Returns ``(notes, windows compared)``; both-absent compares nothing.
+    Both-absent compares nothing; a one-sided section, or a ``header``
+    mismatch, short-circuits with a single note.  Entries are matched by
+    key and compared field by field: every recorded value is a product of
+    the seeded simulation, so any mismatch is drift.  Returns ``(notes,
+    entries compared)``.
     """
     if a is None and b is None:
         return [], 0
     if a is None or b is None:
-        return [f"timeline present only in manifest {'b' if a is None else 'a'}"], 0
-    notes: list[str] = []
-    width_a = float(a.get("window_ns", 0.0))
-    width_b = float(b.get("window_ns", 0.0))
-    if not math.isclose(width_a, width_b):
-        return [f"window widths differ ({width_a:g} vs {width_b:g} ns)"], 0
-    windows_a = a.get("windows", {}) or {}
-    windows_b = b.get("windows", {}) or {}
-    only_a = sorted(set(windows_a) - set(windows_b), key=int)
-    only_b = sorted(set(windows_b) - set(windows_a), key=int)
-    if only_a:
-        notes.append(f"windows only in a: {', '.join(only_a[:8])}")
-    if only_b:
-        notes.append(f"windows only in b: {', '.join(only_b[:8])}")
-    compared = 0
-    for key in sorted(set(windows_a) & set(windows_b), key=int):
-        compared += 1
-        if windows_a[key] != windows_b[key]:
-            deviating = sorted(
-                name
-                for name in set(windows_a[key]) | set(windows_b[key])
-                if windows_a[key].get(name) != windows_b[key].get(name)
-            )
-            notes.append(f"window {key} diverges in {', '.join(deviating)}")
-    return notes, compared
+        return [f"{section} present only in manifest {'b' if a is None else 'a'}"], 0
+    problem = header(a, b)
+    if problem is not None:
+        return [problem], 0
+    entries_a, entries_b = entries(a), entries(b)
+    keys = match(entries_a, entries_b, lambda found: sorted(found, key=sort_key or label))
+    if one_sided is None:
+        notes = keys.one_sided(noun + " only in {side}: {key}", label)
+    else:
+        notes = one_sided(keys)
+    for key in keys.both:
+        fields = differing_fields(entries_a[key], entries_b[key])
+        if fields:
+            notes.append(f"{noun} {label(key)} diverges in {', '.join(fields)}")
+    return notes, len(keys.both)
+
+
+def _numeric_header(name: str, what: str) -> Callable[[dict, dict], str | None]:
+    def header(a: dict[str, Any], b: dict[str, Any]) -> str | None:
+        value_a, value_b = float(a.get(name, 0.0)), float(b.get(name, 0.0))
+        if drifted(value_a, value_b):
+            return f"{what} differ ({value_a:g} vs {value_b:g} ns)"
+        return None
+
+    return header
+
+
+def diff_timelines(
+    a: dict[str, Any] | None, b: dict[str, Any] | None
+) -> tuple[list[str], int]:
+    """Timeline divergences per window: ``(notes, windows compared)``."""
+    return _diff_section(
+        a, b, "timeline", "window", _numeric_header("window_ns", "window widths"),
+        lambda section: section.get("windows", {}) or {},
+        sort_key=int,
+        one_sided=lambda keys: [
+            f"windows only in {side}: {', '.join(only[:8])}"
+            for side, only in (("a", keys.only_a), ("b", keys.only_b))
+            if only
+        ],
+    )
+
+
+_SCENARIO_KEY = ("workload", "controller", "policy", "crash_access")
 
 
 def diff_faults(
     a: dict[str, Any] | None, b: dict[str, Any] | None
 ) -> tuple[list[str], int]:
-    """Deterministic divergences between two fault-campaign sections.
+    """Fault-campaign divergences: ``(notes, scenarios compared)``.
 
-    Scenarios are matched on (workload, controller, policy, crash point)
-    and compared field-by-field: every recorded number is a product of
-    the seeded fault plan, so any mismatch is drift.  Returns ``(notes,
-    scenarios compared)``; both-absent compares nothing.
+    Scenarios are matched on (workload, controller, policy, crash point).
     """
-    if a is None and b is None:
-        return [], 0
-    if a is None or b is None:
-        return [f"faults section present only in manifest {'b' if a is None else 'a'}"], 0
-    interval_a = float(a.get("interval_ns", 0.0))
-    interval_b = float(b.get("interval_ns", 0.0))
-    if not math.isclose(interval_a, interval_b):
-        return [f"writeback intervals differ ({interval_a:g} vs {interval_b:g} ns)"], 0
-
-    def keyed(section: dict[str, Any]) -> dict[tuple, dict[str, Any]]:
-        scenarios = section.get("scenarios", []) or []
-        return {
-            (
-                scenario.get("workload"),
-                scenario.get("controller"),
-                scenario.get("policy"),
-                scenario.get("crash_access"),
-            ): scenario
-            for scenario in scenarios
+    return _diff_section(
+        a, b, "faults section", "scenario",
+        _numeric_header("interval_ns", "writeback intervals"),
+        lambda section: {
+            tuple(scenario.get(name) for name in _SCENARIO_KEY): scenario
+            for scenario in section.get("scenarios", []) or []
             if isinstance(scenario, dict)
-        }
-
-    def label(key: tuple) -> str:
-        return "/".join(str(part) for part in key)
-
-    scenarios_a, scenarios_b = keyed(a), keyed(b)
-    notes = [
-        f"scenario only in a: {label(key)}"
-        for key in sorted(set(scenarios_a) - set(scenarios_b), key=label)
-    ]
-    notes += [
-        f"scenario only in b: {label(key)}"
-        for key in sorted(set(scenarios_b) - set(scenarios_a), key=label)
-    ]
-    compared = 0
-    for key in sorted(set(scenarios_a) & set(scenarios_b), key=label):
-        compared += 1
-        if scenarios_a[key] != scenarios_b[key]:
-            deviating = sorted(
-                name
-                for name in set(scenarios_a[key]) | set(scenarios_b[key])
-                if scenarios_a[key].get(name) != scenarios_b[key].get(name)
-            )
-            notes.append(f"scenario {label(key)} diverges in {', '.join(deviating)}")
-    return notes, compared
+        },
+        label=lambda key: "/".join(str(part) for part in key),
+    )
 
 
 def diff_stage_sections(
     a: dict[str, Any] | None, b: dict[str, Any] | None
 ) -> tuple[list[str], int]:
-    """Deterministic divergences between two manifest ``stages`` sections.
+    """Summary-mode stage divergences: ``(notes, stages compared)``.
 
-    Stage totals in summary mode are functions of the simulated clock
-    only (the reconciliation suite pins them to the scalar trace spans),
-    so any count/total/min/max/bucket mismatch is drift.  Returns
-    ``(notes, stages compared)``; both-absent compares nothing.
+    Stage totals are functions of the simulated clock only (the
+    reconciliation suite pins them to the scalar trace spans), so any
+    count/total/min/max/bucket mismatch is drift.
     """
-    if a is None and b is None:
-        return [], 0
-    if a is None or b is None:
-        return [f"stages section present only in manifest {'b' if a is None else 'a'}"], 0
-    if a.get("bounds") != b.get("bounds"):
-        return ["stage histogram bounds differ"], 0
-    stages_a = a.get("stages", {}) or {}
-    stages_b = b.get("stages", {}) or {}
-    notes = [f"stage only in a: {name}" for name in sorted(set(stages_a) - set(stages_b))]
-    notes += [f"stage only in b: {name}" for name in sorted(set(stages_b) - set(stages_a))]
-    compared = 0
-    for name in sorted(set(stages_a) & set(stages_b)):
-        compared += 1
-        if stages_a[name] != stages_b[name]:
-            deviating = sorted(
-                key
-                for key in set(stages_a[name]) | set(stages_b[name])
-                if stages_a[name].get(key) != stages_b[name].get(key)
-            )
-            notes.append(f"stage {name} diverges in {', '.join(deviating)}")
-    return notes, compared
+    return _diff_section(
+        a, b, "stages section", "stage",
+        lambda x, y: (
+            None if x.get("bounds") == y.get("bounds") else "stage histogram bounds differ"
+        ),
+        lambda section: section.get("stages", {}) or {},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +317,12 @@ def stage_percentiles(path: str | Path) -> dict[str, dict[str, float]]:
     an input error, not data — see ``JsonlSink``'s atexit flush).
     """
     stages: dict[str, list[float]] = {}
-    with Path(path).open(encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ValueError(
-                    f"{path}:{line_number}: not valid JSONL ({error}); "
-                    f"was the sink closed before the run finished?"
-                ) from error
-            if record.get("type") != "span" or record.get("clock") != "sim":
-                continue
-            stages.setdefault(record["name"], []).append(float(record["dur_ns"]))
+    for record in read_trace_jsonl(path):
+        try:
+            if record.get("type") == "span" and record.get("clock") == "sim":
+                stages.setdefault(record["name"], []).append(float(record["dur_ns"]))
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise ValueError(f"{path}: malformed trace record {record!r}") from error
     summary: dict[str, dict[str, float]] = {}
     for name, durations in stages.items():
         durations.sort()
@@ -385,16 +344,12 @@ def diff_stages(
     tolerance: float = 0.0,
 ) -> list[str]:
     """Per-stage percentile deltas beyond ``tolerance`` (sim clock ⇒ drift)."""
-    notes: list[str] = []
-    for name in sorted(set(a) - set(b)):
-        notes.append(f"stage {name} only in a")
-    for name in sorted(set(b) - set(a)):
-        notes.append(f"stage {name} only in b")
-    for name in sorted(set(a) & set(b)):
+    keys = match(a, b)
+    notes = keys.one_sided("stage {key} only in {side}")
+    for name in keys.both:
         for quantile in ("count", "p50", "p95", "p99"):
             va, vb = a[name][quantile], b[name][quantile]
-            limit = max(1e-9, tolerance * abs(va))
-            if abs(vb - va) > limit:
+            if drifted(va, vb, rel=tolerance, floor=1e-9):
                 notes.append(f"stage {name}.{quantile}: {va:g} -> {vb:g}")
     return notes
 
@@ -409,17 +364,16 @@ def diff_figure_dirs(
 ) -> tuple[dict[str, RegressionReport], list[str]]:
     """Compare matching ``*.json`` figure exports of two directories.
 
-    Returns ``(reports by figure name, notes about unmatched files)``.
+    Returns ``(reports by figure name, notes about unmatched files)``;
+    raises ``ValueError`` on a malformed export.
     """
-    from repro.analysis.regression import compare_tables
-
-    files_a = {p.name: p for p in sorted(Path(dir_a).glob("*.json"))}
-    files_b = {p.name: p for p in sorted(Path(dir_b).glob("*.json"))}
-    notes = [f"figure {name} only in a" for name in sorted(set(files_a) - set(files_b))]
-    notes += [f"figure {name} only in b" for name in sorted(set(files_b) - set(files_a))]
-    reports: dict[str, RegressionReport] = {}
-    for name in sorted(set(files_a) & set(files_b)):
-        table_a = json.loads(files_a[name].read_text(encoding="utf-8"))
-        table_b = json.loads(files_b[name].read_text(encoding="utf-8"))
-        reports[name] = compare_tables(table_a, table_b, relative_tolerance=tolerance)
-    return reports, notes
+    files_a = {path.name: path for path in Path(dir_a).glob("*.json")}
+    files_b = {path.name: path for path in Path(dir_b).glob("*.json")}
+    keys = match(files_a, files_b)
+    reports = {
+        name: compare_tables(
+            load_table(files_a[name]), load_table(files_b[name]), relative_tolerance=tolerance
+        )
+        for name in keys.both
+    }
+    return reports, keys.one_sided("figure {key} only in {side}")

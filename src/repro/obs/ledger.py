@@ -41,8 +41,10 @@ from repro.obs.bench import (
     ABSOLUTE_FLOOR_S,
     BENCH_KIND,
     compare_records,
+    format_case_delta,
     validate_record,
 )
+from repro.obs.drift import relative_change, verdict
 from repro.obs.manifest import MANIFEST_KIND, summarize_manifest, validate_manifest
 
 #: Bump when the ledger file shape changes.
@@ -330,11 +332,7 @@ class TrendReport:
             lines.append(
                 f"  STEP REGRESSION {step['from_sha'] or '?'} -> {step['to_sha'] or '?'}:"
             )
-            for entry in step["regressions"]:
-                lines.append(
-                    f"    {entry['name']}: {entry['baseline_s'] * 1000:.2f}ms -> "
-                    f"{entry['current_s'] * 1000:.2f}ms ({entry['change']:+.1%})"
-                )
+            lines.extend(f"    {format_case_delta(entry)}" for entry in step["regressions"])
             for note in step["stage_notes"]:
                 lines.append(f"    stage: {note}")
         return "\n".join(lines)
@@ -350,10 +348,10 @@ def compute_trend(
 
     Each adjacent anchor pair is gated with :func:`compare_records`
     (which supplies the stage drift attribution); a pair that regresses
-    becomes a flagged *step*.  The per-case rows compare first vs last
-    anchor with the same noise-aware threshold+floor, so a case that
-    regressed and then recovered shows ``flat`` in the table while the
-    offending step is still flagged.
+    becomes a flagged *step*.  The per-case rows give first vs last anchor
+    the same verdict (:func:`repro.obs.drift.verdict`, with ``"within"``
+    shown as ``flat``), so a case that regressed and then recovered shows
+    ``flat`` in the table while the offending step is still flagged.
     """
     anchors = [entry for entry in entries if entry.record_kind == "bench"]
     points = len(anchors)
@@ -365,22 +363,15 @@ def compute_trend(
     for name in sorted(series):
         values = series[name]
         first, last = values[0], values[-1]
-        delta = last - first
-        change = delta / first if first > 0 else 0.0
-        if delta > absolute_floor_s and change > threshold:
-            verdict = "regressed"
-        elif -delta > absolute_floor_s and -change > threshold:
-            verdict = "improved"
-        else:
-            verdict = "flat"
+        case_verdict = verdict(first, last, threshold=threshold, floor=absolute_floor_s)
         cases.append(
             {
                 "name": name,
                 "points": len(values),
                 "first_s": first,
                 "last_s": last,
-                "change": change,
-                "verdict": verdict,
+                "change": relative_change(first, last),
+                "verdict": "flat" if case_verdict == "within" else case_verdict,
             }
         )
     steps: list[dict[str, Any]] = []

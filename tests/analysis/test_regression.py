@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.analysis.export import table_to_dict
-from repro.analysis.regression import compare_tables
+from repro.analysis import compare_tables
 from repro.analysis.reporting import Table
 
 
@@ -44,6 +44,7 @@ class TestCompare:
         current["rows"][0][2] = "CHANGED"
         report = compare_tables(make_export(), current)
         assert len(report.drifts) == 1
+        assert str(report.drifts[0]) == "lbm/label: 'x' -> 'CHANGED'"
 
     def test_missing_and_extra_rows(self):
         current = make_export()

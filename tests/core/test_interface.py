@@ -1,8 +1,6 @@
-"""MemoryController observability API: attach_observers and its shims."""
+"""MemoryController observability API: attach_observers."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.dewrite import DeWriteController
 from repro.nvm.config import NvmConfig, NvmOrganization
@@ -39,19 +37,3 @@ class TestAttachObservers:
         controller.attach_observers(timeline=TimelineCollector())
         assert controller.tracer is tracer  # untouched by the second call
         assert controller.timeline is not before
-
-    def test_deprecated_attach_tracer_warns_and_works(self):
-        controller = make_controller()
-        tracer = Tracer()
-        with pytest.warns(DeprecationWarning, match="attach_observers"):
-            controller.attach_tracer(tracer)
-        assert controller.tracer is tracer
-        assert controller.nvm.tracer is tracer
-
-    def test_deprecated_attach_timeline_warns_and_works(self):
-        controller = make_controller()
-        timeline = TimelineCollector()
-        with pytest.warns(DeprecationWarning, match="attach_observers"):
-            controller.attach_timeline(timeline)
-        assert controller.timeline is timeline
-        assert controller.nvm.timeline is timeline

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
 from repro.obs.manifest import validate_manifest
 from repro.obs.metrics import reset_registry
+
+FIXTURES = Path(__file__).parent / "fixtures" / "drift"
 
 
 @pytest.fixture(autouse=True)
@@ -285,6 +288,43 @@ class TestDiff:
         assert main(["diff", str(tmp_path / "nope.json"),
                      str(tmp_path / "nope2.json")]) == 2
         assert "diff:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, content", [
+        ("--trace", '{"type": "span"}\nnot json\n'),
+        ("--trace", '{"type": "span", "clock": "sim"}\n'),
+        ("--figures", "{truncated"),
+    ])
+    def test_diff_malformed_trace_or_figure_fails_cleanly(self, flag, content, tmp_path, capsys):
+        manifest = str(FIXTURES / "manifest_a.json")
+        if flag == "--trace":
+            bad = tmp_path / "bad.jsonl"
+            bad.write_text(content)
+        else:
+            bad = tmp_path / "figs"
+            bad.mkdir()
+            (bad / "fig12.json").write_text(content)
+        assert main(["diff", manifest, manifest,
+                     f"{flag}-a", str(bad), f"{flag}-b", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("diff: ") and "Traceback" not in err
+
+
+class TestRegress:
+    TABLE = {"headers": ["app", "speedup"], "rows": [["lbm", 4.0]]}
+
+    @pytest.mark.parametrize("problem", ["missing", "malformed", "not-a-table", "headers"])
+    def test_bad_input_fails_cleanly(self, problem, tmp_path, capsys):
+        reference, current = tmp_path / "ref.json", tmp_path / "cur.json"
+        reference.write_text(json.dumps(self.TABLE))
+        if problem == "malformed":
+            current.write_text('{"headers": ["app", ')
+        elif problem == "not-a-table":
+            current.write_text("[1, 2]")
+        elif problem == "headers":
+            current.write_text(json.dumps({**self.TABLE, "headers": ["app", "other"]}))
+        assert main(["regress", str(reference), str(current)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("regress: ") and "Traceback" not in err
 
 
 class TestBench:

@@ -58,11 +58,5 @@ class TestTrace:
             (1, b"\x01" * LINE),
         ]
 
-    def test_write_pairs_deprecated_but_equivalent(self):
-        trace = self.make()
-        with pytest.warns(DeprecationWarning, match="as_batch"):
-            legacy = trace.write_pairs()
-        assert legacy == list(trace.as_batch().write_pairs())
-
     def test_total_instructions(self):
         assert self.make().total_instructions == 60
