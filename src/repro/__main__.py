@@ -1743,9 +1743,8 @@ def _run_check_invariants(accesses: int, seed: int) -> int:
     from repro.core.registry import build_controller
     from repro.nvm.config import NvmConfig, NvmOrganization
     from repro.nvm.memory import NvmMainMemory
+    from repro.runner.jobs import WORST_CASE_WORKLOAD, trace_for
     from repro.system.simulator import simulate
-    from repro.workloads.generator import generate_trace
-    from repro.workloads.worstcase import worst_case_trace
 
     line = 256
 
@@ -1756,13 +1755,13 @@ def _run_check_invariants(accesses: int, seed: int) -> int:
 
     runs = [
         ("dewrite/mcf", lambda: build_controller("dewrite", make_nvm()),
-         generate_trace(profile_by_name("mcf"), accesses, seed=seed)),
+         trace_for("mcf", accesses, seed)),
         ("dewrite-direct/lbm", lambda: build_controller("direct", make_nvm()),
-         generate_trace(profile_by_name("lbm"), accesses, seed=seed)),
+         trace_for("lbm", accesses, seed)),
         ("secure-nvm/sjeng", lambda: build_controller("secure-nvm", make_nvm()),
-         generate_trace(profile_by_name("sjeng"), accesses, seed=seed)),
+         trace_for("sjeng", accesses, seed)),
         ("dewrite/worstcase", lambda: build_controller("dewrite", make_nvm()),
-         worst_case_trace(num_accesses=accesses, seed=seed)),
+         trace_for(WORST_CASE_WORKLOAD, accesses, seed)),
     ]
     failures = 0
     for name, factory, trace in runs:

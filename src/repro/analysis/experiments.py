@@ -52,10 +52,14 @@ class ExperimentSettings:
         return [by_name[name] for name in self.applications]
 
     def trace_for(self, profile: ApplicationProfile):
-        """Generate this run's trace for one application."""
-        from repro.workloads.generator import generate_trace
+        """This run's trace for one registered application.
 
-        return generate_trace(profile, self.accesses, seed=self.seed)
+        Resolved through :func:`repro.runner.jobs.trace_for`, so the
+        oracle surveys share the per-process trace memo with the jobs.
+        """
+        from repro.runner.jobs import trace_for
+
+        return trace_for(profile.name, self.accesses, self.seed)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ of performance history: this module times the repo's hot paths —
 - the four hash circuits of Table I (slice-by-8 CRC-32, the SWAR burst
   kernels for SHA-1 / MD5, and the stdlib-backed
   :func:`~repro.hashes.crc32.line_fingerprint`);
-- the metadata cache's access loop —
+- the metadata cache's access loop;
+- cold trace synthesis for a duplicate-heavy and a fresh-content
+  application —
 
 and writes a schema-versioned ``BENCH_<gitsha>.json`` record that
 :func:`compare_records` gates against a baseline with noise-aware
@@ -123,6 +125,28 @@ def _metadata_cache_case(accesses: int, seed: int) -> BenchCase:
     return BenchCase(name="metadata.cache", ops=accesses, make=make)
 
 
+def _trace_case(app: str, accesses: int, seed: int) -> BenchCase:
+    """Time one cold trace synthesis.
+
+    Calls :func:`~repro.workloads.generator.generate_trace` directly:
+    ``trace_for`` is memoized, so every repeat after the first would time a
+    cache hit.
+    """
+
+    def make() -> Callable[[], None]:
+        from repro.workloads.generator import generate_trace
+        from repro.workloads.profiles import profile_by_name
+
+        profile = profile_by_name(app)
+
+        def run() -> None:
+            generate_trace(profile, accesses, seed=seed)
+
+        return run
+
+    return BenchCase(name=f"workloads.trace.{app}", ops=accesses, make=make)
+
+
 def default_suite(
     *,
     accesses: int = 1200,
@@ -131,7 +155,8 @@ def default_suite(
     hash_lines: int = 48,
     controllers: list[str] | None = None,
 ) -> list[BenchCase]:
-    """The standard case list: controllers × hash circuits × metadata cache."""
+    """The standard case list: controllers × hash circuits × metadata cache
+    × trace synthesis."""
     from repro.core.registry import available_controllers
     from repro.hashes import crc32, line_fingerprint
     from repro.hashes.vector import md5_many, sha1_many
@@ -152,6 +177,8 @@ def default_suite(
         ]
     )
     cases.append(_metadata_cache_case(accesses=4 * accesses, seed=seed))
+    # lbm's writes are mostly duplicates; bzip2's are mostly fresh content.
+    cases.extend(_trace_case(name, accesses, seed) for name in ("lbm", "bzip2"))
     return cases
 
 

@@ -31,12 +31,16 @@ and transport between worker processes.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.metrics import registry as metrics_registry
 from repro.system.cpu import CoreModelConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; workloads load lazily
+    from repro.workloads.trace import Trace
 
 #: Reserved workload name for the zero-duplicate adversarial trace
 #: (everything else names an :class:`ApplicationProfile`).
@@ -201,11 +205,21 @@ def execute_job(spec: JobSpec) -> dict[str, Any]:
     return payload
 
 
-def trace_for(workload: str, accesses: int, seed: int):
+#: Traces :func:`trace_for` keeps per process.  Jobs are planned app-major,
+#: so every controller of one workload runs back to back (and all the crash
+#: scenarios of a campaign replay one trace): a few slots catch the reuse.
+TRACE_MEMO_SIZE = 4
+
+
+@functools.lru_cache(maxsize=TRACE_MEMO_SIZE)
+def trace_for(workload: str, accesses: int, seed: int) -> Trace:
     """The access trace a workload name denotes (profile or worst-case).
 
-    Shared by the job executors, the ``trace`` CLI verb and the tracing
-    overhead gate, so every consumer resolves workload names identically.
+    Shared by the job executors, the figure surveys, ``repro check`` and
+    the CLI verbs, so every consumer resolves workload names identically.
+    Memoized per process (LRU of :data:`TRACE_MEMO_SIZE`): jobs that
+    replay the same ``(workload, accesses, seed)`` share one trace and its
+    batch, which is immutable, so sharing cannot change a result.
     """
     from repro.workloads.generator import generate_trace
     from repro.workloads.profiles import profile_by_name
@@ -274,9 +288,12 @@ def _run_metadata_sweep(params: dict[str, Any]) -> dict[str, Any]:
     )
     # Warm with the leading fraction of the trace (the paper warms caches
     # for 10 M instructions), measure on the rest.
-    split = max(1, int(len(trace.accesses) * float(params["warm_fraction"])))
-    warm = Trace(trace.name, trace.accesses[:split], trace.threads)
-    measured = Trace(trace.name, trace.accesses[split:], trace.threads)
+    # The split is built from a private copy of the scalar stream, so the
+    # memoized trace stays batch-only.
+    stream = trace.as_batch().to_accesses()
+    split = max(1, int(len(stream) * float(params["warm_fraction"])))
+    warm = Trace(trace.name, stream[:split], trace.threads)
+    measured = Trace(trace.name, stream[split:], trace.threads)
     simulate(controller, warm, core)
     controller.metadata.reset_stats()
     simulate(controller, measured, core)

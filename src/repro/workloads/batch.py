@@ -27,8 +27,10 @@ immutable once built; build them with :class:`BatchBuilder` or via
 <repro.workloads.trace.Trace.as_batch>`.
 
 Fingerprint columns are computed lazily and cached per scheme (see
-:meth:`AccessBatch.fingerprints`), so a batch replayed through several
-dedup controllers hashes each line once.
+:meth:`AccessBatch.fingerprints`).  Generated traces are memoized per
+process (:func:`repro.runner.jobs.trace_for`), so every job of one process
+that replays the same trace shares its batch and its fingerprint cache:
+the dedup controllers hash each line once per process, not once per job.
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ class AccessBatch:
         other scheme name is treated as a :mod:`hashlib` algorithm and
         yields digests.  The column is computed once per scheme and cached
         on the batch, so several controllers replaying the same batch share
-        the work.
+        the work — across jobs, too, when the batch belongs to a memoized
+        trace.
         """
         cached = self._fingerprint_cache.get(scheme)
         if cached is not None:
@@ -249,14 +252,18 @@ class BatchBuilder:
         self._payload.extend(data)
 
     def build(self) -> AccessBatch:
-        """Freeze the columns into an immutable :class:`AccessBatch`."""
+        """Freeze the columns into an immutable :class:`AccessBatch`.
+
+        The batch gets copies of the columns, so appending after a build
+        never reaches a batch already handed out.
+        """
         return AccessBatch(
             ops=bytes(self._ops),
-            cores=self._cores,
-            addresses=self._addresses,
-            gaps=self._gaps,
+            cores=self._cores[:],
+            addresses=self._addresses[:],
+            gaps=self._gaps[:],
             persistent=bytes(self._persistent),
             payload=bytes(self._payload),
-            slots=self._slots,
+            slots=self._slots[:],
             line_size=self._line_size if self._line_size is not None else 0,
         )

@@ -27,12 +27,20 @@ from __future__ import annotations
 import random
 import zlib
 
+from repro.workloads.batch import BatchBuilder
 from repro.workloads.profiles import ApplicationProfile
-from repro.workloads.trace import MemoryAccess, Trace
+from repro.workloads.trace import Trace
 
 _WORD_BYTES = 2  # DEUCE word size
 _NONCE_WORDS = 4  # 8-byte nonce guaranteeing non-duplicate content
 _BURST_GAP_INSTRUCTIONS = 4  # near-back-to-back accesses inside a burst
+
+#: Byte ``b`` of a zero-word mask → the 16 keep-mask bytes of its 8 words
+#: (bit ``j`` set zeroes word ``j``: ``00 00``; clear keeps it: ``ff ff``).
+_KEEP_BYTES = tuple(
+    b"".join(b"\x00\x00" if (mask >> j) & 1 else b"\xff\xff" for j in range(8))
+    for mask in range(256)
+)
 
 
 class TraceGenerator:
@@ -83,29 +91,30 @@ class TraceGenerator:
         self._burst_sources: list[list[bytes]] = [[] for _ in range(profile.threads)]
 
     def generate(self, num_accesses: int) -> Trace:
-        """Generate a trace of ``num_accesses`` memory requests."""
+        """Generate a trace of ``num_accesses`` memory requests.
+
+        Accesses are appended straight into the columnar batch — no
+        intermediate ``MemoryAccess`` objects.
+        """
         if num_accesses <= 0:
             raise ValueError("num_accesses must be positive")
         profile = self.profile
         rng = self._rng
-        accesses: list[MemoryAccess] = []
+        builder = BatchBuilder(line_size=self.line_size)
 
         # Seed the zero line as resident so zero writes are duplicates from
         # the start (memory initialisation, §II-C).
         first_zero = rng.randrange(profile.working_set_lines)
-        accesses.append(
-            MemoryAccess(
-                core=0,
-                op="write",
-                address=first_zero,
-                data=self._zero_line,
-                gap_instructions=profile.mean_gap_instructions,
-                persistent=True,
-            )
+        builder.append_write(
+            0,
+            first_zero,
+            self._zero_line,
+            gap_instructions=profile.mean_gap_instructions,
+            persistent=True,
         )
         self._remember(first_zero, self._zero_line)
 
-        while len(accesses) < num_accesses:
+        for _ in range(num_accesses - 1):
             core = rng.randrange(profile.threads)
             in_burst = self._burst_left[core] > 0
             if in_burst:
@@ -121,15 +130,15 @@ class TraceGenerator:
                 write_probability = profile.write_fraction
 
             if rng.random() < write_probability:
-                accesses.append(self._make_write(core, gap))
+                self._append_write(builder, core, gap)
             else:
-                accesses.append(self._make_read(core, gap))
+                self._append_read(builder, core, gap)
 
-        return Trace(name=profile.name, accesses=accesses, threads=profile.threads)
+        return Trace.from_batch(profile.name, builder.build(), threads=profile.threads)
 
     # -- write synthesis -------------------------------------------------------
 
-    def _make_write(self, core: int, gap: int) -> MemoryAccess:
+    def _append_write(self, builder: BatchBuilder, core: int, gap: int) -> None:
         profile = self.profile
         rng = self._rng
         duplicate = self._advance_duplication_state()
@@ -153,11 +162,10 @@ class TraceGenerator:
             data = self._fresh_content(address)
 
         self._remember(address, data)
-        return MemoryAccess(
-            core=core,
-            op="write",
-            address=address,
-            data=data,
+        builder.append_write(
+            core,
+            address,
+            data,
             gap_instructions=gap,
             persistent=rng.random() < profile.persist_fraction,
         )
@@ -186,15 +194,16 @@ class TraceGenerator:
         padding), which is precisely why DEUCE's modified-word encryption
         beats whole-line re-encryption (Fig. 13); dense random content
         would erase that effect.
+
+        Bit ``w`` of one ``getrandbits`` draw zeroes word ``w``; the whole
+        mask is applied as one big-int AND.
         """
         rng = self._rng
-        line = bytearray(rng.randbytes(self.line_size))
-        zero_mask = rng.getrandbits(self._words_per_line)
-        for word in range(self._words_per_line):
-            if (zero_mask >> word) & 1:
-                offset = word * _WORD_BYTES
-                line[offset : offset + _WORD_BYTES] = b"\x00\x00"
-        return line
+        size = self.line_size
+        line = int.from_bytes(rng.randbytes(size), "little")
+        zero_mask = rng.getrandbits(self._words_per_line).to_bytes(-(-size // 16), "little")
+        keep = int.from_bytes(b"".join([_KEEP_BYTES[b] for b in zero_mask])[:size], "little")
+        return bytearray((line & keep).to_bytes(size, "little"))
 
     def _fresh_content(self, address: int) -> bytes:
         """Unique line content: a rewrite of the resident line (dirtying a
@@ -208,17 +217,17 @@ class TraceGenerator:
         else:
             line = bytearray(old)
             words = self._words_per_line
-            dirty_words = max(
-                _NONCE_WORDS,
-                sum(1 for _ in range(words) if rng.random() < self.profile.rewrite_dirtiness),
-            )
+            draw = rng.random
+            dirtiness = self.profile.rewrite_dirtiness
+            dirty_words = max(_NONCE_WORDS, sum([draw() < dirtiness for _ in range(words)]))
             # Dirty a contiguous region plus scattered words: contiguous for
             # the nonce, scattered to spread DEUCE's word flips.
             start_word = rng.randrange(words - _NONCE_WORDS + 1)
             scattered = rng.sample(range(words), k=min(words, dirty_words))
+            randbytes = rng.randbytes
             for w in scattered:
                 offset = w * _WORD_BYTES
-                new_word = b"\x00\x00" if rng.random() < 0.5 else rng.randbytes(_WORD_BYTES)
+                new_word = b"\x00\x00" if draw() < 0.5 else randbytes(_WORD_BYTES)
                 line[offset : offset + _WORD_BYTES] = new_word
         nonce_offset = start_word * _WORD_BYTES
         self._nonce += 1
@@ -242,13 +251,13 @@ class TraceGenerator:
 
     # -- read synthesis -------------------------------------------------------
 
-    def _make_read(self, core: int, gap: int) -> MemoryAccess:
+    def _append_read(self, builder: BatchBuilder, core: int, gap: int) -> None:
         rng = self._rng
         if self._written and rng.random() < 0.9:
             address = self._written[rng.randrange(len(self._written))]
         else:
             address = rng.randrange(self.profile.working_set_lines)
-        return MemoryAccess(core=core, op="read", address=address, gap_instructions=gap)
+        builder.append_read(core, address, gap_instructions=gap)
 
 
 def generate_trace(

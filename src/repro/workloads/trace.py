@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.workloads.batch import AccessBatch
@@ -43,16 +43,49 @@ class MemoryAccess:
             raise ValueError("gap_instructions must be non-negative")
 
 
-@dataclass
 class Trace:
-    """An ordered memory-access stream plus its provenance."""
+    """An ordered memory-access stream plus its provenance.
 
-    name: str
-    accesses: list[MemoryAccess] = field(default_factory=list)
-    threads: int = 1
+    A trace is native in one of two forms and derives the other on first
+    use: hand-built traces hold the scalar ``accesses`` list and convert
+    to a batch in :meth:`as_batch`; generated and loaded traces hold an
+    :class:`AccessBatch` (see :meth:`from_batch`) and build ``accesses``
+    only if something asks for it.  Equality, ``len()`` and iteration
+    behave the same for both.
+    """
+
+    def __init__(
+        self, name: str, accesses: list[MemoryAccess] | None = None, threads: int = 1
+    ) -> None:
+        self.name = name
+        self.threads = threads
+        self._accesses: list[MemoryAccess] | None = [] if accesses is None else accesses
+        self._batch: AccessBatch | None = None
+
+    @property
+    def accesses(self) -> list[MemoryAccess]:
+        """Scalar ``MemoryAccess`` objects, in order (built from the batch
+        on first use for batch-native traces)."""
+        if self._accesses is None:
+            self._accesses = self.as_batch().to_accesses()
+        return self._accesses
+
+    def __repr__(self) -> str:
+        return f"Trace(name={self.name!r}, accesses=<{len(self)}>, threads={self.threads})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.name, self.accesses, self.threads) == (
+            other.name,
+            other.accesses,
+            other.threads,
+        )
 
     def __len__(self) -> int:
-        return len(self.accesses)
+        if self._accesses is None:
+            return len(self.as_batch())
+        return len(self._accesses)
 
     def __iter__(self) -> Iterator[MemoryAccess]:
         return iter(self.accesses)
@@ -72,28 +105,29 @@ class Trace:
 
         The batch is the hot-path representation: the simulator, the
         controllers' batched kernels and the analysis tools all consume it.
-        Traces built by the generators carry their batch from birth; traces
-        assembled access-by-access convert (and cache) on first use.
+        Traces built by the generators and by ``load_trace`` carry their
+        batch from birth; traces assembled access-by-access convert (and
+        cache) on first use.
         """
-        cached = getattr(self, "_batch_cache", None)
-        if cached is None:
-            cached = AccessBatch.from_accesses(self.accesses)
-            self._batch_cache = cached
-        return cached
+        if self._batch is None:
+            self._batch = AccessBatch.from_accesses(self.accesses)
+        return self._batch
 
     @classmethod
     def from_batch(cls, name: str, batch: AccessBatch, threads: int = 1) -> "Trace":
         """Build a trace whose native representation is ``batch``.
 
-        The scalar ``accesses`` list is materialised once for the legacy
-        object API; ``as_batch()`` returns the original batch without a
-        conversion pass.
+        ``as_batch()`` returns ``batch`` itself; the scalar ``accesses``
+        list is materialised only when something reads it.
         """
-        trace = cls(name=name, accesses=batch.to_accesses(), threads=threads)
-        trace._batch_cache = batch
+        trace = cls(name=name, threads=threads)
+        trace._accesses = None
+        trace._batch = batch
         return trace
 
     @property
     def total_instructions(self) -> int:
         """Instructions executed across all accesses (for IPC)."""
-        return sum(a.gap_instructions for a in self.accesses)
+        if self._accesses is None:
+            return sum(self.as_batch().gaps)
+        return sum(a.gap_instructions for a in self._accesses)

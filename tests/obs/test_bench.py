@@ -43,6 +43,7 @@ class TestSuite:
         for circuit in ("crc32", "sha1", "md5", "crc32-stdlib"):
             assert f"hash.{circuit}" in names
         assert "metadata.cache" in names
+        assert {"workloads.trace.lbm", "workloads.trace.bzip2"} <= names
 
     def test_controller_subset_respected(self):
         cases = default_suite(accesses=50, controllers=["dewrite"])
