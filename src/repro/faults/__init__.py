@@ -10,7 +10,7 @@ package measures what each controller *loses* when the power fails:
 - :mod:`repro.faults.injectors` — wear-correlated cell faults and
   policy-aware torn metadata flushes;
 - :mod:`repro.faults.crash`     — the power-loss wrapper and the
-  simulate → crash → recover → audit orchestration;
+  resumable simulate → crash → recover → audit run;
 - :mod:`repro.faults.recovery`  — reboot-time metadata reconstruction;
 - :mod:`repro.faults.audit`     — oracle-backed intact/stale/lost verdicts;
 - :mod:`repro.faults.campaign`  — runner-integrated fault campaigns and
@@ -27,6 +27,7 @@ from repro.faults.adapters import (
 from repro.faults.audit import ConsistencyAuditor, ConsistencyReport
 from repro.faults.campaign import campaign_specs, crash_recovery_spec, vulnerability_table
 from repro.faults.crash import (
+    CrashRun,
     CrashScenarioResult,
     CrashSimulator,
     PowerLossError,
@@ -44,6 +45,7 @@ __all__ = [
     "ConsistencyAuditor",
     "ConsistencyReport",
     "ControllerFaultAdapter",
+    "CrashRun",
     "CrashScenarioResult",
     "CrashSimulator",
     "DurabilityJournal",

@@ -30,6 +30,7 @@ from typing import Any
 
 from repro.analysis.reporting import Table
 from repro.core.persistence import MetadataPersistenceConfig, MetadataPersistencePolicy
+from repro.faults.crash import CrashRun
 from repro.faults.plan import FaultPlan
 from repro.runner.jobs import JobSpec, _core_params, canonical_json
 from repro.system.cpu import CoreModelConfig
@@ -78,22 +79,54 @@ def crash_recovery_spec(
     return JobSpec("crash-recovery", canonical_json(params), experiment)
 
 
+#: The one paused crash run of this process, keyed by its spec params
+#: with the crash ordinal blanked (see :func:`run_crash_recovery_job`).
+_paused: tuple[str, CrashRun] | None = None
+
+
+def release_paused_run() -> None:
+    """Drop this process's paused crash run (the next job starts fresh)."""
+    global _paused
+    _paused = None
+
+
 def run_crash_recovery_job(params: dict[str, Any]) -> dict[str, Any]:
-    """Job-kind executor: one full simulate → crash → recover → audit."""
+    """Job-kind executor: one simulate → crash → recover → audit.
+
+    The siblings of a campaign grid differ only in the crash ordinal and
+    are planned in ascending order, so the process keeps its last crash
+    run paused: a sibling whose ordinal is at or past the run's position
+    resumes it instead of replaying the prefix from access 0.  Any other
+    job (a different scenario, a lower ordinal, a sim-time trigger)
+    releases the paused run first and starts fresh.  A resumed run yields
+    the same payload as a fresh one, so serial, parallel and cached runs
+    stay byte-identical.
+    """
+    global _paused
     from repro.core.registry import build_controller
-    from repro.faults.crash import run_crash_scenario
     from repro.nvm.memory import NvmMainMemory
     from repro.runner.jobs import trace_for
 
-    core = CoreModelConfig(**params["core"])
-    trace = trace_for(params["workload"], int(params["accesses"]), int(params["seed"]))
     plan = FaultPlan.from_dict(params["plan"])
     persistence = MetadataPersistenceConfig(
         policy=MetadataPersistencePolicy(params["policy"]),
         writeback_interval_ns=float(params["interval_ns"]),
     )
-    controller = build_controller(params["controller"], NvmMainMemory(), **params["opts"])
-    result = run_crash_scenario(controller, trace, plan, persistence, core)
+    key = canonical_json({**params, "plan": {**params["plan"], "power_loss_at_access": None}})
+    paused, _paused = _paused, None
+    if paused is not None and paused[0] == key and paused[1].reaches(plan):
+        run = paused[1]
+    else:
+        # Release the paused run before building the fresh one, so two
+        # controllers are never alive at once.
+        paused = None
+        core = CoreModelConfig(**params["core"])
+        trace = trace_for(params["workload"], int(params["accesses"]), int(params["seed"]))
+        controller = build_controller(params["controller"], NvmMainMemory(), **params["opts"])
+        run = CrashRun(controller, trace, plan, core)
+    result = run.crash(plan, persistence)
+    if plan.power_loss_ns is None:
+        _paused = (key, run)
     return {"scenario": result.to_dict(), "simulations": 1}
 
 

@@ -1,18 +1,26 @@
-"""Crash simulation: power loss mid-run, then recovery and audit.
+"""Crash simulation: power loss mid-run, recovery, audit, and resumption.
 
 :class:`CrashSimulator` wraps any registered memory controller behind the
-standard :class:`~repro.core.interface.MemoryController` surface, so the
-unmodified :func:`~repro.system.simulator.simulate` loop drives it.  On
+standard :class:`~repro.core.interface.MemoryController` surface.  On
 every forwarded request it:
 
-1. checks the :class:`~repro.faults.plan.FaultPlan`'s power-loss trigger
-   (sim-time instant or access ordinal) and raises
-   :class:`PowerLossError` *before* issuing the doomed request;
+1. checks the :class:`~repro.faults.plan.FaultPlan`'s sim-time power-loss
+   trigger and raises :class:`PowerLossError` *before* issuing the doomed
+   request, which ends the run;
 2. feeds every committed write to the
    :class:`~repro.workloads.oracle.ReplayOracle` (ground truth) and asks
    the controller's fault adapter which semantic metadata updates the
    write implied, journaling them
    (:class:`~repro.faults.journal.DurabilityJournal`).
+
+:class:`CrashRun` drives the wrapper through ``service_batch`` with its
+own :class:`~repro.core.batching.BatchCursor`.  An access-ordinal power
+loss is a batch split: the run services exactly the accesses before the
+ordinal (``max_requests``) and stops, so the doomed access never reaches
+the controller, the journal or the oracle.  :meth:`CrashRun.crash` then
+injects cell faults, recovers and audits the live state, and puts the
+faulted cells back, so the same run can resume to a later crash point of
+the same scenario and yield the bytes a fresh run to that point would.
 
 The crash instant is the completion time of the last committed request:
 in-flight array writes finish draining (the device's write circuit holds
@@ -20,10 +28,10 @@ enough charge to complete a programmed line), and it is the *metadata*
 durability policy that decides what survives above that — exactly the
 paper's §V framing.
 
-:func:`run_crash_scenario` is the one-call orchestration: simulate until
-power loss (or trace end — a crash-without-clean-shutdown), inject
-wear-correlated cell faults, recover, audit, and emit ``fault.*`` events
-on the trace bus.
+:func:`run_crash_scenario` is the one-call orchestration: one
+:class:`CrashRun` and one crash — simulate until power loss (or trace
+end: a crash-without-clean-shutdown), inject wear-correlated cell faults,
+recover, audit, and emit ``fault.*`` events on the trace bus.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.batching import BatchCursor
 from repro.core.interface import MemoryController, ReadOutcome, WriteOutcome
 from repro.core.persistence import MetadataPersistenceConfig
 from repro.faults.adapters import adapter_for
@@ -68,6 +77,7 @@ class CrashSimulator(MemoryController):
         self.plan = plan
         self.journal = DurabilityJournal()
         self.oracle = oracle if oracle is not None else ReplayOracle()
+        #: Requests issued to the wrapped controller.
         self.accesses = 0
         self.last_complete_ns = 0.0
 
@@ -79,15 +89,15 @@ class CrashSimulator(MemoryController):
         self.inner.attach_observers(tracer=tracer, timeline=timeline)
 
     def _maybe_crash(self, arrival_ns: float) -> None:
-        """Pull the plug before the current request if the plan says so."""
-        self.accesses += 1
-        plan = self.plan
-        if plan.power_loss_at_access is not None and self.accesses >= plan.power_loss_at_access:
-            raise PowerLossError(self.last_complete_ns)
-        if plan.power_loss_ns is not None and arrival_ns >= plan.power_loss_ns:
+        """Pull the plug before the current request if its arrival is past
+        the plan's sim-time trigger (ordinal triggers are :class:`CrashRun`
+        batch splits and never reach the wrapper)."""
+        loss_ns = self.plan.power_loss_ns
+        if loss_ns is not None and arrival_ns >= loss_ns:
             # Committed writes may have completed after the nominal loss
             # instant (they drained); the crash point covers them all.
-            raise PowerLossError(max(self.last_complete_ns, plan.power_loss_ns))
+            raise PowerLossError(max(self.last_complete_ns, loss_ns))
+        self.accesses += 1
 
     def write(self, address: int, data: bytes, arrival_ns: float) -> WriteOutcome:
         self._maybe_crash(arrival_ns)
@@ -133,6 +143,136 @@ class CrashScenarioResult:
         }
 
 
+class CrashRun:
+    """One crash-instrumented run that pauses at each crash point.
+
+    The run services the trace through the wrapper's ``service_batch`` up
+    to a crash point, then :meth:`crash` evaluates the power loss there on
+    the live state.  Every crash-time effect is undone or kept out of the
+    run's state (cell faults are healed; recovery and audit only read), so
+    a later crash point of the same scenario resumes from here instead of
+    replaying the prefix from access 0.
+    """
+
+    def __init__(
+        self,
+        controller: MemoryController,
+        trace: Trace,
+        plan: FaultPlan,
+        core: CoreModelConfig | None = None,
+        tracer: TracerLike | None = None,
+    ) -> None:
+        self.wrapper = CrashSimulator(controller, plan)
+        if tracer is not None:
+            self.wrapper.attach_observers(tracer=tracer)
+        cfg = core if core is not None else CoreModelConfig()
+        self.batch = trace.as_batch()
+        self.cursor = BatchCursor(
+            self.batch,
+            ns_per_instruction=cfg.ns_per_instruction,
+            read_stall_exposure=cfg.read_stall_exposure,
+            clock_ghz=cfg.clock_ghz,
+            base_cpi=cfg.base_cpi,
+        )
+        #: Crash instant of a sim-time power loss; the run cannot continue.
+        self.halted_ns: float | None = None
+
+    @property
+    def position(self) -> int:
+        """Accesses serviced so far."""
+        return self.wrapper.accesses
+
+    def reaches(self, plan: FaultPlan) -> bool:
+        """Whether :meth:`crash` can serve ``plan`` without rewinding."""
+        ordinal = plan.power_loss_at_access
+        return self.halted_ns is None and (ordinal is None or ordinal - 1 >= self.position)
+
+    def crash(
+        self, plan: FaultPlan, persistence: MetadataPersistenceConfig
+    ) -> CrashScenarioResult:
+        """Lose power at ``plan``'s crash point, then recover and audit.
+
+        ``plan``'s crash point must lie at or past :attr:`position`
+        (:meth:`reaches`); its cell and flush faults apply to this crash
+        only.  The sim-time trigger is the one the run was built with.
+        ``persistence`` is the crash-consistency policy the durability
+        model honours (see :func:`run_crash_scenario`).
+        """
+        wrapper = self.wrapper
+        if not self.reaches(plan):
+            raise ValueError(
+                f"crash point {plan.power_loss_at_access} is behind the run "
+                f"(at access {self.position}, halted: {self.halted_ns is not None})"
+            )
+        ordinal = plan.power_loss_at_access
+        try:
+            wrapper.service_batch(
+                self.batch,
+                self.cursor,
+                max_requests=None if ordinal is None else ordinal - 1 - self.position,
+            )
+        except PowerLossError as exc:
+            self.halted_ns = exc.crash_ns
+        completed = self.halted_ns is None and self.cursor.done
+        crash_ns = wrapper.last_complete_ns if self.halted_ns is None else self.halted_ns
+        tracer = wrapper.tracer
+        if tracer.enabled:
+            tracer.event(
+                "fault.power_loss",
+                sim_ns=crash_ns,
+                policy=persistence.policy.value,
+                # Requests that reached the plug, the doomed one included.
+                accesses=self.position + (0 if completed else 1),
+                completed_trace=completed,
+            )
+
+        nvm = wrapper.inner.nvm
+        injector = CellFaultInjector(
+            seed=plan.seed,
+            faults=plan.cell_faults,
+            mode=plan.cell_fault_mode,
+            bits=plan.cell_fault_bits,
+        )
+        cell_faults = injector.inject(nvm, line_limit=wrapper.adapter.data_lines())
+        if tracer.enabled:
+            for fault in cell_faults:
+                tracer.event(
+                    "fault.cell",
+                    sim_ns=crash_ns,
+                    line=fault.line,
+                    mode=fault.mode,
+                    bits=list(fault.bits),
+                    changed=fault.changed,
+                )
+
+        flush_faults = FlushFaultModel(
+            persistence, drop_probability=plan.flush_drop_probability, seed=plan.seed
+        )
+        manager = RecoveryManager(wrapper.adapter, persistence, flush_faults)
+        recovery = manager.recover(wrapper.journal.events(), crash_ns)
+        if tracer.enabled and recovery.dropped_events:
+            tracer.event(
+                "fault.flush_drop",
+                sim_ns=crash_ns,
+                dropped=recovery.dropped_events,
+                policy=persistence.policy.value,
+            )
+
+        auditor = ConsistencyAuditor(wrapper.oracle, wrapper.adapter)
+        report = auditor.audit(recovery.durable)
+        injector.heal(nvm)
+        return CrashScenarioResult(
+            plan=plan,
+            policy=persistence.policy.value,
+            completed_trace=completed,
+            crash_ns=crash_ns,
+            accesses_before_crash=self.position,
+            recovery=recovery,
+            report=report,
+            cell_faults=tuple(cell_faults),
+        )
+
+
 def run_crash_scenario(
     controller: MemoryController,
     trace: Trace,
@@ -149,70 +289,4 @@ def run_crash_scenario(
     crash model agree); for the secure baselines — whose configs carry no
     persistence knob — it is purely the crash-model assumption.
     """
-    from repro.system.simulator import simulate
-
-    wrapper = CrashSimulator(controller, plan)
-    if tracer is not None:
-        wrapper.attach_observers(tracer=tracer)
-    tracer = wrapper.tracer
-
-    completed = False
-    try:
-        simulate(wrapper, trace, core)
-        completed = True
-        crash_ns = wrapper.last_complete_ns
-    except PowerLossError as exc:
-        crash_ns = exc.crash_ns
-
-    if tracer.enabled:
-        tracer.event(
-            "fault.power_loss",
-            sim_ns=crash_ns,
-            policy=persistence.policy.value,
-            accesses=wrapper.accesses,
-            completed_trace=completed,
-        )
-
-    injector = CellFaultInjector(
-        seed=plan.seed,
-        faults=plan.cell_faults,
-        mode=plan.cell_fault_mode,
-        bits=plan.cell_fault_bits,
-    )
-    cell_faults = injector.inject(controller.nvm, line_limit=wrapper.adapter.data_lines())
-    if tracer.enabled:
-        for fault in cell_faults:
-            tracer.event(
-                "fault.cell",
-                sim_ns=crash_ns,
-                line=fault.line,
-                mode=fault.mode,
-                bits=list(fault.bits),
-                changed=fault.changed,
-            )
-
-    flush_faults = FlushFaultModel(
-        persistence, drop_probability=plan.flush_drop_probability, seed=plan.seed
-    )
-    manager = RecoveryManager(wrapper.adapter, persistence, flush_faults)
-    recovery = manager.recover(wrapper.journal.events(), crash_ns)
-    if tracer.enabled and recovery.dropped_events:
-        tracer.event(
-            "fault.flush_drop",
-            sim_ns=crash_ns,
-            dropped=recovery.dropped_events,
-            policy=persistence.policy.value,
-        )
-
-    auditor = ConsistencyAuditor(wrapper.oracle, wrapper.adapter)
-    report = auditor.audit(recovery.durable)
-    return CrashScenarioResult(
-        plan=plan,
-        policy=persistence.policy.value,
-        completed_trace=completed,
-        crash_ns=crash_ns,
-        accesses_before_crash=wrapper.accesses - (0 if completed else 1),
-        recovery=recovery,
-        report=report,
-        cell_faults=tuple(cell_faults),
-    )
+    return CrashRun(controller, trace, plan, core, tracer).crash(plan, persistence)

@@ -10,7 +10,9 @@ lines are sampled from the population the run actually wrote, weighted by
 each line's :meth:`~repro.nvm.wear.WearTracker.writes_to` count (worn
 cells fail first), and mutated in place via
 :meth:`~repro.nvm.memory.NvmMainMemory.poke` — no bank traffic, no wear,
-just silently corrupted cells for recovery to trip over.
+just silently corrupted cells for recovery to trip over.  After the
+audit, :meth:`CellFaultInjector.heal` puts the healthy contents back, so
+a crash run can resume past the crash point.
 
 **Flush faults** model dropped or torn metadata persists, honouring the
 configured :class:`~repro.core.persistence.MetadataPersistencePolicy`:
@@ -67,9 +69,14 @@ class CellFaultInjector:
         self.mode = mode
         self.bits = bits
         self._rng = random.Random(f"{seed}:cell-faults")
+        #: Pre-fault contents of every line :meth:`inject` changed.
+        self._healthy: dict[int, bytes] = {}
 
     def _pick_victims(self, nvm: NvmMainMemory, line_limit: int | None) -> list[int]:
         """Distinct victim lines, weighted by accumulated write counts."""
+        if self.faults == 0:
+            # The pick loop below would draw nothing; skip the wear walk.
+            return []
         population = [
             line
             for line in nvm.wear.written_lines()
@@ -101,7 +108,8 @@ class CellFaultInjector:
         records: list[CellFault] = []
         for victim in self._pick_victims(nvm, line_limit):
             positions = tuple(sorted(self._rng.sample(range(line_bits), k=min(self.bits, line_bits))))
-            raw = int.from_bytes(nvm.peek(victim), "little")
+            healthy = nvm.peek(victim)
+            raw = int.from_bytes(healthy, "little")
             faulty = raw
             for bit in positions:
                 if self.mode == "bit_flip":
@@ -112,11 +120,20 @@ class CellFaultInjector:
                     faulty |= 1 << bit
             changed = faulty != raw
             if changed:
+                self._healthy[victim] = healthy
                 nvm.poke(victim, faulty.to_bytes(line_bits // 8, "little"))
             records.append(
                 CellFault(line=victim, mode=self.mode, bits=positions, changed=changed)
             )
         return records
+
+    def heal(self, nvm: NvmMainMemory) -> None:
+        """Undo :meth:`inject`: put every changed line's pre-fault contents
+        back through :meth:`~repro.nvm.memory.NvmMainMemory.poke` (bytes and
+        the integer mirror alike), so a crash run can continue afterwards."""
+        for line, data in self._healthy.items():
+            nvm.poke(line, data)
+        self._healthy.clear()
 
 
 class FlushFaultModel:

@@ -9,7 +9,7 @@ from repro.core.persistence import MetadataPersistenceConfig, MetadataPersistenc
 from repro.core.registry import build_controller
 from repro.faults.adapters import UnsupportedControllerError, adapter_for
 from repro.faults.audit import ConsistencyAuditor, ConsistencyReport
-from repro.faults.crash import CrashSimulator, PowerLossError, run_crash_scenario
+from repro.faults.crash import CrashRun, CrashSimulator, PowerLossError, run_crash_scenario
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import RecoveryManager
 from repro.nvm.config import NvmConfig, NvmOrganization
@@ -17,6 +17,7 @@ from repro.nvm.memory import NvmMainMemory
 from repro.obs.trace import Tracer
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import profile_by_name
+from repro.workloads.trace import MemoryAccess, Trace
 
 LINE = 256
 
@@ -44,15 +45,29 @@ def fill(value: int) -> bytes:
     return bytes([value]) * LINE
 
 
+def hand_trace(*ops: tuple) -> Trace:
+    """One core issuing ``("write", address, fill)`` / ``("read", address)``."""
+    accesses = [
+        MemoryAccess(0, "write", op[1], fill(op[2]), gap_instructions=100)
+        if op[0] == "write"
+        else MemoryAccess(0, "read", op[1], gap_instructions=100)
+        for op in ops
+    ]
+    return Trace("hand", accesses)
+
+
 class TestCrashSimulator:
     def test_access_trigger_raises_before_issuing(self):
         controller = build_controller("dewrite", make_nvm())
-        wrapper = CrashSimulator(controller, FaultPlan(power_loss_at_access=2))
-        wrapper.write(0, fill(1), 0.0)
-        with pytest.raises(PowerLossError):
-            wrapper.write(1, fill(2), 1_000.0)
-        # The doomed write never reached the controller or the journal.
-        assert wrapper.oracle.written_addresses() == (0,)
+        plan = FaultPlan(power_loss_at_access=2)
+        run = CrashRun(controller, hand_trace(("write", 0, 1), ("write", 1, 2)), plan)
+        result = run.crash(plan, persistence("battery_backed"))
+        assert not result.completed_trace
+        assert result.accesses_before_crash == 1
+        # The doomed write never reached the controller, journal or oracle.
+        assert controller.stats.writes_requested == 1
+        assert {e.key for e in run.wrapper.journal.events() if e.kind == "map"} == {0}
+        assert run.wrapper.oracle.written_addresses() == (0,)
 
     def test_time_trigger_covers_drained_writes(self):
         controller = build_controller("dewrite", make_nvm())
@@ -65,11 +80,14 @@ class TestCrashSimulator:
 
     def test_reads_count_toward_access_ordinal(self):
         controller = build_controller("dewrite", make_nvm())
-        wrapper = CrashSimulator(controller, FaultPlan(power_loss_at_access=3))
-        wrapper.write(0, fill(1), 0.0)
-        wrapper.read(0, 1_000.0)
-        with pytest.raises(PowerLossError):
-            wrapper.read(0, 2_000.0)
+        plan = FaultPlan(power_loss_at_access=3)
+        run = CrashRun(
+            controller, hand_trace(("write", 0, 1), ("read", 0), ("read", 0)), plan
+        )
+        result = run.crash(plan, persistence("battery_backed"))
+        assert result.accesses_before_crash == 2
+        # The second read was the doomed access.
+        assert controller.stats.reads_requested == 1
 
     def test_journal_grows_with_writes_not_reads(self):
         controller = build_controller("dewrite", make_nvm())
@@ -127,21 +145,12 @@ class TestEndToEndScenario:
         assert reports[0] == reports[1]
 
     def test_periodic_losses_confined_to_vulnerability_window(self, name):
-        from repro.system.simulator import simulate
-
         interval = 2_000.0
-        controller = build_controller(name, make_nvm())
-        wrapper = CrashSimulator(controller, FaultPlan(power_loss_at_access=300))
-        with pytest.raises(PowerLossError) as excinfo:
-            simulate(wrapper, trace())
-        crash_ns = excinfo.value.crash_ns
-        config = persistence("periodic_writeback", interval_ns=interval)
-        recovery = RecoveryManager(wrapper.adapter, config).recover(
-            wrapper.journal.events(), crash_ns
-        )
-        report = ConsistencyAuditor(wrapper.oracle, wrapper.adapter).audit(
-            recovery.durable
-        )
+        plan = FaultPlan(power_loss_at_access=300)
+        run = CrashRun(build_controller(name, make_nvm()), trace(), plan)
+        result = run.crash(plan, persistence("periodic_writeback", interval_ns=interval))
+        assert not result.completed_trace
+        crash_ns, recovery, report = result.crash_ns, result.recovery, result.report
         report.verify()
         horizon = recovery.horizon_ns
         assert horizon == pytest.approx((crash_ns // interval) * interval)
@@ -150,7 +159,7 @@ class TestEndToEndScenario:
         # boundary — anything whose journal went quiet before the horizon
         # was durable and recovers intact.
         damaged = set(report.stale_examples) | set(report.lost_examples)
-        touched_after = {e.key for e in wrapper.journal.events() if e.ns > horizon}
+        touched_after = {e.key for e in run.wrapper.journal.events() if e.ns > horizon}
         assert damaged <= touched_after
 
     def test_same_plan_same_report(self, name):

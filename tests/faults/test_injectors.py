@@ -99,6 +99,28 @@ class TestCellFaultInjector:
             # inject() mutates cells but not wear counts, so reuse is fine.
         assert first_picks.count(0) > 15
 
+    def test_zero_faults_skip_victim_sampling(self, monkeypatch):
+        nvm = worn_nvm()
+
+        def walk(*args):
+            raise AssertionError("victim sampling walked the wear tracker")
+
+        monkeypatch.setattr(nvm.wear, "written_lines", walk)
+        injector = CellFaultInjector(seed=5, faults=0)
+        state = injector._rng.getstate()
+        assert injector.inject(nvm) == []
+        assert injector._rng.getstate() == state
+
+    @pytest.mark.parametrize("mode", ["bit_flip", "stuck_at_zero", "stuck_at_one"])
+    def test_heal_restores_bytes_and_integer_mirror(self, mode):
+        nvm = worn_nvm()
+        lines = nvm.wear.written_lines()
+        before = [(nvm.peek(line), nvm.peek_int(line)) for line in lines]
+        injector = CellFaultInjector(seed=3, faults=4, mode=mode, bits=64)
+        assert any(fault.changed for fault in injector.inject(nvm))
+        injector.heal(nvm)
+        assert [(nvm.peek(line), nvm.peek_int(line)) for line in lines] == before
+
 
 def update(ns: float) -> MetadataUpdate:
     return MetadataUpdate(ns=ns, kind="map", key=int(ns), value=1)
