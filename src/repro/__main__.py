@@ -23,7 +23,7 @@ Subcommands:
   attribution;
 - ``profile``  — run one figure's pipeline with the summary-mode stage
   accumulator and the batch profiler attached: the fused kernels stay
-  active (full tracing forces the scalar path), the stage table is
+  active (full tracing forces DeWrite's scalar path), the stage table is
   deterministic, and ``--flamegraph`` writes collapsed-stack lines with
   sim-ns weights; ``--manifest`` records the stage section for ``diff``;
 - ``stats``    — validate and summarise a run manifest (``--json`` emits
@@ -1762,6 +1762,13 @@ def _run_check_invariants(accesses: int, seed: int) -> int:
          trace_for("sjeng", accesses, seed)),
         ("dewrite/worstcase", lambda: build_controller("dewrite", make_nvm()),
          trace_for(WORST_CASE_WORKLOAD, accesses, seed)),
+        ("silent-shredder/sjeng", lambda: build_controller("silent-shredder", make_nvm()),
+         trace_for("sjeng", accesses, seed)),
+        # A small hot set, so cold-line encryption and cold reads run too.
+        ("i-nvmm/mcf", lambda: build_controller("i-nvmm", make_nvm(), hot_set_lines=64),
+         trace_for("mcf", accesses, seed)),
+        ("out-of-line/lbm", lambda: build_controller("out-of-line", make_nvm()),
+         trace_for("lbm", accesses, seed)),
     ]
     failures = 0
     for name, factory, trace in runs:

@@ -227,8 +227,7 @@ class DetectionResult(NamedTuple):
     """Outcome of one duplication detection.
 
     A NamedTuple rather than a dataclass: one is allocated per write on
-    the hot path.  Every constructor passes ``touches`` explicitly (the
-    ``()`` default is shared, never mutated).
+    the hot path.
     """
 
     duplicate_target: int | None
@@ -239,7 +238,6 @@ class DetectionResult(NamedTuple):
     pna_skipped: bool = False
     hash_hit_in_cache: bool = False
     queried_nvm_hash_table: bool = False
-    touches: "list[MetadataTouch] | tuple[MetadataTouch, ...]" = ()
 
     @property
     def is_duplicate(self) -> bool:
@@ -288,7 +286,6 @@ class DedupEngine:
         then one verify read + compare per surviving candidate.
         """
         now = arrival_ns + self._fp_ns
-        touches: list[MetadataTouch] = []
 
         hash_blocks = self._hash_blocks
         cached = crc in hash_blocks
@@ -305,7 +302,6 @@ class DedupEngine:
                     duplicate_target=None,
                     done_ns=now,
                     pna_skipped=True,
-                    touches=touches,
                 )
             now += self.metadata.access("hash_table", crc, write=False, now_ns=now, blocking=True)
             queried_nvm = True
@@ -340,7 +336,6 @@ class DedupEngine:
                 capped_rejects=capped,
                 hash_hit_in_cache=cached,
                 queried_nvm_hash_table=queried_nvm,
-                touches=touches,
             )
 
         if candidates:
@@ -399,7 +394,6 @@ class DedupEngine:
             pna_skipped=False,
             hash_hit_in_cache=cached,
             queried_nvm_hash_table=queried_nvm,
-            touches=touches,
         )
 
     def truth_has_duplicate(self, plaintext: bytes, crc: int) -> bool:

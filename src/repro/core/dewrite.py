@@ -163,7 +163,7 @@ class DeWriteController(MemoryController):
         """Cancel the write; record the address mapping (§III-B2)."""
         stats = self.stats
         stats.writes_deduplicated += 1
-        touches: list[MetadataTouch] = list(detection.touches)
+        touches: list[MetadataTouch] = []
         self.index.apply_duplicate(address, detection.duplicate_target, touches)
         done = detection.done_ns
         self.metadata.replay(touches, done)
@@ -198,7 +198,7 @@ class DeWriteController(MemoryController):
         """Encrypt and write a non-duplicate line."""
         stats = self.stats
         stats.writes_stored += 1
-        touches: list[MetadataTouch] = list(detection.touches)
+        touches: list[MetadataTouch] = []
         dest = self.index.apply_unique(address, crc, touches)
         counter = self.index.bump_counter(dest, touches)
         ciphertext = self.cme.encrypt(data, dest, counter)
@@ -453,7 +453,7 @@ class DeWriteController(MemoryController):
                 if target is not None:
                     # ---- inlined _commit_duplicate() --------------------
                     writes_deduplicated += 1
-                    touches = list(detection.touches)
+                    touches = []
                     apply_duplicate(address, target, touches)
                     complete = detection.done_ns
                     replay(touches, complete)

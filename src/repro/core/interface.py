@@ -12,8 +12,14 @@ the hot path: the simulator hands the controller an
 :class:`~repro.workloads.batch.AccessBatch` plus a
 :class:`~repro.core.batching.BatchCursor` and the controller owns the issue
 loop, which lets subclasses fuse crypto/hash/dedup work across requests.
-The default implementation drives the scalar ``write``/``read`` methods, so
-every controller is batch-addressable without opting in.
+The default implementation drives ``write``/``read``, so every controller
+is batch-addressable without opting in; it also merges multi-stream
+cursors for the fused kernels, which service one stream at a time.
+
+The CME family (:mod:`repro.baselines`) has one pipeline per controller:
+its single-stream kernel behind ``service_batch``, which also feeds every
+observer; its ``write``/``read`` run one request through that kernel.
+DeWrite still keeps a scalar ``write``/``read`` beside its kernel.
 """
 
 from __future__ import annotations
@@ -83,12 +89,13 @@ class MemoryController(abc.ABC):
         Subclasses with instrumented internals override
         :meth:`_propagate_observers` to forward the observers to them.
 
-        Observability modes and the batch path: attaching a *tracer* or
-        *timeline* records per-request detail, which forces the fused
-        ``service_batch`` kernels back onto the scalar loop (counted in
+        Observability modes and the batch path: the CME-family kernels
+        feed a *tracer* or *timeline* per request themselves, so attaching
+        one never changes their path.  On DeWrite a tracer or timeline
+        forces the fused kernel back onto the scalar loop (counted in
         ``batch.fallback.*``).  Attaching only a *stages* accumulator is
-        **summary mode** — the fused kernels feed it with columnar
-        per-batch flushes and stay fused.
+        **summary mode** — every fused kernel feeds it with columnar
+        per-batch flushes and stays fused.
         """
         if tracer is not None:
             self.tracer = tracer
@@ -130,9 +137,11 @@ class MemoryController(abc.ABC):
         equivalence is the contract subclassed kernels must preserve and
         the property suite enforces.
 
-        The base implementation simply drives the scalar :meth:`write` /
-        :meth:`read` methods, so tracing, timelines and subclass overrides
-        all behave identically to scalar servicing.
+        The base implementation simply drives :meth:`write` / :meth:`read`
+        one request at a time; fused kernels hand it the cursors they do
+        not service themselves (more than one active stream, or DeWrite's
+        observed and overridden cases) and it counts each such hand-off
+        in ``batch.fallback.*``.
         """
         if cursor.active and type(self).service_batch is not MemoryController.service_batch:
             # A fused kernel bailed out to this scalar-driving loop.  The

@@ -194,7 +194,7 @@ class INvmmAdapter(SecureFamilyAdapter):
 
     def snapshot_before_write(self, address: int) -> int | None:
         # The LRU-oldest hot line is the only possible eviction victim of
-        # this write (``_touch_hot`` evicts at most one line per write).
+        # this write (a write evicts at most one hot line).
         return next(iter(self.controller._hot), None)
 
     def updates_for_write(

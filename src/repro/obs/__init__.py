@@ -25,7 +25,7 @@ The observability layer for the simulator stack:
 - :mod:`repro.obs.stages` — summary-mode per-stage latency accounting
   (:class:`~repro.obs.stages.StageAccumulator`) that the fused batch
   kernels feed with columnar flushes, keeping them fused where full
-  tracing would force the scalar path;
+  tracing would force DeWrite's scalar path;
 - :mod:`repro.obs.profile` — the deterministic batch profiler behind
   ``python -m repro profile`` (stage tables, collapsed-stack
   flamegraphs, per-batch wall timing kept out of sim state).

@@ -1,8 +1,8 @@
 """Deterministic per-kernel batch profiler (``python -m repro profile``).
 
-Full tracing answers "where did the *simulated* time go?" but forces the
-fused ``service_batch`` kernels onto the scalar path, so it cannot answer
-"where does the *host* time go while the kernels are fused?".  This
+Full tracing answers "where did the *simulated* time go?" but forces
+DeWrite's fused ``service_batch`` kernel onto the scalar path, so it cannot
+answer "where does the *host* time go while the kernels are fused?".  This
 module profiles the fast path without perturbing it:
 
 - a :class:`BatchProfiler` wraps the controller's ``service_batch`` as an

@@ -18,9 +18,9 @@ and :class:`~repro.obs.timeline.TimelineCollector`):
   associative (pinned by a hypothesis property in
   ``tests/obs/test_stages.py``);
 - **reconciliation**: for any trace, the per-stage totals collected in
-  summary mode equal the grouped sums of the scalar path's trace spans
-  bit-for-bit.  The kernels guarantee this by recording the *same*
-  ``end - start`` float expressions the spans would have carried, and
+  summary mode equal the grouped sums of the trace spans bit-for-bit.
+  The kernels guarantee this by recording the *same* ``end - start``
+  float expressions the spans would have carried, and
   :meth:`~StageAccumulator.record_many` accumulates samples one at a
   time (never ``sum()``) so a columnar flush reproduces the scalar
   accumulation order exactly.  ``tests/system/test_stage_reconciliation``

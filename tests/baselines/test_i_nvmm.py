@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.i_nvmm import INvmmController
-from repro.baselines.secure_nvm import TraditionalSecureNvmController
+from repro.baselines.secure_nvm import SecureNvmConfig, TraditionalSecureNvmController
 from repro.nvm.config import NvmConfig, NvmOrganization
 from repro.nvm.memory import NvmMainMemory
 
@@ -89,6 +89,24 @@ class TestColdPath:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_controller(hot_set_lines=0)
+
+    def test_evicted_lines_read_back_their_data(self):
+        controller = make_controller(hot_set_lines=2)
+        now = 0.0
+        for address in range(6):
+            now = controller.write(address, line(address + 1), now).complete_ns + 100
+        assert controller.cold_encryptions == 4
+        for address in range(6):
+            assert controller.read(address, now).data == line(address + 1)
+
+    def test_split_counters_rejected(self):
+        # Cold-line encryption bumps the plain per-line counters, which a
+        # split-counter read path would never consult.
+        nvm = NvmMainMemory(
+            NvmConfig(organization=NvmOrganization(capacity_bytes=64 * 1024 * LINE))
+        )
+        with pytest.raises(ValueError, match="split counters"):
+            INvmmController(nvm, SecureNvmConfig(use_split_counters=True), hot_set_lines=2)
 
 
 class TestSecurityContrast:

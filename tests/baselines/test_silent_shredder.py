@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.secure_nvm import SecureNvmConfig
 from repro.baselines.silent_shredder import SilentShredderController
 from repro.nvm.config import NvmConfig, NvmOrganization
 from repro.nvm.memory import NvmMainMemory
@@ -62,6 +63,13 @@ class TestZeroElimination:
         controller.write(0, line(9), 0.0)
         controller.write(0, bytes(LINE), 1_000.0)
         assert controller.read(0, 2_000.0).data == bytes(LINE)
+
+    def test_split_counters_rejected(self):
+        nvm = NvmMainMemory(
+            NvmConfig(organization=NvmOrganization(capacity_bytes=64 * 1024 * LINE))
+        )
+        with pytest.raises(ValueError, match="split counters"):
+            SilentShredderController(nvm, SecureNvmConfig(use_split_counters=True))
 
 
 class TestComparisonWithDuplication:

@@ -8,10 +8,12 @@ proven transparent (identical reports with and without checking).
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.baselines.i_nvmm import INvmmController
-from repro.core.registry import build_controller
+from repro.core.registry import available_controllers, build_controller
 from repro.baselines.out_of_line import OutOfLinePageDedupController
 from repro.baselines.secure_nvm import TraditionalSecureNvmController
 from repro.baselines.silent_shredder import SilentShredderController
@@ -66,18 +68,26 @@ class TestSimulatorSuiteUnderChecking:
         checked.close(now_ns=10.0**12)
 
 
-@pytest.mark.parametrize(
-    "app", ["lbm", "mcf", "sjeng"]
-)
-def test_checked_run_is_bit_identical_to_unchecked(app):
+#: Every registered controller on three traces; DeWrite's cases keep their
+#: original bare-app ids.
+CHECKED_IDENTITY_CASES = [
+    pytest.param(name, app, id=app if name == "dewrite" else f"{name}-{app}")
+    for name in sorted(available_controllers())
+    for app in ("lbm", "mcf", "sjeng")
+]
+
+
+@pytest.mark.parametrize("name,app", CHECKED_IDENTITY_CASES)
+def test_checked_run_is_bit_identical_to_unchecked(name, app):
     trace = generate_trace(profile_by_name(app), ACCESSES, seed=11)
-    plain_report = simulate(DeWriteController(make_nvm()), trace)
-    checked = CheckedController(DeWriteController(make_nvm()), deep_check_interval=100)
+    plain_report = simulate(build_controller(name, make_nvm()), trace)
+    checked = CheckedController(build_controller(name, make_nvm()), deep_check_interval=100)
     checked_report = simulate(checked, trace)
 
-    assert checked_report.stats.as_dict() == plain_report.stats.as_dict()
-    assert checked_report.mean_write_latency_ns == plain_report.mean_write_latency_ns
-    assert checked_report.mean_read_latency_ns == plain_report.mean_read_latency_ns
-    assert checked_report.energy_nj == plain_report.energy_nj
+    # The report names the outermost class; everything simulated must match.
+    plain, checked_payload = plain_report.to_dict(), checked_report.to_dict()
+    assert checked_payload.pop("controller") == "CheckedController"
+    plain.pop("controller")
+    assert json.dumps(checked_payload, sort_keys=True) == json.dumps(plain, sort_keys=True)
     # The final sweep (incl. metadata flush) must still come up clean.
     checked.close(now_ns=10.0**12)

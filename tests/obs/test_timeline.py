@@ -271,3 +271,23 @@ class TestEndToEnd:
         assert totals["writes"] > 0
         assert totals["dedup_writes"] == 0  # the baseline never deduplicates
         assert totals["nvm_writes"] >= totals["writes"]
+
+    @pytest.mark.parametrize("app", ["sjeng", "canneal"])
+    def test_every_controller_records_every_request(self, app):
+        # Every pipeline arm records: Silent Shredder's zero writes and
+        # shredded reads, i-NVMM's hot lines, DeWrite's eliminated writes.
+        from repro.core.registry import available_controllers, build_controller
+        from repro.nvm.memory import NvmMainMemory
+        from repro.runner.jobs import trace_for
+        from repro.system.simulator import simulate
+
+        trace = trace_for(app, 3000, 1)
+        for name in available_controllers():
+            timeline = TimelineCollector(window_ns=10_000.0)
+            controller = build_controller(name, NvmMainMemory(), timeline=timeline)
+            simulate(controller, trace)
+            totals = timeline.totals()
+            stats = controller.stats
+            assert totals["writes"] == stats.writes_requested, name
+            assert totals["reads"] == stats.reads_requested, name
+            assert totals["dedup_writes"] == stats.writes_deduplicated, name

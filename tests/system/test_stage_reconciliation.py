@@ -1,17 +1,19 @@
 """Summary-mode reconciliation — the stage accumulator's correctness bar.
 
 The fused kernels feed a :class:`~repro.obs.stages.StageAccumulator`
-columnar, per batch, while a :class:`~repro.obs.trace.Tracer` forces the
-scalar path and emits one span per stage occurrence.  Both views describe
+columnar, per batch, while a :class:`~repro.obs.trace.Tracer` gets one
+span per stage occurrence (from DeWrite's scalar path, which a tracer
+forces, and from the CME-family kernels themselves).  Both views describe
 the same simulated pipeline, so for every registered controller the
 summary-mode per-stage (count, total) must equal the aggregation of the
-scalar-path trace spans **bit-for-bit**: the kernels record the exact
-float expressions the spans imply, and both sides sum left-to-right in
-arrival order.
+trace spans **bit-for-bit**: the kernels record the exact float
+expressions the spans imply, and both sides sum left-to-right in arrival
+order.
 
 Also pinned here: attaching only a stage accumulator never knocks a
 kernel off the fused path (``batch.fallback.*`` stays flat) and never
-perturbs the serialised :class:`SimulationReport`.
+perturbs the serialised :class:`SimulationReport`; the CME-family kernels
+keep the same promise for a tracer or a timeline.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import profile_by_name
 
 CONTROLLERS = sorted(available_controllers())
+CME_CONTROLLERS = ("secure-nvm", "silent-shredder", "i-nvmm", "out-of-line")
 
 #: Span names that are not pipeline stages: per-device NVM sub-spans
 #: (emitted by the memory model, not the controller pipeline) and the
@@ -48,7 +51,7 @@ def single_stream_trace(app: str = "lbm", accesses: int = 500, seed: int = 9):
 def scalar_span_sums(name: str, trace) -> dict[str, tuple[int, float]]:
     tracer = Tracer(sink=None)
     controller = build_controller(name, NvmMainMemory(), tracer=tracer)
-    simulate(controller, trace, batch_size=1024)  # tracer forces scalar driving
+    simulate(controller, trace, batch_size=1024)
     return {
         stage: (len(durations), sum(durations))
         for stage, durations in tracer.stage_durations(clock="sim").items()
@@ -131,6 +134,27 @@ class TestFusedPathPreserved:
             assert json.dumps(staged.to_dict(), sort_keys=True) == json.dumps(
                 plain.to_dict(), sort_keys=True
             ), name
+
+
+class TestObservedKernelsStayFused:
+    """A tracer or timeline on a CME-family controller rides its kernel."""
+
+    @pytest.mark.parametrize("observer", ["tracer", "timeline"])
+    @pytest.mark.parametrize("name", CME_CONTROLLERS)
+    def test_observer_adds_no_fallback_and_keeps_the_report(self, name, observer):
+        trace = single_stream_trace("sjeng", 400, 11)
+        plain = simulate(build_controller(name, NvmMainMemory()), trace)
+        attached = (
+            {"tracer": Tracer(sink=None)}
+            if observer == "tracer"
+            else {"timeline": TimelineCollector()}
+        )
+        before = fallback_snapshot()
+        observed = simulate(build_controller(name, NvmMainMemory(), **attached), trace)
+        assert fallback_deltas(before) == {}
+        assert json.dumps(observed.to_dict(), sort_keys=True) == json.dumps(
+            plain.to_dict(), sort_keys=True
+        )
 
 
 class TestFallbackCounters:
