@@ -22,8 +22,7 @@ Subcommands:
   (or a ledger file) with step-regression flags and stage-drift
   attribution;
 - ``profile``  — run one figure's pipeline with the summary-mode stage
-  accumulator and the batch profiler attached: the fused kernels stay
-  active (full tracing forces DeWrite's scalar path), the stage table is
+  accumulator and the batch profiler attached: the stage table is
   deterministic, and ``--flamegraph`` writes collapsed-stack lines with
   sim-ns weights; ``--manifest`` records the stage section for ``diff``;
 - ``stats``    — validate and summarise a run manifest (``--json`` emits
@@ -970,8 +969,8 @@ def _run_stats(args: argparse.Namespace) -> int:
         )
     metrics = payload.get("metrics", {})
     if isinstance(metrics, dict):
-        # Fused kernels silently bail to the scalar loop under full
-        # tracing/timelines or multi-stream cursors; surface the why.
+        # Multi-stream batches are merged one request at a time; surface
+        # how many.
         fallbacks = {
             name: entry.get("value", 0)
             for name, entry in sorted(metrics.items())
@@ -1769,6 +1768,14 @@ def _run_check_invariants(accesses: int, seed: int) -> int:
          trace_for("mcf", accesses, seed)),
         ("out-of-line/lbm", lambda: build_controller("out-of-line", make_nvm()),
          trace_for("lbm", accesses, seed)),
+        # canneal runs 4 threads: the multi-stream merge hands each request
+        # to the checked kernel.
+        ("dewrite/canneal", lambda: build_controller("dewrite", make_nvm()),
+         trace_for("canneal", accesses, seed)),
+        ("secure-nvm/canneal", lambda: build_controller("secure-nvm", make_nvm()),
+         trace_for("canneal", accesses, seed)),
+        ("parallel/sjeng", lambda: build_controller("parallel", make_nvm()),
+         trace_for("sjeng", accesses, seed)),
     ]
     failures = 0
     for name, factory, trace in runs:

@@ -9,18 +9,15 @@ and its hot blocks sit in the same 2 MB-class metadata cache DeWrite reuses.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
-from repro.core.batching import BatchCursor, BatchOutcome
-from repro.core.interface import MemoryController, ReadOutcome, WriteOutcome
+from repro.core.interface import MemoryController
 from repro.core.metadata_cache import MetadataCache
 from repro.core.stats import DeWriteStats
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.crypto.split_counter import SplitCounterStore
 from repro.crypto.otp import SplitmixPadGenerator
 from repro.nvm.memory import NvmMainMemory
-from repro.workloads.batch import OP_READ, OP_WRITE, AccessBatch
 
 
 @dataclass(frozen=True)
@@ -86,66 +83,8 @@ class TraditionalSecureNvmController(MemoryController):
         self._counter_lines = counter_lines
         self._payloads = SplitmixPadGenerator(b"\x3c" * 16)
         self._payload_version = 0
-        # The one-row batch and cursor write()/read() stage each request
-        # in, and the completion time of the last request a kernel serviced.
-        self._request = AccessBatch(
-            bytearray(1), array("i", [0]), array("q", [0]), array("q", [0]),
-            b"\x01", b"", array("q", [0]), self.line_size,
-        )
-        self._request_cursor = BatchCursor(
-            self._request,
-            ns_per_instruction=1.0,
-            read_stall_exposure=1.0,
-            clock_ghz=1.0,
-            base_cpi=1.0,
-        )
-        self._complete_ns = 0.0
 
-    # -- request interface ---------------------------------------------------
-
-    def write(self, address: int, data: bytes, arrival_ns: float) -> WriteOutcome:
-        """Service one line write as a one-request batch through the kernel."""
-        if len(data) != self.line_size:
-            # The kernel slices the payload to one line: check the caller's bytes.
-            self._check_line(data)
-        batch = self._request
-        batch.ops[0] = OP_WRITE
-        batch.addresses[0] = address
-        batch.payload = data
-        latency_ns, deduplicated = self._service_request(arrival_ns)
-        return WriteOutcome(
-            latency_ns=latency_ns,
-            deduplicated=deduplicated == 1,
-            complete_ns=self._complete_ns,
-        )
-
-    def read(self, address: int, arrival_ns: float) -> ReadOutcome:
-        """Service one line read as a one-request batch through the kernel."""
-        batch = self._request
-        batch.ops[0] = OP_READ
-        batch.addresses[0] = address
-        latency_ns, _ = self._service_request(arrival_ns)
-        return ReadOutcome(
-            latency_ns=latency_ns,
-            data=self._plaintext(address),
-            complete_ns=self._complete_ns,
-        )
-
-    def _service_request(self, arrival_ns: float) -> tuple[float, int]:
-        """Run the staged one-row batch through this class's kernel.
-
-        The row has gap 0 and is persistent, and the cursor's exposure and
-        clock are 1.0, so the request arrives at ``arrival_ns`` and its
-        ``stall_cycles`` equal its latency exactly.  Returns that latency
-        and the number of writes the kernel eliminated (0 or 1).
-        """
-        cursor = self._request_cursor
-        cursor.positions[0] = 0
-        cursor.core_time[0] = arrival_ns
-        cursor.active.add(0)
-        cursor.stall_cycles = 0.0
-        deduplicated = self._service_stream(self._request, cursor)[3]
-        return cursor.stall_cycles / cursor.clock_ghz, deduplicated
+    # -- request pipeline ------------------------------------------------------
 
     def _plaintext(self, address: int) -> bytes:
         """The plaintext line ``address`` holds now (functional, untimed)."""
@@ -173,26 +112,10 @@ class TraditionalSecureNvmController(MemoryController):
             self.reencrypted_lines += 1
             now_ns = stored.complete_ns
 
-    # -- batched request interface -------------------------------------------
-
-    def service_batch(self, batch, cursor, max_requests=None):
-        """Service a batch through this controller's kernel.
-
-        The kernel (:meth:`_service_stream`) is the controller's only
-        request pipeline.  It services one active stream; a multi-stream
-        cursor goes through the generic driver, which merges the streams
-        and calls :meth:`write`/:meth:`read`, one request at a time, back
-        into the kernel.
-        """
-        if len(cursor.active) != 1:
-            return super().service_batch(batch, cursor, max_requests)
-        return BatchOutcome(*self._service_stream(batch, cursor, max_requests))
-
     def _service_stream(self, batch, cursor, max_requests=None):
         """The CME pipeline over the cursor's one active stream.
 
-        Counters and latency accumulators are batched into locals, and the
-        float arithmetic runs in request order, so reports are
+        The float arithmetic runs in request order, so reports are
         byte-identical however a trace is sliced.  Split counters bump and
         re-encrypt pages in line.  An attached tracer gets the per-request
         spans (the device entry points that return ``wait_ns`` replace the

@@ -20,19 +20,22 @@ every serviced request, the laws the paper's correctness argument rests on
   the ciphertext at the mapped physical line decrypts back to the exact
   plaintext the CPU wrote, and every read returns what a plain dict would.
 
-Cheap per-operation checks run on every request; the full structural sweep
-(:meth:`CheckedController.verify`) additionally runs every
-``deep_check_interval`` operations and at :meth:`close`.  The wrapper is
-timing-transparent: it forwards requests unchanged and inspects state only
-through untimed interfaces (``peek``/snapshots), so a checked run produces
-bit-identical results and statistics to an unchecked one.
+The checks wrap the controller's own kernel: each request is handed to it
+alone (``inner._service_stream(batch, cursor, 1)``), so a checked run
+exercises the path that produces the figures, multi-stream merges
+included.  Cheap per-operation checks run on every request; the full
+structural sweep (:meth:`CheckedController.verify`) additionally runs
+every ``deep_check_interval`` operations and at :meth:`close`.  The
+wrapper is timing-transparent: it forwards requests unchanged and inspects
+state only through untimed interfaces (``peek``/snapshots), so a checked
+run produces bit-identical results and statistics to an unchecked one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.interface import MemoryController, ReadOutcome, WriteOutcome
+from repro.core.interface import MemoryController
 
 # Baseline-specific counters of *extra* legitimate device writes (counter
 # overflow re-encryption, i-NVMM cold-line encryption).  Unknown future
@@ -110,27 +113,60 @@ class CheckedController(MemoryController):
             raise AttributeError(name) from None
         return getattr(inner, name)
 
-    def write(self, address: int, data: bytes, arrival_ns: float) -> WriteOutcome:
-        """Forward one write, then check every per-operation law."""
-        before = self._snapshot()
-        outcome = self.inner.write(address, data, arrival_ns)
-        after = self._snapshot()
+    def _plaintext(self, address: int) -> bytes:
+        return self.inner._plaintext(address)
 
-        self._check_write_conservation(before, after, outcome)
+    def _service_stream(self, batch, cursor, max_requests=None):
+        """Hand each request alone to the wrapped kernel, then check it.
+
+        Defined here, not reached through :meth:`__getattr__`: the batch
+        merge calls ``self._service_stream``, and the wrapped kernel
+        would skip every check.
+        """
+        inner = self.inner
+        service = inner._service_stream
+        ops = batch.ops
+        addresses = batch.addresses
+        slots = batch.slots
+        line_size = batch.line_size
+        core = next(iter(cursor.active))
+        stream = cursor.streams[core]
+        positions = cursor.positions
+        serviced = reads = writes = deduplicated = 0
+        while cursor.active and serviced != max_requests:
+            req = stream[positions[core]]
+            address = addresses[req]
+            before = self._snapshot()
+            eliminated = service(batch, cursor, 1)[3]
+            after = self._snapshot()
+            if ops[req]:
+                slot = slots[req]
+                data = batch.payload[slot : slot + line_size]
+                self._check_write(address, data, before, after, eliminated == 1)
+                writes += 1
+                deduplicated += eliminated
+            else:
+                self._check_read(address, before, after)
+                reads += 1
+            self._tick()
+            serviced += 1
+        self._complete_ns = inner._complete_ns
+        return serviced, reads, writes, deduplicated
+
+    def _check_write(
+        self, address: int, data: bytes, before: _Snapshot, after: _Snapshot, deduplicated: bool
+    ) -> None:
+        """Every per-operation law of one serviced write."""
+        self._check_write_conservation(before, after, deduplicated)
         self._check_device_write_conservation(before, after)
         self._check_counter_monotonic(address)
         if self.check_data:
             self._check_write_round_trip(address, data)
             self._image[address] = data
-        self._tick()
-        return outcome
 
-    def read(self, address: int, arrival_ns: float) -> ReadOutcome:
-        """Forward one read, then check it changed nothing it should not."""
-        before = self._snapshot()
-        outcome = self.inner.read(address, arrival_ns)
-        after = self._snapshot()
-
+    def _check_read(self, address: int, before: _Snapshot, after: _Snapshot) -> None:
+        """A serviced read changed nothing it should not, and returned the
+        shadow image's data."""
         if after.reads_requested != before.reads_requested + 1:
             raise InvariantViolation(
                 "read did not increment reads_requested by exactly 1 "
@@ -145,13 +181,13 @@ class CheckedController(MemoryController):
         self._check_device_write_conservation(before, after)
         if self.check_data and not self._trusts_fingerprint:
             expected = self._image.get(address)
-            if expected is not None and outcome.data != expected:
-                raise InvariantViolation(
-                    f"read of line {address} returned corrupted data "
-                    f"(first byte {outcome.data[:1]!r} != expected {expected[:1]!r})"
-                )
-        self._tick()
-        return outcome
+            if expected is not None:
+                data = self.inner._plaintext(address)
+                if data != expected:
+                    raise InvariantViolation(
+                        f"read of line {address} returned corrupted data "
+                        f"(first byte {data[:1]!r} != expected {expected[:1]!r})"
+                    )
 
     # -- deep verification -----------------------------------------------------
 
@@ -201,7 +237,7 @@ class CheckedController(MemoryController):
     # -- per-operation checks ---------------------------------------------------
 
     def _check_write_conservation(
-        self, before: _Snapshot, after: _Snapshot, outcome: WriteOutcome
+        self, before: _Snapshot, after: _Snapshot, deduplicated: bool
     ) -> None:
         requested = after.writes_requested - before.writes_requested
         eliminated = after.writes_deduplicated - before.writes_deduplicated
@@ -215,9 +251,9 @@ class CheckedController(MemoryController):
                 "write conservation broken: one request produced "
                 f"{eliminated} elimination(s) + {stored} store(s)"
             )
-        if outcome.deduplicated != (eliminated == 1):
+        if deduplicated != (eliminated == 1):
             raise InvariantViolation(
-                f"outcome.deduplicated={outcome.deduplicated} disagrees with the "
+                f"the kernel's deduplicated={deduplicated} disagrees with the "
                 f"stats delta (eliminated={eliminated})"
             )
 

@@ -7,8 +7,8 @@ stall model parameters, a :class:`BatchCursor` carries the replay state
 fuse crypto/hash/dedup work across the requests of one batch.
 
 Correctness bar (tested property): driving a cursor through any
-controller's ``service_batch`` — default loop or fused kernel — produces
-the same floating-point state evolution as the scalar
+controller's ``service_batch`` — one stream or a merge of several —
+produces the same floating-point state evolution as the scalar
 :meth:`SystemSimulator.run <repro.system.simulator.SystemSimulator>` loop,
 request for request, so reports are byte-identical.
 

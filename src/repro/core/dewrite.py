@@ -11,6 +11,12 @@ the banked NVM.  All metadata updates ride the write-back metadata cache.
 Read path: address-mapping lookup (possibly redirected to a deduplicated
 line), counter fetch, NVM read with the OTP generated in parallel, XOR.
 
+Both paths live in one kernel, :meth:`DeWriteController._service_stream`;
+:meth:`~repro.core.interface.MemoryController.write`,
+:meth:`~repro.core.interface.MemoryController.read` and
+:meth:`~repro.core.interface.MemoryController.service_batch` all run
+through it.
+
 The same class also implements the paper's two strawman integration modes
 (Fig. 3): ``mode="direct"`` always serialises detection before encryption,
 ``mode="parallel"`` always encrypts concurrently; ``mode="predictive"`` is
@@ -22,10 +28,9 @@ from __future__ import annotations
 import hashlib
 from typing import Literal
 
-from repro.core.batching import BatchOutcome
 from repro.core.config import DeWriteConfig
 from repro.core.dedup_engine import DedupEngine, MetadataSystem
-from repro.core.interface import MemoryController, ReadOutcome, WriteOutcome
+from repro.core.interface import MemoryController
 from repro.core.predictor import HistoryWindowPredictor
 from repro.core.stats import DeWriteStats
 from repro.core.tables import DedupIndex, MetadataLayout, MetadataTouch
@@ -88,103 +93,16 @@ class DeWriteController(MemoryController):
             else getattr(hashlib, self.config.fingerprint, None)
         )
 
-    # -- write path (Fig. 10) ------------------------------------------------
+    # -- request pipeline (Figs. 10/11) ----------------------------------------
 
-    def write(self, address: int, data: bytes, arrival_ns: float) -> WriteOutcome:
-        """Service one line write."""
-        self._check_line(data)
-        self._check_data_address(address)
-        stats = self.stats
-        stats.writes_requested += 1
-
-        predicted_dup = self._predict()
-        crc = self._fingerprint(data)
-        detection = self.engine.detect(data, crc, arrival_ns, predicted_dup)
-        self.nvm.energy.add_dedup_op()
-        tracer = self.tracer
-        if tracer.enabled:
-            hash_done = arrival_ns + self.config.fingerprint_latency_ns
-            tracer.span(
-                "write.hash", arrival_ns, hash_done, fingerprint=self.config.fingerprint
-            )
-            tracer.span(
-                "write.dedup",
-                hash_done,
-                detection.done_ns,
-                duplicate=detection.is_duplicate,
-                verify_reads=detection.verify_reads,
-                pna_skipped=detection.pna_skipped,
-            )
-        if self.stages.enabled:
-            hash_done = arrival_ns + self.config.fingerprint_latency_ns
-            self.stages.record("write.hash", hash_done - arrival_ns)
-            self.stages.record("write.dedup", detection.done_ns - hash_done)
-        stats.verify_reads += detection.verify_reads
-        stats.crc_collisions += detection.collisions
-        stats.capped_reference_rejects += detection.capped_rejects
-        if detection.verify_reads:
-            stats.hash_matches += 1
-        if detection.pna_skipped and self.engine.truth_has_duplicate(data, crc):
-            stats.missed_duplicates_pna += 1
-
-        if detection.is_duplicate:
-            outcome = self._commit_duplicate(address, detection, predicted_dup, arrival_ns)
-        else:
-            outcome = self._commit_unique(address, data, crc, detection, predicted_dup, arrival_ns)
-
-        self._score_prediction(predicted_dup, outcome.deduplicated)
-        stats.write_latency.add(outcome.latency_ns)
-        self._sync_metadata_stats()
-        if self.timeline.enabled:
-            self.timeline.record_write(
-                arrival_ns,
-                deduplicated=outcome.deduplicated,
-                latency_ns=outcome.latency_ns,
-            )
-        if tracer.enabled:
-            tracer.span(
-                "write",
-                arrival_ns,
-                outcome.complete_ns,
-                deduplicated=outcome.deduplicated,
-                predicted_dup=predicted_dup,
-            )
-        if self.stages.enabled:
-            self.stages.record("write", outcome.complete_ns - arrival_ns)
-        return outcome
-
-    def _commit_duplicate(
-        self,
-        address: int,
-        detection,
-        predicted_dup: bool,
-        arrival_ns: float,
-    ) -> WriteOutcome:
-        """Cancel the write; record the address mapping (§III-B2)."""
-        stats = self.stats
-        stats.writes_deduplicated += 1
-        touches: list[MetadataTouch] = []
-        self.index.apply_duplicate(address, detection.duplicate_target, touches)
-        done = detection.done_ns
-        self.metadata.replay(touches, done)
-        if self._encrypted_in_parallel(predicted_dup):
-            # The speculative encryption was wasted: energy only (§III-A).
-            self.nvm.energy.add_aes_line()
-            stats.wasted_encryptions += 1
-            if self.tracer.enabled:
-                self.tracer.span(
-                    "write.crypto",
-                    arrival_ns,
-                    arrival_ns + self.config.aes_latency_ns,
-                    wasted=True,
-                )
-            if self.stages.enabled:
-                self.stages.record(
-                    "write.crypto", arrival_ns + self.config.aes_latency_ns - arrival_ns
-                )
-        return WriteOutcome(
-            latency_ns=done - arrival_ns, deduplicated=True, complete_ns=done
-        )
+    def _plaintext(self, address: int) -> bytes:
+        """The plaintext line ``address`` holds now (functional, untimed)."""
+        physical = self.index.physical_of(address)
+        if physical is None:
+            # Never-written line: the device holds the erased pattern.
+            return bytes(self.line_size)
+        counter = self.index.peek_counter(physical)
+        return self.cme.decrypt(self.nvm.peek(physical), physical, counter)
 
     def _commit_unique(
         self,
@@ -194,8 +112,8 @@ class DeWriteController(MemoryController):
         detection,
         predicted_dup: bool,
         arrival_ns: float,
-    ) -> WriteOutcome:
-        """Encrypt and write a non-duplicate line."""
+    ) -> float:
+        """Encrypt and write a non-duplicate line; returns its completion."""
         stats = self.stats
         stats.writes_stored += 1
         touches: list[MetadataTouch] = []
@@ -235,98 +153,28 @@ class DeWriteController(MemoryController):
                 "write.crypto", crypto_start + self.config.aes_latency_ns - crypto_start
             )
             self.stages.record("write.nvm", write.complete_ns - issue)
-        return WriteOutcome(
-            latency_ns=write.complete_ns - arrival_ns,
-            deduplicated=False,
-            complete_ns=write.complete_ns,
-        )
+        return write.complete_ns
 
-    # -- read path (Fig. 11) ---------------------------------------------------
+    def _service_stream(self, batch, cursor, max_requests=None):
+        """DeWrite's write and read pipelines over the cursor's one stream.
 
-    def read(self, address: int, arrival_ns: float) -> ReadOutcome:
-        """Service one line read."""
-        self._check_data_address(address)
-        stats = self.stats
-        stats.reads_requested += 1
-        now = arrival_ns
+        Write (Fig. 10): predict the duplication state, fingerprint, run
+        detection; a confirmed duplicate cancels the array write and only
+        records the address mapping, a unique line is encrypted under its
+        destination's bumped counter and written (:meth:`_commit_unique`).
+        Read (Fig. 11): address-mapping lookup, counter fetch, array read
+        with the OTP overlapped, XOR.  The plaintext is rebuilt only by
+        :meth:`read`, functionally (:meth:`_plaintext`); the kernel charges
+        the OTP's AES energy and the XOR latency.
 
-        # Address-mapping lookup is on the critical path (§IV-C2).
-        now += self.metadata.access("address_map", address, write=False, now_ns=now, blocking=True)
-        physical = self.index.physical_of(address)
-
-        if physical is None:
-            # Never-written line: the array read happens regardless; the
-            # device returns the erased (all-zero) pattern.
-            issue = now
-            read = self.nvm.read(address, now)
-            now = read.complete_ns + self._xor_ns
-            data = bytes(self.line_size)
-        else:
-            if physical != address:
-                stats.reads_redirected += 1
-            # Counter fetch so the OTP overlaps the array read (Fig. 1).
-            slot = self.index.counter_slot(physical)
-            table = "address_map" if slot == "overflow" else slot
-            now += self.metadata.access(table, physical, write=False, now_ns=now, blocking=True)
-            counter = self.index.peek_counter(physical)
-            issue = now
-            read = self.nvm.read(physical, now)
-            self.nvm.energy.add_aes_line()  # OTP generation for decryption
-            now = read.complete_ns + self._xor_ns
-            data = self.cme.decrypt(read.data, physical, counter)
-
-        latency = now - arrival_ns
-        stats.read_latency.add(latency)
-        self._sync_metadata_stats()
-        if self.timeline.enabled:
-            self.timeline.record_read(arrival_ns, latency_ns=latency)
-        tracer = self.tracer
-        if tracer.enabled:
-            redirected = physical is not None and physical != address
-            tracer.span("read.metadata", arrival_ns, issue, redirected=redirected)
-            tracer.span("read.nvm", issue, read.complete_ns, wait_ns=read.wait_ns)
-            tracer.span(
-                "read.crypto", read.complete_ns, now, decrypted=physical is not None
-            )
-            tracer.span("read", arrival_ns, now, redirected=redirected)
-        stages = self.stages
-        if stages.enabled:
-            stages.record("read.metadata", issue - arrival_ns)
-            stages.record("read.nvm", read.complete_ns - issue)
-            stages.record("read.crypto", now - read.complete_ns)
-            stages.record("read", now - arrival_ns)
-        return ReadOutcome(latency_ns=latency, data=data, complete_ns=now)
-
-    # -- batched request interface ---------------------------------------------
-
-    def service_batch(self, batch, cursor, max_requests=None):
-        """Fused single-stream write/read kernel (byte-identical to scalar).
-
-        Inlines the scalar :meth:`write` / :meth:`read` pipelines into the
-        issue loop with every per-request allocation (Write/ReadOutcome,
-        latency-accumulator calls, per-request stats syncs) hoisted into
-        locals that are written back once per batch.  Float arithmetic is
-        performed in exactly the scalar order, so reports are bit-identical
-        — the property suite enforces this per controller.
-
-        Falls back to the generic driver whenever per-request effects are
-        observable (tracer/timeline attached), the scalar methods are
-        overridden, or more than one core stream is active (the fused loop
-        services a single arrival-ordered stream).  A stage accumulator
-        (summary mode) does *not* force the fallback: the kernel collects
-        per-stage durations columnar and flushes them per batch, producing
-        the same per-stage sums the scalar trace spans would aggregate to.
+        Stats counters and latency accumulators are hoisted into locals and
+        written back once per call, and the float arithmetic runs in
+        request order, so reports are byte-identical however a trace is
+        sliced.  An attached tracer gets the per-request spans (reads go
+        through ``nvm.read`` for ``wait_ns``), a timeline gets every
+        request, and a stage accumulator is fed by columnar per-batch
+        flushes.
         """
-        cls = type(self)
-        if (
-            cls.write is not DeWriteController.write
-            or cls.read is not DeWriteController.read
-            or self.tracer.enabled
-            or self.timeline.enabled
-            or len(cursor.active) != 1
-        ):
-            return super().service_batch(batch, cursor, max_requests)
-
         ops = batch.ops
         addresses = batch.addresses
         gaps = batch.gaps
@@ -344,7 +192,7 @@ class DeWriteController(MemoryController):
         compute_cycles = cursor.compute_cycles
         issued = reads = writes = deduplicated = 0
 
-        # Controller internals, hoisted once per batch.
+        # Controller internals, hoisted once per call.
         stats = self.stats
         engine = self.engine
         detect = engine.detect
@@ -359,6 +207,7 @@ class DeWriteController(MemoryController):
         replay = self.metadata.replay
         metadata_access = self.metadata.access
         commit_unique = self._commit_unique
+        nvm_read = self.nvm.read
         nvm_read_done = self.nvm.read_complete_ns
         enable_prediction = self.config.enable_prediction
         predict = self.predictor.predict
@@ -372,12 +221,16 @@ class DeWriteController(MemoryController):
         par_enc = self.config.enable_parallel_encryption
         aes_ns = self._aes_ns
         fp_ns = self.config.fingerprint_latency_ns
+        tracer = self.tracer
+        trace_on = tracer.enabled
+        timeline = self.timeline
+        timeline_on = timeline.enabled
 
         # Summary-mode stage accounting: durations are collected into
-        # plain lists (request order) and flushed once per batch.  The
+        # plain lists (request order) and flushed once per call.  The
         # write.crypto/write.nvm samples of unique writes are recorded by
         # _commit_unique itself, so the wasted-encryption sample below
-        # also records directly to keep that stage's sample order scalar.
+        # also records directly to keep that stage's sample order.
         stages = self.stages
         stage_on = stages.enabled
         stage_record = stages.record
@@ -425,7 +278,7 @@ class DeWriteController(MemoryController):
             compute_cycles += gap * base_cpi
             address = addresses[req]
             if ops[req]:
-                # ---- inlined write() ------------------------------------
+                # ---- write (Fig. 10) ------------------------------------
                 slot = slots[req]
                 line = payload[slot : slot + line_size]
                 if len(line) != line_size:
@@ -437,6 +290,19 @@ class DeWriteController(MemoryController):
                 crc = line_fingerprint(line) if use_crc32 else slow_fingerprint(line)
                 detection = detect(line, crc, arrival, predicted)
                 add_dedup_op()
+                if trace_on:
+                    hash_done = arrival + fp_ns
+                    tracer.span(
+                        "write.hash", arrival, hash_done, fingerprint=self.config.fingerprint
+                    )
+                    tracer.span(
+                        "write.dedup",
+                        hash_done,
+                        detection.done_ns,
+                        duplicate=detection.is_duplicate,
+                        verify_reads=detection.verify_reads,
+                        pna_skipped=detection.pna_skipped,
+                    )
                 v = detection.verify_reads
                 if v:
                     verify_reads_total += v
@@ -451,7 +317,7 @@ class DeWriteController(MemoryController):
                     st_wdedup.append(detection.done_ns - hash_done)
                 target = detection.duplicate_target
                 if target is not None:
-                    # ---- inlined _commit_duplicate() --------------------
+                    # Cancel the write; record the address mapping (§III-B2).
                     writes_deduplicated += 1
                     touches = []
                     apply_duplicate(address, target, touches)
@@ -460,20 +326,23 @@ class DeWriteController(MemoryController):
                     if not is_direct and (
                         is_parallel or (par_enc and not predicted)
                     ):
+                        # The speculative encryption was wasted: energy only.
                         add_aes_line()
                         wasted_encryptions += 1
+                        if trace_on:
+                            tracer.span(
+                                "write.crypto", arrival, arrival + aes_ns, wasted=True
+                            )
                         if stage_on:
                             stage_record("write.crypto", arrival + aes_ns - arrival)
-                    latency = complete - arrival
                     dedup = True
                     deduplicated += 1
                 else:
-                    outcome = commit_unique(
+                    complete = commit_unique(
                         address, line, crc, detection, predicted, arrival
                     )
-                    latency = outcome.latency_ns
-                    complete = outcome.complete_ns
                     dedup = False
+                latency = complete - arrival
                 if enable_prediction:
                     score(predicted, dedup)
                 if stage_on:
@@ -484,6 +353,16 @@ class DeWriteController(MemoryController):
                     wl_max = latency
                 if wl_count == 1 or latency < wl_min:
                     wl_min = latency
+                if timeline_on:
+                    timeline.record_write(arrival, deduplicated=dedup, latency_ns=latency)
+                if trace_on:
+                    tracer.span(
+                        "write",
+                        arrival,
+                        complete,
+                        deduplicated=dedup,
+                        predicted_dup=predicted,
+                    )
                 writes += 1
                 if persistent[req]:
                     now = complete
@@ -491,32 +370,35 @@ class DeWriteController(MemoryController):
                 else:
                     now = arrival
             else:
-                # ---- inlined read() -------------------------------------
-                # The issue loop discards ReadOutcome.data, so the plaintext
-                # reconstruction (OTP decrypt / zero-line materialisation)
-                # is skipped; its timing surrogates (metadata access, array
-                # read, AES energy, xor latency) are all still charged.
+                # ---- read (Fig. 11) -------------------------------------
                 if not 0 <= address < data_lines:
                     self._check_data_address(address)
                 reads_requested += 1
+                # Address-mapping lookup is on the critical path (§IV-C2).
                 rnow = arrival + metadata_access(
                     "address_map", address, False, arrival, True
                 )
                 physical = physical_of(address)
                 if physical is None:
-                    issue = rnow
-                    rc = nvm_read_done(address, rnow)
-                    rnow = rc + xor_ns
+                    # Never-written line: the array read happens regardless.
+                    source = address
                 else:
                     if physical != address:
                         reads_redirected += 1
+                    # Counter fetch so the OTP overlaps the array read (Fig. 1).
                     slot_table = counter_slot(physical)
                     if slot_table == "overflow":
                         slot_table = "address_map"
                     rnow += metadata_access(slot_table, physical, False, rnow, True)
-                    issue = rnow
-                    rc = nvm_read_done(physical, rnow)
-                    rnow = rc + xor_ns
+                    source = physical
+                issue = rnow
+                if trace_on:
+                    fetched = nvm_read(source, issue)
+                    rc = fetched.complete_ns
+                else:
+                    rc = nvm_read_done(source, issue)
+                rnow = rc + xor_ns
+                if physical is not None:
                     add_aes_line()
                 if stage_on:
                     st_rmeta.append(issue - arrival)
@@ -530,6 +412,14 @@ class DeWriteController(MemoryController):
                     rl_max = latency
                 if rl_count == 1 or latency < rl_min:
                     rl_min = latency
+                if timeline_on:
+                    timeline.record_read(arrival, latency_ns=latency)
+                if trace_on:
+                    redirected = physical is not None and physical != address
+                    tracer.span("read.metadata", arrival, issue, redirected=redirected)
+                    tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
+                    tracer.span("read.crypto", rc, rnow, decrypted=physical is not None)
+                    tracer.span("read", arrival, rnow, redirected=redirected)
                 exposed = latency * exposure
                 now = arrival + exposed
                 stall_cycles += exposed * clock
@@ -569,6 +459,8 @@ class DeWriteController(MemoryController):
             record_many("read.nvm", st_rnvm)
             record_many("read.crypto", st_rcrypto)
             record_many("read", st_read)
+        if issued:
+            self._complete_ns = complete if ops[req] else rnow
 
         cursor.positions[core] = position
         cursor.core_time[core] = now
@@ -577,7 +469,7 @@ class DeWriteController(MemoryController):
         cursor.instructions = instructions
         cursor.stall_cycles = stall_cycles
         cursor.compute_cycles = compute_cycles
-        return BatchOutcome(issued, reads, writes, deduplicated)
+        return issued, reads, writes, deduplicated
 
     # -- maintenance -----------------------------------------------------------
 
@@ -615,12 +507,6 @@ class DeWriteController(MemoryController):
         )
         return int.from_bytes(digest, "big")
 
-    def _predict(self) -> bool:
-        """Duplication-state prediction steering PNA (all modes use it)."""
-        if not self.config.enable_prediction:
-            return False
-        return self.predictor.predict()
-
     def _encrypted_in_parallel(self, predicted_dup: bool) -> bool:
         """Whether encryption ran concurrently with detection (§III-A).
 
@@ -633,12 +519,6 @@ class DeWriteController(MemoryController):
         if self.mode == "parallel":
             return True
         return self.config.enable_parallel_encryption and not predicted_dup
-
-    def _score_prediction(self, predicted_dup: bool, was_duplicate: bool) -> None:
-        if self.config.enable_prediction:
-            self.predictor.complete(predicted_dup, was_duplicate)
-            self.stats.predictions = self.predictor.predictions
-            self.stats.correct_predictions = self.predictor.correct
 
     def _sync_metadata_stats(self) -> None:
         self.stats.metadata_reads = self.metadata.metadata_reads

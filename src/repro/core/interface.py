@@ -6,26 +6,24 @@ Shredder — services the same two requests against the same
 :class:`repro.nvm.NvmMainMemory` device, so the system simulator and all
 experiments are controller-agnostic.
 
-Controllers are addressed either one request at a time (:meth:`write` /
-:meth:`read`) or a batch at a time (:meth:`service_batch`), the latter being
-the hot path: the simulator hands the controller an
-:class:`~repro.workloads.batch.AccessBatch` plus a
-:class:`~repro.core.batching.BatchCursor` and the controller owns the issue
-loop, which lets subclasses fuse crypto/hash/dedup work across requests.
-The default implementation drives ``write``/``read``, so every controller
-is batch-addressable without opting in; it also merges multi-stream
-cursors for the fused kernels, which service one stream at a time.
+Each controller has one request pipeline: its single-stream kernel
+:meth:`MemoryController._service_stream`, which also feeds every attached
+observer.  Everything else is defined once, here:
 
-The CME family (:mod:`repro.baselines`) has one pipeline per controller:
-its single-stream kernel behind ``service_batch``, which also feeds every
-observer; its ``write``/``read`` run one request through that kernel.
-DeWrite still keeps a scalar ``write``/``read`` beside its kernel.
+- :meth:`~MemoryController.service_batch` is the hot path.  The simulator
+  hands it an :class:`~repro.workloads.batch.AccessBatch` plus a
+  :class:`~repro.core.batching.BatchCursor`; one active stream goes
+  straight to the kernel, and a multi-stream cursor is merged here and
+  handed to the kernel one request at a time.
+- :meth:`~MemoryController.write` / :meth:`~MemoryController.read` run one
+  request through the kernel on a reusable one-row batch.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, NamedTuple
+from array import array
+from typing import NamedTuple
 
 from repro.core.batching import BatchCursor, BatchOutcome
 from repro.nvm.memory import NvmMainMemory
@@ -33,9 +31,7 @@ from repro.obs.metrics import registry
 from repro.obs.stages import NULL_STAGES, StagesLike
 from repro.obs.timeline import NULL_TIMELINE, TimelineLike
 from repro.obs.trace import NULL_TRACER, TracerLike
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.workloads.batch import AccessBatch
+from repro.workloads.batch import OP_READ, OP_WRITE, AccessBatch
 
 
 class WriteOutcome(NamedTuple):
@@ -70,6 +66,20 @@ class MemoryController(abc.ABC):
         self.tracer: TracerLike = NULL_TRACER
         self.timeline: TimelineLike = NULL_TIMELINE
         self.stages: StagesLike = NULL_STAGES
+        # The one-row batch and cursor write()/read() stage each request
+        # in, and the completion time of the last request a kernel serviced.
+        self._request = AccessBatch(
+            bytearray(1), array("i", [0]), array("q", [0]), array("q", [0]),
+            b"\x01", b"", array("q", [0]), self.line_size,
+        )
+        self._request_cursor = BatchCursor(
+            self._request,
+            ns_per_instruction=1.0,
+            read_stall_exposure=1.0,
+            clock_ghz=1.0,
+            base_cpi=1.0,
+        )
+        self._complete_ns = 0.0
 
     # -- observability ----------------------------------------------------------
 
@@ -89,13 +99,10 @@ class MemoryController(abc.ABC):
         Subclasses with instrumented internals override
         :meth:`_propagate_observers` to forward the observers to them.
 
-        Observability modes and the batch path: the CME-family kernels
-        feed a *tracer* or *timeline* per request themselves, so attaching
-        one never changes their path.  On DeWrite a tracer or timeline
-        forces the fused kernel back onto the scalar loop (counted in
-        ``batch.fallback.*``).  Attaching only a *stages* accumulator is
-        **summary mode** — every fused kernel feeds it with columnar
-        per-batch flushes and stays fused.
+        Observers never change the path a request takes: every kernel
+        feeds a *tracer* or *timeline* per request itself, and a *stages*
+        accumulator alone (**summary mode**) with columnar per-batch
+        flushes.
         """
         if tracer is not None:
             self.tracer = tracer
@@ -110,15 +117,56 @@ class MemoryController(abc.ABC):
     def _propagate_observers(self, tracer: TracerLike, timeline: TimelineLike) -> None:
         """Hook for subclasses to hand the observers to internal components."""
 
-    # -- scalar request interface ----------------------------------------------
+    # -- one-request interface ---------------------------------------------------
 
-    @abc.abstractmethod
     def write(self, address: int, data: bytes, arrival_ns: float) -> WriteOutcome:
-        """Service a line write arriving at ``arrival_ns``."""
+        """Service one line write as a one-request batch through the kernel."""
+        if len(data) != self.line_size:
+            # The kernel slices the payload to one line: check the caller's bytes.
+            self._check_line(data)
+        batch = self._request
+        batch.ops[0] = OP_WRITE
+        batch.addresses[0] = address
+        batch.payload = data
+        latency_ns, deduplicated = self._service_request(arrival_ns)
+        return WriteOutcome(
+            latency_ns=latency_ns,
+            deduplicated=deduplicated == 1,
+            complete_ns=self._complete_ns,
+        )
 
-    @abc.abstractmethod
     def read(self, address: int, arrival_ns: float) -> ReadOutcome:
-        """Service a line read arriving at ``arrival_ns``."""
+        """Service one line read as a one-request batch through the kernel."""
+        batch = self._request
+        batch.ops[0] = OP_READ
+        batch.addresses[0] = address
+        latency_ns, _ = self._service_request(arrival_ns)
+        return ReadOutcome(
+            latency_ns=latency_ns,
+            data=self._plaintext(address),
+            complete_ns=self._complete_ns,
+        )
+
+    def _service_request(self, arrival_ns: float) -> tuple[float, int]:
+        """Run the staged one-row batch through this class's kernel.
+
+        The row has gap 0 and is persistent, and the cursor's exposure and
+        clock are 1.0, so the request arrives at ``arrival_ns`` and its
+        ``stall_cycles`` equal its latency exactly.  Returns that latency
+        and the number of writes the kernel eliminated (0 or 1).
+        """
+        cursor = self._request_cursor
+        cursor.positions[0] = 0
+        cursor.core_time[0] = arrival_ns
+        cursor.active.add(0)
+        cursor.stall_cycles = 0.0
+        deduplicated = self._service_stream(self._request, cursor)[3]
+        return cursor.stall_cycles / cursor.clock_ghz, deduplicated
+
+    def _plaintext(self, address: int) -> bytes:
+        """The plaintext line ``address`` holds now (functional, untimed);
+        :meth:`read` rebuilds its data through it."""
+        raise NotImplementedError(f"{type(self).__name__} cannot rebuild plaintext")
 
     # -- batched request interface ---------------------------------------------
 
@@ -133,133 +181,68 @@ class MemoryController(abc.ABC):
         Requests are issued in global arrival order (the per-core streams
         are merged by next arrival time, ties broken as the scalar
         simulator loop breaks them), and the cursor's clocks and cycle
-        accumulators advance exactly as that loop advances them — this
-        equivalence is the contract subclassed kernels must preserve and
-        the property suite enforces.
+        accumulators advance exactly as that loop advances them.
 
-        The base implementation simply drives :meth:`write` / :meth:`read`
-        one request at a time; fused kernels hand it the cursors they do
-        not service themselves (more than one active stream, or DeWrite's
-        observed and overridden cases) and it counts each such hand-off
-        in ``batch.fallback.*``.
+        One active stream goes to the kernel in one call.  A multi-stream
+        cursor is counted in ``batch.fallback.multi_stream`` and merged
+        here: each request is handed to the kernel alone, with
+        ``cursor.active`` narrowed to the chosen core, until one stream is
+        left, whose remainder goes to the kernel in one call.
         """
-        if cursor.active and type(self).service_batch is not MemoryController.service_batch:
-            # A fused kernel bailed out to this scalar-driving loop.  The
-            # fallback is correct but silent; count why it happened so
-            # `repro stats` and the overhead gate can see it.
-            if self.tracer.enabled:
-                reason = "tracer"
-            elif self.timeline.enabled:
-                reason = "timeline"
-            elif len(cursor.active) > 1:
-                reason = "multi_stream"
-            else:
-                reason = "overridden_scalar"
-            registry().counter(f"batch.fallback.{reason}").inc()
-        ops = batch.ops
-        addresses = batch.addresses
-        gaps = batch.gaps
-        persistent = batch.persistent
-        slots = batch.slots
-        payload = batch.payload
-        line_size = batch.line_size
+        active = cursor.active
+        if len(active) > 1:
+            registry().counter("batch.fallback.multi_stream").inc()
+        service = self._service_stream
         streams = cursor.streams
         positions = cursor.positions
         core_time = cursor.core_time
-        active = cursor.active
+        gaps = batch.gaps
         npi = cursor.ns_per_instruction
-        exposure = cursor.read_stall_exposure
-        clock = cursor.clock_ghz
-        base_cpi = cursor.base_cpi
-        write = self.write
-        read = self.read
-
-        instructions = cursor.instructions
-        stall_cycles = cursor.stall_cycles
-        compute_cycles = cursor.compute_cycles
-        issued = reads = writes = deduplicated = 0
 
         def next_arrival(core: int) -> float:
             return core_time[core] + gaps[streams[core][positions[core]]] * npi
 
-        while active and issued != max_requests:
-            if len(active) == 1:
-                # Single-stream fast path: with one active core there is
-                # nothing to merge, so the per-iteration min()/dict traffic
-                # collapses to sequential replay over plain locals.  Every
-                # arithmetic operation matches the general path exactly.
-                core = next(iter(active))
-                stream = streams[core]
-                position = positions[core]
-                length = len(stream)
-                now = core_time[core]
-                while position < length and issued != max_requests:
-                    index = stream[position]
-                    gap = gaps[index]
-                    arrival = now + gap * npi
-                    instructions += gap
-                    compute_cycles += gap * base_cpi
-                    if ops[index]:
-                        slot = slots[index]
-                        outcome = write(
-                            addresses[index], payload[slot : slot + line_size], arrival
-                        )
-                        writes += 1
-                        if outcome.deduplicated:
-                            deduplicated += 1
-                        if persistent[index]:
-                            now = outcome.complete_ns
-                            stall_cycles += outcome.latency_ns * clock
-                        else:
-                            now = arrival
-                    else:
-                        outcome = read(addresses[index], arrival)
-                        exposed = outcome.latency_ns * exposure
-                        now = arrival + exposed
-                        stall_cycles += exposed * clock
-                        reads += 1
-                    issued += 1
-                    position += 1
-                positions[core] = position
-                core_time[core] = now
-                if position >= length:
-                    active.discard(core)
-                continue
-            core = min(active, key=next_arrival)
-            stream = streams[core]
-            position = positions[core]
-            index = stream[position]
-            gap = gaps[index]
-            arrival = core_time[core] + gap * npi
-            instructions += gap
-            compute_cycles += gap * base_cpi
-            if ops[index]:
-                slot = slots[index]
-                outcome = write(addresses[index], payload[slot : slot + line_size], arrival)
-                writes += 1
-                if outcome.deduplicated:
-                    deduplicated += 1
-                if persistent[index]:
-                    core_time[core] = outcome.complete_ns
-                    stall_cycles += outcome.latency_ns * clock
+        issued = reads = writes = deduplicated = 0
+        narrowed: set[int] = set()
+        cursor.active = narrowed
+        try:
+            while len(active) > 1 and issued != max_requests:
+                core = min(active, key=next_arrival)
+                narrowed.add(core)
+                _, done_reads, done_writes, done_dedup = service(batch, cursor, 1)
+                issued += 1
+                reads += done_reads
+                writes += done_writes
+                deduplicated += done_dedup
+                if narrowed:
+                    narrowed.clear()
                 else:
-                    core_time[core] = arrival
-            else:
-                outcome = read(addresses[index], arrival)
-                exposed = outcome.latency_ns * exposure
-                core_time[core] = arrival + exposed
-                stall_cycles += exposed * clock
-                reads += 1
-            issued += 1
-            position += 1
-            positions[core] = position
-            if position >= len(stream):
-                active.discard(core)
-
-        cursor.instructions = instructions
-        cursor.stall_cycles = stall_cycles
-        cursor.compute_cycles = compute_cycles
+                    active.discard(core)
+        finally:
+            cursor.active = active
+        if active and issued != max_requests:
+            budget = None if max_requests is None else max_requests - issued
+            done, done_reads, done_writes, done_dedup = service(batch, cursor, budget)
+            issued += done
+            reads += done_reads
+            writes += done_writes
+            deduplicated += done_dedup
         return BatchOutcome(issued, reads, writes, deduplicated)
+
+    @abc.abstractmethod
+    def _service_stream(
+        self,
+        batch: AccessBatch,
+        cursor: BatchCursor,
+        max_requests: int | None = None,
+    ) -> tuple[int, int, int, int]:
+        """The controller's pipeline over the cursor's one active stream.
+
+        Services up to ``max_requests`` requests, advances the cursor as
+        the scalar simulator loop would, sets ``_complete_ns`` to the last
+        request's completion time and returns the ``(serviced, reads,
+        writes, deduplicated)`` counts.
+        """
 
     # -- helpers ----------------------------------------------------------------
 

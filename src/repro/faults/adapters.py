@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any
 from repro.faults.journal import DurableState, MetadataUpdate
 
 if TYPE_CHECKING:
-    from repro.core.interface import MemoryController, WriteOutcome
+    from repro.core.interface import MemoryController
 
 
 class UnsupportedControllerError(TypeError):
@@ -53,7 +53,7 @@ class ControllerFaultAdapter(ABC):
 
     @abstractmethod
     def updates_for_write(
-        self, address: int, data: bytes, outcome: "WriteOutcome", snapshot: Any
+        self, address: int, data: bytes, complete_ns: float, snapshot: Any
     ) -> list[MetadataUpdate]:
         """Semantic metadata updates the committed write implied, stamped
         at the write's completion time."""
@@ -91,10 +91,10 @@ class DedupFamilyAdapter(ControllerFaultAdapter):
         return self.controller.index.physical_of(address)
 
     def updates_for_write(
-        self, address: int, data: bytes, outcome: "WriteOutcome", snapshot: Any
+        self, address: int, data: bytes, complete_ns: float, snapshot: Any
     ) -> list[MetadataUpdate]:
         index = self.controller.index
-        ns = outcome.complete_ns
+        ns = complete_ns
         new_phys = index.physical_of(address)
         if new_phys is None:
             raise RuntimeError(f"write of line {address} left it unmapped")
@@ -142,9 +142,9 @@ class SecureFamilyAdapter(ControllerFaultAdapter):
         return controller._counters.get(address, 0)
 
     def updates_for_write(
-        self, address: int, data: bytes, outcome: "WriteOutcome", snapshot: Any
+        self, address: int, data: bytes, complete_ns: float, snapshot: Any
     ) -> list[MetadataUpdate]:
-        ns = outcome.complete_ns
+        ns = complete_ns
         return [
             MetadataUpdate(ns, "map", address, address),
             MetadataUpdate(ns, "ctr", address, self._counter_of(address)),
@@ -179,12 +179,12 @@ class ShredderAdapter(SecureFamilyAdapter):
     family = "shredder"
 
     def updates_for_write(
-        self, address: int, data: bytes, outcome: "WriteOutcome", snapshot: Any
+        self, address: int, data: bytes, complete_ns: float, snapshot: Any
     ) -> list[MetadataUpdate]:
         if address in self.controller._shredded:
             # The write was cancelled; only the shred mark must persist.
-            return [MetadataUpdate(outcome.complete_ns, "shred", address)]
-        return super().updates_for_write(address, data, outcome, snapshot)
+            return [MetadataUpdate(complete_ns, "shred", address)]
+        return super().updates_for_write(address, data, complete_ns, snapshot)
 
 
 class INvmmAdapter(SecureFamilyAdapter):
@@ -198,10 +198,10 @@ class INvmmAdapter(SecureFamilyAdapter):
         return next(iter(self.controller._hot), None)
 
     def updates_for_write(
-        self, address: int, data: bytes, outcome: "WriteOutcome", snapshot: Any
+        self, address: int, data: bytes, complete_ns: float, snapshot: Any
     ) -> list[MetadataUpdate]:
         controller = self.controller
-        ns = outcome.complete_ns
+        ns = complete_ns
         # Every i-NVMM write makes the line hot and stores it in plaintext
         # with its counter invalidated.
         updates = [MetadataUpdate(ns, "plain", address)]

@@ -1,13 +1,15 @@
 """Crash simulation: power loss mid-run, recovery, audit, and resumption.
 
 :class:`CrashSimulator` wraps any registered memory controller behind the
-standard :class:`~repro.core.interface.MemoryController` surface.  On
-every forwarded request it:
+standard :class:`~repro.core.interface.MemoryController` surface.  Its
+kernel hands each request alone to the wrapped controller's kernel, and
+around it:
 
 1. checks the :class:`~repro.faults.plan.FaultPlan`'s sim-time power-loss
-   trigger and raises :class:`PowerLossError` *before* issuing the doomed
-   request, which ends the run;
-2. feeds every committed write to the
+   trigger against the request's arrival and raises
+   :class:`PowerLossError` *before* issuing the doomed request, which
+   ends the run;
+2. feeds every committed write, read from the batch payload, to the
    :class:`~repro.workloads.oracle.ReplayOracle` (ground truth) and asks
    the controller's fault adapter which semantic metadata updates the
    write implied, journaling them
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.batching import BatchCursor
-from repro.core.interface import MemoryController, ReadOutcome, WriteOutcome
+from repro.core.interface import MemoryController
 from repro.core.persistence import MetadataPersistenceConfig
 from repro.faults.adapters import adapter_for
 from repro.faults.audit import ConsistencyAuditor, ConsistencyReport
@@ -88,6 +90,9 @@ class CrashSimulator(MemoryController):
     def _propagate_observers(self, tracer: TracerLike, timeline) -> None:
         self.inner.attach_observers(tracer=tracer, timeline=timeline)
 
+    def _plaintext(self, address: int) -> bytes:
+        return self.inner._plaintext(address)
+
     def _maybe_crash(self, arrival_ns: float) -> None:
         """Pull the plug before the current request if its arrival is past
         the plan's sim-time trigger (ordinal triggers are :class:`CrashRun`
@@ -99,22 +104,44 @@ class CrashSimulator(MemoryController):
             raise PowerLossError(max(self.last_complete_ns, loss_ns))
         self.accesses += 1
 
-    def write(self, address: int, data: bytes, arrival_ns: float) -> WriteOutcome:
-        self._maybe_crash(arrival_ns)
-        snapshot = self.adapter.snapshot_before_write(address)
-        outcome = self.inner.write(address, data, arrival_ns)
-        self.oracle.observe_write(address, data)
-        self.journal.extend(self.adapter.updates_for_write(address, data, outcome, snapshot))
-        if outcome.complete_ns > self.last_complete_ns:
-            self.last_complete_ns = outcome.complete_ns
-        return outcome
-
-    def read(self, address: int, arrival_ns: float) -> ReadOutcome:
-        self._maybe_crash(arrival_ns)
-        outcome = self.inner.read(address, arrival_ns)
-        if outcome.complete_ns > self.last_complete_ns:
-            self.last_complete_ns = outcome.complete_ns
-        return outcome
+    def _service_stream(self, batch, cursor, max_requests=None):
+        """Hand each request alone to the wrapped kernel, around the hooks."""
+        inner = self.inner
+        service = inner._service_stream
+        adapter = self.adapter
+        ops = batch.ops
+        addresses = batch.addresses
+        gaps = batch.gaps
+        slots = batch.slots
+        line_size = batch.line_size
+        npi = cursor.ns_per_instruction
+        core = next(iter(cursor.active))
+        stream = cursor.streams[core]
+        positions = cursor.positions
+        core_time = cursor.core_time
+        serviced = reads = writes = deduplicated = 0
+        while cursor.active and serviced != max_requests:
+            req = stream[positions[core]]
+            self._maybe_crash(core_time[core] + gaps[req] * npi)
+            address = addresses[req]
+            if ops[req]:
+                snapshot = adapter.snapshot_before_write(address)
+                deduplicated += service(batch, cursor, 1)[3]
+                slot = slots[req]
+                data = batch.payload[slot : slot + line_size]
+                self.oracle.observe_write(address, data)
+                self.journal.extend(
+                    adapter.updates_for_write(address, data, inner._complete_ns, snapshot)
+                )
+                writes += 1
+            else:
+                service(batch, cursor, 1)
+                reads += 1
+            serviced += 1
+            if inner._complete_ns > self.last_complete_ns:
+                self.last_complete_ns = inner._complete_ns
+        self._complete_ns = inner._complete_ns
+        return serviced, reads, writes, deduplicated
 
 
 @dataclass(frozen=True)

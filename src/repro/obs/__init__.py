@@ -23,9 +23,8 @@ The observability layer for the simulator stack:
 - :mod:`repro.obs.bench` — the continuous microbenchmark harness and its
   ``BENCH_<gitsha>.json`` regression gate (``python -m repro bench``);
 - :mod:`repro.obs.stages` — summary-mode per-stage latency accounting
-  (:class:`~repro.obs.stages.StageAccumulator`) that the fused batch
-  kernels feed with columnar flushes, keeping them fused where full
-  tracing would force DeWrite's scalar path;
+  (:class:`~repro.obs.stages.StageAccumulator`) that the batch kernels
+  feed with columnar flushes, far cheaper than full tracing;
 - :mod:`repro.obs.profile` — the deterministic batch profiler behind
   ``python -m repro profile`` (stage tables, collapsed-stack
   flamegraphs, per-batch wall timing kept out of sim state).

@@ -47,9 +47,9 @@ from repro.obs.trace import percentile
 #: on cache warmth (a warm run executes zero jobs), not on what the
 #: simulation computed.  They compare informationally, so two runs of the
 #: same figure at the same SHA diff clean whatever the cache state.
-#: ``batch.fallback.*`` counts batches driven down the scalar path (a
-#: property of which observers were attached, not of the simulated
-#: results — fused and scalar paths are equivalence-tested identical).
+#: ``batch.fallback.*`` counts multi-stream batches merged one request at
+#: a time (a property of how the trace was sliced, not of the simulated
+#: results — both paths are equivalence-tested identical).
 #: ``events.*`` counts live-telemetry records emitted/dropped, a property
 #: of whether an event sink was attached and how healthy it was.
 _ENVIRONMENT_COUNTER_PREFIXES = ("jobs.", "simulations", "batch.fallback.", "events.")
@@ -292,7 +292,7 @@ def diff_stage_sections(
     """Summary-mode stage divergences: ``(notes, stages compared)``.
 
     Stage totals are functions of the simulated clock only (the
-    reconciliation suite pins them to the scalar trace spans), so any
+    reconciliation suite pins them to the trace spans), so any
     count/total/min/max/bucket mismatch is drift.
     """
     return _diff_section(

@@ -4,7 +4,9 @@ CI runs ``python -m repro.obs.overhead --budget 0.15`` to pin the promise
 the observability layer makes: with a live :class:`~repro.obs.trace.Tracer`
 attached, a full simulation must stay within the budgeted fraction of the
 untraced wall time (and with tracing *disabled* the cost is one attribute
-check per instrumentation site, which no timer can see).
+check per instrumentation site, which no timer can see).  Every arm also
+fails on any ``batch.fallback.*`` increment: attaching an observer must
+never change the path a request takes.
 
 Runs are interleaved (untraced, traced, untraced, traced, ...) and the
 minimum per mode is compared, which suppresses one-off scheduler noise on
@@ -48,19 +50,20 @@ def measure(
 
     ``with_stages`` measures the *summary mode* instead: the
     instrumented arm attaches only a
-    :class:`~repro.obs.stages.StageAccumulator` (no tracer), which must
-    keep the fused batch kernels active — the result carries the
-    ``batch.fallback.*`` counters observed during the instrumented runs
-    under ``"fallbacks"``, and the gate fails if any fired.
+    :class:`~repro.obs.stages.StageAccumulator` (no tracer).
+
+    Every arm's result carries the ``batch.fallback.*`` counters observed
+    during the measured runs under ``"fallbacks"``, and the gate fails if
+    any fired.
 
     ``with_events`` measures the *live telemetry* path: the instrumented
     arm attaches a StageAccumulator **and** streams schema-v1 lifecycle
     records plus a full metrics+stages snapshot per run through an
     :class:`~repro.obs.events.EventBus` onto a JSONL sink — emission
     happens inside the timed interval, so the budget covers everything
-    ``repro run --events`` adds.  Carries the same ``"fallbacks"``
-    verdict as ``with_stages``, plus an ``"events"`` section with the
-    emitted/dropped counts and the stream path for schema validation.
+    ``repro run --events`` adds.  Its result adds an ``"events"``
+    section with the emitted/dropped counts and the stream path for
+    schema validation.
     """
     if with_stages + with_timeline + with_events > 1:
         raise ValueError(
@@ -161,23 +164,20 @@ def measure(
         "traced_s": traced,
         "overhead": overhead,
     }
-    if with_stages or with_events:
-        # Neither summary mode nor the live event path may knock a kernel
-        # off the fused path: any batch.fallback.* increment during the
-        # measured runs means the instrumentation itself caused scalar
-        # fallbacks.  Compare against the pre-measurement snapshot so
-        # counters accumulated by earlier work in this process don't leak
-        # into the verdict.
-        snapshot = registry()
-        result["fallbacks"] = {
-            name: delta
-            for name in snapshot.names()
-            if name.startswith("batch.fallback.")
-            and (
-                delta := snapshot.get(name).value  # type: ignore[union-attr]
-                - fallbacks_before.get(name, 0.0)
-            )
-        }
+    # No observer may change the path: any batch.fallback.* increment
+    # during the measured runs fails the gate.  Compare against the
+    # pre-measurement snapshot so counters accumulated by earlier work in
+    # this process don't leak into the verdict.
+    snapshot = registry()
+    result["fallbacks"] = {
+        name: delta
+        for name in snapshot.names()
+        if name.startswith("batch.fallback.")
+        and (
+            delta := snapshot.get(name).value  # type: ignore[union-attr]
+            - fallbacks_before.get(name, 0.0)
+        )
+    }
     if with_events and events_bus is not None:
         events_bus.close()
         result["events"] = {
@@ -208,15 +208,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--with-stages", action="store_true",
-        help="measure summary mode instead: attach only a StageAccumulator "
-        "(fused kernels must stay active — any batch fallback fails the gate)",
+        help="measure summary mode instead: attach only a StageAccumulator",
     )
     parser.add_argument(
         "--with-events", action="store_true",
         help="measure the live telemetry path: StageAccumulator plus an "
         "EventBus streaming lifecycle records and per-run snapshots to "
-        "JSONL (fused kernels must stay active; emitted records are "
-        "schema-validated)",
+        "JSONL (emitted records are schema-validated)",
     )
     args = parser.parse_args(argv)
     result = measure(
@@ -243,15 +241,14 @@ def main(argv: list[str] | None = None) -> int:
         f"(budget {args.budget:.0%}, {result['app']}/{result['accesses']} accesses, "
         f"{result['pairs']} pairs)"
     )
-    if args.with_stages or args.with_events:
-        fallbacks = result.get("fallbacks", {})
-        if fallbacks:
-            stdout_line(
-                "instrumentation knocked kernels off the fused path: "
-                + ", ".join(f"{name}={value:g}" for name, value in sorted(fallbacks.items()))
-            )
-            return 1
-        stdout_line("fused kernels stayed active (zero batch.fallback.* increments)")
+    fallbacks = result["fallbacks"]
+    if fallbacks:
+        stdout_line(
+            "instrumentation knocked kernels off the fused path: "
+            + ", ".join(f"{name}={value:g}" for name, value in sorted(fallbacks.items()))
+        )
+        return 1
+    stdout_line("fused kernels stayed active (zero batch.fallback.* increments)")
     if args.with_events:
         from repro.obs.events import read_events, validate_event
 

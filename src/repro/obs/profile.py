@@ -1,17 +1,17 @@
 """Deterministic per-kernel batch profiler (``python -m repro profile``).
 
-Full tracing answers "where did the *simulated* time go?" but forces
-DeWrite's fused ``service_batch`` kernel onto the scalar path, so it cannot
-answer "where does the *host* time go while the kernels are fused?".  This
-module profiles the fast path without perturbing it:
+Full tracing answers "where did the *simulated* time go?" one span per
+stage occurrence, which is too heavy to answer "where does the *host*
+time go in the kernels?".  This module profiles the fast path without
+perturbing it:
 
 - a :class:`BatchProfiler` wraps the controller's ``service_batch`` as an
   **instance attribute** (the simulator dispatches through the instance;
-  the fused kernels' class-identity bail checks never see the wrapper)
-  and brackets each batch call with ``time.perf_counter_ns``;
+  the class and every other instance are untouched) and brackets each
+  batch call with ``time.perf_counter_ns``;
 - sim-time attribution inside each kernel comes from an attached
-  :class:`~repro.obs.stages.StageAccumulator` (summary mode), which keeps
-  the kernels fused;
+  :class:`~repro.obs.stages.StageAccumulator` (summary mode), fed with
+  columnar per-batch flushes;
 - wall-clock numbers live only in the profiler object — never in
   simulator or controller state — so the serialised
   :class:`~repro.system.metrics.SimulationReport` of a profiled run stays
@@ -98,8 +98,7 @@ class BatchProfiler:
                 self.wall_ns_max = elapsed
             return outcome
 
-        # Shadow via the instance so the class-identity checks inside the
-        # fused kernels (and their super() chain) are untouched.
+        # Shadow via the instance so the class stays untouched.
         controller.service_batch = timed_service_batch  # type: ignore[method-assign]
         self._attached = True
         return self

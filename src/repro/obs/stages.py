@@ -1,12 +1,11 @@
 """Batch-native per-stage latency accounting for the fused kernels.
 
 Full tracing (:mod:`repro.obs.trace`) records one span per request per
-stage — that fidelity is why the fused ``service_batch`` kernels bail to
-the scalar loop the moment a tracer is attached.  This module is the
-*summary* mode that keeps them fused: a :class:`StageAccumulator` holds
-one fixed-bucket :class:`~repro.obs.metrics.Histogram` per pipeline
-stage (count / latency sum / min / max / bucket counts) and the kernels
-feed it with columnar per-batch flushes instead of per-request spans.
+stage, which costs an allocation per span.  This module is the
+*summary* mode: a :class:`StageAccumulator` holds one fixed-bucket
+:class:`~repro.obs.metrics.Histogram` per pipeline stage (count /
+latency sum / min / max / bucket counts) and the kernels feed it with
+columnar per-batch flushes instead of per-request spans.
 
 Design contract (mirrors :class:`~repro.obs.metrics.MetricsRegistry`
 and :class:`~repro.obs.timeline.TimelineCollector`):
@@ -22,7 +21,7 @@ and :class:`~repro.obs.timeline.TimelineCollector`):
   The kernels guarantee this by recording the *same* ``end - start``
   float expressions the spans would have carried, and
   :meth:`~StageAccumulator.record_many` accumulates samples one at a
-  time (never ``sum()``) so a columnar flush reproduces the scalar
+  time (never ``sum()``) so a columnar flush reproduces the per-sample
   accumulation order exactly.  ``tests/system/test_stage_reconciliation``
   enforces this for every registered controller.
 """
@@ -81,8 +80,8 @@ class StageAccumulator:
         """Account a columnar batch of samples for one stage.
 
         Samples are folded in one at a time, in order — the float sums
-        this produces are bit-identical to the scalar path recording the
-        same durations individually, which is what the reconciliation
+        this produces are bit-identical to :meth:`record` of the same
+        durations one by one, which is what the reconciliation
         suite asserts.  An empty batch records nothing (and never creates
         an empty stage, so flushed-but-unused stages don't appear).
         """

@@ -5,8 +5,7 @@ synthesizes its slice of the global seeded tenant stream (routed once per
 worker process by :func:`repro.workloads.tenants.route_accesses`), sizes
 a private NVM device from the tenants it actually carved space for, and
 drives the controller through the fused batch path with a summary-mode
-:class:`~repro.obs.stages.StageAccumulator` attached (full tracing would
-force the scalar loop).  Jobs are content-keyed :class:`JobSpec`\\ s, so
+:class:`~repro.obs.stages.StageAccumulator` attached.  Jobs are content-keyed :class:`JobSpec`\\ s, so
 the runner's cache, memoisation, dedup, retry-once and parallel transport
 all apply unchanged, and a sharded run with ``--parallel N`` is
 bit-identical to the same plan executed serially.

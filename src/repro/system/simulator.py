@@ -24,8 +24,11 @@ Two execution paths produce byte-identical reports:
   in ``batch_size``-request slices, letting controllers fuse crypto/hash
   work across a burst;
 - the **scalar path** (``batch_size=None``): the original per-access loop,
-  kept as the executable reference semantics the equivalence property
-  tests compare against.
+  which drives the same kernels one request at a time through
+  :meth:`~repro.core.interface.MemoryController.write` /
+  :meth:`~repro.core.interface.MemoryController.read`.  The equivalence
+  property tests compare the two; the reference for both is the golden
+  reports in ``tests/system/test_controller_goldens.py``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class SystemSimulator:
         batch_size: int | None = DEFAULT_BATCH_SIZE,
     ) -> None:
         """``batch_size`` caps the requests per ``service_batch`` call;
-        ``None`` selects the scalar reference loop."""
+        ``None`` selects the per-access loop."""
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be positive (or None for scalar)")
         self.controller = controller
@@ -102,7 +105,7 @@ class SystemSimulator:
             cursor.makespan_ns(),
         )
 
-    # -- scalar path (reference semantics) --------------------------------------
+    # -- scalar path (one request per call) -------------------------------------
 
     def _run_scalar(self) -> SimulationReport:
         cfg = self.core_config

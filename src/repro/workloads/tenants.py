@@ -22,9 +22,9 @@ load-bearing:
   service reports is a *controlled variable* of the experiment, not an
   accident of the generator.
 
-- **Fused-path shape.**  Every access issues from core 0: the batched
-  kernels bail to the scalar loop on multi-stream cursors, and a serve
-  shard must stay on the fused path (zero ``batch.fallback.*``).
+- **Fused-path shape.**  Every access issues from core 0: a multi-stream
+  cursor is merged one request at a time, and a serve shard must stay on
+  the fused path (zero ``batch.fallback.*``).
 
 Tenant popularity is zipfian via the continuous inverse-CDF
 approximation (rank ``~ u^(-1/(s-1))`` shape), the standard choice when

@@ -30,6 +30,20 @@ def make_checked(**kwargs) -> CheckedController:
     return CheckedController(DeWriteController(make_nvm()), **kwargs)
 
 
+def tamper_after_each_request(checked: CheckedController, tamper) -> None:
+    """Call ``tamper(address)`` after each request the wrapped kernel services."""
+    kernel = checked.inner._service_stream
+
+    def tampered(batch, cursor, max_requests=None):
+        core = next(iter(cursor.active))
+        address = batch.addresses[cursor.streams[core][cursor.positions[core]]]
+        result = kernel(batch, cursor, max_requests)
+        tamper(address)
+        return result
+
+    checked.inner._service_stream = tampered
+
+
 def fill(controller, count: int = 16, start: float = 0.0) -> float:
     now = start
     for i in range(count):
@@ -89,14 +103,11 @@ class TestWriteConservationFires:
     def test_per_operation_delta_checked(self):
         checked = make_checked(deep_check_interval=0)
         fill(checked, 4)
-        inner_write = checked.inner.write
 
-        def double_counting_write(address, data, arrival_ns):
-            outcome = inner_write(address, data, arrival_ns)
+        def double_count(address):
             checked.inner.stats.writes_requested += 1  # corrupt the delta
-            return outcome
 
-        checked.inner.write = double_counting_write
+        tamper_after_each_request(checked, double_count)
         with pytest.raises(InvariantViolation, match="writes_requested"):
             checked.write(90, bytes(LINE), 10_000_000.0)
 
@@ -114,14 +125,11 @@ class TestDeviceWriteConservationFires:
     def test_rogue_write_during_operation_detected(self):
         checked = make_checked(deep_check_interval=0)
         now = fill(checked, 8)
-        inner_write = checked.inner.write
 
-        def leaky_write(address, data, arrival_ns):
-            outcome = inner_write(address, data, arrival_ns)
-            checked.nvm.write(300, bytes(LINE), arrival_ns)  # unaccounted
-            return outcome
+        def leak(address):
+            checked.nvm.write(300, bytes(LINE), now)  # unaccounted
 
-        checked.inner.write = leaky_write
+        tamper_after_each_request(checked, leak)
         with pytest.raises(InvariantViolation, match="device-write conservation"):
             checked.write(9, bytes([9]) * LINE, now)
 
@@ -158,15 +166,12 @@ class TestCounterMonotonicityFires:
     def test_decreasing_counter_detected_on_next_write(self):
         checked = make_checked(deep_check_interval=0)
         now = fill(checked, 8)
-        inner_write = checked.inner.write
 
-        def counter_rollback_write(address, data, arrival_ns):
-            outcome = inner_write(address, data, arrival_ns)
+        def roll_counter_back(address):
             physical = checked.index.physical_of(address)
             checked.index._counters[physical] -= 2
-            return outcome
 
-        checked.inner.write = counter_rollback_write
+        tamper_after_each_request(checked, roll_counter_back)
         with pytest.raises(InvariantViolation, match="one-time pad reuse"):
             checked.write(3, b"\x99" * LINE, now)
 
@@ -175,17 +180,14 @@ class TestRoundTripLawFires:
     def test_ciphertext_corruption_detected_at_write(self):
         checked = make_checked(deep_check_interval=0)
         now = fill(checked, 8)
-        inner_write = checked.inner.write
 
-        def corrupting_write(address, data, arrival_ns):
-            outcome = inner_write(address, data, arrival_ns)
+        def corrupt(address):
             physical = checked.index.physical_of(address)
             stored = bytearray(checked.nvm.peek(physical))
             stored[0] ^= 0xFF
             checked.nvm._lines[physical] = bytes(stored)
-            return outcome
 
-        checked.inner.write = corrupting_write
+        tamper_after_each_request(checked, corrupt)
         with pytest.raises(InvariantViolation, match="round-trip"):
             checked.write(50, b"\x07" * LINE, now)
 

@@ -108,10 +108,7 @@ class TestAdapterDispatch:
 
     def test_unknown_controller_rejected(self):
         class Mystery(MemoryController):
-            def write(self, address, data, arrival_ns):
-                raise NotImplementedError
-
-            def read(self, address, arrival_ns):
+            def _service_stream(self, batch, cursor, max_requests=None):
                 raise NotImplementedError
 
         with pytest.raises(UnsupportedControllerError):

@@ -20,9 +20,9 @@ class TestWithStages:
         assert result["pairs"] == 1
         assert result["untraced_s"] > 0.0 and result["traced_s"] > 0.0
 
-    def test_traced_arm_has_no_fallback_verdict(self):
-        result = measure(accesses=200, repeats=1)
-        assert "fallbacks" not in result
+    def test_traced_and_timeline_arms_report_zero_fallbacks(self):
+        assert measure(accesses=200, repeats=1)["fallbacks"] == {}
+        assert measure(accesses=200, repeats=1, with_timeline=True)["fallbacks"] == {}
 
 
 class TestWithEvents:

@@ -32,9 +32,9 @@ class TestWrapping:
         controller = profiler.controller
         with profiler:
             # The wrapper shadows via the instance __dict__; the class
-            # hierarchy the fused kernels' bail checks walk is untouched.
+            # attribute every other instance resolves to is untouched.
             assert "service_batch" in vars(controller)
-            assert "service_batch" in vars(type(controller))
+            assert type(controller).service_batch is MemoryController.service_batch
             assert type(controller).service_batch is not controller.service_batch
         assert "service_batch" not in vars(controller)
 

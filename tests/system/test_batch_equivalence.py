@@ -1,11 +1,14 @@
-"""Scalar-vs-batched equivalence — the batched kernels' hard correctness bar.
+"""Per-access vs batched equivalence — slicing must not change results.
 
 Every registered controller must produce a byte-identical
 :class:`~repro.system.metrics.SimulationReport` whether a trace is driven
-through the scalar ``write()``/``read()`` loop or through
-``service_batch`` (at any batch size).  The fused kernels replicate the
-scalar float operation order exactly, so the comparison is on the full
-serialised report — latencies, energy, wear, IPC — not on rounded values.
+one request at a time through ``write()``/``read()`` or through
+``service_batch`` (at any batch size).  Both run the controller's one
+kernel, so this pins that the kernel's float operation order does not
+depend on where a batch ends; the comparison is on the full serialised
+report — latencies, energy, wear, IPC — not on rounded values.  The
+reference values themselves are pinned by
+``tests/system/test_controller_goldens.py``.
 """
 
 from __future__ import annotations
@@ -102,8 +105,8 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("name", CONTROLLERS)
     def test_multi_core_trace_falls_back(self, name):
-        # canneal runs 4 threads; the fused kernels only handle one active
-        # stream, so this exercises the generic scalar-driving fallback.
+        # canneal runs 4 threads; the kernels service one active stream,
+        # so this exercises the multi-stream merge in service_batch.
         trace = generate_trace(profile_by_name("canneal"), 400, seed=7)
         assert trace.threads > 1
         assert_equivalent(name, trace, batch_sizes=(1, 64), lines=256 * 1024)

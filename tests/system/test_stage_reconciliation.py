@@ -1,19 +1,17 @@
 """Summary-mode reconciliation — the stage accumulator's correctness bar.
 
-The fused kernels feed a :class:`~repro.obs.stages.StageAccumulator`
+The kernels feed a :class:`~repro.obs.stages.StageAccumulator`
 columnar, per batch, while a :class:`~repro.obs.trace.Tracer` gets one
-span per stage occurrence (from DeWrite's scalar path, which a tracer
-forces, and from the CME-family kernels themselves).  Both views describe
+span per stage occurrence from the same kernels.  Both views describe
 the same simulated pipeline, so for every registered controller the
 summary-mode per-stage (count, total) must equal the aggregation of the
 trace spans **bit-for-bit**: the kernels record the exact float
 expressions the spans imply, and both sides sum left-to-right in arrival
 order.
 
-Also pinned here: attaching only a stage accumulator never knocks a
-kernel off the fused path (``batch.fallback.*`` stays flat) and never
-perturbs the serialised :class:`SimulationReport`; the CME-family kernels
-keep the same promise for a tracer or a timeline.
+Also pinned here: attaching a stage accumulator, a tracer or a timeline
+never knocks a kernel off the fused path (``batch.fallback.*`` stays
+flat) and never perturbs the serialised :class:`SimulationReport`.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import json
 
 import pytest
 
-from repro.core.dewrite import DeWriteController
 from repro.core.registry import available_controllers, build_controller
 from repro.nvm.memory import NvmMainMemory
 from repro.obs.metrics import registry
@@ -34,7 +31,6 @@ from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import profile_by_name
 
 CONTROLLERS = sorted(available_controllers())
-CME_CONTROLLERS = ("secure-nvm", "silent-shredder", "i-nvmm", "out-of-line")
 
 #: Span names that are not pipeline stages: per-device NVM sub-spans
 #: (emitted by the memory model, not the controller pipeline) and the
@@ -137,10 +133,10 @@ class TestFusedPathPreserved:
 
 
 class TestObservedKernelsStayFused:
-    """A tracer or timeline on a CME-family controller rides its kernel."""
+    """A tracer or timeline on any controller rides its kernel."""
 
     @pytest.mark.parametrize("observer", ["tracer", "timeline"])
-    @pytest.mark.parametrize("name", CME_CONTROLLERS)
+    @pytest.mark.parametrize("name", CONTROLLERS)
     def test_observer_adds_no_fallback_and_keeps_the_report(self, name, observer):
         trace = single_stream_trace("sjeng", 400, 11)
         plain = simulate(build_controller(name, NvmMainMemory()), trace)
@@ -158,22 +154,6 @@ class TestObservedKernelsStayFused:
 
 
 class TestFallbackCounters:
-    def test_tracer_fallback_counted(self):
-        before = fallback_snapshot()
-        controller = build_controller(
-            "dewrite", NvmMainMemory(), tracer=Tracer(sink=None)
-        )
-        simulate(controller, single_stream_trace(), batch_size=1024)
-        assert fallback_deltas(before) == {"batch.fallback.tracer": 1.0}
-
-    def test_timeline_fallback_counted(self):
-        before = fallback_snapshot()
-        controller = build_controller(
-            "dewrite", NvmMainMemory(), timeline=TimelineCollector()
-        )
-        simulate(controller, single_stream_trace(), batch_size=1024)
-        assert fallback_deltas(before) == {"batch.fallback.timeline": 1.0}
-
     def test_multi_stream_fallback_counted(self):
         trace = generate_trace(profile_by_name("canneal"), 400, seed=7)
         assert trace.threads > 1
@@ -183,19 +163,9 @@ class TestFallbackCounters:
         assert set(deltas) == {"batch.fallback.multi_stream"}
         assert deltas["batch.fallback.multi_stream"] >= 1.0
 
-    def test_overridden_scalar_fallback_counted(self):
-        class Subclassed(DeWriteController):
-            def write(self, address, data, arrival_ns):
-                return super().write(address, data, arrival_ns)
-
-        before = fallback_snapshot()
-        controller = Subclassed(NvmMainMemory())
-        simulate(controller, single_stream_trace(), batch_size=1024)
-        assert fallback_deltas(before) == {"batch.fallback.overridden_scalar": 1.0}
-
     def test_scalar_driving_without_fused_kernel_not_counted(self):
-        # The base class's own service_batch is not a "fallback" — only a
-        # fused kernel bailing out counts.
+        # One-request calls enter the kernel directly and are never
+        # counted; only a merged multi-stream batch is.
         before = fallback_snapshot()
         simulate(
             build_controller("dewrite", NvmMainMemory()),
