@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.baselines.secure_nvm import SecureNvmConfig, TraditionalSecureNvmController
+from repro.core.batching import merge_state
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.nvm.memory import NvmMainMemory
 
@@ -62,16 +63,18 @@ class OutOfLinePageDedupController(TraditionalSecureNvmController):
         slice ends at the write that completes a scan interval, so after
         the slice the page bookkeeping of its writes is applied in order
         and the background scan runs at that write's completion, before
-        any later request issues.
+        any later request issues.  While more than one stream is active,
+        each slice is the one request the merge issues next, so the
+        bookkeeping follows the merged order.
         """
         kernel = super()._service_stream
         ops = batch.ops
-        core = next(iter(cursor.active))
-        stream = cursor.streams[core]
         serviced = reads = writes = 0
         while cursor.active and serviced != max_requests:
+            core = merge_state(cursor)[2]
+            stream = cursor.streams[core]
             start = cursor.positions[core]
-            stop = len(stream)
+            stop = len(stream) if len(cursor.active) == 1 else start + 1
             if max_requests is not None:
                 stop = min(stop, start + max_requests - serviced)
             due = self.scan_interval_writes - self._writes_since_scan

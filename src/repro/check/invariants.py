@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.batching import merge_state
 from repro.core.interface import MemoryController
 
 # Baseline-specific counters of *extra* legitimate device writes (counter
@@ -119,9 +120,11 @@ class CheckedController(MemoryController):
     def _service_stream(self, batch, cursor, max_requests=None):
         """Hand each request alone to the wrapped kernel, then check it.
 
-        Defined here, not reached through :meth:`__getattr__`: the batch
-        merge calls ``self._service_stream``, and the wrapped kernel
-        would skip every check.
+        The request is the one the kernel's merge issues next (see
+        :func:`~repro.core.batching.merge_state`).  Defined here, not
+        reached through :meth:`__getattr__`: ``service_batch`` calls
+        ``self._service_stream``, and the wrapped kernel would skip every
+        check.
         """
         inner = self.inner
         service = inner._service_stream
@@ -129,12 +132,12 @@ class CheckedController(MemoryController):
         addresses = batch.addresses
         slots = batch.slots
         line_size = batch.line_size
-        core = next(iter(cursor.active))
-        stream = cursor.streams[core]
+        streams = cursor.streams
         positions = cursor.positions
         serviced = reads = writes = deduplicated = 0
         while cursor.active and serviced != max_requests:
-            req = stream[positions[core]]
+            core = merge_state(cursor)[2]
+            req = streams[core][positions[core]]
             address = addresses[req]
             before = self._snapshot()
             eliminated = service(batch, cursor, 1)[3]

@@ -6,15 +6,15 @@ Shredder — services the same two requests against the same
 :class:`repro.nvm.NvmMainMemory` device, so the system simulator and all
 experiments are controller-agnostic.
 
-Each controller has one request pipeline: its single-stream kernel
-:meth:`MemoryController._service_stream`, which also feeds every attached
-observer.  Everything else is defined once, here:
+Each controller has one request pipeline: its kernel
+:meth:`MemoryController._service_stream`, which merges the cursor's
+per-core streams in arrival order and feeds every attached observer.
+Everything else is defined once, here:
 
 - :meth:`~MemoryController.service_batch` is the hot path.  The simulator
   hands it an :class:`~repro.workloads.batch.AccessBatch` plus a
-  :class:`~repro.core.batching.BatchCursor`; one active stream goes
-  straight to the kernel, and a multi-stream cursor is merged here and
-  handed to the kernel one request at a time.
+  :class:`~repro.core.batching.BatchCursor`, and it makes one kernel call
+  whatever the stream count.
 - :meth:`~MemoryController.write` / :meth:`~MemoryController.read` run one
   request through the kernel on a reusable one-row batch.
 """
@@ -183,51 +183,16 @@ class MemoryController(abc.ABC):
         simulator loop breaks them), and the cursor's clocks and cycle
         accumulators advance exactly as that loop advances them.
 
-        One active stream goes to the kernel in one call.  A multi-stream
-        cursor is counted in ``batch.fallback.multi_stream`` and merged
-        here: each request is handed to the kernel alone, with
-        ``cursor.active`` narrowed to the chosen core, until one stream is
-        left, whose remainder goes to the kernel in one call.
+        The kernel does all of it in one call.  A call on more than one
+        active stream (a batch the kernel merged) is counted in
+        ``batch.fallback.multi_stream``.
         """
         active = cursor.active
+        if not active:
+            return BatchOutcome(0, 0, 0, 0)
         if len(active) > 1:
             registry().counter("batch.fallback.multi_stream").inc()
-        service = self._service_stream
-        streams = cursor.streams
-        positions = cursor.positions
-        core_time = cursor.core_time
-        gaps = batch.gaps
-        npi = cursor.ns_per_instruction
-
-        def next_arrival(core: int) -> float:
-            return core_time[core] + gaps[streams[core][positions[core]]] * npi
-
-        issued = reads = writes = deduplicated = 0
-        narrowed: set[int] = set()
-        cursor.active = narrowed
-        try:
-            while len(active) > 1 and issued != max_requests:
-                core = min(active, key=next_arrival)
-                narrowed.add(core)
-                _, done_reads, done_writes, done_dedup = service(batch, cursor, 1)
-                issued += 1
-                reads += done_reads
-                writes += done_writes
-                deduplicated += done_dedup
-                if narrowed:
-                    narrowed.clear()
-                else:
-                    active.discard(core)
-        finally:
-            cursor.active = active
-        if active and issued != max_requests:
-            budget = None if max_requests is None else max_requests - issued
-            done, done_reads, done_writes, done_dedup = service(batch, cursor, budget)
-            issued += done
-            reads += done_reads
-            writes += done_writes
-            deduplicated += done_dedup
-        return BatchOutcome(issued, reads, writes, deduplicated)
+        return BatchOutcome(*self._service_stream(batch, cursor, max_requests))
 
     @abc.abstractmethod
     def _service_stream(
@@ -236,12 +201,14 @@ class MemoryController(abc.ABC):
         cursor: BatchCursor,
         max_requests: int | None = None,
     ) -> tuple[int, int, int, int]:
-        """The controller's pipeline over the cursor's one active stream.
+        """The controller's pipeline over the cursor's active streams.
 
-        Services up to ``max_requests`` requests, advances the cursor as
+        Services up to ``max_requests`` requests in the merge order of
+        :func:`~repro.core.batching.merge_state` (one stream runs until
+        its next arrival passes the runner-up's), advances the cursor as
         the scalar simulator loop would, sets ``_complete_ns`` to the last
-        request's completion time and returns the ``(serviced, reads,
-        writes, deduplicated)`` counts.
+        serviced request's completion time and returns the ``(serviced,
+        reads, writes, deduplicated)`` counts.
         """
 
     # -- helpers ----------------------------------------------------------------

@@ -47,9 +47,9 @@ from repro.obs.trace import percentile
 #: on cache warmth (a warm run executes zero jobs), not on what the
 #: simulation computed.  They compare informationally, so two runs of the
 #: same figure at the same SHA diff clean whatever the cache state.
-#: ``batch.fallback.*`` counts multi-stream batches merged one request at
-#: a time (a property of how the trace was sliced, not of the simulated
-#: results — both paths are equivalence-tested identical).
+#: ``batch.fallback.*`` counts batches the kernel merged from several
+#: streams (a property of how the trace was sliced, not of the simulated
+#: results — every slicing is equivalence-tested identical).
 #: ``events.*`` counts live-telemetry records emitted/dropped, a property
 #: of whether an event sink was attached and how healthy it was.
 _ENVIRONMENT_COUNTER_PREFIXES = ("jobs.", "simulations", "batch.fallback.", "events.")

@@ -22,9 +22,8 @@ load-bearing:
   service reports is a *controlled variable* of the experiment, not an
   accident of the generator.
 
-- **Fused-path shape.**  Every access issues from core 0: a multi-stream
-  cursor is merged one request at a time, and a serve shard must stay on
-  the fused path (zero ``batch.fallback.*``).
+- **Single-stream shape.**  Every access issues from core 0, so a serve
+  shard's batches need no stream merge (zero ``batch.fallback.*``).
 
 Tenant popularity is zipfian via the continuous inverse-CDF
 approximation (rank ``~ u^(-1/(s-1))`` shape), the standard choice when
