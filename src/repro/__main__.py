@@ -1781,6 +1781,27 @@ def _run_check_invariants(accesses: int, seed: int) -> int:
          trace_for("canneal", accesses, seed)),
         ("parallel/sjeng", lambda: build_controller("parallel", make_nvm()),
          trace_for("sjeng", accesses, seed)),
+        # The metadata persistence arms and a tiny metadata cache, so the
+        # persistence gate and eviction writebacks run under the checker.
+        ("dewrite[write-through]/sjeng",
+         lambda: build_controller(
+             "dewrite", make_nvm(), persistence={"policy": "write_through"}),
+         trace_for("sjeng", accesses, seed)),
+        ("dewrite[periodic]/sjeng",
+         lambda: build_controller(
+             "dewrite", make_nvm(),
+             persistence={"policy": "periodic_writeback", "writeback_interval_ns": 5_000.0}),
+         trace_for("sjeng", accesses, seed)),
+        ("dewrite[tiny-cache]/mcf",
+         lambda: build_controller(
+             "dewrite", make_nvm(),
+             metadata_cache={
+                 "hash_cache_bytes": 2_048,
+                 "address_map_cache_bytes": 4_096,
+                 "inverted_hash_cache_bytes": 4_096,
+                 "fsm_cache_bytes": 256,
+             }),
+         trace_for("mcf", accesses, seed)),
     ]
     failures = 0
     for name, factory, trace in runs:

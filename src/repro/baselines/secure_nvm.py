@@ -335,17 +335,17 @@ class TraditionalSecureNvmController(MemoryController):
 
     def _access_counter(self, address: int, write: bool, now_ns: float) -> float:
         """Touch the counter cache; returns blocking latency added."""
-        result = self.counter_cache.access(address, write)
+        hit, block, evicted = self.counter_cache.access(address, write)
         if self.timeline.enabled:
-            self.timeline.record_metadata(now_ns, hit=result.hit)
+            self.timeline.record_metadata(now_ns, hit=hit)
         extra = 0.0
-        if not result.hit:
-            line = self._counter_line_for(result.block)
+        if not hit:
+            line = self._counter_line_for(block)
             fetched = self.nvm.read_complete_ns(line, now_ns)
             self.stats.metadata_reads += 1
             extra = (fetched - now_ns) + self.config.metadata_decrypt_ns
-        if result.evicted_dirty_block is not None:
-            self._writeback_counters(result.evicted_dirty_block, now_ns)
+        if evicted is not None:
+            self._writeback_counters(evicted, now_ns)
         return extra
 
     def _writeback_counters(self, block: int, now_ns: float) -> None:
@@ -354,7 +354,7 @@ class TraditionalSecureNvmController(MemoryController):
         payload = self._payloads.pad(
             line, self._payload_version, self.nvm.config.organization.line_size_bytes
         )
-        self.nvm.write(line, payload, now_ns)
+        self.nvm.write_complete_ns(line, payload, now_ns)
         self.stats.metadata_writebacks += 1
 
     def _counter_line_for(self, block: int) -> int:

@@ -17,19 +17,14 @@ from repro.core.colocation import (
     deuce_overhead,
     dewrite_overhead,
 )
-from repro.core.dedup_engine import DedupEngine, DetectionResult, MetadataSystem
+from repro.core.dedup_engine import DedupEngine, MetadataSystem
 from repro.core.dewrite import DeWriteController, IntegrationMode
 from repro.core.interface import MemoryController, ReadOutcome, WriteOutcome
-from repro.core.metadata_cache import CacheAccess, MetadataCache
+from repro.core.metadata_cache import MetadataCache
 from repro.core.persistence import MetadataPersistenceConfig, MetadataPersistencePolicy
 from repro.core.predictor import HistoryWindowPredictor
 from repro.core.stats import DeWriteStats, LatencyAccumulator
-from repro.core.tables import (
-    DedupIndex,
-    DedupIndexError,
-    MetadataLayout,
-    MetadataTouch,
-)
+from repro.core.tables import DedupIndex, DedupIndexError, MetadataLayout
 
 __all__ = [
     "DeWriteController",
@@ -43,14 +38,11 @@ __all__ = [
     "MetadataPersistenceConfig",
     "MetadataPersistencePolicy",
     "DedupEngine",
-    "DetectionResult",
     "MetadataSystem",
     "MetadataCache",
-    "CacheAccess",
     "DedupIndex",
     "DedupIndexError",
     "MetadataLayout",
-    "MetadataTouch",
     "DeWriteStats",
     "LatencyAccumulator",
     "StorageOverhead",

@@ -20,16 +20,19 @@ Two classes:
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from repro.core.config import DeWriteConfig
 from repro.core.metadata_cache import MetadataCache
-from repro.core.tables import DedupIndex, MetadataLayout, MetadataTouch, TableName
+from repro.core.tables import INSERT, READ, DedupIndex, MetadataLayout, TableName
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.crypto.otp import SplitmixPadGenerator
 from repro.nvm.memory import NvmMainMemory
 from repro.obs.timeline import NULL_TIMELINE, TimelineLike
 from repro.obs.trace import NULL_TRACER, TracerLike
+
+# Bits of the ``flags`` element of :meth:`DedupEngine.detect`'s result.
+PNA_SKIPPED = 1  # predicted non-duplicate, hash-cache miss: no NVM query
+HASH_CACHE_HIT = 2  # the fingerprint's hash entry was cached on chip
+QUERIED_NVM = 4  # a hash-cache miss paid the blocking in-NVM table query
 
 
 class MetadataSystem:
@@ -101,7 +104,7 @@ class MetadataSystem:
         cache = self.caches[table]
         # Fast path: resident block, no timeline observer.  Mirrors the hit
         # arm of MetadataCache.access (same statistics, same LRU motion,
-        # same persistence hook) without allocating a CacheAccess.
+        # same persistence hook) without the cache call's result tuple.
         blocks = cache._blocks
         block = entry_index // cache.entries_per_block
         if block in blocks and not self.timeline.enabled:
@@ -113,13 +116,13 @@ class MetadataSystem:
                 if self._persistence_active:
                     self._enforce_persistence(table, entry_index, now_ns)
             return 0.0
-        result = cache.access(entry_index, write, is_insert=not fetch_on_miss)
+        hit, block, evicted = cache.access(entry_index, write, not fetch_on_miss)
         if self.timeline.enabled:
-            self.timeline.record_metadata(now_ns, hit=result.hit)
+            self.timeline.record_metadata(now_ns, hit=hit)
         extra = 0.0
-        if not result.hit and fetch_on_miss:
+        if not hit and fetch_on_miss:
             base, table_lines = self._line_map[table]
-            fetched = self.nvm.read_complete_ns(base + result.block % table_lines, now_ns)
+            fetched = self.nvm.read_complete_ns(base + block % table_lines, now_ns)
             self.metadata_reads += 1
             if blocking:
                 extra = (fetched - now_ns) + self.decrypt_ns
@@ -127,9 +130,9 @@ class MetadataSystem:
                 self.tracer.event(
                     "metadata.miss", sim_ns=now_ns, table=table, blocking=blocking
                 )
-        if result.evicted_dirty_block is not None:
-            self._writeback(table, result.evicted_dirty_block, now_ns)
-        if write:
+        if evicted is not None:
+            self._writeback(table, evicted, now_ns)
+        if write and self._persistence_active:
             self._enforce_persistence(table, entry_index, now_ns)
         return extra
 
@@ -159,13 +162,19 @@ class MetadataSystem:
         """
         return self._last_periodic_flush_ns
 
-    def replay(self, touches: list[MetadataTouch], now_ns: float) -> None:
-        """Post a batch of functional-update touches (non-blocking)."""
+    def replay(self, touches: list, now_ns: float) -> None:
+        """Post a batch of functional-update touches (non-blocking).
+
+        ``touches`` is the flat ``(table, entry, op)`` triple list the
+        :class:`~repro.core.tables.DedupIndex` mutators fill, applied in
+        order at ``now_ns``.
+        """
         caches = self.caches
         timeline_off = not self.timeline.enabled
         persistence = self._persistence_active
         access = self.access
-        for table, index, write, insert in touches:
+        it = iter(touches)
+        for table, index, op in zip(it, it, it):
             # Resident-block fast path, inlined from access(): posted
             # touches are the hottest metadata traffic, and the call
             # overhead alone is measurable on dedup-heavy traces.
@@ -173,15 +182,15 @@ class MetadataSystem:
             blocks = cache._blocks
             block = index // cache.entries_per_block
             if timeline_off and block in blocks:
-                if not insert:
+                if op != INSERT:
                     cache.hits += 1
                 blocks.move_to_end(block)
-                if write:
+                if op:
                     blocks[block] = True
                     if persistence:
                         self._enforce_persistence(table, index, now_ns)
                 continue
-            access(table, index, write, now_ns, False, not insert)
+            access(table, index, op != READ, now_ns, False, op != INSERT)
 
     def flush(self, now_ns: float) -> int:
         """Write back every dirty block (shutdown / end of run)."""
@@ -219,30 +228,8 @@ class MetadataSystem:
         line = base + block % table_lines
         self._payload_version += 1
         payload = self._payloads.pad(line, self._payload_version, self._line_size)
-        self.nvm.write(line, payload, now_ns)
+        self.nvm.write_complete_ns(line, payload, now_ns)
         self.metadata_writebacks += 1
-
-
-class DetectionResult(NamedTuple):
-    """Outcome of one duplication detection.
-
-    A NamedTuple rather than a dataclass: one is allocated per write on
-    the hot path.
-    """
-
-    duplicate_target: int | None
-    done_ns: float
-    verify_reads: int = 0
-    collisions: int = 0
-    capped_rejects: int = 0
-    pna_skipped: bool = False
-    hash_hit_in_cache: bool = False
-    queried_nvm_hash_table: bool = False
-
-    @property
-    def is_duplicate(self) -> bool:
-        """Whether a dedup target was confirmed."""
-        return self.duplicate_target is not None
 
 
 class DedupEngine:
@@ -277,39 +264,40 @@ class DedupEngine:
 
     def detect(
         self, plaintext: bytes, crc: int, arrival_ns: float, predicted_duplicate: bool
-    ) -> DetectionResult:
+    ) -> tuple[int, float, int, int, int, int]:
         """Run duplication detection for one incoming line write.
 
         Timeline: CRC latency, then the hash-cache lookup (free), then — on
         a miss — either the PNA short-circuit (predicted non-duplicate:
         declare unique immediately) or a blocking in-NVM hash-table query,
         then one verify read + compare per surviving candidate.
+
+        Returns a plain ``(target, done_ns, verify_reads, collisions,
+        capped_rejects, flags)`` tuple: ``target`` is the confirmed
+        duplicate's physical line, or -1 when there is none; ``flags``
+        ORs :data:`PNA_SKIPPED`, :data:`HASH_CACHE_HIT` and
+        :data:`QUERIED_NVM`.
         """
         now = arrival_ns + self._fp_ns
 
         hash_blocks = self._hash_blocks
-        cached = crc in hash_blocks
-        queried_nvm = False
-        if cached:
-            # Refresh LRU/hit bookkeeping; guaranteed hit (inlined
-            # MetadataCache.touch_hit for the 1-entry-per-block hash cache).
+        if crc in hash_blocks:
+            # Refresh LRU/hit bookkeeping; guaranteed hit (the resident arm
+            # of MetadataCache.access for the 1-entry-per-block hash cache).
             self._hash_cache.hits += 1
             hash_blocks.move_to_end(crc)
+            flags = HASH_CACHE_HIT
         else:
             if self._enable_pna and not predicted_duplicate:
                 # PNA: skip the expensive in-NVM query; declare non-duplicate.
-                return DetectionResult(
-                    duplicate_target=None,
-                    done_ns=now,
-                    pna_skipped=True,
-                )
+                return -1, now, 0, 0, 0, PNA_SKIPPED
             now += self.metadata.access("hash_table", crc, write=False, now_ns=now, blocking=True)
-            queried_nvm = True
+            flags = QUERIED_NVM
 
         verify_reads = 0
         collisions = 0
         capped = 0
-        target: int | None = None
+        target = -1
         # Newest entries first: when a highly referenced line saturates its
         # 8-bit reference (§III-B2), the freshest copy of the same content
         # is the live dedup target, so it must be checked first.  Saturated
@@ -330,13 +318,7 @@ class DedupEngine:
             # trusted, so no verifying read — match means duplicate.
             if candidates:
                 target = candidates[0][0]
-            return DetectionResult(
-                duplicate_target=target,
-                done_ns=now,
-                capped_rejects=capped,
-                hash_hit_in_cache=cached,
-                queried_nvm_hash_table=queried_nvm,
-            )
+            return target, now, 0, 0, capped, flags
 
         if candidates:
             n = len(plaintext)
@@ -385,16 +367,7 @@ class DedupEngine:
                 break
             collisions += 1
 
-        return DetectionResult(
-            duplicate_target=target,
-            done_ns=now,
-            verify_reads=verify_reads,
-            collisions=collisions,
-            capped_rejects=capped,
-            pna_skipped=False,
-            hash_hit_in_cache=cached,
-            queried_nvm_hash_table=queried_nvm,
-        )
+        return target, now, verify_reads, collisions, capped, flags
 
     def truth_has_duplicate(self, plaintext: bytes, crc: int) -> bool:
         """Ground-truth duplicate check (statistics only, no timing).

@@ -31,11 +31,11 @@ from typing import Literal
 
 from repro.core.batching import INF, NO_LIMIT, merge_state
 from repro.core.config import DeWriteConfig
-from repro.core.dedup_engine import DedupEngine, MetadataSystem
+from repro.core.dedup_engine import PNA_SKIPPED, DedupEngine, MetadataSystem
 from repro.core.interface import MemoryController
 from repro.core.predictor import HistoryWindowPredictor
 from repro.core.stats import DeWriteStats
-from repro.core.tables import DedupIndex, MetadataLayout, MetadataTouch
+from repro.core.tables import DedupIndex, MetadataLayout
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.hashes.crc32 import line_fingerprint
 from repro.nvm.memory import NvmMainMemory
@@ -111,14 +111,17 @@ class DeWriteController(MemoryController):
         address: int,
         data: bytes,
         crc: int,
-        detection,
+        done_ns: float,
         predicted_dup: bool,
         arrival_ns: float,
     ) -> float:
-        """Encrypt and write a non-duplicate line; returns its completion."""
+        """Encrypt and write a non-duplicate line; returns its completion.
+
+        ``done_ns`` is when duplication detection finished.
+        """
         stats = self.stats
         stats.writes_stored += 1
-        touches: list[MetadataTouch] = []
+        touches: list = []
         dest = self.index.apply_unique(address, crc, touches)
         counter = self.index.bump_counter(dest, touches)
         ciphertext = self.cme.encrypt(data, dest, counter)
@@ -129,33 +132,37 @@ class DeWriteController(MemoryController):
             # Encryption started at arrival, concurrently with detection;
             # the write issues once both have finished.
             crypto_start = arrival_ns
-            issue = max(arrival_ns + self._aes_ns, detection.done_ns)
+            issue = max(arrival_ns + self._aes_ns, done_ns)
         else:
             # Serial: detection first, then AES (the direct way / a
             # predicted-duplicate misprediction).
-            crypto_start = detection.done_ns
-            issue = detection.done_ns + self._aes_ns
+            crypto_start = done_ns
+            issue = done_ns + self._aes_ns
             if self.mode == "predictive" and predicted_dup:
                 stats.serialized_detections += 1
 
-        write = self.nvm.write(dest, ciphertext, issue)
-        self.metadata.replay(touches, write.complete_ns)
-        if self.tracer.enabled:
+        trace_on = self.tracer.enabled
+        if trace_on:
+            # Only a span needs the bank wait; untraced, skip the result.
+            written = self.nvm.write(dest, ciphertext, issue)
+            complete = written.complete_ns
+        else:
+            complete = self.nvm.write_complete_ns(dest, ciphertext, issue)
+        self.metadata.replay(touches, complete)
+        if trace_on:
             self.tracer.span(
                 "write.crypto",
                 crypto_start,
                 crypto_start + self.config.aes_latency_ns,
                 parallel=parallel_crypto,
             )
-            self.tracer.span(
-                "write.nvm", issue, write.complete_ns, dest=dest, wait_ns=write.wait_ns
-            )
+            self.tracer.span("write.nvm", issue, complete, dest=dest, wait_ns=written.wait_ns)
         if self.stages.enabled:
             self.stages.record(
                 "write.crypto", crypto_start + self.config.aes_latency_ns - crypto_start
             )
-            self.stages.record("write.nvm", write.complete_ns - issue)
-        return write.complete_ns
+            self.stages.record("write.nvm", complete - issue)
+        return complete
 
     def _service_stream(self, batch, cursor, max_requests=None):
         """DeWrite's write and read pipelines over the cursor's merged streams.
@@ -303,7 +310,9 @@ class DeWriteController(MemoryController):
                     writes_requested += 1
                     predicted = predict() if enable_prediction else False
                     crc = line_fingerprint(line) if use_crc32 else slow_fingerprint(line)
-                    detection = detect(line, crc, arrival, predicted)
+                    target, done, v, collisions, capped, flags = detect(
+                        line, crc, arrival, predicted
+                    )
                     add_dedup_op()
                     if trace_on:
                         hash_done = arrival + fp_ns
@@ -313,30 +322,28 @@ class DeWriteController(MemoryController):
                         tracer.span(
                             "write.dedup",
                             hash_done,
-                            detection.done_ns,
-                            duplicate=detection.is_duplicate,
-                            verify_reads=detection.verify_reads,
-                            pna_skipped=detection.pna_skipped,
+                            done,
+                            duplicate=target >= 0,
+                            verify_reads=v,
+                            pna_skipped=bool(flags & PNA_SKIPPED),
                         )
-                    v = detection.verify_reads
                     if v:
                         verify_reads_total += v
                         hash_matches += 1
-                        crc_collisions += detection.collisions
-                    capped_rejects += detection.capped_rejects
-                    if detection.pna_skipped and truth_has_duplicate(line, crc):
+                        crc_collisions += collisions
+                    capped_rejects += capped
+                    if flags & PNA_SKIPPED and truth_has_duplicate(line, crc):
                         missed_pna += 1
                     if stage_on:
                         hash_done = arrival + fp_ns
                         st_whash.append(hash_done - arrival)
-                        st_wdedup.append(detection.done_ns - hash_done)
-                    target = detection.duplicate_target
-                    if target is not None:
+                        st_wdedup.append(done - hash_done)
+                    if target >= 0:
                         # Cancel the write; record the address mapping (§III-B2).
                         writes_deduplicated += 1
                         touches = []
                         apply_duplicate(address, target, touches)
-                        complete = detection.done_ns
+                        complete = done
                         replay(touches, complete)
                         if not is_direct and (
                             is_parallel or (par_enc and not predicted)
@@ -353,9 +360,7 @@ class DeWriteController(MemoryController):
                         dedup = True
                         deduplicated += 1
                     else:
-                        complete = commit_unique(
-                            address, line, crc, detection, predicted, arrival
-                        )
+                        complete = commit_unique(address, line, crc, done, predicted, arrival)
                         dedup = False
                     latency = complete - arrival
                     if enable_prediction:

@@ -22,19 +22,6 @@ costs a posted NVM metadata write — the source of the ~2.6 % extra writes
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import NamedTuple
-
-
-class CacheAccess(NamedTuple):
-    """Outcome of one cache access.
-
-    A NamedTuple rather than a dataclass: one is allocated per metadata
-    touch on the hot path.
-    """
-
-    hit: bool
-    block: int
-    evicted_dirty_block: int | None = None
 
 
 class MetadataCache:
@@ -74,11 +61,14 @@ class MetadataCache:
         """
         return self.block_of(entry_index) in self._blocks
 
-    def access(self, entry_index: int, write: bool, is_insert: bool = False) -> CacheAccess:
+    def access(
+        self, entry_index: int, write: bool, is_insert: bool = False
+    ) -> tuple[bool, int, int | None]:
         """Touch one entry; allocate its block on miss.
 
-        Returns whether it hit and, when the allocation evicted a dirty
-        block, that block's index (the caller schedules its writeback).
+        Returns a plain ``(hit, block, evicted)`` tuple: whether it hit, the
+        entry's block, and — when the allocation evicted a dirty block —
+        that block's index, else None (the caller schedules its writeback).
         ``is_insert`` marks the creation of a brand-new entry: the
         allocation is not a failed lookup, so it is excluded from the
         hit/miss statistics (Fig. 21 measures query hit rates).
@@ -91,7 +81,7 @@ class MetadataCache:
             blocks.move_to_end(block)
             if write:
                 blocks[block] = True
-            return CacheAccess(True, block)
+            return True, block, None
 
         if not is_insert:
             self.misses += 1
@@ -101,7 +91,7 @@ class MetadataCache:
             if write:
                 self.writebacks += 1
                 evicted = block
-            return CacheAccess(hit=False, block=block, evicted_dirty_block=evicted)
+            return False, block, evicted
 
         if len(self._blocks) >= self.capacity_blocks:
             victim, dirty = self._blocks.popitem(last=False)
@@ -109,22 +99,7 @@ class MetadataCache:
                 self.writebacks += 1
                 evicted = victim
         self._blocks[block] = write
-        return CacheAccess(hit=False, block=block, evicted_dirty_block=evicted)
-
-    def touch_hit(self, entry_index: int, write: bool = False) -> None:
-        """Refresh a **known-resident** entry: LRU position, dirty bit, hit count.
-
-        Semantically identical to :meth:`access` when the entry's block is
-        resident (same statistics, same LRU motion) but without allocating
-        a :class:`CacheAccess` — the batched hot paths pair it with
-        :meth:`probe`.  Calling it for a non-resident entry is a bug; the
-        ``move_to_end`` raises ``KeyError`` rather than corrupting state.
-        """
-        self.hits += 1
-        block = entry_index // self.entries_per_block
-        self._blocks.move_to_end(block)
-        if write:
-            self._blocks[block] = True
+        return False, block, evicted
 
     def flush(self) -> list[int]:
         """Write back and drop every dirty block (e.g. at shutdown).

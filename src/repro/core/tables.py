@@ -11,10 +11,15 @@ functional state machine over the four tables —
   to clean stale hashes on rewrite;
 - **free space management (FSM) table**: 1 bit per line, free/used.
 
-Every mutating method appends :class:`MetadataTouch` records naming the
-table entries it read or wrote; the controller replays those through the
-metadata cache to charge timing, so the functional core stays trivially
-testable (the property tests drive it directly).
+Every mutating method appends flat ``(table, entry, op)`` triples to the
+caller's list, naming the table entries it read or wrote in order; ``op`` is
+:data:`READ`, :data:`WRITE` or :data:`INSERT` (a write that creates a
+brand-new hash entry, so a cache miss allocates without an NVM fetch).  The
+controller replays those through the metadata cache to charge timing, so
+the functional core stays trivially testable (the property tests drive it
+directly).  Flat triples in one list rather than a record per touch: a
+write makes five to nine touches, and the write path allocates nothing
+per touch.
 
 Counters for counter-mode encryption are kept per *physical* line and never
 reset (pad-uniqueness invariant, §II-B); where each counter physically
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import Literal
 
 from repro.containers import PagedCounterStore
 
@@ -41,21 +46,10 @@ TableName = Literal["address_map", "inverted_hash", "hash_table", "fsm"]
 
 TABLE_NAMES: tuple[TableName, ...] = ("address_map", "inverted_hash", "hash_table", "fsm")
 
-
-class MetadataTouch(NamedTuple):
-    """One access to a metadata table entry (for the timing layer).
-
-    ``insert`` marks the creation of a brand-new hash entry: there is
-    nothing to fetch from NVM, so a cache miss allocates without a read.
-
-    A NamedTuple rather than a dataclass: several are allocated per write
-    on the hot path.
-    """
-
-    table: TableName
-    index: int
-    write: bool
-    insert: bool = False
+# Touch op codes, the third element of each (table, entry, op) triple.
+READ = 0
+WRITE = 1
+INSERT = 3  # write plus insert: a brand-new hash entry, nothing to fetch
 
 
 class DedupIndexError(RuntimeError):
@@ -92,15 +86,6 @@ class DedupIndex:
         self.pinned_lines = 0  # entries whose reference saturated at the cap
 
     # -- queries ---------------------------------------------------------
-
-    def locate(self, logical: int, touches: list[MetadataTouch]) -> int | None:
-        """Physical line holding ``logical``'s data, or None if never written."""
-        touches.append(MetadataTouch("address_map", logical, write=False))
-        return self._mapping.get(logical)
-
-    def is_written(self, logical: int) -> bool:
-        """Whether the logical line has ever been written."""
-        return logical in self._mapping
 
     def candidates(self, crc: int) -> list[tuple[int, int]]:
         """(physical, reference) entries currently indexed under ``crc``."""
@@ -149,11 +134,6 @@ class DedupIndex:
             return "inverted_hash"
         return "overflow"
 
-    def counter_of(self, physical: int, touches: list[MetadataTouch]) -> int:
-        """Current encryption counter of a physical line."""
-        self._touch_counter(physical, touches, write=False)
-        return self._counters.get(physical)
-
     def peek_counter(self, physical: int) -> int:
         """Counter value without recording a metadata touch (timing-free)."""
         return self._counters.get(physical)
@@ -162,10 +142,10 @@ class DedupIndex:
         """Mapping lookup without recording a metadata touch (timing-free)."""
         return self._mapping.get(logical)
 
-    def bump_counter(self, physical: int, touches: list[MetadataTouch]) -> int:
+    def bump_counter(self, physical: int, touches: list) -> int:
         """Increment and return the counter (called once per physical write)."""
         value = self._counters.add(physical, 1)
-        self._touch_counter(physical, touches, write=True)
+        self._touch_counter(physical, touches)
         return value
 
     def overflow_counters(self) -> int:
@@ -181,22 +161,18 @@ class DedupIndex:
         """
         return tuple(self._counters.items())
 
-    def _touch_counter(
-        self, physical: int, touches: list[MetadataTouch], write: bool
-    ) -> None:
+    def _touch_counter(self, physical: int, touches: list) -> None:
+        """Record the counter write in whichever slot hosts it."""
         slot = self.counter_slot(physical)
         if slot == "overflow":
             # The overflow store is tiny and on-chip in our patched design;
             # charge it as an address-map touch so it is not free.
-            touches.append(MetadataTouch("address_map", physical, write=write))
-        else:
-            touches.append(MetadataTouch(slot, physical, write=write))
+            slot = "address_map"
+        touches += (slot, physical, WRITE)
 
     # -- state transitions -------------------------------------------------
 
-    def apply_duplicate(
-        self, logical: int, target: int, touches: list[MetadataTouch]
-    ) -> None:
+    def apply_duplicate(self, logical: int, target: int, touches: list) -> None:
         """Record that ``logical``'s new content duplicates line ``target``.
 
         The caller (dedup engine) has already verified byte equality and
@@ -217,10 +193,9 @@ class DedupIndex:
         self._hash_table[crc][target] = ref + 1
         if ref + 1 == self.reference_cap:
             self.pinned_lines += 1
-        touches.append(MetadataTouch("address_map", logical, write=True))
-        touches.append(MetadataTouch("hash_table", crc, write=True))
+        touches += ("address_map", logical, WRITE, "hash_table", crc, WRITE)
 
-    def apply_unique(self, logical: int, crc: int, touches: list[MetadataTouch]) -> int:
+    def apply_unique(self, logical: int, crc: int, touches: list) -> int:
         """Store new unique content for ``logical``; returns the destination.
 
         Picks the logical line's own physical slot when free (the common
@@ -236,13 +211,15 @@ class DedupIndex:
         fresh_bucket = crc not in self._hash_table
         self._hash_table.setdefault(crc, {})[dest] = 1
         self._mapping[logical] = dest
-        touches.append(MetadataTouch("inverted_hash", dest, write=True))
-        touches.append(MetadataTouch("hash_table", crc, write=True, insert=fresh_bucket))
-        touches.append(MetadataTouch("address_map", logical, write=True))
-        touches.append(MetadataTouch("fsm", dest, write=True))
+        touches += (
+            "inverted_hash", dest, WRITE,
+            "hash_table", crc, INSERT if fresh_bucket else WRITE,
+            "address_map", logical, WRITE,
+            "fsm", dest, WRITE,
+        )
         return dest
 
-    def _release(self, logical: int, touches: list[MetadataTouch]) -> None:
+    def _release(self, logical: int, touches: list) -> None:
         """Drop ``logical``'s reference to its current content, freeing the
         physical line when it was the last reference."""
         old = self._mapping.pop(logical, None)
@@ -251,7 +228,7 @@ class DedupIndex:
         crc_old = self._stored.get(old)
         if crc_old is None:
             raise DedupIndexError(f"mapping of {logical} points at empty line {old}")
-        touches.append(MetadataTouch("inverted_hash", old, write=False))
+        touches += ("inverted_hash", old, READ)
         refs = self._hash_table[crc_old]
         ref = refs[old]
         if ref >= self.reference_cap:
@@ -263,12 +240,14 @@ class DedupIndex:
                 del self._hash_table[crc_old]
             del self._stored[old]
             self._free_stack.append(old)
-            touches.append(MetadataTouch("hash_table", crc_old, write=True))
-            touches.append(MetadataTouch("inverted_hash", old, write=True))
-            touches.append(MetadataTouch("fsm", old, write=True))
+            touches += (
+                "hash_table", crc_old, WRITE,
+                "inverted_hash", old, WRITE,
+                "fsm", old, WRITE,
+            )
         else:
             refs[old] = ref - 1
-            touches.append(MetadataTouch("hash_table", crc_old, write=True))
+            touches += ("hash_table", crc_old, WRITE)
 
     def _allocate(self) -> int:
         """Pop a free physical line (recycled first, then fresh top-down)."""

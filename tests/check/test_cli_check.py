@@ -86,7 +86,7 @@ class TestCliInvariants:
     def test_invariant_pass_exits_zero(self, capsys):
         assert main(["check", "--invariants", "--accesses", "400"]) == 0
         out = capsys.readouterr().out
-        assert "invariants: all 13 runs clean" in out
+        assert "invariants: all 16 runs clean" in out
         assert "deep sweeps" in out
 
     def test_default_runs_both_passes(self, capsys):

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import DeWriteConfig, MetadataCacheConfig
+from repro.core.dedup_engine import HASH_CACHE_HIT, PNA_SKIPPED, QUERIED_NVM
 from repro.core.dewrite import DeWriteController
+from repro.core.persistence import MetadataPersistenceConfig, MetadataPersistencePolicy
+from repro.core.tables import INSERT, WRITE
 from repro.hashes.crc32 import line_fingerprint
 from repro.nvm.config import NvmConfig, NvmOrganization
 from repro.nvm.memory import NvmMainMemory
@@ -28,21 +31,21 @@ class TestDetectionPaths:
     def test_fresh_line_is_non_duplicate(self):
         controller = make_controller()
         data = line(1)
-        detection = controller.engine.detect(
+        target, _, verify_reads, _, _, _ = controller.engine.detect(
             data, line_fingerprint(data), 0.0, predicted_duplicate=True
         )
-        assert detection.duplicate_target is None
-        assert detection.verify_reads == 0
+        assert target == -1
+        assert verify_reads == 0
 
     def test_duplicate_detected_after_store(self):
         controller = make_controller()
         data = line(1)
         controller.write(0, data, 0.0)
-        detection = controller.engine.detect(
+        target, _, verify_reads, _, _, _ = controller.engine.detect(
             data, line_fingerprint(data), 10_000.0, predicted_duplicate=True
         )
-        assert detection.duplicate_target == 0
-        assert detection.verify_reads == 1
+        assert target == 0
+        assert verify_reads == 1
 
     def test_detection_latency_duplicate_matches_table1(self):
         # 15 ns CRC + 75 ns read + compare (hash entry cached, idle banks).
@@ -50,20 +53,20 @@ class TestDetectionPaths:
         data = line(1)
         controller.write(0, data, 0.0)
         arrival = 100_000.0
-        detection = controller.engine.detect(
+        _, done_ns, _, _, _, _ = controller.engine.detect(
             data, line_fingerprint(data), arrival, predicted_duplicate=True
         )
-        latency = detection.done_ns - arrival
+        latency = done_ns - arrival
         assert latency == pytest.approx(15 + 75 + 0.5)
 
     def test_detection_latency_nonduplicate_is_crc_only(self):
         controller = make_controller()
         data = line(2)
-        detection = controller.engine.detect(
+        _, done_ns, _, _, _, flags = controller.engine.detect(
             data, line_fingerprint(data), 0.0, predicted_duplicate=False
         )
-        assert detection.done_ns == pytest.approx(15.0)
-        assert detection.pna_skipped
+        assert done_ns == pytest.approx(15.0)
+        assert flags & PNA_SKIPPED
 
     def test_pna_skips_nvm_query_for_predicted_nondup(self):
         controller = make_controller()
@@ -71,30 +74,40 @@ class TestDetectionPaths:
         # Evict hash cache by making a fresh controller state: simulate a
         # miss by probing an uncached fingerprint.
         data = line(9)
-        detection = controller.engine.detect(
+        target, _, _, _, _, flags = controller.engine.detect(
             data, line_fingerprint(data), 10_000.0, predicted_duplicate=False
         )
-        assert detection.pna_skipped
-        assert not detection.queried_nvm_hash_table
+        assert flags & PNA_SKIPPED
+        assert not flags & QUERIED_NVM
+        assert target == -1
 
     def test_predicted_duplicate_pays_nvm_query_on_miss(self):
         controller = make_controller()
         data = line(9)
-        detection = controller.engine.detect(
+        _, done_ns, _, _, _, flags = controller.engine.detect(
             data, line_fingerprint(data), 0.0, predicted_duplicate=True
         )
-        assert detection.queried_nvm_hash_table
-        assert not detection.pna_skipped
+        assert flags & QUERIED_NVM
+        assert not flags & PNA_SKIPPED
         # NVM metadata read + direct decrypt on the critical path.
-        assert detection.done_ns >= 15 + 75 + 96
+        assert done_ns >= 15 + 75 + 96
 
     def test_pna_disabled_always_queries(self):
         controller = make_controller(enable_pna=False)
         data = line(9)
-        detection = controller.engine.detect(
+        _, _, _, _, _, flags = controller.engine.detect(
             data, line_fingerprint(data), 0.0, predicted_duplicate=False
         )
-        assert detection.queried_nvm_hash_table
+        assert flags & QUERIED_NVM
+
+    def test_cached_fingerprint_flags_a_cache_hit(self):
+        controller = make_controller()
+        data = line(1)
+        controller.write(0, data, 0.0)  # inserts the hash entry on chip
+        _, _, _, _, _, flags = controller.engine.detect(
+            data, line_fingerprint(data), 10_000.0, predicted_duplicate=False
+        )
+        assert flags == HASH_CACHE_HIT
 
 
 class TestReferenceCapInDetection:
@@ -103,11 +116,11 @@ class TestReferenceCapInDetection:
         data = line(3)
         controller.write(0, data, 0.0)
         controller.write(1, data, 1_000.0)  # ref -> 2 (cap)
-        detection = controller.engine.detect(
+        target, _, _, _, capped_rejects, _ = controller.engine.detect(
             data, line_fingerprint(data), 100_000.0, predicted_duplicate=True
         )
-        assert detection.duplicate_target is None
-        assert detection.capped_rejects == 1
+        assert target == -1
+        assert capped_rejects == 1
 
     def test_fresh_copy_becomes_new_target(self):
         controller = make_controller(reference_cap=2)
@@ -115,11 +128,11 @@ class TestReferenceCapInDetection:
         controller.write(0, data, 0.0)
         controller.write(1, data, 1_000.0)  # saturates line 0
         controller.write(2, data, 2_000.0)  # stored as a fresh copy
-        detection = controller.engine.detect(
+        target, _, _, _, _, _ = controller.engine.detect(
             data, line_fingerprint(data), 100_000.0, predicted_duplicate=True
         )
-        assert detection.duplicate_target is not None
-        assert detection.duplicate_target != 0
+        assert target != -1
+        assert target != 0
 
 
 class TestCrcCollisions:
@@ -139,10 +152,12 @@ class TestCrcCollisions:
         ciphertext = controller.cme.encrypt(data_a, dest, counter)
         controller.nvm.write(dest, ciphertext, 0.0)
 
-        detection = controller.engine.detect(data_b, crc_b, 10_000.0, predicted_duplicate=True)
-        assert detection.duplicate_target is None
-        assert detection.collisions == 1
-        assert detection.verify_reads == 1
+        target, _, verify_reads, collisions, _, _ = controller.engine.detect(
+            data_b, crc_b, 10_000.0, predicted_duplicate=True
+        )
+        assert target == -1
+        assert collisions == 1
+        assert verify_reads == 1
 
     def test_collision_then_true_duplicate_in_same_chain(self):
         # Chain holds [collision, true duplicate]: detection must keep
@@ -167,12 +182,12 @@ class TestCrcCollisions:
             fake_dest, controller.cme.encrypt(line(6), fake_dest, fake_counter), 1_000.0
         )
 
-        detection = controller.engine.detect(
+        target, _, verify_reads, collisions, _, _ = controller.engine.detect(
             data_real, crc_real, 100_000.0, predicted_duplicate=True
         )
-        assert detection.duplicate_target == real_dest
-        assert detection.collisions == 1
-        assert detection.verify_reads == 2
+        assert target == real_dest
+        assert collisions == 1
+        assert verify_reads == 2
 
 
 class TestTruthOracle:
@@ -247,3 +262,37 @@ class TestMetadataSystem:
         controller.metadata.access("fsm", 0, False, 0.0, blocking=False)
         rates = controller.metadata.hit_rates()
         assert set(rates) == {"hash_table", "address_map", "inverted_hash", "fsm"}
+
+
+class TestPersistenceGate:
+    """Dirtying accesses reach the persistence policy only when it is active."""
+
+    def make(self, policy: MetadataPersistencePolicy) -> DeWriteController:
+        nvm = NvmMainMemory(
+            NvmConfig(organization=NvmOrganization(capacity_bytes=64 * 1024 * LINE))
+        )
+        config = DeWriteConfig(persistence=MetadataPersistenceConfig(policy=policy))
+        return DeWriteController(nvm, config=config)
+
+    def test_battery_backed_never_enters_policy(self, monkeypatch):
+        controller = self.make(MetadataPersistencePolicy.BATTERY_BACKED)
+        metadata = controller.metadata
+        entered: list = []
+        monkeypatch.setattr(
+            metadata, "_enforce_persistence", lambda *args: entered.append(args)
+        )
+        metadata.access("fsm", 0, True, 0.0, blocking=False)  # dirtying miss
+        metadata.access("fsm", 0, True, 0.0, blocking=False)  # dirtying hit
+        metadata.replay(["address_map", 0, WRITE, "hash_table", 9, INSERT], 0.0)
+        controller.write(3, line(4), 1_000.0)
+        assert entered == []
+
+    def test_write_through_miss_writes_block_back(self):
+        controller = self.make(MetadataPersistencePolicy.WRITE_THROUGH)
+        metadata = controller.metadata
+        nvm_writes = controller.nvm.writes
+        metadata.access("fsm", 0, True, 0.0, blocking=False)  # dirtying miss
+        assert metadata.metadata_writebacks == 1
+        assert controller.nvm.writes == nvm_writes + 1
+        # Written through: the resident block is clean, so eviction owes nothing.
+        assert metadata.caches["fsm"].dirty_blocks() == []

@@ -11,8 +11,8 @@ from repro.core.metadata_cache import MetadataCache
 class TestBasicBehaviour:
     def test_first_access_misses_then_hits(self):
         cache = MetadataCache("t", capacity_blocks=4)
-        assert cache.access(1, write=False).hit is False
-        assert cache.access(1, write=False).hit is True
+        assert cache.access(1, write=False) == (False, 1, None)
+        assert cache.access(1, write=False) == (True, 1, None)
         assert cache.hits == 1
         assert cache.misses == 1
         assert cache.hit_rate == 0.5
@@ -22,8 +22,12 @@ class TestBasicBehaviour:
         cache.access(0, write=False)
         # Entries 1..15 share block 0: all hits.
         for entry in range(1, 16):
-            assert cache.access(entry, write=False).hit is True
-        assert cache.access(16, write=False).hit is False
+            hit, block, _ = cache.access(entry, write=False)
+            assert hit is True
+            assert block == 0
+        hit, block, _ = cache.access(16, write=False)
+        assert hit is False
+        assert block == 1
 
     def test_block_of(self):
         cache = MetadataCache("t", capacity_blocks=4, entries_per_block=16)
@@ -54,23 +58,23 @@ class TestLruEviction:
     def test_clean_eviction_costs_nothing(self):
         cache = MetadataCache("t", capacity_blocks=1)
         cache.access(0, write=False)
-        result = cache.access(1, write=False)
-        assert result.evicted_dirty_block is None
+        _, _, evicted = cache.access(1, write=False)
+        assert evicted is None
         assert cache.writebacks == 0
 
     def test_dirty_eviction_reports_writeback(self):
         cache = MetadataCache("t", capacity_blocks=1)
         cache.access(0, write=True)
-        result = cache.access(1, write=False)
-        assert result.evicted_dirty_block == 0
+        _, _, evicted = cache.access(1, write=False)
+        assert evicted == 0
         assert cache.writebacks == 1
 
     def test_write_hit_marks_dirty(self):
         cache = MetadataCache("t", capacity_blocks=1)
         cache.access(0, write=False)
         cache.access(0, write=True)  # hit, but dirties the block
-        result = cache.access(1, write=False)
-        assert result.evicted_dirty_block == 0
+        _, _, evicted = cache.access(1, write=False)
+        assert evicted == 0
 
     def test_capacity_respected(self):
         cache = MetadataCache("t", capacity_blocks=3)
@@ -83,13 +87,15 @@ class TestDegenerateCache:
     def test_zero_capacity_always_misses(self):
         cache = MetadataCache("t", capacity_blocks=0)
         cache.access(0, write=False)
-        assert cache.access(0, write=False).hit is False
+        hit, _, _ = cache.access(0, write=False)
+        assert hit is False
         assert cache.resident_blocks == 0
 
     def test_zero_capacity_write_goes_straight_out(self):
         cache = MetadataCache("t", capacity_blocks=0)
-        result = cache.access(0, write=True)
-        assert result.evicted_dirty_block == 0
+        hit, _, evicted = cache.access(0, write=True)
+        assert hit is False
+        assert evicted == 0
         assert cache.writebacks == 1
 
 
@@ -132,6 +138,7 @@ class TestPropertyBased:
         cache = MetadataCache("t", capacity_blocks=4, entries_per_block=1)
         evictions = 0
         for entry in entries:
-            if cache.access(entry, write=True).evicted_dirty_block is not None:
+            _, _, evicted = cache.access(entry, write=True)
+            if evicted is not None:
                 evictions += 1
         assert evictions == 0

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.tables import (
+    INSERT,
+    READ,
+    WRITE,
     DedupIndex,
     DedupIndexError,
     MetadataLayout,
-    MetadataTouch,
 )
 
 
@@ -21,8 +23,15 @@ def make_index(lines: int = 1024, cap: int = 255) -> DedupIndex:
     return DedupIndex(total_lines=lines, reference_cap=cap)
 
 
-def sink() -> list[MetadataTouch]:
+def sink() -> list:
     return []
+
+
+def triples(touches: list) -> list[tuple]:
+    """Regroup a flat touch list into its (table, entry, op) triples."""
+    assert len(touches) % 3 == 0
+    it = iter(touches)
+    return list(zip(it, it, it))
 
 
 class TestUniqueWrites:
@@ -30,7 +39,7 @@ class TestUniqueWrites:
         index = make_index()
         dest = index.apply_unique(5, crc=0xAB, touches=sink())
         assert dest == 5
-        assert index.locate(5, sink()) == 5
+        assert index.physical_of(5) == 5
         assert index.content_crc(5) == 0xAB
         assert index.reference_of(5) == 1
         index.check_invariants()
@@ -52,8 +61,8 @@ class TestUniqueWrites:
         # 5's own slot still holds the data 6 references; new data relocated.
         assert dest != 5
         assert index.content_crc(5) == 1
-        assert index.locate(5, sink()) == dest
-        assert index.locate(6, sink()) == 5
+        assert index.physical_of(5) == dest
+        assert index.physical_of(6) == 5
         assert index.relocations == 1
         index.check_invariants()
 
@@ -61,15 +70,105 @@ class TestUniqueWrites:
         index = make_index()
         touches = sink()
         index.apply_unique(5, crc=1, touches=touches)
-        tables = {t.table for t in touches}
+        tables = {table for table, _, _ in triples(touches)}
         assert {"inverted_hash", "hash_table", "address_map", "fsm"} <= tables
 
     def test_fresh_insert_flagged(self):
         index = make_index()
         touches = sink()
         index.apply_unique(5, crc=1, touches=touches)
-        hash_touches = [t for t in touches if t.table == "hash_table" and t.write]
-        assert any(t.insert for t in hash_touches)
+        hash_ops = [op for table, _, op in triples(touches) if table == "hash_table"]
+        assert INSERT in hash_ops
+
+
+class TestTouchOrder:
+    """The exact (table, entry, op) sequence each transition charges.
+
+    The metadata caches apply touches in list order, so the order is part
+    of the simulated timing, not an implementation detail.
+    """
+
+    def test_unique_into_fresh_bucket(self):
+        index = make_index()
+        touches = sink()
+        index.apply_unique(5, crc=1, touches=touches)
+        assert triples(touches) == [
+            ("inverted_hash", 5, WRITE),
+            ("hash_table", 1, INSERT),
+            ("address_map", 5, WRITE),
+            ("fsm", 5, WRITE),
+        ]
+
+    def test_unique_into_existing_bucket(self):
+        index = make_index()
+        index.apply_unique(5, crc=1, touches=sink())
+        touches = sink()
+        index.apply_unique(6, crc=1, touches=touches)  # same fingerprint
+        assert triples(touches) == [
+            ("inverted_hash", 6, WRITE),
+            ("hash_table", 1, WRITE),
+            ("address_map", 6, WRITE),
+            ("fsm", 6, WRITE),
+        ]
+
+    def test_relocation(self):
+        index = make_index(lines=1024)
+        index.apply_unique(5, crc=1, touches=sink())
+        index.apply_duplicate(6, target=5, touches=sink())
+        touches = sink()
+        dest = index.apply_unique(5, crc=2, touches=touches)
+        assert dest == 1023  # fresh allocations descend from the top
+        assert triples(touches) == [
+            ("inverted_hash", 5, READ),  # release: 5 still referenced by 6
+            ("hash_table", 1, WRITE),
+            ("inverted_hash", 1023, WRITE),
+            ("hash_table", 2, INSERT),
+            ("address_map", 5, WRITE),
+            ("fsm", 1023, WRITE),
+        ]
+
+    def test_duplicate_over_last_reference(self):
+        index = make_index()
+        index.apply_unique(1, crc=7, touches=sink())
+        index.apply_unique(2, crc=8, touches=sink())
+        touches = sink()
+        index.apply_duplicate(2, target=1, touches=touches)
+        assert triples(touches) == [
+            ("inverted_hash", 2, READ),
+            # Last reference: the release frees line 2 (three writes).
+            ("hash_table", 8, WRITE),
+            ("inverted_hash", 2, WRITE),
+            ("fsm", 2, WRITE),
+            ("address_map", 2, WRITE),
+            ("hash_table", 7, WRITE),
+        ]
+
+    def test_same_target_rewrite_touches_nothing(self):
+        index = make_index()
+        index.apply_unique(1, crc=7, touches=sink())
+        index.apply_duplicate(2, target=1, touches=sink())
+        touches = sink()
+        index.apply_duplicate(2, target=1, touches=touches)
+        assert touches == []
+
+    def test_counter_slots(self):
+        index = make_index()
+        index.apply_unique(1, crc=7, touches=sink())
+        index.apply_duplicate(2, target=1, touches=sink())
+        touches = sink()
+        index.bump_counter(1, touches)
+        index.bump_counter(2, touches)
+        assert triples(touches) == [("address_map", 1, WRITE), ("inverted_hash", 2, WRITE)]
+
+    def test_overflow_counter_charged_as_address_map(self):
+        index = make_index(lines=8)
+        index.apply_unique(1, crc=2, touches=sink())
+        index.apply_duplicate(2, target=1, touches=sink())
+        index.apply_unique(1, crc=3, touches=sink())  # 1 relocates (slot kept for 2)
+        assert index.counter_slot(1) == "overflow"
+        touches = sink()
+        index.bump_counter(1, touches)
+        assert triples(touches) == [("address_map", 1, WRITE)]
 
 
 class TestDuplicateWrites:
@@ -77,7 +176,7 @@ class TestDuplicateWrites:
         index = make_index()
         index.apply_unique(1, crc=7, touches=sink())
         index.apply_duplicate(2, target=1, touches=sink())
-        assert index.locate(2, sink()) == 1
+        assert index.physical_of(2) == 1
         assert index.reference_of(1) == 2
         index.check_invariants()
 
@@ -186,7 +285,7 @@ class TestCounters:
         index.apply_unique(1, crc=2, touches=sink())  # 1 stores own data again
         index.apply_duplicate(2, target=1, touches=sink())  # 2 -> 1
         index.apply_unique(1, crc=3, touches=sink())  # 1 relocates (slot kept for 2)
-        reloc = index.locate(1, sink())
+        reloc = index.physical_of(1)
         assert reloc != 1
         # Now: logical 1 dedup'd/relocated, physical 1 holds data for 2.
         assert index.counter_slot(1) == "overflow"
@@ -261,7 +360,7 @@ class TestModelBased:
                 # Duplicate an existing logical's content.
                 source = sorted(model)[content_choice % len(model)]
                 crc = model[source]
-                target = index.locate(source, sink())
+                target = index.physical_of(source)
                 if target is None or index.reference_of(target) >= 255:
                     continue
                 if index.content_crc(target) != crc:
@@ -272,7 +371,7 @@ class TestModelBased:
 
         # Every written logical resolves to a line holding its content.
         for logical, crc in model.items():
-            physical = index.locate(logical, sink())
+            physical = index.physical_of(logical)
             assert physical is not None
             assert index.content_crc(physical) == crc
 
