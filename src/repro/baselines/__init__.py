@@ -13,28 +13,33 @@
   write-reduction models and the combined analyzer behind Fig. 13.
 """
 
-from repro.baselines.bit_reduction import (
-    BitFlipAnalyzer,
-    BitFlipReport,
-    FnwLineState,
-    dcw_flips,
-    deuce_flips,
-)
-from repro.baselines.i_nvmm import INvmmController
-from repro.baselines.out_of_line import OutOfLinePageDedupController
-from repro.baselines.secure_nvm import TraditionalSecureNvmController
-from repro.baselines.silent_shredder import SilentShredderController
-from repro.baselines.traditional_dedup import traditional_dedup_controller
+from __future__ import annotations
 
-__all__ = [
-    "TraditionalSecureNvmController",
-    "SilentShredderController",
-    "INvmmController",
-    "OutOfLinePageDedupController",
-    "traditional_dedup_controller",
-    "BitFlipAnalyzer",
-    "BitFlipReport",
-    "FnwLineState",
-    "dcw_flips",
-    "deuce_flips",
-]
+from importlib import import_module
+from typing import Any
+
+#: Public name -> defining submodule.  Exports load on first use (PEP 562),
+#: so building one controller imports only the module it lives in.
+_EXPORTS = {
+    "TraditionalSecureNvmController": "secure_nvm",
+    "SilentShredderController": "silent_shredder",
+    "INvmmController": "i_nvmm",
+    "OutOfLinePageDedupController": "out_of_line",
+    "traditional_dedup_controller": "traditional_dedup",
+    "BitFlipAnalyzer": "bit_reduction",
+    "BitFlipReport": "bit_reduction",
+    "FnwLineState": "bit_reduction",
+    "dcw_flips": "bit_reduction",
+    "deuce_flips": "bit_reduction",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -69,8 +69,9 @@ class INvmmController(TraditionalSecureNvmController):
         place by :meth:`_encrypt_cold_line`) and goes to the array in
         plaintext, skipping AES; hot reads skip decryption, cold reads take
         the parent's CME read pipeline.  Float arithmetic runs in request
-        order so reports stay byte-identical.  Observers are fed as in the
-        parent kernel.
+        order so reports stay byte-identical.  Observers and the request
+        record are fed as in the parent kernel; a write's facts are the
+        evicted victim (None when nothing went cold) and its new counter.
         """
         ops = batch.ops
         addresses = batch.addresses
@@ -102,6 +103,7 @@ class INvmmController(TraditionalSecureNvmController):
         trace_on = tracer.enabled
         timeline = self.timeline
         timeline_on = timeline.enabled
+        record = self.request_record
         cache = self.counter_cache
         # A timeline counts every counter-cache touch (see the parent).
         cache_blocks = {} if timeline_on else cache._blocks
@@ -159,6 +161,7 @@ class INvmmController(TraditionalSecureNvmController):
                     if not 0 <= address < data_lines:
                         self._check_data_address(address)
                     # Hot-set touch: at most one LRU victim goes cold.
+                    victim = None
                     if address in hot:
                         hot.move_to_end(address)
                     else:
@@ -191,6 +194,8 @@ class INvmmController(TraditionalSecureNvmController):
                     if trace_on:
                         tracer.span("write.nvm", wnow, complete, encrypted=False)
                         tracer.span("write", arrival, complete, deduplicated=False)
+                    if record is not None:
+                        record.append((req, complete, victim, counters.get(victim)))
                     writes += 1
                     if persistent[req]:
                         now = complete
@@ -246,6 +251,8 @@ class INvmmController(TraditionalSecureNvmController):
                             tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
                             tracer.span("read.crypto", rc, rnow, decrypted=decrypted)
                             tracer.span("read", arrival, rnow, redirected=False)
+                    if record is not None:
+                        record.append((req, rnow))
                     exposed = latency * exposure
                     now = arrival + exposed
                     stall_cycles += exposed * clock

@@ -65,7 +65,8 @@ class OutOfLinePageDedupController(TraditionalSecureNvmController):
         and the background scan runs at that write's completion, before
         any later request issues.  While more than one stream is active,
         each slice is the one request the merge issues next, so the
-        bookkeeping follows the merged order.
+        bookkeeping follows the merged order.  The parent kernel writes
+        the request record; the scan changes no counter, so its rows hold.
         """
         kernel = super()._service_stream
         ops = batch.ops

@@ -123,7 +123,9 @@ class TraditionalSecureNvmController(MemoryController):
         spans (the device entry points that return ``wait_ns`` replace the
         completion-only shortcuts), a timeline gets every request and
         counter-cache touch, and a stage accumulator is fed by columnar
-        per-batch flushes.  Returns the ``(serviced, reads, writes,
+        per-batch flushes.  An attached :attr:`request_record` gets one row
+        per request, a write's fact being the line's counter after it.
+        Returns the ``(serviced, reads, writes,
         deduplicated)`` counts as a plain tuple, which is cheaper to build
         than a :class:`BatchOutcome` on one-request calls.
         """
@@ -160,6 +162,7 @@ class TraditionalSecureNvmController(MemoryController):
         trace_on = tracer.enabled
         timeline = self.timeline
         timeline_on = timeline.enabled
+        record = self.request_record
         cache = self.counter_cache
         # A timeline counts every counter-cache touch, hits included, so
         # with one attached every touch goes through the helper.
@@ -258,6 +261,8 @@ class TraditionalSecureNvmController(MemoryController):
                         tracer.span("write.crypto", cnow, issue)
                         tracer.span("write.nvm", issue, complete, wait_ns=written.wait_ns)
                         tracer.span("write", arrival, complete, deduplicated=False)
+                    if record is not None:
+                        record.append((req, complete, counter))
                     writes += 1
                     if persistent[req]:
                         now = complete
@@ -299,6 +304,8 @@ class TraditionalSecureNvmController(MemoryController):
                         tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
                         tracer.span("read.crypto", rc, rnow, decrypted=decrypted)
                         tracer.span("read", arrival, rnow, redirected=False)
+                    if record is not None:
+                        record.append((req, rnow))
                     exposed = latency * exposure
                     now = arrival + exposed
                     stall_cycles += exposed * clock

@@ -50,8 +50,10 @@ class SilentShredderController(TraditionalSecureNvmController):
         Non-zero writes and reads of live lines take the parent's CME
         pipeline; all-zero writes and reads of shredded lines are the
         counter-manipulation shortcut.  Float arithmetic runs in request
-        order so reports stay byte-identical.  Observers are fed as in the
-        parent kernel.
+        order so reports stay byte-identical.  Observers and the request
+        record are fed as in the parent kernel; a write's facts are the
+        line's counter after it (None when shredded) and whether it was
+        shredded.
         """
         ops = batch.ops
         addresses = batch.addresses
@@ -84,6 +86,7 @@ class SilentShredderController(TraditionalSecureNvmController):
         trace_on = tracer.enabled
         timeline = self.timeline
         timeline_on = timeline.enabled
+        record = self.request_record
         cache = self.counter_cache
         # A timeline counts every counter-cache touch (see the parent).
         cache_blocks = {} if timeline_on else cache._blocks
@@ -197,6 +200,8 @@ class SilentShredderController(TraditionalSecureNvmController):
                             tracer.span("write.crypto", cnow, issue)
                             tracer.span("write.nvm", issue, complete, wait_ns=written.wait_ns)
                         tracer.span("write", arrival, complete, deduplicated=eliminated)
+                    if record is not None:
+                        record.append((req, complete, None if eliminated else counter, eliminated))
                     writes += 1
                     if persistent[req]:
                         now = complete
@@ -255,6 +260,8 @@ class SilentShredderController(TraditionalSecureNvmController):
                             tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
                             tracer.span("read.crypto", rc, rnow, decrypted=decrypted)
                             tracer.span("read", arrival, rnow, redirected=False)
+                    if record is not None:
+                        record.append((req, rnow))
                     exposed = latency * exposure
                     now = arrival + exposed
                     stall_cycles += exposed * clock

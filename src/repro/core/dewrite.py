@@ -182,7 +182,10 @@ class DeWriteController(MemoryController):
         sliced.  An attached tracer gets the per-request spans (reads go
         through ``nvm.read`` for ``wait_ns``), a timeline gets every
         request, and a stage accumulator is fed by columnar per-batch
-        flushes.
+        flushes.  An attached :attr:`request_record` gets one row per
+        request; a write's facts are the mapping before it, the new
+        physical line, that line's counter and stored CRC, and whether the
+        old line still holds data.
         """
         ops = batch.ops
         addresses = batch.addresses
@@ -234,6 +237,7 @@ class DeWriteController(MemoryController):
         trace_on = tracer.enabled
         timeline = self.timeline
         timeline_on = timeline.enabled
+        record = self.request_record
 
         # Summary-mode stage accounting: durations are collected into
         # plain lists (request order) and flushed once per call.  The
@@ -338,6 +342,8 @@ class DeWriteController(MemoryController):
                         hash_done = arrival + fp_ns
                         st_whash.append(hash_done - arrival)
                         st_wdedup.append(done - hash_done)
+                    if record is not None:
+                        old = physical_of(address)
                     if target >= 0:
                         # Cancel the write; record the address mapping (§III-B2).
                         writes_deduplicated += 1
@@ -383,6 +389,12 @@ class DeWriteController(MemoryController):
                             deduplicated=dedup,
                             predicted_dup=predicted,
                         )
+                    if record is not None:
+                        new = physical_of(address)
+                        record.append((
+                            req, complete, old, new, index.peek_counter(new),
+                            index.content_crc(new), old is not None and index.holds_data(old),
+                        ))
                     writes += 1
                     if persistent[req]:
                         now = complete
@@ -440,6 +452,8 @@ class DeWriteController(MemoryController):
                         tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
                         tracer.span("read.crypto", rc, rnow, decrypted=physical is not None)
                         tracer.span("read", arrival, rnow, redirected=redirected)
+                    if record is not None:
+                        record.append((req, rnow))
                     exposed = latency * exposure
                     now = arrival + exposed
                     stall_cycles += exposed * clock

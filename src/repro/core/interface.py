@@ -80,6 +80,12 @@ class MemoryController(abc.ABC):
             base_cpi=1.0,
         )
         self._complete_ns = 0.0
+        #: Per-request record: while a consumer attaches a list, the kernel
+        #: appends one row per serviced request in issue order, ``(req,
+        #: complete_ns)`` for a read and ``(req, complete_ns, *facts)`` for
+        #: a write, the facts being the written state the family's crash
+        #: journal needs.  The consumer drains it after every kernel call.
+        self.request_record: list[tuple] | None = None
 
     # -- observability ----------------------------------------------------------
 
@@ -208,7 +214,9 @@ class MemoryController(abc.ABC):
         its next arrival passes the runner-up's), advances the cursor as
         the scalar simulator loop would, sets ``_complete_ns`` to the last
         serviced request's completion time and returns the ``(serviced,
-        reads, writes, deduplicated)`` counts.
+        reads, writes, deduplicated)`` counts.  With a
+        :attr:`request_record` attached it also appends one row per
+        serviced request.
         """
 
     # -- helpers ----------------------------------------------------------------

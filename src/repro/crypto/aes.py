@@ -39,29 +39,24 @@ def _gmul(a: int, b: int) -> int:
 
 def _build_sbox() -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Derive the AES S-box from first principles (GF inverse + affine)."""
-    # Multiplicative inverses via exhaustive search is O(256^2) once at import.
-    inverse = [0] * 256
-    for a in range(1, 256):
-        for b in range(1, 256):
-            if _gmul(a, b) == 1:
-                inverse[a] = b
-                break
+    # Log/antilog tables over the generator 3 give every inverse in O(256):
+    # a^-1 = 3^(255 - log a).
+    exp = [0] * 255
+    log = [0] * 256
+    x = 1
+    for power in range(255):
+        exp[power] = x
+        log[x] = power
+        x ^= _xtime(x)  # x * 3 = x * 2 + x
     sbox = [0] * 256
     for value in range(256):
-        x = inverse[value]
-        # Affine transformation: bit_i = x_i ^ x_{i+4} ^ x_{i+5} ^ x_{i+6} ^ x_{i+7} ^ c_i
-        result = 0
-        for bit in range(8):
-            b = (
-                (x >> bit)
-                ^ (x >> ((bit + 4) % 8))
-                ^ (x >> ((bit + 5) % 8))
-                ^ (x >> ((bit + 6) % 8))
-                ^ (x >> ((bit + 7) % 8))
-                ^ (0x63 >> bit)
-            ) & 1
-            result |= b << bit
-        sbox[value] = result
+        x = exp[-log[value] % 255] if value else 0
+        # Affine transformation: bit_i = x_i ^ x_{i+4} ^ x_{i+5} ^ x_{i+6} ^ x_{i+7} ^ c_i,
+        # i.e. x xor its left rotations by 1..4, xor 0x63.
+        rotations = x
+        for shift in range(1, 5):
+            rotations ^= ((x << shift) | (x >> (8 - shift))) & 0xFF
+        sbox[value] = rotations ^ 0x63
     inv_sbox = [0] * 256
     for i, s in enumerate(sbox):
         inv_sbox[s] = i

@@ -1,9 +1,12 @@
 """Per-controller-family bridges between live controllers and the journal.
 
 The crash simulator (:mod:`repro.faults.crash`) is controller-agnostic: it
-wraps any registered controller and, after every committed write, asks the
-adapter which semantic metadata updates that write implied (see
-:mod:`repro.faults.journal` for the event vocabulary).  After power loss,
+wraps any registered controller, attaches a list as the controller's
+per-request record (:attr:`~repro.core.interface.MemoryController.request_record`)
+and, for every committed write's row, asks the adapter which semantic
+metadata updates that write implied (see :mod:`repro.faults.journal` for
+the event vocabulary).  Each kernel writes the facts its family's adapter
+reads, evaluated right after the write.  After power loss,
 the adapter also answers the recovery-side questions: how large is the
 metadata region a recovery scan must read back, and what plaintext does a
 rebuilt controller serve for a given logical line under a reconstructed
@@ -26,7 +29,7 @@ Three families cover the whole registry:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.faults.journal import DurableState, MetadataUpdate
 
@@ -48,15 +51,10 @@ class ControllerFaultAdapter(ABC):
         self.controller = controller
 
     @abstractmethod
-    def snapshot_before_write(self, address: int) -> Any:
-        """Capture whatever pre-write state ``updates_for_write`` needs."""
-
-    @abstractmethod
-    def updates_for_write(
-        self, address: int, data: bytes, complete_ns: float, snapshot: Any
-    ) -> list[MetadataUpdate]:
-        """Semantic metadata updates the committed write implied, stamped
-        at the write's completion time."""
+    def updates_from_record(self, address: int, row: tuple) -> list[MetadataUpdate]:
+        """Semantic metadata updates the committed write of ``address``
+        implied, from its request-record ``row`` ``(req, complete_ns,
+        *facts)``, stamped at the write's completion time."""
 
     @abstractmethod
     def metadata_lines(self) -> int:
@@ -85,29 +83,17 @@ class DedupFamilyAdapter(ControllerFaultAdapter):
 
     family = "dedup"
 
-    def snapshot_before_write(self, address: int) -> int | None:
-        # The physical line the logical address resolved to before the
-        # write — needed to detect that the write released it.
-        return self.controller.index.physical_of(address)
-
-    def updates_for_write(
-        self, address: int, data: bytes, complete_ns: float, snapshot: Any
-    ) -> list[MetadataUpdate]:
-        index = self.controller.index
-        ns = complete_ns
-        new_phys = index.physical_of(address)
-        if new_phys is None:
-            raise RuntimeError(f"write of line {address} left it unmapped")
-        crc = index.content_crc(new_phys)
+    def updates_from_record(self, address: int, row: tuple) -> list[MetadataUpdate]:
+        # The old physical line matters only if the write released it.
+        _, ns, old_phys, new_phys, counter, crc, old_holds_data = row
         if crc is None:
             raise RuntimeError(f"write of line {address} targets empty line {new_phys}")
         updates = [
             MetadataUpdate(ns, "map", address, new_phys),
-            MetadataUpdate(ns, "ctr", new_phys, index.peek_counter(new_phys)),
+            MetadataUpdate(ns, "ctr", new_phys, counter),
             MetadataUpdate(ns, "stored", new_phys, crc),
         ]
-        old_phys = snapshot
-        if old_phys is not None and old_phys != new_phys and not index.holds_data(old_phys):
+        if old_phys is not None and old_phys != new_phys and not old_holds_data:
             updates.append(MetadataUpdate(ns, "free", old_phys))
         return updates
 
@@ -132,22 +118,11 @@ class SecureFamilyAdapter(ControllerFaultAdapter):
 
     family = "secure"
 
-    def snapshot_before_write(self, address: int) -> Any:
-        return None
-
-    def _counter_of(self, address: int) -> int:
-        controller = self.controller
-        if controller._split is not None:
-            return controller._split.counter_of(address)
-        return controller._counters.get(address, 0)
-
-    def updates_for_write(
-        self, address: int, data: bytes, complete_ns: float, snapshot: Any
-    ) -> list[MetadataUpdate]:
-        ns = complete_ns
+    def updates_from_record(self, address: int, row: tuple) -> list[MetadataUpdate]:
+        ns, counter = row[1], row[2]
         return [
             MetadataUpdate(ns, "map", address, address),
-            MetadataUpdate(ns, "ctr", address, self._counter_of(address)),
+            MetadataUpdate(ns, "ctr", address, counter),
         ]
 
     def metadata_lines(self) -> int:
@@ -178,13 +153,11 @@ class ShredderAdapter(SecureFamilyAdapter):
 
     family = "shredder"
 
-    def updates_for_write(
-        self, address: int, data: bytes, complete_ns: float, snapshot: Any
-    ) -> list[MetadataUpdate]:
-        if address in self.controller._shredded:
+    def updates_from_record(self, address: int, row: tuple) -> list[MetadataUpdate]:
+        if row[3]:
             # The write was cancelled; only the shred mark must persist.
-            return [MetadataUpdate(complete_ns, "shred", address)]
-        return super().updates_for_write(address, data, complete_ns, snapshot)
+            return [MetadataUpdate(row[1], "shred", address)]
+        return super().updates_from_record(address, row)
 
 
 class INvmmAdapter(SecureFamilyAdapter):
@@ -192,28 +165,15 @@ class INvmmAdapter(SecureFamilyAdapter):
 
     family = "i-nvmm"
 
-    def snapshot_before_write(self, address: int) -> int | None:
-        # The LRU-oldest hot line is the only possible eviction victim of
-        # this write (a write evicts at most one hot line).
-        return next(iter(self.controller._hot), None)
-
-    def updates_for_write(
-        self, address: int, data: bytes, complete_ns: float, snapshot: Any
-    ) -> list[MetadataUpdate]:
-        controller = self.controller
-        ns = complete_ns
+    def updates_from_record(self, address: int, row: tuple) -> list[MetadataUpdate]:
+        _, ns, victim, victim_counter = row
         # Every i-NVMM write makes the line hot and stores it in plaintext
         # with its counter invalidated.
         updates = [MetadataUpdate(ns, "plain", address)]
-        victim = snapshot
-        if (
-            victim is not None
-            and victim not in controller._hot
-            and victim in controller._counters
-        ):
+        if victim_counter is not None:
             # The write evicted the LRU line, which was re-encrypted in
             # place under a fresh counter.
-            updates.append(MetadataUpdate(ns, "ctr", victim, controller._counters[victim]))
+            updates.append(MetadataUpdate(ns, "ctr", victim, victim_counter))
         return updates
 
 

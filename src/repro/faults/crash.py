@@ -2,18 +2,23 @@
 
 :class:`CrashSimulator` wraps any registered memory controller behind the
 standard :class:`~repro.core.interface.MemoryController` surface.  Its
-kernel hands each request alone to the wrapped controller's kernel, and
-around it:
+kernel attaches a list as the wrapped controller's
+:attr:`~repro.core.interface.MemoryController.request_record`, hands the
+whole crash segment to the wrapped kernel in one call, and folds the
+drained rows in issue order: every committed write, read from the batch
+payload, feeds the :class:`~repro.workloads.oracle.ReplayOracle` (ground
+truth), and the controller's fault adapter turns the write's row into the
+semantic metadata updates it implied, which are journaled
+(:class:`~repro.faults.journal.DurabilityJournal`).  A kernel that
+services requests without recording them raises
+:class:`~repro.faults.adapters.UnsupportedControllerError` before anything
+is journaled.
 
-1. checks the :class:`~repro.faults.plan.FaultPlan`'s sim-time power-loss
-   trigger against the request's arrival and raises
-   :class:`PowerLossError` *before* issuing the doomed request, which
-   ends the run;
-2. feeds every committed write, read from the batch payload, to the
-   :class:`~repro.workloads.oracle.ReplayOracle` (ground truth) and asks
-   the controller's fault adapter which semantic metadata updates the
-   write implied, journaling them
-   (:class:`~repro.faults.journal.DurabilityJournal`).
+Only a :class:`~repro.faults.plan.FaultPlan` with a sim-time power-loss
+trigger steps one request at a time: before each request it checks the
+trigger against the request's arrival and raises :class:`PowerLossError`
+*before* issuing the doomed request, which ends the run.  Each step folds
+through the same code.
 
 :class:`CrashRun` drives the wrapper through ``service_batch`` with its
 own :class:`~repro.core.batching.BatchCursor`.  An access-ordinal power
@@ -44,7 +49,7 @@ from typing import Any
 from repro.core.batching import BatchCursor, merge_state
 from repro.core.interface import MemoryController
 from repro.core.persistence import MetadataPersistenceConfig
-from repro.faults.adapters import adapter_for
+from repro.faults.adapters import UnsupportedControllerError, adapter_for
 from repro.faults.audit import ConsistencyAuditor, ConsistencyReport
 from repro.faults.injectors import CellFault, CellFaultInjector, FlushFaultModel
 from repro.faults.journal import DurabilityJournal
@@ -93,30 +98,34 @@ class CrashSimulator(MemoryController):
     def _plaintext(self, address: int) -> bytes:
         return self.inner._plaintext(address)
 
-    def _maybe_crash(self, arrival_ns: float) -> None:
-        """Pull the plug before the current request if its arrival is past
-        the plan's sim-time trigger (ordinal triggers are :class:`CrashRun`
-        batch splits and never reach the wrapper)."""
-        loss_ns = self.plan.power_loss_ns
-        if loss_ns is not None and arrival_ns >= loss_ns:
-            # Committed writes may have completed after the nominal loss
-            # instant (they drained); the crash point covers them all.
-            raise PowerLossError(max(self.last_complete_ns, loss_ns))
-        self.accesses += 1
-
     def _service_stream(self, batch, cursor, max_requests=None):
-        """Hand each request alone to the wrapped kernel, around the hooks.
+        """Run the wrapped kernel over the crash segment and fold its record.
 
-        The request is the one the kernel's merge issues next (see
-        :func:`~repro.core.batching.merge_state`)."""
+        Without a sim-time trigger the segment is one kernel call.  With
+        one, each request is the one the kernel's merge issues next (see
+        :func:`~repro.core.batching.merge_state`), checked against the
+        trigger before it is handed alone to the wrapped kernel.
+        """
         inner = self.inner
-        service = inner._service_stream
-        adapter = self.adapter
-        ops = batch.ops
-        addresses = batch.addresses
+        record = inner.request_record = []
+        try:
+            if self.plan.power_loss_ns is None:
+                outcome = inner._service_stream(batch, cursor, max_requests)
+                self._fold(batch, record, outcome[0])
+            else:
+                outcome = self._step(batch, cursor, max_requests, record)
+        finally:
+            inner.request_record = None
+        self._complete_ns = inner._complete_ns
+        return outcome
+
+    def _step(self, batch, cursor, max_requests, record):
+        """Service one request at a time, pulling the plug before the first
+        whose arrival is past the plan's sim-time trigger (ordinal triggers
+        are :class:`CrashRun` batch splits and never reach the wrapper)."""
+        service = self.inner._service_stream
+        loss_ns = self.plan.power_loss_ns
         gaps = batch.gaps
-        slots = batch.slots
-        line_size = batch.line_size
         npi = cursor.ns_per_instruction
         streams = cursor.streams
         positions = cursor.positions
@@ -128,27 +137,47 @@ class CrashSimulator(MemoryController):
                 # A lone stream stays lone: its core issues every request left.
                 core = merge_state(cursor)[2]
                 lone = len(cursor.active) == 1
-            req = streams[core][positions[core]]
-            self._maybe_crash(core_time[core] + gaps[req] * npi)
-            address = addresses[req]
-            if ops[req]:
-                snapshot = adapter.snapshot_before_write(address)
-                deduplicated += service(batch, cursor, 1)[3]
-                slot = slots[req]
-                data = batch.payload[slot : slot + line_size]
-                self.oracle.observe_write(address, data)
-                self.journal.extend(
-                    adapter.updates_for_write(address, data, inner._complete_ns, snapshot)
-                )
-                writes += 1
-            else:
-                service(batch, cursor, 1)
-                reads += 1
-            serviced += 1
-            if inner._complete_ns > self.last_complete_ns:
-                self.last_complete_ns = inner._complete_ns
-        self._complete_ns = inner._complete_ns
+            if core_time[core] + gaps[streams[core][positions[core]]] * npi >= loss_ns:
+                # Committed writes may have completed after the nominal loss
+                # instant (they drained); the crash point covers them all.
+                raise PowerLossError(max(self.last_complete_ns, loss_ns))
+            done, done_reads, done_writes, done_dedup = service(batch, cursor, 1)
+            self._fold(batch, record, done)
+            serviced += done
+            reads += done_reads
+            writes += done_writes
+            deduplicated += done_dedup
         return serviced, reads, writes, deduplicated
+
+    def _fold(self, batch, record: list[tuple], serviced: int) -> None:
+        """Fold the drained request record of ``serviced`` requests, in
+        issue order, into the oracle, the journal and the crash clock."""
+        if len(record) != serviced:
+            raise UnsupportedControllerError(
+                f"{type(self.inner).__name__} serviced {serviced} request(s) but "
+                f"recorded {len(record)}; its crash journal would be partial"
+            )
+        ops = batch.ops
+        addresses = batch.addresses
+        slots = batch.slots
+        payload = batch.payload
+        line_size = batch.line_size
+        observe_write = self.oracle.observe_write
+        updates_from_record = self.adapter.updates_from_record
+        extend = self.journal.extend
+        last = self.last_complete_ns
+        for row in record:
+            req = row[0]
+            if row[1] > last:
+                last = row[1]
+            if ops[req]:
+                address = addresses[req]
+                slot = slots[req]
+                observe_write(address, payload[slot : slot + line_size])
+                extend(updates_from_record(address, row))
+        self.last_complete_ns = last
+        self.accesses += serviced
+        record.clear()
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ presence and dirtiness, while all functional table state lives in the
 :class:`~repro.core.tables.DedupIndex` (or the baselines' counter dicts).
 A crash model therefore cannot ask the caches "which entries were dirty" —
 they don't know values.  Instead, the crash simulator journals every
-*semantic* metadata update as it commits, stamped with the write's
-completion time:
+*semantic* metadata update a write committed, folded from the kernel's
+per-request record and stamped with the write's completion time:
 
 - ``map``    — logical line L now resolves to physical line P;
 - ``ctr``    — physical line P's encryption counter is now C (the bytes in
@@ -31,24 +31,32 @@ crash destroyed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 #: Journal event kinds (see the module docstring).
 UPDATE_KINDS = ("map", "ctr", "stored", "free", "shred", "plain")
 
 
-@dataclass(frozen=True)
-class MetadataUpdate:
-    """One semantic metadata update, stamped at its commit time."""
-
+class _Update(NamedTuple):
     ns: float
     kind: str
     key: int
     value: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in UPDATE_KINDS:
-            raise ValueError(f"unknown update kind {self.kind!r}; known: {UPDATE_KINDS}")
+
+class MetadataUpdate(_Update):
+    """One semantic metadata update, stamped at its commit time.
+
+    An immutable tuple: a campaign journals thousands of them, and a tuple
+    is about three times cheaper to build than a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ns: float, kind: str, key: int, value: int | None = None):
+        if kind not in UPDATE_KINDS:
+            raise ValueError(f"unknown update kind {kind!r}; known: {UPDATE_KINDS}")
+        return tuple.__new__(cls, (ns, kind, key, value))
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,6 +69,15 @@ class TestStructure:
     def test_inv_sbox_inverts_sbox(self):
         for value in range(256):
             assert _INV_SBOX[_SBOX[value]] == value
+
+    def test_sbox_tables_pinned(self):
+        # The whole of both tables, as FIPS-197 Figures 7 and 14 print them.
+        assert hashlib.sha256(bytes(_SBOX)).hexdigest() == (
+            "c2d8e5eed6cbebd8625fc18f81486a7733c04f9b0129ffbe974c68b90308b4f2"
+        )
+        assert hashlib.sha256(bytes(_INV_SBOX)).hexdigest() == (
+            "93631b0726f6fe6629daa743ee51b49f4477ed07391b68eeea0672a4a90018aa"
+        )
 
     def test_sbox_known_entries(self):
         # FIPS-197 Figure 7 spot checks.
