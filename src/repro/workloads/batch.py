@@ -198,33 +198,38 @@ class AccessBatch:
 class BatchBuilder:
     """Append-only builder producing an :class:`AccessBatch`.
 
-    The workload generators append directly into the columns — no
-    intermediate ``MemoryAccess`` objects — then call :meth:`build`.
+    The columns are public: the trace synthesizers append to them straight
+    from their draw loops (one access = one entry in each of ``ops``,
+    ``cores``, ``addresses``, ``gaps``, ``persistent`` and ``slots``, plus
+    exactly ``line_size`` bytes of ``payload`` per write), and every other
+    caller goes through :meth:`append_read` / :meth:`append_write`, which
+    validate each access.  :meth:`build` checks the columns are parallel
+    and the payload holds one line per write.
     """
 
     def __init__(self, line_size: int | None = None) -> None:
-        self._ops = bytearray()
-        self._cores = array("i")
-        self._addresses = array("q")
-        self._gaps = array("q")
-        self._persistent = bytearray()
-        self._payload = bytearray()
-        self._slots = array("q")
-        self._line_size = line_size
+        self.ops = bytearray()
+        self.cores = array("i")
+        self.addresses = array("q")
+        self.gaps = array("q")
+        self.persistent = bytearray()
+        self.payload = bytearray()
+        self.slots = array("q")
+        self.line_size = line_size
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return len(self.ops)
 
     def append_read(self, core: int, address: int, gap_instructions: int = 0) -> None:
         """Append one read access."""
         if gap_instructions < 0:
             raise ValueError("gap_instructions must be non-negative")
-        self._ops.append(OP_READ)
-        self._cores.append(core)
-        self._addresses.append(address)
-        self._gaps.append(gap_instructions)
-        self._persistent.append(0)
-        self._slots.append(-1)
+        self.ops.append(OP_READ)
+        self.cores.append(core)
+        self.addresses.append(address)
+        self.gaps.append(gap_instructions)
+        self.persistent.append(0)
+        self.slots.append(-1)
 
     def append_write(
         self,
@@ -237,19 +242,19 @@ class BatchBuilder:
         """Append one write access carrying ``data``."""
         if gap_instructions < 0:
             raise ValueError("gap_instructions must be non-negative")
-        if self._line_size is None:
-            self._line_size = len(data)
-        elif len(data) != self._line_size:
+        if self.line_size is None:
+            self.line_size = len(data)
+        elif len(data) != self.line_size:
             raise ValueError(
-                f"write data must be {self._line_size} bytes, got {len(data)}"
+                f"write data must be {self.line_size} bytes, got {len(data)}"
             )
-        self._ops.append(OP_WRITE)
-        self._cores.append(core)
-        self._addresses.append(address)
-        self._gaps.append(gap_instructions)
-        self._persistent.append(1 if persistent else 0)
-        self._slots.append(len(self._payload))
-        self._payload.extend(data)
+        self.ops.append(OP_WRITE)
+        self.cores.append(core)
+        self.addresses.append(address)
+        self.gaps.append(gap_instructions)
+        self.persistent.append(1 if persistent else 0)
+        self.slots.append(len(self.payload))
+        self.payload.extend(data)
 
     def build(self) -> AccessBatch:
         """Freeze the columns into an immutable :class:`AccessBatch`.
@@ -257,13 +262,19 @@ class BatchBuilder:
         The batch gets copies of the columns, so appending after a build
         never reaches a batch already handed out.
         """
+        line_size = self.line_size if self.line_size is not None else 0
+        if len(self.payload) != self.ops.count(OP_WRITE) * line_size:
+            raise ValueError(
+                f"payload holds {len(self.payload)} bytes, not one "
+                f"{line_size}-byte line per write"
+            )
         return AccessBatch(
-            ops=bytes(self._ops),
-            cores=self._cores[:],
-            addresses=self._addresses[:],
-            gaps=self._gaps[:],
-            persistent=bytes(self._persistent),
-            payload=bytes(self._payload),
-            slots=self._slots[:],
-            line_size=self._line_size if self._line_size is not None else 0,
+            ops=bytes(self.ops),
+            cores=self.cores[:],
+            addresses=self.addresses[:],
+            gaps=self.gaps[:],
+            persistent=bytes(self.persistent),
+            payload=bytes(self.payload),
+            slots=self.slots[:],
+            line_size=line_size,
         )
