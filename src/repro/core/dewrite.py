@@ -106,71 +106,18 @@ class DeWriteController(MemoryController):
         counter = self.index.peek_counter(physical)
         return self.cme.decrypt(self.nvm.peek(physical), physical, counter)
 
-    def _commit_unique(
-        self,
-        address: int,
-        data: bytes,
-        crc: int,
-        done_ns: float,
-        predicted_dup: bool,
-        arrival_ns: float,
-    ) -> float:
-        """Encrypt and write a non-duplicate line; returns its completion.
-
-        ``done_ns`` is when duplication detection finished.
-        """
-        stats = self.stats
-        stats.writes_stored += 1
-        touches: list = []
-        dest = self.index.apply_unique(address, crc, touches)
-        counter = self.index.bump_counter(dest, touches)
-        ciphertext = self.cme.encrypt(data, dest, counter)
-        self.nvm.energy.add_aes_line()
-
-        parallel_crypto = self._encrypted_in_parallel(predicted_dup)
-        if parallel_crypto:
-            # Encryption started at arrival, concurrently with detection;
-            # the write issues once both have finished.
-            crypto_start = arrival_ns
-            issue = max(arrival_ns + self._aes_ns, done_ns)
-        else:
-            # Serial: detection first, then AES (the direct way / a
-            # predicted-duplicate misprediction).
-            crypto_start = done_ns
-            issue = done_ns + self._aes_ns
-            if self.mode == "predictive" and predicted_dup:
-                stats.serialized_detections += 1
-
-        trace_on = self.tracer.enabled
-        if trace_on:
-            # Only a span needs the bank wait; untraced, skip the result.
-            written = self.nvm.write(dest, ciphertext, issue)
-            complete = written.complete_ns
-        else:
-            complete = self.nvm.write_complete_ns(dest, ciphertext, issue)
-        self.metadata.replay(touches, complete)
-        if trace_on:
-            self.tracer.span(
-                "write.crypto",
-                crypto_start,
-                crypto_start + self.config.aes_latency_ns,
-                parallel=parallel_crypto,
-            )
-            self.tracer.span("write.nvm", issue, complete, dest=dest, wait_ns=written.wait_ns)
-        if self.stages.enabled:
-            self.stages.record(
-                "write.crypto", crypto_start + self.config.aes_latency_ns - crypto_start
-            )
-            self.stages.record("write.nvm", complete - issue)
-        return complete
-
     def _service_stream(self, batch, cursor, max_requests=None):
         """DeWrite's write and read pipelines over the cursor's merged streams.
 
         Write (Fig. 10): predict the duplication state, fingerprint, run
         detection; a confirmed duplicate cancels the array write and only
         records the address mapping, a unique line is encrypted under its
-        destination's bumped counter and written (:meth:`_commit_unique`).
+        destination's bumped counter and written.  Encryption runs
+        concurrently with detection (speculatively) unless the mode is the
+        direct way or DeWrite predicted a duplicate: then AES starts when
+        detection ends, and a predicted duplicate that was not one counts
+        a serialized detection.  A speculation on a confirmed duplicate
+        wastes the encryption: energy only.
         Read (Fig. 11): address-mapping lookup, counter fetch, array read
         with the OTP overlapped, XOR.  The plaintext is rebuilt only by
         :meth:`read`, functionally (:meth:`_plaintext`); the kernel charges
@@ -218,7 +165,11 @@ class DeWriteController(MemoryController):
         counter_slot = index.counter_slot
         replay = self.metadata.replay
         metadata_access = self.metadata.access
-        commit_unique = self._commit_unique
+        apply_unique = index.apply_unique
+        bump_counter = index.bump_counter
+        encrypt = self.cme.encrypt
+        nvm_write = self.nvm.write
+        nvm_write_done = self.nvm.write_complete_ns
         nvm_read = self.nvm.read
         nvm_read_done = self.nvm.read_complete_ns
         enable_prediction = self.config.enable_prediction
@@ -230,6 +181,7 @@ class DeWriteController(MemoryController):
         data_lines = self._data_lines
         is_direct = self.mode == "direct"
         is_parallel = self.mode == "parallel"
+        is_predictive = self.mode == "predictive"
         par_enc = self.config.enable_parallel_encryption
         aes_ns = self._aes_ns
         fp_ns = self.config.fingerprint_latency_ns
@@ -240,15 +192,15 @@ class DeWriteController(MemoryController):
         record = self.request_record
 
         # Summary-mode stage accounting: durations are collected into
-        # plain lists (request order) and flushed once per call.  The
-        # write.crypto/write.nvm samples of unique writes are recorded by
-        # _commit_unique itself, so the wasted-encryption sample below
-        # also records directly to keep that stage's sample order.
+        # plain lists (request order) and flushed once per call.
+        # write.crypto takes both the unique writes' encryptions and the
+        # wasted speculative ones, in request order.
         stages = self.stages
         stage_on = stages.enabled
-        stage_record = stages.record
         st_whash: list[float] = []
         st_wdedup: list[float] = []
+        st_wcrypto: list[float] = []
+        st_wnvm: list[float] = []
         st_write: list[float] = []
         st_rmeta: list[float] = []
         st_rnvm: list[float] = []
@@ -258,6 +210,8 @@ class DeWriteController(MemoryController):
         # Counter batching: plain integers, written back after the loop.
         writes_requested = stats.writes_requested
         writes_deduplicated = stats.writes_deduplicated
+        writes_stored = stats.writes_stored
+        serialized_detections = stats.serialized_detections
         verify_reads_total = stats.verify_reads
         crc_collisions = stats.crc_collisions
         capped_rejects = stats.capped_reference_rejects
@@ -344,16 +298,15 @@ class DeWriteController(MemoryController):
                         st_wdedup.append(done - hash_done)
                     if record is not None:
                         old = physical_of(address)
+                    speculated = not is_direct and (is_parallel or (par_enc and not predicted))
+                    touches = []
                     if target >= 0:
                         # Cancel the write; record the address mapping (§III-B2).
                         writes_deduplicated += 1
-                        touches = []
                         apply_duplicate(address, target, touches)
                         complete = done
                         replay(touches, complete)
-                        if not is_direct and (
-                            is_parallel or (par_enc and not predicted)
-                        ):
+                        if speculated:
                             # The speculative encryption was wasted: energy only.
                             add_aes_line()
                             wasted_encryptions += 1
@@ -362,11 +315,45 @@ class DeWriteController(MemoryController):
                                     "write.crypto", arrival, arrival + aes_ns, wasted=True
                                 )
                             if stage_on:
-                                stage_record("write.crypto", arrival + aes_ns - arrival)
+                                st_wcrypto.append(arrival + aes_ns - arrival)
                         dedup = True
                         deduplicated += 1
                     else:
-                        complete = commit_unique(address, line, crc, done, predicted, arrival)
+                        # Encrypt under the destination's bumped counter, write.
+                        writes_stored += 1
+                        dest = apply_unique(address, crc, touches)
+                        ciphertext = encrypt(line, dest, bump_counter(dest, touches))
+                        add_aes_line()
+                        if speculated:
+                            # AES started at arrival, concurrently with
+                            # detection; the write issues once both finish.
+                            crypto_start = arrival
+                            issue = max(arrival + aes_ns, done)
+                        else:
+                            crypto_start = done
+                            issue = done + aes_ns
+                            if is_predictive and predicted:
+                                serialized_detections += 1
+                        if trace_on:
+                            # Only a span needs the bank wait; untraced, skip it.
+                            written = nvm_write(dest, ciphertext, issue)
+                            complete = written.complete_ns
+                        else:
+                            complete = nvm_write_done(dest, ciphertext, issue)
+                        replay(touches, complete)
+                        if trace_on:
+                            tracer.span(
+                                "write.crypto",
+                                crypto_start,
+                                crypto_start + aes_ns,
+                                parallel=speculated,
+                            )
+                            tracer.span(
+                                "write.nvm", issue, complete, dest=dest, wait_ns=written.wait_ns
+                            )
+                        if stage_on:
+                            st_wcrypto.append(crypto_start + aes_ns - crypto_start)
+                            st_wnvm.append(complete - issue)
                         dedup = False
                     latency = complete - arrival
                     if enable_prediction:
@@ -472,6 +459,8 @@ class DeWriteController(MemoryController):
         # Write the batched counters and accumulators back.
         stats.writes_requested = writes_requested
         stats.writes_deduplicated = writes_deduplicated
+        stats.writes_stored = writes_stored
+        stats.serialized_detections = serialized_detections
         stats.verify_reads = verify_reads_total
         stats.crc_collisions = crc_collisions
         stats.capped_reference_rejects = capped_rejects
@@ -496,6 +485,8 @@ class DeWriteController(MemoryController):
             record_many = stages.record_many
             record_many("write.hash", st_whash)
             record_many("write.dedup", st_wdedup)
+            record_many("write.crypto", st_wcrypto)
+            record_many("write.nvm", st_wnvm)
             record_many("write", st_write)
             record_many("read.metadata", st_rmeta)
             record_many("read.nvm", st_rnvm)
@@ -544,19 +535,6 @@ class DeWriteController(MemoryController):
             else hashlib.new(self.config.fingerprint, data).digest()
         )
         return int.from_bytes(digest, "big")
-
-    def _encrypted_in_parallel(self, predicted_dup: bool) -> bool:
-        """Whether encryption ran concurrently with detection (§III-A).
-
-        The integration mode decides: the direct way is always serial, the
-        parallel way always speculates, DeWrite speculates only on writes
-        predicted non-duplicate.
-        """
-        if self.mode == "direct":
-            return False
-        if self.mode == "parallel":
-            return True
-        return self.config.enable_parallel_encryption and not predicted_dup
 
     def _sync_metadata_stats(self) -> None:
         self.stats.metadata_reads = self.metadata.metadata_reads
