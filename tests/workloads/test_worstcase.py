@@ -40,3 +40,7 @@ class TestWorstCase:
     def test_invalid_length_rejected(self):
         with pytest.raises(ValueError):
             worst_case_trace(num_accesses=0)
+
+    def test_line_too_short_for_the_nonce_rejected(self):
+        with pytest.raises(ValueError):
+            worst_case_trace(num_accesses=100, line_size_bytes=4)
