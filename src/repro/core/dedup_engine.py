@@ -181,15 +181,24 @@ class MetadataSystem:
             cache = caches[table]
             blocks = cache._blocks
             block = index // cache.entries_per_block
-            if timeline_off and block in blocks:
-                if op != INSERT:
-                    cache.hits += 1
-                blocks.move_to_end(block)
-                if op:
+            if timeline_off:
+                if block in blocks:
+                    if op != INSERT:
+                        cache.hits += 1
+                    blocks.move_to_end(block)
+                    if op:
+                        blocks[block] = True
+                        if persistence:
+                            self._enforce_persistence(table, index, now_ns)
+                    continue
+                if op == INSERT and len(blocks) < cache.capacity_blocks:
+                    # Insert arm of MetadataCache.access: a brand-new entry
+                    # allocates its block dirty with no fetch, no eviction
+                    # (the cache has room) and no hit/miss statistics.
                     blocks[block] = True
                     if persistence:
                         self._enforce_persistence(table, index, now_ns)
-                continue
+                    continue
             access(table, index, op != READ, now_ns, False, op != INSERT)
 
     def flush(self, now_ns: float) -> int:

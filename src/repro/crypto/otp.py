@@ -93,6 +93,21 @@ def _swar_constants(k: int) -> tuple[int, int, int]:
     return constants
 
 
+def swar_finalise(x: int, lane_mask: int) -> int:
+    """The splitmix64 finaliser applied to every 128-bit lane of ``x`` at once.
+
+    Each lane must hold a value below 2^64 and ``lane_mask`` must cover the
+    low 64 bits of every lane; lane ``j`` of the result is the finaliser
+    (xor-shift 30, multiply, xor-shift 27, multiply, xor-shift 31, all mod
+    2^64) of lane ``j`` of ``x``.  The one SWAR mix the pads and the
+    tenant-traffic draw columns (:func:`repro.workloads.tenants.mix64_columns`)
+    share.
+    """
+    x = ((x ^ ((x >> 30) & lane_mask)) * _MIX1) & lane_mask
+    x = ((x ^ ((x >> 27) & lane_mask)) * _MIX2) & lane_mask
+    return x ^ ((x >> 31) & lane_mask)
+
+
 def _splitmix64_block(state: int, k: int) -> bytes:
     """``k`` consecutive splitmix64 outputs of ``state``, packed little-endian.
 
@@ -100,10 +115,7 @@ def _splitmix64_block(state: int, k: int) -> bytes:
     the outputs with ``struct.pack("<kQ", ...)``.
     """
     unit, increments, lane_mask = _swar_constants(k)
-    x = (state * unit + increments) & lane_mask
-    x = ((x ^ ((x >> 30) & lane_mask)) * _MIX1) & lane_mask
-    x = ((x ^ ((x >> 27) & lane_mask)) * _MIX2) & lane_mask
-    x ^= (x >> 31) & lane_mask
+    x = swar_finalise((state * unit + increments) & lane_mask, lane_mask)
     # Each lane's low 8 bytes hold one output word; view the buffer as
     # 8-byte cells and take every other cell.  The cast is a raw 8-byte
     # chunking (no integer interpretation), so this is endian-agnostic.

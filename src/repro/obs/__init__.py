@@ -30,133 +30,84 @@ The observability layer for the simulator stack:
   flamegraphs, per-batch wall timing kept out of sim state).
 """
 
-from repro.obs.bench import (
-    ACCEPTED_BENCH_SCHEMA_VERSIONS,
-    BENCH_KIND,
-    BENCH_SCHEMA_VERSION,
-    BenchCase,
-    BenchComparison,
-    collect_stage_breakdown,
-    compare_records,
-    default_suite,
-    load_record,
-    run_suite,
-    write_record,
-)
-from repro.obs.diff import (
-    ManifestDiff,
-    diff_figure_dirs,
-    diff_manifests,
-    diff_stage_sections,
-    diff_stages,
-    diff_timelines,
-    stage_percentiles,
-)
-from repro.obs.profile import (
-    PROFILE_SCHEMA_VERSION,
-    BatchProfiler,
-    render_stage_table,
-    render_wall_summary,
-)
-from repro.obs.stages import (
-    NULL_STAGES,
-    STAGES_SCHEMA_VERSION,
-    NullStageAccumulator,
-    StageAccumulator,
-    StagesLike,
-)
-from repro.obs.manifest import (
-    MANIFEST_KIND,
-    MANIFEST_SCHEMA_VERSION,
-    ManifestError,
-    build_manifest,
-    git_sha,
-    load_manifest,
-    peak_rss_kb,
-    summarize_manifest,
-    validate_manifest,
-    write_manifest,
-)
-from repro.obs.metrics import (
-    LATENCY_BOUNDS_NS,
-    SECONDS_BOUNDS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    registry,
-    reset_registry,
-)
-from repro.obs.sinks import JsonlSink, SinkClosedError, stderr_line, stdout_line
-from repro.obs.timeline import (
-    NULL_TIMELINE,
-    NullTimeline,
-    TimelineCollector,
-    TimelineLike,
-    render_timeline,
-    timeline_csv,
-)
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, TracerLike, percentile
+from __future__ import annotations
 
-__all__ = [
-    "MANIFEST_KIND",
-    "MANIFEST_SCHEMA_VERSION",
-    "ManifestError",
-    "build_manifest",
-    "git_sha",
-    "load_manifest",
-    "peak_rss_kb",
-    "summarize_manifest",
-    "validate_manifest",
-    "write_manifest",
-    "ACCEPTED_BENCH_SCHEMA_VERSIONS",
-    "BENCH_KIND",
-    "BENCH_SCHEMA_VERSION",
-    "BenchCase",
-    "BenchComparison",
-    "collect_stage_breakdown",
-    "compare_records",
-    "default_suite",
-    "load_record",
-    "run_suite",
-    "write_record",
-    "ManifestDiff",
-    "diff_figure_dirs",
-    "diff_manifests",
-    "diff_stage_sections",
-    "diff_stages",
-    "diff_timelines",
-    "stage_percentiles",
-    "PROFILE_SCHEMA_VERSION",
-    "BatchProfiler",
-    "render_stage_table",
-    "render_wall_summary",
-    "NULL_STAGES",
-    "STAGES_SCHEMA_VERSION",
-    "NullStageAccumulator",
-    "StageAccumulator",
-    "StagesLike",
-    "LATENCY_BOUNDS_NS",
-    "SECONDS_BOUNDS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "registry",
-    "reset_registry",
-    "JsonlSink",
-    "SinkClosedError",
-    "stderr_line",
-    "stdout_line",
-    "NULL_TIMELINE",
-    "NullTimeline",
-    "TimelineCollector",
-    "TimelineLike",
-    "render_timeline",
-    "timeline_csv",
-    "NULL_TRACER",
-    "NullTracer",
-    "Tracer",
-    "TracerLike",
-    "percentile",
-]
+from importlib import import_module
+from typing import Any
+
+#: Public name -> defining submodule.  Exports load on first use (PEP 562),
+#: so importing one observability module never compiles the manifest,
+#: bench, diff, profile and chrome-export machinery a run does not use.
+_EXPORTS = {
+    "MANIFEST_KIND": "manifest",
+    "MANIFEST_SCHEMA_VERSION": "manifest",
+    "ManifestError": "manifest",
+    "build_manifest": "manifest",
+    "git_sha": "manifest",
+    "load_manifest": "manifest",
+    "peak_rss_kb": "manifest",
+    "summarize_manifest": "manifest",
+    "validate_manifest": "manifest",
+    "write_manifest": "manifest",
+    "ACCEPTED_BENCH_SCHEMA_VERSIONS": "bench",
+    "BENCH_KIND": "bench",
+    "BENCH_SCHEMA_VERSION": "bench",
+    "BenchCase": "bench",
+    "BenchComparison": "bench",
+    "collect_stage_breakdown": "bench",
+    "compare_records": "bench",
+    "default_suite": "bench",
+    "load_record": "bench",
+    "run_suite": "bench",
+    "write_record": "bench",
+    "ManifestDiff": "diff",
+    "diff_figure_dirs": "diff",
+    "diff_manifests": "diff",
+    "diff_stage_sections": "diff",
+    "diff_stages": "diff",
+    "diff_timelines": "diff",
+    "stage_percentiles": "diff",
+    "PROFILE_SCHEMA_VERSION": "profile",
+    "BatchProfiler": "profile",
+    "render_stage_table": "profile",
+    "render_wall_summary": "profile",
+    "NULL_STAGES": "stages",
+    "STAGES_SCHEMA_VERSION": "stages",
+    "NullStageAccumulator": "stages",
+    "StageAccumulator": "stages",
+    "StagesLike": "stages",
+    "LATENCY_BOUNDS_NS": "metrics",
+    "SECONDS_BOUNDS": "metrics",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "registry": "metrics",
+    "reset_registry": "metrics",
+    "JsonlSink": "sinks",
+    "SinkClosedError": "sinks",
+    "stderr_line": "sinks",
+    "stdout_line": "sinks",
+    "NULL_TIMELINE": "timeline",
+    "NullTimeline": "timeline",
+    "TimelineCollector": "timeline",
+    "TimelineLike": "timeline",
+    "render_timeline": "timeline",
+    "timeline_csv": "timeline",
+    "NULL_TRACER": "trace",
+    "NullTracer": "trace",
+    "Tracer": "trace",
+    "TracerLike": "trace",
+    "percentile": "trace",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

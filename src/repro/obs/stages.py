@@ -20,14 +20,15 @@ and :class:`~repro.obs.timeline.TimelineCollector`):
   summary mode equal the grouped sums of the trace spans bit-for-bit.
   The kernels guarantee this by recording the *same* ``end - start``
   float expressions the spans would have carried, and
-  :meth:`~StageAccumulator.record_many` accumulates samples one at a
-  time (never ``sum()``) so a columnar flush reproduces the per-sample
-  accumulation order exactly.  ``tests/system/test_stage_reconciliation``
+  :meth:`~StageAccumulator.record_many` folds a flush in one loop that
+  adds samples one at a time (never ``sum()``), so a columnar flush
+  reproduces the per-sample accumulation order exactly.  ``tests/system/test_stage_reconciliation``
   enforces this for every registered controller.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Iterable
 
 from repro.obs.metrics import LATENCY_BOUNDS_NS, Histogram
@@ -79,25 +80,36 @@ class StageAccumulator:
     def record_many(self, stage: str, durations_ns: Iterable[float]) -> None:
         """Account a columnar batch of samples for one stage.
 
-        Samples are folded in one at a time, in order — the float sums
-        this produces are bit-identical to :meth:`record` of the same
-        durations one by one, which is what the reconciliation
-        suite asserts.  An empty batch records nothing (and never creates
-        an empty stage, so flushed-but-unused stages don't appear).
+        One fold per flush: each sample is bucketed and added to the total
+        one at a time, in order (never ``sum()``), so the float totals are
+        bit-identical to :meth:`record` of the same durations one by one,
+        which is what the reconciliation suite asserts; ``min``/``max`` of
+        the column and one ``count`` update give the same extremes and
+        count for any non-NaN samples.  An empty batch records nothing
+        (and never creates an empty stage, so flushed-but-unused stages
+        don't appear).
         """
+        samples = durations_ns if isinstance(durations_ns, (list, tuple)) else list(durations_ns)
+        if not samples:
+            return
         histogram = self._stages.get(stage)
         if histogram is None:
-            iterator = iter(durations_ns)
-            first = next(iterator, None)
-            if first is None:
-                return
             histogram = Histogram(stage, bounds=self.bounds)
             self._stages[stage] = histogram
-            histogram.observe(first)
-            durations_ns = iterator
-        observe = histogram.observe
-        for duration_ns in durations_ns:
-            observe(duration_ns)
+        counts = histogram.counts
+        bounds = histogram.bounds
+        total = histogram.total
+        for duration_ns in samples:
+            counts[bisect_left(bounds, duration_ns)] += 1
+            total += duration_ns
+        histogram.total = total
+        low = min(samples)
+        if not histogram.count or low < histogram.min_value:
+            histogram.min_value = low
+        high = max(samples)
+        if high > histogram.max_value:
+            histogram.max_value = high
+        histogram.count += len(samples)
 
     # -- queries ------------------------------------------------------------
 

@@ -1,14 +1,21 @@
 """Service orchestration: shard jobs and the run entry.
 
 One ``serve-shard`` job per shard is the data plane's unit of work: it
-synthesizes its slice of the global seeded tenant stream (routed once per
-worker process by :func:`repro.workloads.tenants.route_accesses`), sizes
-a private NVM device from the tenants it actually carved space for, and
-drives the controller through the fused batch path with a summary-mode
-:class:`~repro.obs.stages.StageAccumulator` attached.  Jobs are content-keyed :class:`JobSpec`\\ s, so
-the runner's cache, memoisation, dedup, retry-once and parallel transport
-all apply unchanged, and a sharded run with ``--parallel N`` is
-bit-identical to the same plan executed serially.
+synthesizes its slice of the global seeded tenant stream (routed by
+:func:`repro.workloads.tenants.route_accesses`, memoised per process),
+sizes a private NVM device from the tenants it actually carved space
+for, and drives the controller through the fused batch path with a
+summary-mode :class:`~repro.obs.stages.StageAccumulator` attached.  Jobs
+are content-keyed :class:`JobSpec`\\ s, so the runner's cache,
+memoisation, dedup, retry-once and parallel transport all apply
+unchanged, and a sharded run with ``--parallel N`` is bit-identical to
+the same plan executed serially.
+
+When a pool will run shards, :func:`run_service` routes the stream once
+in the dispatching process before the pool forks, so every worker
+inherits the route instead of walking the global stream itself, and
+submits the shards largest first (longest-processing-time order, ties
+by shard index); payloads, the merge and the report stay in shard order.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from repro.obs.events import NULL_EVENTS, EventBusLike
 from repro.obs.metrics import registry as metrics_registry
 from repro.obs.stages import StageAccumulator
 from repro.runner import provider as provider_module
-from repro.runner.cache import ResultCache
+from repro.runner.cache import ResultCache, job_key
 from repro.runner.engine import RunReport, run_jobs
 from repro.runner.jobs import JobSpec, canonical_json
 from repro.serve.control import AdmissionPolicy
@@ -30,7 +37,11 @@ from repro.serve.report import (
     shard_summary_from_payload,
 )
 from repro.serve.tenants import TenantRegistry
-from repro.workloads.tenants import TenantTrafficConfig, synthesize_shard_stream
+from repro.workloads.tenants import (
+    TenantTrafficConfig,
+    route_accesses,
+    synthesize_shard_stream,
+)
 
 #: The serve data plane's job kind (registered in :mod:`repro.runner.jobs`).
 SERVE_JOB_KIND = "serve-shard"
@@ -192,10 +203,27 @@ def run_service(
     jobs cache, dedup, parallelise, retry once and emit lifecycle events
     exactly like every other job kind.  Shards that still fail after the
     retry raise with their names, never a partial merge.
+
+    With ``parallel > 1`` and at least one shard without a cached blob,
+    the route is built here, before the pool forks, and the shards are
+    submitted in descending routed-access count (ties by shard index).
+    A serial run keeps shard order, and a fully warm run never routes.
+    A blob that exists but fails to load only loses the pre-route: the
+    jobs then route for themselves.
     """
     specs = [shard_spec(config, shard) for shard in range(config.shards)]
+    dispatch = specs
+    if parallel > 1 and (
+        cache is None or any(not cache.path_for(job_key(spec)).exists() for spec in specs)
+    ):
+        # A pool will run shards: route here, before run_jobs forks it, so
+        # every worker inherits the memoised route instead of walking the
+        # global stream itself, and deal the shards largest first.
+        routes = route_accesses(config.traffic, config.shards)
+        order = sorted(range(config.shards), key=lambda shard: (-len(routes[shard].indices), shard))
+        dispatch = [specs[shard] for shard in order]
     run = run_jobs(
-        specs,
+        dispatch,
         parallel=parallel,
         cache=cache,
         job_timeout_s=job_timeout_s,

@@ -45,11 +45,16 @@ same draws in the same order as the method calls would:
   byte first;
 - the rewrite dirtiness count (``sum`` of ``random() < d`` over the
   line's words) is the length of a filtered comprehension over the same
-  draws, which skips ``sum``'s slow path for bools.
+  draws, which skips ``sum``'s slow path for bools;
+- a rewrite's ``sample(range(words), k)`` is ``sample``'s own code for a
+  ``range`` population (which differs across those versions only in a
+  set-population branch a ``range`` never takes): the ``setsize`` rule
+  (``21``, plus ``4 ** ceil(log(3k, 4))`` when ``k > 5``) picks the pool
+  branch, one ``_randbelow(n - i)`` per pick with the picked word swapped
+  out, or the set branch, redrawing ``_randbelow(n)`` while the word is
+  already taken; every ``_randbelow`` is the rejection loop above.
 
-``rng.sample`` stays a call: it runs once per rewrite, not per access
-(its code differs across those versions only in a set-population branch
-a ``range`` never takes).  ``tests/workloads/test_trace_goldens.py`` pins every trace byte for byte
+``tests/workloads/test_trace_goldens.py`` pins every trace byte for byte
 and ``tests/workloads/test_rng_inlining.py`` checks each inlined form
 draw for draw against ``random.Random``.
 """
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from math import log
+from math import ceil, log
 
 from repro.workloads.batch import OP_READ, OP_WRITE, BatchBuilder
 from repro.workloads.profiles import ApplicationProfile
@@ -160,7 +165,6 @@ class TraceGenerator:
         rng = self._rng
         rand = rng.random
         getrandbits = rng.getrandbits
-        sample = rng.sample
         size = self.line_size
         words = self._words_per_line
         zero_line = self._zero_line
@@ -200,6 +204,7 @@ class TraceGenerator:
         persist_fraction = profile.persist_fraction
         dirtiness = profile.rewrite_dirtiness
         word_range = range(words)
+        word_bits = words.bit_length()
         mask_bytes = -(-size // 16)
         keep_of = _KEEP_BYTES.__getitem__
 
@@ -317,7 +322,28 @@ class TraceGenerator:
                     start = getrandbits(start_bits)
                     while start >= starts:
                         start = getrandbits(start_bits)
-                    for w in sample(word_range, k=min(words, max(_NONCE_WORDS, dirty))):
+                    # sample(range(words), k): CPython's setsize rule picks
+                    # the pool branch or the set branch.
+                    k = min(words, max(_NONCE_WORDS, dirty))
+                    picked = []
+                    if words <= (21 + 4 ** ceil(log(k * 3, 4)) if k > 5 else 21):
+                        pool = list(word_range)
+                        for remaining in range(words, words - k, -1):
+                            bits = remaining.bit_length()
+                            j = getrandbits(bits)
+                            while j >= remaining:
+                                j = getrandbits(bits)
+                            picked.append(pool[j])
+                            pool[j] = pool[remaining - 1]
+                    else:
+                        selected = set()
+                        for _ in range(k):
+                            j = getrandbits(word_bits)
+                            while j >= words or j in selected:
+                                j = getrandbits(word_bits)
+                            selected.add(j)
+                            picked.append(j)
+                    for w in picked:
                         # A zero word, or randbytes(2) as getrandbits(16).
                         offset = w * _WORD_BYTES
                         if rand() < 0.5:

@@ -10,8 +10,9 @@ load-bearing:
   global access *i*, read vs write, address offset, line content, gap)
   is a pure function of ``(seed, i)`` through the splitmix64-style
   :func:`mix64` finaliser — there is no sequential RNG state.  The
-  global stream is routed to shards once per process by
-  :func:`route_accesses` (one memoised pass over the access counter),
+  global stream is routed to shards by :func:`route_accesses` (one
+  memoised pass over the access counter, which a pooled service run
+  makes in its dispatching process so the forked workers inherit it),
   and each shard then synthesizes only the indices it owns, so the
   traffic is identical whatever the shard count, worker count or
   execution order.
@@ -30,18 +31,28 @@ approximation (rank ``~ u^(-1/(s-1))`` shape), the standard choice when
 the population is too large to materialise a CDF table.
 
 **Exactness contract.**  :func:`route_accesses` and
-:func:`synthesize_shard_stream` are each one loop with no Python-level
-call per access (only the registry's ``slot_of``, at a tenant's first
-admitted access or a rejected one): every draw is :func:`mix64` of a hoisted ``(seed,
-salt)`` prefix, computed as one inlined splitmix64 round on that prefix
-(integer arithmetic, so identical on every CPython), and every access is
-appended straight into the batch columns.  Routing draws a tenant's home
-shard (:func:`tenant_shard`) the same way, once per tenant.  A tenant's
-address-draw prefix ``mix64(seed, _SALT_ADDRESS, tenant)`` and its
-registry slot are folded once, at its first admitted access; a write's
+:func:`synthesize_shard_stream` are each one pass (a loop over
+:data:`COLUMN_LANES`-access chunks around the per-access loop) with no
+Python-level call per access (only the registry's ``slot_of``, at a
+tenant's first admitted access or a rejected one), appending every
+access straight into the batch columns.  Every draw is :func:`mix64` of a hoisted ``(seed,
+salt)`` prefix plus one key, i.e. one splitmix64 round on ``prefix +
+key``, in integer arithmetic, so identical on every CPython.  The draws
+keyed by a global index (the tenant draw of every index while routing;
+the gap, op, pool, pick and persist draws of a shard's indices) are
+columns from :func:`mix64_chunks`, which mixes up to
+:data:`COLUMN_LANES` keys at once in the 128-bit lanes of one Python
+int through :func:`repro.crypto.otp.swar_finalise`; a shard computes
+every column for every routed index and reads only the draws the
+access uses, so the draws are the same whichever branch it takes.  The
+per-tenant draws stay one inlined round each: a tenant's home shard
+(:func:`tenant_shard`), once per tenant while routing; its address-draw
+prefix ``mix64(seed, _SALT_ADDRESS, tenant)`` and registry slot, folded
+once at its first admitted access; and each write's offset.  A write's
 line is :func:`tenant_line` with the key packer and tiling hoisted.  The
 pure functions stay the definition: ``tests/workloads/test_tenants.py``
-replays a per-index reference walk built from them, and
+replays a per-index reference walk built from them and checks
+:func:`mix64_chunks` lane for lane against :func:`mix64`, and
 ``tests/workloads/test_trace_goldens.py`` pins every shard's columns.
 
 The synthesizer is deliberately decoupled from the control plane: the
@@ -55,15 +66,25 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, NamedTuple, Protocol
+from typing import Any, Iterator, NamedTuple, Protocol, Sequence
 
+from repro.crypto.otp import swar_finalise
 from repro.workloads.batch import OP_READ, OP_WRITE, AccessBatch, BatchBuilder
 
 _MASK64 = (1 << 64) - 1
 _UNIT = 2.0**64
+
+#: Most lanes one SWAR pass of :func:`mix64_chunks` packs: a 512-lane
+#: value is an 8 KiB int, and the draw columns a caller holds at once stay
+#: this short whatever the access budget.
+COLUMN_LANES = 512
+_LANE_UNIT = sum(1 << (128 * lane) for lane in range(COLUMN_LANES))
+_LANE_MASK = _LANE_UNIT * _MASK64
+_BYTESWAP = sys.byteorder != "little"
 
 # Domain-separation salts: one per decision stream, so e.g. the op choice
 # of access i is independent of its gap draw.
@@ -97,6 +118,43 @@ def mix64(*parts: int) -> int:
         value = (value * 0x94D049BB133111EB) & _MASK64
         value ^= value >> 31
     return value
+
+
+def mix64_chunks(keys: Sequence[int], *prefixes: int) -> Iterator[tuple[array, ...]]:
+    """Draw columns over ``keys``, :data:`COLUMN_LANES` keys at a time.
+
+    Yields, per chunk of ``keys``, one ``array("Q")`` column per prefix:
+    for a prefix ``p = mix64(*parts)``, entry ``i`` of its column is
+    ``mix64(*parts, key)`` of the chunk's ``i``-th key, which is one
+    splitmix64 round on ``(p + key) mod 2^64``.  The chunk's keys (each in
+    ``[0, 2^64)``) are packed into the 128-bit lanes of one Python int,
+    each prefix is broadcast onto them and the lanes are mixed together by
+    :func:`repro.crypto.otp.swar_finalise` — a handful of C-level big-int
+    operations per chunk instead of six interpreted ones per draw.
+    Integer arithmetic throughout, so the columns equal the scalar
+    :func:`mix64` bit for bit on every interpreter; chunking bounds what a
+    caller holds at once whatever the length of ``keys``.
+    """
+    broadcasts = [prefix * _LANE_UNIT for prefix in prefixes]
+    lane_mask = _LANE_MASK
+    for start in range(0, len(keys), COLUMN_LANES):
+        chunk = array("Q", keys[start : start + COLUMN_LANES])
+        lanes = len(chunk)
+        if lanes < COLUMN_LANES:
+            lane_mask = _LANE_MASK & ((1 << (128 * lanes)) - 1)
+        packed = array("Q", bytes(16 * lanes))
+        packed[::2] = chunk
+        if _BYTESWAP:
+            packed.byteswap()
+        x = int.from_bytes(packed, "little")
+        columns = []
+        for broadcast in broadcasts:
+            mixed = swar_finalise((x + broadcast) & lane_mask, lane_mask)
+            words = array("Q", mixed.to_bytes(16 * lanes, "little"))
+            if _BYTESWAP:
+                words.byteswap()
+            columns.append(words[::2])
+        yield tuple(columns)
 
 
 def mix01(*parts: int) -> float:
@@ -245,8 +303,10 @@ def route_accesses(config: TenantTrafficConfig, shards: int) -> tuple[ShardRoute
     index in ``range(config.accesses)`` lands in exactly one route.
 
     Memoised per process (the config is frozen, hence hashable): the
-    shard jobs a worker runs for one service share a single walk.  The
-    returned arrays are shared by every caller and must not be mutated.
+    shard jobs a process runs for one service share a single walk, and a
+    pooled service run makes that walk before its workers fork, so they
+    inherit it.  The returned arrays are shared by every caller and must
+    not be mutated.
     """
     if shards < 1:
         raise ValueError(f"shards must be positive, got {shards}")
@@ -265,27 +325,31 @@ def route_accesses(config: TenantTrafficConfig, shards: int) -> tuple[ShardRoute
         exponent = 1.0 - config.zipf_s
         span = top**exponent - 1.0
         inverse = 1.0 / exponent
-    for index in range(config.accesses):
-        # mix64(seed, _SALT_TENANT, index): one inlined round on the prefix.
-        u = (prefix + index) & _MASK64
-        u ^= u >> 30
-        u = (u * 0xBF58476D1CE4E5B9) & _MASK64
-        u ^= u >> 27
-        u = (u * 0x94D049BB133111EB) & _MASK64
-        u = (u ^ u >> 31) / _UNIT
-        rank = int(top**u) if logarithmic else int((1.0 + u * span) ** inverse)
-        tenant = min(max(rank - 1, 0), last)
-        route = home.get(tenant)
-        if route is None:
-            # tenant_shard: mix64(seed, _SALT_SHARD, tenant) % shards.
-            shard = (shard_prefix + tenant) & _MASK64
-            shard ^= shard >> 30
-            shard = (shard * 0xBF58476D1CE4E5B9) & _MASK64
-            shard ^= shard >> 27
-            shard = (shard * 0x94D049BB133111EB) & _MASK64
-            route = home[tenant] = routes[(shard ^ shard >> 31) % shards]
-        route.indices.append(index)
-        route.tenants.append(tenant)
+    index = 0
+    # The tenant draw mix64(seed, _SALT_TENANT, index) of every index, as
+    # SWAR columns.
+    for (draws,) in mix64_chunks(range(config.accesses), prefix):
+        for draw in draws:
+            u = draw / _UNIT
+            rank = int(top**u) if logarithmic else int((1.0 + u * span) ** inverse)
+            # min(max(rank - 1, 0), last) without the two builtin calls.
+            tenant = rank - 1
+            if tenant < 0:
+                tenant = 0
+            elif tenant > last:
+                tenant = last
+            route = home.get(tenant)
+            if route is None:
+                # tenant_shard: mix64(seed, _SALT_SHARD, tenant) % shards.
+                shard = (shard_prefix + tenant) & _MASK64
+                shard ^= shard >> 30
+                shard = (shard * 0xBF58476D1CE4E5B9) & _MASK64
+                shard ^= shard >> 27
+                shard = (shard * 0x94D049BB133111EB) & _MASK64
+                route = home[tenant] = routes[(shard ^ shard >> 31) % shards]
+            route.indices.append(index)
+            route.tenants.append(tenant)
+            index += 1
     return routes
 
 
@@ -390,84 +454,69 @@ def synthesize_shard_stream(
     tenants: dict[int, list[int]] = {}
     deferred = rejected = 0
 
-    # Every draw below is mix64(seed, salt, ...) folded from its hoisted
-    # prefix by one inlined splitmix64 round.
-    for index, tenant in zip(route.indices, route.tenants):
-        state = tenants.get(tenant)
-        if state is None:
-            slot = registry.slot_of(tenant)
-            if slot is None:
-                rejected += 1
+    # The gap, op, pool, pick and persist draws mix64(seed, salt, index) of
+    # every routed index arrive as SWAR columns; a tenant's address prefix
+    # and offset draws are one inlined splitmix64 round each.
+    route_tenants = iter(route.tenants)
+    for gap_draws, op_draws, pool_draws, pick_draws, flag_draws in mix64_chunks(
+        route.indices, gap_prefix, op_prefix, pool_prefix, pick_prefix, persist_prefix
+    ):
+        # The shared tenant iterator goes last: zip stops on the exhausted
+        # chunk column before drawing a tenant it could not pair.
+        for gap, op, pool, pick, flag, tenant in zip(
+            gap_draws, op_draws, pool_draws, pick_draws, flag_draws, route_tenants
+        ):
+            state = tenants.get(tenant)
+            if state is None:
+                slot = registry.slot_of(tenant)
+                if slot is None:
+                    rejected += 1
+                    continue
+                prefix = (address_prefix + tenant) & _MASK64
+                prefix ^= prefix >> 30
+                prefix = (prefix * 0xBF58476D1CE4E5B9) & _MASK64
+                prefix ^= prefix >> 27
+                prefix = (prefix * 0x94D049BB133111EB) & _MASK64
+                state = tenants[tenant] = [
+                    slot * lines_per_tenant, 0, -1, prefix ^ prefix >> 31
+                ]
+            elif tenant_quota and state[1] >= tenant_quota:
+                deferred += 1
                 continue
-            prefix = (address_prefix + tenant) & _MASK64
-            prefix ^= prefix >> 30
-            prefix = (prefix * 0xBF58476D1CE4E5B9) & _MASK64
-            prefix ^= prefix >> 27
-            prefix = (prefix * 0x94D049BB133111EB) & _MASK64
-            state = tenants[tenant] = [slot * lines_per_tenant, 0, -1, prefix ^ prefix >> 31]
-        elif tenant_quota and state[1] >= tenant_quota:
-            deferred += 1
-            continue
-        base, used, last, prefix = state
+            base, used, last, prefix = state
 
-        gap = (gap_prefix + index) & _MASK64
-        gap ^= gap >> 30
-        gap = (gap * 0xBF58476D1CE4E5B9) & _MASK64
-        gap ^= gap >> 27
-        gap = (gap * 0x94D049BB133111EB) & _MASK64
-        gaps((gap ^ gap >> 31) % gap_span)
-        cores(0)
-        if last >= 0:
-            op = (op_prefix + index) & _MASK64
-            op ^= op >> 30
-            op = (op * 0xBF58476D1CE4E5B9) & _MASK64
-            op ^= op >> 27
-            op = (op * 0x94D049BB133111EB) & _MASK64
-            write = (op ^ op >> 31) / _UNIT >= read_fraction
-        else:
-            write = True  # a tenant's first admitted access
-        if write:
-            offset = (prefix + used) & _MASK64
-            offset ^= offset >> 30
-            offset = (offset * 0xBF58476D1CE4E5B9) & _MASK64
-            offset ^= offset >> 27
-            offset = (offset * 0x94D049BB133111EB) & _MASK64
-            last = state[2] = base + (offset ^ offset >> 31) % lines_per_tenant
-            pool = (pool_prefix + index) & _MASK64
-            pool ^= pool >> 30
-            pool = (pool * 0xBF58476D1CE4E5B9) & _MASK64
-            pool ^= pool >> 27
-            pool = (pool * 0x94D049BB133111EB) & _MASK64
-            if (pool ^ pool >> 31) / _UNIT < content_overlap:
-                pick = (pick_prefix + index) & _MASK64
-                pick ^= pick >> 30
-                pick = (pick * 0xBF58476D1CE4E5B9) & _MASK64
-                pick ^= pick >> 27
-                pick = (pick * 0x94D049BB133111EB) & _MASK64
-                pick = (pick ^ pick >> 31) % shared_pool_lines
-                data = pool_cache.get(pick)
-                if data is None:
-                    data = pool_cache[pick] = (
-                        sha256(pack_pool(seed, pick)).digest() * tiles
+            gaps(gap % gap_span)
+            cores(0)
+            # A tenant's first admitted access is a write.
+            if last < 0 or op / _UNIT >= read_fraction:
+                offset = (prefix + used) & _MASK64
+                offset ^= offset >> 30
+                offset = (offset * 0xBF58476D1CE4E5B9) & _MASK64
+                offset ^= offset >> 27
+                offset = (offset * 0x94D049BB133111EB) & _MASK64
+                last = state[2] = base + (offset ^ offset >> 31) % lines_per_tenant
+                if pool / _UNIT < content_overlap:
+                    pick %= shared_pool_lines
+                    data = pool_cache.get(pick)
+                    if data is None:
+                        data = pool_cache[pick] = (
+                            sha256(pack_pool(seed, pick)).digest() * tiles
+                        )[:line_size]
+                else:
+                    data = (
+                        sha256(pack_private(seed, tenant, used)).digest() * tiles
                     )[:line_size]
+                ops(OP_WRITE)
+                addresses(last)
+                persistent(flag / _UNIT < persistent_fraction)
+                slots(len(payload))
+                payload += data
             else:
-                data = (sha256(pack_private(seed, tenant, used)).digest() * tiles)[:line_size]
-            flag = (persist_prefix + index) & _MASK64
-            flag ^= flag >> 30
-            flag = (flag * 0xBF58476D1CE4E5B9) & _MASK64
-            flag ^= flag >> 27
-            flag = (flag * 0x94D049BB133111EB) & _MASK64
-            ops(OP_WRITE)
-            addresses(last)
-            persistent((flag ^ flag >> 31) / _UNIT < persistent_fraction)
-            slots(len(payload))
-            payload += data
-        else:
-            ops(OP_READ)
-            addresses(last)
-            persistent(0)
-            slots(-1)
-        state[1] = used + 1
+                ops(OP_READ)
+                addresses(last)
+                persistent(0)
+                slots(-1)
+            state[1] = used + 1
 
     offered = len(route.indices)
     return ShardStream(

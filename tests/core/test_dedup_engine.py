@@ -8,7 +8,7 @@ from repro.core.config import DeWriteConfig, MetadataCacheConfig
 from repro.core.dedup_engine import HASH_CACHE_HIT, PNA_SKIPPED, QUERIED_NVM
 from repro.core.dewrite import DeWriteController
 from repro.core.persistence import MetadataPersistenceConfig, MetadataPersistencePolicy
-from repro.core.tables import INSERT, WRITE
+from repro.core.tables import INSERT, READ, WRITE
 from repro.hashes.crc32 import line_fingerprint
 from repro.nvm.config import NvmConfig, NvmOrganization
 from repro.nvm.memory import NvmMainMemory
@@ -296,3 +296,88 @@ class TestPersistenceGate:
         assert controller.nvm.writes == nvm_writes + 1
         # Written through: the resident block is clean, so eviction owes nothing.
         assert metadata.caches["fsm"].dirty_blocks() == []
+
+
+class TestReplayInsertArm:
+    """``replay`` inlines ``access``'s resident and insert arms exactly.
+
+    Twin controllers take the same touches, one through ``replay`` and one
+    through ``access`` call by call; the caches (statistics, LRU order,
+    dirty bits), the metadata traffic counters and the device must agree.
+    """
+
+    def make(self, policy: MetadataPersistencePolicy, hash_bytes: int) -> DeWriteController:
+        nvm = NvmMainMemory(
+            NvmConfig(organization=NvmOrganization(capacity_bytes=64 * 1024 * LINE))
+        )
+        config = DeWriteConfig(
+            metadata_cache=MetadataCacheConfig(
+                hash_cache_bytes=hash_bytes,
+                address_map_cache_bytes=1024,
+                inverted_hash_cache_bytes=1024,
+                fsm_cache_bytes=512,
+                prefetch_entries=8,
+            ),
+            persistence=MetadataPersistenceConfig(policy=policy),
+        )
+        return DeWriteController(nvm, config=config)
+
+    @staticmethod
+    def touches() -> list:
+        flat: list = []
+        # Inserts into a non-full hash cache, then enough to fill it and
+        # evict dirty entries (writebacks), then hits on resident ones.
+        for entry in range(12):
+            flat += ("hash_table", 100 + entry, INSERT)
+        flat += ("hash_table", 111, READ, "hash_table", 110, WRITE, "hash_table", 100, READ)
+        # Inserts next to reads and writes on a prefetching table.
+        flat += ("fsm", 0, INSERT, "fsm", 3, WRITE, "fsm", 64, INSERT, "address_map", 5, READ)
+        flat += ("address_map", 5, INSERT, "inverted_hash", 9, INSERT, "inverted_hash", 9, WRITE)
+        return flat
+
+    @staticmethod
+    def state(controller: DeWriteController) -> tuple:
+        metadata = controller.metadata
+        caches = {
+            name: (cache.hits, cache.misses, cache.writebacks, list(cache._blocks.items()))
+            for name, cache in metadata.caches.items()
+        }
+        return (
+            caches,
+            metadata.metadata_reads,
+            metadata.metadata_writebacks,
+            controller.nvm.reads,
+            controller.nvm.writes,
+            [bank.serviced_requests for bank in controller.nvm.banks],
+        )
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            MetadataPersistencePolicy.BATTERY_BACKED,
+            MetadataPersistencePolicy.WRITE_THROUGH,
+            MetadataPersistencePolicy.PERIODIC_WRITEBACK,
+        ],
+    )
+    @pytest.mark.parametrize("hash_bytes", [72, 0])  # 8 entries, or none at all
+    def test_replay_matches_access_call_by_call(self, policy, hash_bytes):
+        replayed = self.make(policy, hash_bytes)
+        called = self.make(policy, hash_bytes)
+        assert replayed.metadata.caches["hash_table"].capacity_blocks == hash_bytes // 9
+        flat = self.touches()
+        replayed.metadata.replay(flat, 500.0)
+        it = iter(flat)
+        for table, entry, op in zip(it, it, it):
+            called.metadata.access(table, entry, op != READ, 500.0, False, op != INSERT)
+        assert self.state(replayed) == self.state(called)
+
+    def test_the_touches_reach_every_insert_case(self):
+        controller = self.make(MetadataPersistencePolicy.BATTERY_BACKED, 72)
+        controller.metadata.replay(self.touches(), 0.0)
+        hash_cache = controller.metadata.caches["hash_table"]
+        # Eight inserts fit and four more evict dirty entries; inserts never
+        # count as hits or misses.  Of the three lookups, 111 and 110 hit and
+        # the evicted 100 misses, evicting a fifth dirty entry.
+        assert hash_cache.writebacks == 5
+        assert controller.metadata.metadata_writebacks >= 5
+        assert hash_cache.hits == 2 and hash_cache.misses == 1

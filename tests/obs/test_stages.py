@@ -49,6 +49,26 @@ class TestRecording:
         scalar = fill(StageAccumulator(), [("write.nvm", v) for v in (10.0, 20.0, 5.0)])
         assert columnar.to_dict() == scalar.to_dict()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        before=st.lists(st.floats(-1e3, 1e7, allow_nan=False), max_size=5),
+        column=st.one_of(
+            st.just([]),
+            st.lists(st.floats(-1e3, 1e7, allow_nan=False), min_size=1, max_size=1),
+            st.lists(st.floats(-1e3, 1e7, allow_nan=False), max_size=60),
+        ),
+        form=st.sampled_from(["list", "tuple", "generator"]),
+    )
+    def test_record_many_is_record_of_each_sample(self, before, column, form):
+        # One fold per flush must leave exactly what one record() per
+        # sample leaves, on a fresh stage or an existing one, for a list,
+        # a tuple or a one-shot generator; repr() tells -0.0 from 0.0.
+        columnar = fill(StageAccumulator(), [("write.nvm", v) for v in before])
+        scalar = fill(StageAccumulator(), [("write.nvm", v) for v in before + column])
+        flush = {"list": list, "tuple": tuple, "generator": lambda c: (v for v in c)}[form]
+        columnar.record_many("write.nvm", flush(column))
+        assert repr(columnar.to_dict()) == repr(scalar.to_dict())
+
     def test_record_many_empty_creates_no_stage(self):
         # The fused kernels flush every columnar list unconditionally; a
         # stage that never fired must not appear (name-set parity with

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import os
+from array import array
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 import repro
 from repro.obs.metrics import reset_registry
 from repro.runner import provider
+from repro.runner.cache import ResultCache
 from repro.serve.control import AdmissionPolicy
 from repro.serve.service import (
     SERVE_JOB_KIND,
@@ -20,7 +23,7 @@ from repro.serve.service import (
     run_shard_job,
     shard_spec,
 )
-from repro.workloads.tenants import TenantTrafficConfig
+from repro.workloads.tenants import ShardRoute, TenantTrafficConfig, route_accesses
 
 TRAFFIC = TenantTrafficConfig(
     tenants=300, accesses=500, seed=11, shared_pool_lines=64, lines_per_tenant=16
@@ -154,6 +157,67 @@ class TestRunService:
         snapshot = registry().to_dict()
         for shard in range(CONFIG.shards):
             assert f"serve.shard.{shard}.admitted" in snapshot
+
+
+class TestDispatch:
+    """A pooled run routes once up front and deals the largest shard first."""
+
+    CONFIG = ServiceConfig(traffic=TRAFFIC, shards=4)
+
+    def _submitted(self, monkeypatch, **kwargs) -> list[int]:
+        import repro.serve.service as service_module
+
+        seen: list[int] = []
+        real = service_module.run_jobs
+
+        def recording(specs, **options):
+            seen.extend(spec.params["shard"] for spec in specs)
+            return real(specs, **options)
+
+        monkeypatch.setattr(service_module, "run_jobs", recording)
+        run_service(self.CONFIG, **kwargs)
+        return seen
+
+    def test_pool_dispatch_is_largest_first_ties_by_shard(self, monkeypatch):
+        routes = route_accesses(TRAFFIC, self.CONFIG.shards)
+        sizes = [len(route.indices) for route in routes]
+        expected = sorted(range(self.CONFIG.shards), key=lambda shard: (-sizes[shard], shard))
+        assert self._submitted(monkeypatch, parallel=2) == expected
+        assert expected != list(range(self.CONFIG.shards))
+
+    def test_equal_routes_keep_shard_order(self, monkeypatch):
+        import repro.serve.service as service_module
+
+        sizes = [3, 5, 5, 1]
+        fake = tuple(ShardRoute(array("q", range(n)), array("q", range(n))) for n in sizes)
+        monkeypatch.setattr(service_module, "route_accesses", lambda traffic, shards: fake)
+        assert self._submitted(monkeypatch, parallel=2) == [1, 2, 0, 3]
+
+    def test_serial_dispatch_stays_in_shard_order(self, monkeypatch):
+        assert self._submitted(monkeypatch) == list(range(self.CONFIG.shards))
+
+    def test_report_is_byte_identical_serial_and_pooled(self):
+        serial = run_service(self.CONFIG).report.to_dict()
+        reset_registry()
+        provider.reset()
+        pooled = run_service(self.CONFIG, parallel=2).report.to_dict()
+        assert json.dumps(pooled, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+    def test_pooled_run_routes_in_the_dispatcher(self):
+        route_accesses.cache_clear()
+        run_service(self.CONFIG, parallel=2)
+        assert route_accesses.cache_info().misses == 1
+
+    def test_fully_warm_rerun_makes_no_routing_pass(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cold = run_service(self.CONFIG, parallel=2, cache=cache)
+        assert cold.run.executed == self.CONFIG.shards
+        provider.reset()
+        route_accesses.cache_clear()
+        warm = run_service(self.CONFIG, parallel=2, cache=cache)
+        assert warm.run.disk_hits == self.CONFIG.shards
+        assert route_accesses.cache_info().misses == 0
+        assert warm.report.to_dict() == cold.report.to_dict()
 
 
 class TestImports:

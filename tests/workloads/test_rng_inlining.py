@@ -12,7 +12,7 @@ one bit more or less would fail even where the values agree.
 from __future__ import annotations
 
 import random
-from math import log
+from math import ceil, log
 
 import pytest
 
@@ -113,3 +113,54 @@ def test_dirty_word_count_is_the_same_sum(dirtiness):
     _assert_same(lambda: sum([draw() < dirtiness for _ in words]),
                  lambda: len([None for _ in words if inlined_draw() < dirtiness]),
                  reference, mirror)
+
+
+def _sample_range(getrandbits, n: int, k: int) -> list[int]:
+    """``sample(range(n), k)`` as the rewrite path spells it out."""
+    picked = []
+    if n <= (21 + 4 ** ceil(log(k * 3, 4)) if k > 5 else 21):
+        pool = list(range(n))
+        for remaining in range(n, n - k, -1):
+            bits = remaining.bit_length()
+            j = getrandbits(bits)
+            while j >= remaining:
+                j = getrandbits(bits)
+            picked.append(pool[j])
+            pool[j] = pool[remaining - 1]
+    else:
+        bits = n.bit_length()
+        selected = set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            picked.append(j)
+    return picked
+
+
+# (n, k) on both sides of every setsize boundary: k <= 5 keeps setsize at
+# 21; for 128 words (a 256-byte line) k = 21 still takes the set branch and
+# k = 22 the pool branch; n = 85/86 and 277/278 straddle the k > 5 sizes.
+SAMPLES = [
+    (1, 1), (8, 4), (21, 4), (22, 4), (21, 5), (22, 5), (85, 6), (86, 6),
+    (85, 21), (86, 21), (277, 22), (278, 22), (128, 4), (128, 5), (128, 6),
+    (128, 21), (128, 22), (128, 64), (128, 127), (128, 128), (64, 33),
+]
+
+
+@pytest.mark.parametrize("n, k", SAMPLES)
+def test_sample_of_a_range_is_the_setsize_split(n, k):
+    reference, mirror = _pair(n * 1000 + k)
+    getrandbits = mirror.getrandbits
+    _assert_same(lambda: reference.sample(range(n), k),
+                 lambda: _sample_range(getrandbits, n, k), reference, mirror)
+
+
+def test_the_sample_boundaries_take_both_branches():
+    # The table above must exercise both branches at 128 words.
+    def pool_branch(n: int, k: int) -> bool:
+        return n <= (21 + 4 ** ceil(log(k * 3, 4)) if k > 5 else 21)
+
+    assert not pool_branch(128, 21) and pool_branch(128, 22)
+    assert pool_branch(21, 5) and not pool_branch(22, 5)

@@ -10,10 +10,12 @@ import pytest
 from repro.serve.tenants import ShardMap, TenantRegistry
 from repro.workloads.batch import OP_WRITE, BatchBuilder
 from repro.workloads.tenants import (
+    COLUMN_LANES,
     ShardStream,
     TenantTrafficConfig,
     mix01,
     mix64,
+    mix64_chunks,
     route_accesses,
     synthesize_shard_stream,
     tenant_line,
@@ -35,6 +37,17 @@ def _stream(config: TenantTrafficConfig, shards: int, shard: int, **kwargs):
     return synthesize_shard_stream(
         config, shard=shard, shards=shards, registry=registry, **kwargs
     ), registry
+
+
+def _one_round(value: int) -> int:
+    """One splitmix64 round on ``value`` mod 2^64 (``mix64``'s last step)."""
+    mask = (1 << 64) - 1
+    value &= mask
+    value ^= value >> 30
+    value = (value * 0xBF58476D1CE4E5B9) & mask
+    value ^= value >> 27
+    value = (value * 0x94D049BB133111EB) & mask
+    return value ^ value >> 31
 
 
 def _reference_mix64(*parts: int) -> int:
@@ -144,6 +157,30 @@ class TestMixers:
     def test_zipf_rank_rejects_empty_population(self):
         with pytest.raises(ValueError):
             zipf_rank(0.5, 0, 1.1)
+
+    @pytest.mark.parametrize("lanes", [0, 1, 511, 512, 513])
+    def test_mix64_chunks_match_mix64_lane_for_lane(self, lanes):
+        mask = (1 << 64) - 1
+        keys = array("q", range(7, 7 + 3 * lanes, 3))
+        # Two ordinary prefixes plus one whose sums wrap past 2^64.
+        prefixes = (_reference_mix64(13, 2), _reference_mix64(13, 4), mask - lanes)
+        chunks = list(mix64_chunks(keys, *prefixes))
+        assert len(chunks) == -(-lanes // COLUMN_LANES)
+        assert all(len(column) <= COLUMN_LANES for chunk in chunks for column in chunk)
+        columns = [[draw for chunk in chunks for draw in chunk[p]] for p in range(3)]
+        for column, prefix in zip(columns, prefixes):
+            assert column == [_one_round(prefix + key) for key in keys]
+        # The first prefix is mix64(13, 2), so its column is mix64(13, 2, key).
+        assert columns[0] == [_reference_mix64(13, 2, key) for key in keys]
+
+    def test_mix64_chunks_take_keys_near_2_to_the_64(self):
+        top = 1 << 64
+        keys = range(top - COLUMN_LANES - 3, top)
+        prefix = _reference_mix64(5, 1)
+        (column,) = zip(*mix64_chunks(keys, prefix))
+        draws = [draw for chunk in column for draw in chunk]
+        assert draws == [_one_round(prefix + key) for key in keys]
+        assert draws[-1] == _reference_mix64(5, 1, top - 1)
 
     def test_tenant_line_deterministic_and_sized(self):
         a = tenant_line(7, 42, 3, line_size=256)
