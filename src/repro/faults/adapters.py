@@ -3,14 +3,16 @@
 The crash simulator (:mod:`repro.faults.crash`) is controller-agnostic: it
 wraps any registered controller, attaches a list as the controller's
 per-request record (:attr:`~repro.core.interface.MemoryController.request_record`)
-and, for every committed write's row, asks the adapter which semantic
-metadata updates that write implied (see :mod:`repro.faults.journal` for
-the event vocabulary).  Each kernel writes the facts its family's adapter
-reads, evaluated right after the write.  After power loss,
-the adapter also answers the recovery-side questions: how large is the
-metadata region a recovery scan must read back, and what plaintext does a
-rebuilt controller serve for a given logical line under a reconstructed
-durable metadata image.
+and hands each crash segment's write rows to the adapter in one
+:meth:`~ControllerFaultAdapter.journal_rows` call, which appends the
+semantic metadata updates those writes implied as plain ``(ns, kind, key,
+value)`` tuples (see :mod:`repro.faults.journal` for the vocabulary).
+Each kernel writes the facts its family's adapter reads, evaluated right
+after the write.  After power loss, the adapter also answers the
+recovery-side questions: how large is the metadata region a recovery scan
+must read back, and what plaintext a rebuilt controller serves for the
+audited logical lines under a reconstructed durable metadata image
+(:meth:`~ControllerFaultAdapter.recovered_lines`, one call per audit).
 
 Three families cover the whole registry:
 
@@ -29,9 +31,9 @@ Three families cover the whole registry:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
-from repro.faults.journal import DurableState, MetadataUpdate
+from repro.faults.journal import DurableState, Event
 
 if TYPE_CHECKING:
     from repro.core.interface import MemoryController
@@ -51,10 +53,13 @@ class ControllerFaultAdapter(ABC):
         self.controller = controller
 
     @abstractmethod
-    def updates_from_record(self, address: int, row: tuple) -> list[MetadataUpdate]:
-        """Semantic metadata updates the committed write of ``address``
-        implied, from its request-record ``row`` ``(req, complete_ns,
-        *facts)``, stamped at the write's completion time."""
+    def journal_rows(
+        self, addresses: Sequence[int], rows: list[tuple], events: list[Event]
+    ) -> None:
+        """Append to ``events`` the metadata updates a segment's committed
+        writes implied, in row order, each stamped at its write's
+        completion time.  ``rows`` are the segment's write rows ``(req,
+        complete_ns, *facts)``; ``addresses[req]`` is the written line."""
 
     @abstractmethod
     def metadata_lines(self) -> int:
@@ -65,9 +70,10 @@ class ControllerFaultAdapter(ABC):
         """Lines of the data region (the cell-fault victim universe)."""
 
     @abstractmethod
-    def recovered_plaintext(self, durable: DurableState, logical: int) -> bytes:
-        """Plaintext a rebuilt controller serves for ``logical`` under the
-        reconstructed ``durable`` metadata image (post-crash array bytes)."""
+    def recovered_lines(self, durable: DurableState, addresses: Sequence[int]) -> list[bytes]:
+        """Plaintext a rebuilt controller serves for each logical line of
+        ``addresses`` under the reconstructed ``durable`` metadata image
+        (post-crash array bytes), in order."""
 
     def metadata_decrypt_ns(self) -> float:
         """Per-line decrypt latency of the metadata region (recovery cost)."""
@@ -83,19 +89,21 @@ class DedupFamilyAdapter(ControllerFaultAdapter):
 
     family = "dedup"
 
-    def updates_from_record(self, address: int, row: tuple) -> list[MetadataUpdate]:
-        # The old physical line matters only if the write released it.
-        _, ns, old_phys, new_phys, counter, crc, old_holds_data = row
-        if crc is None:
-            raise RuntimeError(f"write of line {address} targets empty line {new_phys}")
-        updates = [
-            MetadataUpdate(ns, "map", address, new_phys),
-            MetadataUpdate(ns, "ctr", new_phys, counter),
-            MetadataUpdate(ns, "stored", new_phys, crc),
-        ]
-        if old_phys is not None and old_phys != new_phys and not old_holds_data:
-            updates.append(MetadataUpdate(ns, "free", old_phys))
-        return updates
+    def journal_rows(
+        self, addresses: Sequence[int], rows: list[tuple], events: list[Event]
+    ) -> None:
+        append = events.append
+        for req, ns, old_phys, new_phys, counter, crc, old_holds_data in rows:
+            if crc is None:
+                raise RuntimeError(
+                    f"write of line {addresses[req]} targets empty line {new_phys}"
+                )
+            append((ns, "map", addresses[req], new_phys))
+            append((ns, "ctr", new_phys, counter))
+            append((ns, "stored", new_phys, crc))
+            # The old physical line matters only if the write released it.
+            if old_phys is not None and old_phys != new_phys and not old_holds_data:
+                append((ns, "free", old_phys, None))
 
     def metadata_lines(self) -> int:
         return int(self.controller.layout.metadata_lines)
@@ -103,14 +111,22 @@ class DedupFamilyAdapter(ControllerFaultAdapter):
     def data_lines(self) -> int:
         return int(self.controller.layout.data_lines)
 
-    def recovered_plaintext(self, durable: DurableState, logical: int) -> bytes:
-        phys = durable.mapping.get(logical)
-        if phys is None:
-            # Never durably mapped: a rebuilt index serves the erased pattern.
-            return self._zeros
-        raw = self.controller.nvm.peek(phys)
-        counter = durable.counters.get(phys, 0)
-        return self.controller.cme.decrypt(raw, phys, counter)
+    def recovered_lines(self, durable: DurableState, addresses: Sequence[int]) -> list[bytes]:
+        mapping = durable.mapping.get
+        counters = durable.counters.get
+        peek = self.controller.nvm.peek
+        decrypt = self.controller.cme.decrypt
+        zeros = self._zeros
+        lines = []
+        append = lines.append
+        for logical in addresses:
+            phys = mapping(logical)
+            if phys is None:
+                # Never durably mapped: a rebuilt index serves the erased pattern.
+                append(zeros)
+            else:
+                append(decrypt(peek(phys), phys, counters(phys, 0)))
+        return lines
 
 
 class SecureFamilyAdapter(ControllerFaultAdapter):
@@ -118,12 +134,15 @@ class SecureFamilyAdapter(ControllerFaultAdapter):
 
     family = "secure"
 
-    def updates_from_record(self, address: int, row: tuple) -> list[MetadataUpdate]:
-        ns, counter = row[1], row[2]
-        return [
-            MetadataUpdate(ns, "map", address, address),
-            MetadataUpdate(ns, "ctr", address, counter),
-        ]
+    def journal_rows(
+        self, addresses: Sequence[int], rows: list[tuple], events: list[Event]
+    ) -> None:
+        append = events.append
+        for row in rows:
+            ns = row[1]
+            address = addresses[row[0]]
+            append((ns, "map", address, address))
+            append((ns, "ctr", address, row[2]))
 
     def metadata_lines(self) -> int:
         return int(self.controller._counter_lines)
@@ -131,21 +150,33 @@ class SecureFamilyAdapter(ControllerFaultAdapter):
     def data_lines(self) -> int:
         return int(self.controller.data_lines)
 
-    def recovered_plaintext(self, durable: DurableState, logical: int) -> bytes:
-        if logical in durable.shredded:
-            return self._zeros
-        if logical in durable.plaintext:
-            return self.controller.nvm.peek(logical)
-        phys = durable.mapping.get(logical)
-        if phys is None:
-            return self._zeros
-        counter = durable.counters.get(phys)
-        if counter is None:
-            # Mapping survived but the counter didn't (torn flush): the
-            # rebuilt controller has no counter entry and — like the live
-            # read path — serves the erased pattern for counter-less lines.
-            return self._zeros
-        return self.controller.cme.decrypt(self.controller.nvm.peek(phys), phys, counter)
+    def recovered_lines(self, durable: DurableState, addresses: Sequence[int]) -> list[bytes]:
+        shredded = durable.shredded
+        plaintext = durable.plaintext
+        mapping = durable.mapping.get
+        counters = durable.counters.get
+        peek = self.controller.nvm.peek
+        decrypt = self.controller.cme.decrypt
+        zeros = self._zeros
+        lines = []
+        append = lines.append
+        for logical in addresses:
+            if logical in shredded:
+                append(zeros)
+            elif logical in plaintext:
+                append(peek(logical))
+            else:
+                phys = mapping(logical)
+                counter = None if phys is None else counters(phys)
+                if counter is None:
+                    # Unmapped, or the mapping survived but the counter
+                    # didn't (torn flush): the rebuilt controller has no
+                    # counter entry and, like the live read path, serves
+                    # the erased pattern for counter-less lines.
+                    append(zeros)
+                else:
+                    append(decrypt(peek(phys), phys, counter))
+        return lines
 
 
 class ShredderAdapter(SecureFamilyAdapter):
@@ -153,11 +184,18 @@ class ShredderAdapter(SecureFamilyAdapter):
 
     family = "shredder"
 
-    def updates_from_record(self, address: int, row: tuple) -> list[MetadataUpdate]:
-        if row[3]:
-            # The write was cancelled; only the shred mark must persist.
-            return [MetadataUpdate(row[1], "shred", address)]
-        return super().updates_from_record(address, row)
+    def journal_rows(
+        self, addresses: Sequence[int], rows: list[tuple], events: list[Event]
+    ) -> None:
+        append = events.append
+        for req, ns, counter, shredded in rows:
+            address = addresses[req]
+            if shredded:
+                # The write was cancelled; only the shred mark must persist.
+                append((ns, "shred", address, None))
+            else:
+                append((ns, "map", address, address))
+                append((ns, "ctr", address, counter))
 
 
 class INvmmAdapter(SecureFamilyAdapter):
@@ -165,16 +203,18 @@ class INvmmAdapter(SecureFamilyAdapter):
 
     family = "i-nvmm"
 
-    def updates_from_record(self, address: int, row: tuple) -> list[MetadataUpdate]:
-        _, ns, victim, victim_counter = row
-        # Every i-NVMM write makes the line hot and stores it in plaintext
-        # with its counter invalidated.
-        updates = [MetadataUpdate(ns, "plain", address)]
-        if victim_counter is not None:
-            # The write evicted the LRU line, which was re-encrypted in
-            # place under a fresh counter.
-            updates.append(MetadataUpdate(ns, "ctr", victim, victim_counter))
-        return updates
+    def journal_rows(
+        self, addresses: Sequence[int], rows: list[tuple], events: list[Event]
+    ) -> None:
+        append = events.append
+        for req, ns, victim, victim_counter in rows:
+            # Every i-NVMM write makes the line hot and stores it in
+            # plaintext with its counter invalidated.
+            append((ns, "plain", addresses[req], None))
+            if victim_counter is not None:
+                # The write evicted the LRU line, which was re-encrypted in
+                # place under a fresh counter.
+                append((ns, "ctr", victim, victim_counter))
 
 
 def adapter_for(controller: "MemoryController") -> ControllerFaultAdapter:

@@ -1,11 +1,12 @@
 """Post-recovery consistency auditing against the replay oracle.
 
 The auditor holds the one piece of ground truth the simulated system never
-sees: the full logical memory image at the crash instant, maintained by a
-:class:`~repro.workloads.oracle.ReplayOracle` fed every pre-crash write.
-After recovery it asks the controller's fault adapter what plaintext the
-rebuilt system serves for every line the workload ever wrote, and
-classifies each answer:
+sees: every pre-crash write, logged per crash segment by a
+:class:`~repro.workloads.oracle.ReplayOracle`.  After recovery it asks the
+controller's fault adapter, in one
+:meth:`~repro.faults.adapters.ControllerFaultAdapter.recovered_lines`
+call, what plaintext the rebuilt system serves for every line the
+workload ever wrote, and classifies the answers in one oracle pass:
 
 - **intact** — equals the line's latest pre-crash content;
 - **stale**  — equals an *earlier* version of that line (decryptable but
@@ -88,30 +89,16 @@ class ConsistencyAuditor:
 
     def audit(self, durable: DurableState) -> ConsistencyReport:
         """Classify every written line under the recovered metadata image."""
-        intact = stale = lost = 0
-        stale_examples: list[int] = []
-        lost_examples: list[int] = []
         addresses = self.oracle.written_addresses()
-        for address in addresses:
-            recovered = self.adapter.recovered_plaintext(durable, address)
-            verdict = self.oracle.classify(address, recovered)
-            if verdict == "intact":
-                intact += 1
-            elif verdict == "stale":
-                stale += 1
-                if len(stale_examples) < EXAMPLE_CAP:
-                    stale_examples.append(address)
-            else:
-                lost += 1
-                if len(lost_examples) < EXAMPLE_CAP:
-                    lost_examples.append(address)
+        recovered = self.adapter.recovered_lines(durable, addresses)
+        stale, lost = self.oracle.classify_lines(addresses, recovered)
         report = ConsistencyReport(
             total_lines=len(addresses),
-            intact=intact,
-            stale=stale,
-            lost=lost,
-            stale_examples=tuple(stale_examples),
-            lost_examples=tuple(lost_examples),
+            intact=len(addresses) - len(stale) - len(lost),
+            stale=len(stale),
+            lost=len(lost),
+            stale_examples=tuple(stale[:EXAMPLE_CAP]),
+            lost_examples=tuple(lost[:EXAMPLE_CAP]),
         )
         report.verify()
         return report

@@ -5,12 +5,14 @@ standard :class:`~repro.core.interface.MemoryController` surface.  Its
 kernel attaches a list as the wrapped controller's
 :attr:`~repro.core.interface.MemoryController.request_record`, hands the
 whole crash segment to the wrapped kernel in one call, and folds the
-drained rows in issue order: every committed write, read from the batch
-payload, feeds the :class:`~repro.workloads.oracle.ReplayOracle` (ground
-truth), and the controller's fault adapter turns the write's row into the
-semantic metadata updates it implied, which are journaled
-(:class:`~repro.faults.journal.DurabilityJournal`).  A kernel that
-services requests without recording them raises
+drained rows per segment: the segment's committed writes are logged in
+the :class:`~repro.workloads.oracle.ReplayOracle` (ground truth) as
+``(address, payload, slot)`` in one call, and the controller's fault
+adapter turns the segment's write rows into the semantic metadata updates
+they implied in one call, which the
+:class:`~repro.faults.journal.DurabilityJournal` appends and folds into
+its live at-crash image.  A kernel that services requests without
+recording them raises
 :class:`~repro.faults.adapters.UnsupportedControllerError` before anything
 is journaled.
 
@@ -25,9 +27,10 @@ own :class:`~repro.core.batching.BatchCursor`.  An access-ordinal power
 loss is a batch split: the run services exactly the accesses before the
 ordinal (``max_requests``) and stops, so the doomed access never reaches
 the controller, the journal or the oracle.  :meth:`CrashRun.crash` then
-injects cell faults, recovers and audits the live state, and puts the
-faulted cells back, so the same run can resume to a later crash point of
-the same scenario and yield the bytes a fresh run to that point would.
+injects cell faults, recovers from the journal's live image, audits the
+live state, and puts the faulted cells back, so the same run can resume
+to a later crash point of the same scenario and yield the bytes a fresh
+run to that point would.
 
 The crash instant is the completion time of the last committed request:
 in-flight array writes finish draining (the device's write circuit holds
@@ -44,6 +47,7 @@ recover, audit, and emit ``fault.*`` events on the trace bus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 from repro.core.batching import BatchCursor, merge_state
@@ -61,6 +65,9 @@ from repro.workloads.oracle import ReplayOracle
 from repro.workloads.trace import Trace
 
 
+_COMPLETE_NS = itemgetter(1)
+
+
 class PowerLossError(RuntimeError):
     """Power failed at ``crash_ns``; the run cannot continue."""
 
@@ -72,18 +79,13 @@ class PowerLossError(RuntimeError):
 class CrashSimulator(MemoryController):
     """Journal-keeping wrapper that pulls the plug per the fault plan."""
 
-    def __init__(
-        self,
-        controller: MemoryController,
-        plan: FaultPlan,
-        oracle: ReplayOracle | None = None,
-    ) -> None:
+    def __init__(self, controller: MemoryController, plan: FaultPlan) -> None:
         super().__init__(controller.nvm)
         self.inner = controller
         self.adapter = adapter_for(controller)
         self.plan = plan
         self.journal = DurabilityJournal()
-        self.oracle = oracle if oracle is not None else ReplayOracle()
+        self.oracle = ReplayOracle()
         #: Requests issued to the wrapped controller.
         self.accesses = 0
         self.last_complete_ns = 0.0
@@ -157,25 +159,18 @@ class CrashSimulator(MemoryController):
                 f"{type(self.inner).__name__} serviced {serviced} request(s) but "
                 f"recorded {len(record)}; its crash journal would be partial"
             )
+        if not record:
+            return
         ops = batch.ops
-        addresses = batch.addresses
-        slots = batch.slots
-        payload = batch.payload
-        line_size = batch.line_size
-        observe_write = self.oracle.observe_write
-        updates_from_record = self.adapter.updates_from_record
-        extend = self.journal.extend
-        last = self.last_complete_ns
-        for row in record:
-            req = row[0]
-            if row[1] > last:
-                last = row[1]
-            if ops[req]:
-                address = addresses[req]
-                slot = slots[req]
-                observe_write(address, payload[slot : slot + line_size])
-                extend(updates_from_record(address, row))
-        self.last_complete_ns = last
+        writes = [row for row in record if ops[row[0]]]
+        if writes:
+            self.oracle.observe_writes(batch, [row[0] for row in writes])
+            events: list[tuple] = []
+            self.adapter.journal_rows(batch.addresses, writes, events)
+            self.journal.extend(events)
+        last = max(map(_COMPLETE_NS, record))
+        if last > self.last_complete_ns:
+            self.last_complete_ns = last
         self.accesses += serviced
         record.clear()
 
@@ -312,7 +307,7 @@ class CrashRun:
             persistence, drop_probability=plan.flush_drop_probability, seed=plan.seed
         )
         manager = RecoveryManager(wrapper.adapter, persistence, flush_faults)
-        recovery = manager.recover(wrapper.journal.events(), crash_ns)
+        recovery = manager.recover(wrapper.journal, crash_ns)
         if tracer.enabled and recovery.dropped_events:
             tracer.event(
                 "fault.flush_drop",

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.persistence import MetadataPersistenceConfig, MetadataPersistencePolicy
-from repro.faults.journal import MetadataUpdate
+from repro.faults.journal import Event
 from repro.faults.plan import CELL_FAULT_MODES
 from repro.nvm.memory import NvmMainMemory
 
@@ -151,33 +152,41 @@ class FlushFaultModel:
         self.drop_probability = drop_probability
         self._rng = random.Random(f"{seed}:flush-faults")
 
-    def _droppable(self, event: MetadataUpdate, horizon_ns: float) -> bool:
+    @property
+    def may_drop(self) -> bool:
+        """Whether any event can be dropped (battery-backed never tears)."""
+        return (
+            self.drop_probability > 0.0
+            and self.persistence.policy is not MetadataPersistencePolicy.BATTERY_BACKED
+        )
+
+    def _droppable(self, event: Event, horizon_ns: float) -> bool:
         policy = self.persistence.policy
         if policy is MetadataPersistencePolicy.BATTERY_BACKED:
             return False
         if policy is MetadataPersistencePolicy.WRITE_THROUGH:
             return True
         # Periodic writeback: only the last flush batch can tear.
-        return event.ns > horizon_ns - self.persistence.writeback_interval_ns
+        return event[0] > horizon_ns - self.persistence.writeback_interval_ns
 
     def retained(
-        self, events: tuple[MetadataUpdate, ...], horizon_ns: float
-    ) -> tuple[list[MetadataUpdate], list[MetadataUpdate]]:
+        self, events: Sequence[Event], horizon_ns: float
+    ) -> tuple[list[Event], list[Event]]:
         """Split the durable prefix of the journal into (kept, dropped).
 
         Events past ``horizon_ns`` were never persisted and are excluded
-        from both lists — they are crash losses, not flush faults.
+        from both lists — they are crash losses, not flush faults.  With
+        no drop probability nothing is drawn, so the split is the horizon
+        cut alone.
         """
-        kept: list[MetadataUpdate] = []
-        dropped: list[MetadataUpdate] = []
+        if self.drop_probability == 0.0:
+            return [event for event in events if event[0] <= horizon_ns], []
+        kept: list[Event] = []
+        dropped: list[Event] = []
         for event in events:
-            if event.ns > horizon_ns:
+            if event[0] > horizon_ns:
                 continue
-            if (
-                self.drop_probability > 0.0
-                and self._droppable(event, horizon_ns)
-                and self._rng.random() < self.drop_probability
-            ):
+            if self._droppable(event, horizon_ns) and self._rng.random() < self.drop_probability:
                 dropped.append(event)
             else:
                 kept.append(event)

@@ -8,11 +8,14 @@ dedup index / counter table from that durable image:
 
 1. compute the durability horizon for the crash instant
    (:meth:`~repro.core.persistence.MetadataPersistenceConfig.durable_horizon_ns`);
-2. run the journal's durable prefix through the
-   :class:`~repro.faults.injectors.FlushFaultModel` (torn persists);
-3. replay the surviving events into a durable
-   :class:`~repro.faults.journal.DurableState`, and the *full* journal
-   into the at-crash state the run actually reached;
+2. snapshot the journal's live at-crash image
+   (:attr:`~repro.faults.journal.DurabilityJournal.state`), the metadata
+   state the run actually reached;
+3. if the horizon or the :class:`~repro.faults.injectors.FlushFaultModel`
+   (torn persists) cuts any event, replay the surviving events into the
+   durable :class:`~repro.faults.journal.DurableState`; otherwise the
+   durable image *is* the snapshot (battery-backed and write-through
+   without drops), shared rather than rebuilt;
 4. diff the two images into the damage metrics: lines whose encryption
    counter advanced past its durable value (rendered undecryptable —
    counter-mode pads are counter-specific) and logical lines whose dedup
@@ -31,7 +34,7 @@ from typing import Any
 from repro.core.persistence import MetadataPersistenceConfig
 from repro.faults.adapters import ControllerFaultAdapter
 from repro.faults.injectors import FlushFaultModel
-from repro.faults.journal import DurableState, MetadataUpdate, replay
+from repro.faults.journal import DurabilityJournal, DurableState, replay
 
 
 @dataclass(frozen=True)
@@ -82,33 +85,45 @@ class RecoveryManager:
         self.persistence = persistence
         self.flush_faults = flush_faults
 
-    def recover(
-        self, events: tuple[MetadataUpdate, ...], crash_ns: float
-    ) -> RecoveryResult:
-        """Run the recovery scan for a crash at ``crash_ns``."""
-        horizon = self.persistence.durable_horizon_ns(crash_ns)
-        if self.flush_faults is not None:
-            kept, dropped = self.flush_faults.retained(events, horizon)
-        else:
-            kept = [event for event in events if event.ns <= horizon]
-            dropped = []
-        durable = replay(kept)
-        at_crash = replay(events)
+    def recover(self, journal: DurabilityJournal, crash_ns: float) -> RecoveryResult:
+        """Run the recovery scan for a crash at ``crash_ns``.
 
-        lost_counters = tuple(
-            sorted(
-                phys
-                for phys in set(durable.mapping.values())
-                if at_crash.counters.get(phys, 0) > durable.counters.get(phys, 0)
+        The returned images are snapshots: the run may resume afterwards.
+        """
+        horizon = self.persistence.durable_horizon_ns(crash_ns)
+        at_crash = journal.state.copy()
+        total = len(journal)
+        flush_faults = self.flush_faults
+        if journal.latest_ns <= horizon and (flush_faults is None or not flush_faults.may_drop):
+            kept, dropped = total, 0
+        elif flush_faults is not None:
+            survivors, lost = flush_faults.retained(journal.rows(), horizon)
+            kept, dropped = len(survivors), len(lost)
+        else:
+            survivors = [event for event in journal.rows() if event[0] <= horizon]
+            kept, dropped = len(survivors), 0
+
+        if kept == total:
+            # Nothing was cut: the durable image is the at-crash image.
+            durable = at_crash
+            lost_counters: tuple[int, ...] = ()
+            broken: tuple[int, ...] = ()
+        else:
+            durable = replay(survivors)
+            lost_counters = tuple(
+                sorted(
+                    phys
+                    for phys in set(durable.mapping.values())
+                    if at_crash.counters.get(phys, 0) > durable.counters.get(phys, 0)
+                )
             )
-        )
-        broken = tuple(
-            sorted(
-                logical
-                for logical, phys in durable.mapping.items()
-                if durable.stored.get(phys) != at_crash.stored.get(phys)
+            broken = tuple(
+                sorted(
+                    logical
+                    for logical, phys in durable.mapping.items()
+                    if durable.stored.get(phys) != at_crash.stored.get(phys)
+                )
             )
-        )
         nvm = self.adapter.controller.nvm
         scan_lines = self.adapter.metadata_lines()
         recovery_time = scan_lines * (
@@ -118,9 +133,9 @@ class RecoveryManager:
             crash_ns=crash_ns,
             horizon_ns=horizon,
             policy=self.persistence.policy.value,
-            total_events=len(events),
-            durable_events=len(kept),
-            dropped_events=len(dropped),
+            total_events=total,
+            durable_events=kept,
+            dropped_events=dropped,
             recovered_mappings=len(durable.mapping),
             recovered_counters=len(durable.counters),
             lost_counter_lines=lost_counters,

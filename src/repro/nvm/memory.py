@@ -409,7 +409,8 @@ class NvmMainMemory:
 
     def peek(self, address: int) -> bytes:
         """Read line contents with no timing or energy effect (testing aid)."""
-        self._check_address(address)
+        if not 0 <= address < self._total_lines:
+            self._check_address(address)
         return self._lines.get(address, self._zero_line)
 
     def peek_int(self, address: int) -> int:
@@ -419,7 +420,8 @@ class NvmMainMemory:
         counting; exposed so verify-read compares can stay in the integer
         domain instead of round-tripping through bytes.
         """
-        self._check_address(address)
+        if not 0 <= address < self._total_lines:
+            self._check_address(address)
         return self._line_ints.get(address, 0)
 
     def contains(self, address: int) -> bool:
@@ -434,7 +436,8 @@ class NvmMainMemory:
         disturb faults: the cells change state without any request having
         been issued, so no bank is occupied and no write is counted.
         """
-        self._check_address(address)
+        if not 0 <= address < self._total_lines:
+            self._check_address(address)
         line_size = self.config.organization.line_size_bytes
         if len(data) != line_size:
             raise ValueError(f"line must be {line_size} bytes, got {len(data)}")

@@ -5,12 +5,17 @@ A line write is *duplicate* when an identical line already resides in
 uses when reporting that 58 % of written lines are duplicates and 16 % are
 zero lines.  The oracle maintains the logical memory image with content
 reference counts, so the check is exact and O(1) per write.
+
+:class:`ReplayOracle` is the crash audit's ground truth, separate from the
+duplicate statistics: a request-indexed log of every committed write that
+resolves each line's latest and earlier versions on demand and classifies
+recovered lines by exact byte comparison.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
+from itertools import repeat
 
 
 def is_zero_line(data: bytes) -> bool:
@@ -60,9 +65,8 @@ class DedupOracle:
         """Record every write in a columnar batch, in access order.
 
         Returns the per-write duplicate verdicts (the ground-truth state
-        sequence the Fig. 4 predictors replay).  Dispatches through
-        ``observe_write`` so subclasses that hook single writes (e.g.
-        :class:`ReplayOracle`'s history capture) see every access.
+        sequence the Fig. 4 predictors replay), one ``observe_write`` per
+        write.
         """
         observe = self.observe_write
         return [observe(address, data) for address, data in batch.write_pairs()]
@@ -82,16 +86,12 @@ class DedupOracle:
         return self._refcounts[data] > 0
 
 
-def _digest(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
+class ReplayOracle:
+    """Request-indexed write log for crash auditing.
 
-
-class ReplayOracle(DedupOracle):
-    """Logical image plus per-address content *history* for crash auditing.
-
-    The fault-injection auditor (:mod:`repro.faults.audit`) replays a trace
-    up to a crash point through this oracle, then asks, for every line the
-    recovered controller serves, which of three states it is in:
+    The fault-injection auditor (:mod:`repro.faults.audit`) feeds this
+    oracle every committed write up to a crash point, then asks, for every
+    line the recovered controller serves, which of three states it is in:
 
     - ``"intact"``  — the bytes equal the line's latest pre-crash content;
     - ``"stale"``   — the bytes equal some *earlier* content of that line
@@ -100,35 +100,95 @@ class ReplayOracle(DedupOracle):
     - ``"lost"``    — neither: the line decrypts to garbage (lost counter,
       broken dedup reference, or an injected cell fault).
 
-    History is kept as content digests, so memory stays O(versions) hashes
-    rather than O(versions) full lines.
+    A write is logged as ``(address, payload, slot)``: the batch's payload
+    object and the line's byte offset in it, so no line is copied.  One
+    :meth:`observe_writes` call logs a whole crash segment.  Each line's
+    latest version is indexed as the log grows; its earlier versions are
+    grouped only when a classification first needs them, and verdicts
+    compare bytes exactly.
     """
 
     def __init__(self) -> None:
-        super().__init__()
-        self._history: dict[int, set[bytes]] = {}
+        self._addresses: list[int] = []
+        self._payloads: list[bytes] = []
+        self._slots: list[int] = []
+        #: Line -> log position of its latest write.
+        self._latest: dict[int, int] = {}
+        #: Line -> log positions of all its writes, grouped up to ``_grouped``.
+        self._versions: dict[int, list[int]] = {}
+        self._grouped = 0
+        self.line_size = 0
 
-    def observe_write(self, address: int, data: bytes) -> bool:
-        old = self._memory.get(address)
-        if old is not None and old != data:
-            self._history.setdefault(address, set()).add(_digest(old))
-        return super().observe_write(address, data)
+    def observe_writes(self, batch, reqs: list[int]) -> None:
+        """Log the writes ``reqs`` of ``batch`` (request indices, in issue
+        order).  Captures ``batch.payload`` as it is now: the scalar
+        ``write()`` path restages one batch with a new payload per call."""
+        self.line_size = batch.line_size
+        payload = batch.payload
+        if type(payload) is not bytes:
+            # A mutable buffer could change under the log: snapshot it.
+            payload = bytes(payload)
+        addresses = batch.addresses
+        slots = batch.slots
+        start = len(self._addresses)
+        written = [addresses[req] for req in reqs]
+        self._addresses.extend(written)
+        self._payloads.extend(repeat(payload, len(written)))
+        self._slots.extend([slots[req] for req in reqs])
+        self._latest.update(zip(written, range(start, start + len(written))))
 
     def written_addresses(self) -> tuple[int, ...]:
         """Every logical line ever written, sorted (the audit universe)."""
-        return tuple(sorted(self._memory))
+        return tuple(sorted(self._latest))
 
     def expected(self, address: int) -> bytes | None:
         """Latest pre-crash content of a line (None if never written)."""
-        return self._memory.get(address)
+        position = self._latest.get(address)
+        if position is None:
+            return None
+        slot = self._slots[position]
+        return self._payloads[position][slot : slot + self.line_size]
 
-    def classify(self, address: int, recovered: bytes) -> str:
-        """Post-recovery verdict for one line: intact / stale / lost."""
-        expected = self._memory.get(address)
-        if expected is None:
-            raise KeyError(f"line {address} was never written; nothing to classify")
-        if recovered == expected:
-            return "intact"
-        if _digest(recovered) in self._history.get(address, ()):
-            return "stale"
-        return "lost"
+    def _group_versions(self) -> dict[int, list[int]]:
+        """Line -> log positions of its writes, over the whole log."""
+        versions = self._versions
+        addresses = self._addresses
+        for position in range(self._grouped, len(addresses)):
+            versions.setdefault(addresses[position], []).append(position)
+        self._grouped = len(addresses)
+        return versions
+
+    def classify_lines(
+        self, addresses, recovered: list[bytes]
+    ) -> tuple[list[int], list[int]]:
+        """Verdicts for ``recovered[i]`` served at line ``addresses[i]``.
+
+        Returns the stale and the lost lines, in ``addresses`` order; every
+        other line is intact.  Raises :class:`KeyError` for a line that was
+        never written.
+        """
+        latest = self._latest
+        payloads = self._payloads
+        slots = self._slots
+        line_size = self.line_size
+        versions = None
+        stale: list[int] = []
+        lost: list[int] = []
+        for address, data in zip(addresses, recovered):
+            position = latest.get(address)
+            if position is None:
+                raise KeyError(f"line {address} was never written; nothing to classify")
+            if len(data) != line_size:
+                lost.append(address)
+                continue
+            if payloads[position].startswith(data, slots[position]):
+                continue
+            if versions is None:
+                versions = self._group_versions()
+            for earlier in versions[address]:
+                if payloads[earlier].startswith(data, slots[earlier]):
+                    stale.append(address)
+                    break
+            else:
+                lost.append(address)
+        return stale, lost

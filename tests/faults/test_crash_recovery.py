@@ -185,13 +185,13 @@ class TestVerdictConstructions:
         wrapper.write(0, x, 500.0)
         outcome = wrapper.write(0, y, 150_000.0)
         manager = RecoveryManager(wrapper.adapter, persistence("periodic_writeback"))
-        recovery = manager.recover(wrapper.journal.events(), outcome.complete_ns)
+        recovery = manager.recover(wrapper.journal, outcome.complete_ns)
         report = ConsistencyAuditor(wrapper.oracle, wrapper.adapter).audit(
             recovery.durable
         )
         assert report.stale == 1
         assert report.stale_examples == (0,)
-        assert wrapper.adapter.recovered_plaintext(recovery.durable, 0) == x
+        assert wrapper.adapter.recovered_lines(recovery.durable, (0,)) == [x]
 
     def test_shredder_stale_after_unpersisted_shred(self):
         # A=v1, horizon, A=zeros (a shred mark, not an array write).  The
@@ -203,12 +203,12 @@ class TestVerdictConstructions:
         wrapper.write(0, v1, 0.0)
         outcome = wrapper.write(0, bytes(LINE), 150_000.0)
         manager = RecoveryManager(wrapper.adapter, persistence("periodic_writeback"))
-        recovery = manager.recover(wrapper.journal.events(), outcome.complete_ns)
+        recovery = manager.recover(wrapper.journal, outcome.complete_ns)
         report = ConsistencyAuditor(wrapper.oracle, wrapper.adapter).audit(
             recovery.durable
         )
         assert report.stale == 1
-        assert wrapper.adapter.recovered_plaintext(recovery.durable, 0) == v1
+        assert wrapper.adapter.recovered_lines(recovery.durable, (0,)) == [v1]
 
     def test_lost_counter_renders_line_undecryptable(self):
         # A=v1 durable; A=v2 past the horizon bumps the counter in place.
@@ -218,7 +218,7 @@ class TestVerdictConstructions:
         wrapper.write(0, fill(0x11), 0.0)
         outcome = wrapper.write(0, fill(0x22), 150_000.0)
         manager = RecoveryManager(wrapper.adapter, persistence("periodic_writeback"))
-        recovery = manager.recover(wrapper.journal.events(), outcome.complete_ns)
+        recovery = manager.recover(wrapper.journal, outcome.complete_ns)
         assert recovery.lost_counter_lines == (0,)
         report = ConsistencyAuditor(wrapper.oracle, wrapper.adapter).audit(
             recovery.durable

@@ -7,6 +7,7 @@ import pytest
 from repro.faults.journal import (
     UPDATE_KINDS,
     DurabilityJournal,
+    DurableState,
     MetadataUpdate,
     replay,
 )
@@ -69,6 +70,20 @@ class TestReplaySemantics:
         assert 6 not in state.shredded
         assert 6 in state.plaintext
 
+    def test_unknown_kind_rejected_by_the_fold(self):
+        # Journal events are plain tuples, so the fold itself must refuse a
+        # kind it does not know instead of treating it as "plain".
+        with pytest.raises(ValueError, match="bogus"):
+            replay([(0.0, "bogus", 1, None)])
+        state = DurableState()
+        with pytest.raises(ValueError, match="bogus"):
+            state.apply((0.0, "bogus", 1, None))
+        assert state == DurableState()
+
+    def test_plain_tuples_fold_like_updates(self):
+        events = [ev("map", 1, 10), ev("ctr", 10, 3), ev("plain", 2), ev("shred", 1)]
+        assert replay([tuple(e) for e in events]) == replay(events)
+
     def test_later_events_win(self):
         state = replay([ev("map", 1, 10), ev("map", 1, 20), ev("ctr", 10, 1),
                         ev("ctr", 10, 2)])
@@ -84,6 +99,16 @@ class TestDurabilityJournal:
         events = journal.events()
         assert len(journal) == 3
         assert [e.kind for e in events] == ["map", "ctr", "stored"]
+
+    def test_live_state_folds_every_extend(self):
+        journal = DurabilityJournal()
+        journal.extend([(10.0, "map", 1, 2), (10.0, "ctr", 2, 1)])
+        journal.record((30.0, "plain", 4, None))
+        journal.extend([(20.0, "stored", 2, 99)])
+        journal.extend([])
+        assert journal.state == replay(journal.events())
+        assert journal.latest_ns == 30.0
+        assert all(type(e) is MetadataUpdate for e in journal.events())
 
     def test_prefix_replay_differs_from_full_replay(self):
         # The crash model's core operation: replay a horizon prefix vs the

@@ -54,6 +54,18 @@ class TestFunctionalStorage:
         with pytest.raises(IndexError):
             nvm.write(address, bytes(LINE), 0.0)
 
+    @pytest.mark.parametrize("address", [-1, 1024])
+    def test_untimed_access_out_of_range_rejected(self, address):
+        nvm = small_memory()
+        message = rf"line address {address} out of range \[0, 1024\)"
+        with pytest.raises(IndexError, match=message):
+            nvm.peek(address)
+        with pytest.raises(IndexError, match=message):
+            nvm.peek_int(address)
+        with pytest.raises(IndexError, match=message):
+            nvm.poke(address, bytes(LINE))
+        assert not nvm.contains(address)
+
 
 class TestTiming:
     def test_write_latency(self):
