@@ -52,9 +52,9 @@ class INvmmController(TraditionalSecureNvmController):
         stored = self.nvm.read(address, now_ns)
         counter = self._counters.get(address, 0) + 1
         self._counters[address] = counter
-        ciphertext = self.cme.encrypt(stored.data, address, counter)
+        sealed = self.cme.seal(stored.data, address, counter)
         self.nvm.energy.add_aes_line()
-        self.nvm.write(address, ciphertext, stored.complete_ns)
+        self.nvm.write_complete_ns(address, sealed, stored.complete_ns)
         self.cold_encryptions += 1
 
     def _plaintext(self, address: int) -> bytes:
@@ -179,7 +179,8 @@ class INvmmController(TraditionalSecureNvmController):
                         wnow = arrival
                     else:
                         wnow = arrival + self._access_counter(address, True, arrival)
-                    complete = nvm_write_done(address, line, wnow)  # plaintext, no AES
+                    # Plaintext at rest: no AES, the line's own value.
+                    complete = nvm_write_done(address, int.from_bytes(line, "little"), wnow)
                     written_set.add(address)
                     # Hot lines are counter-less, so a stale counter can never
                     # be mistaken for the key of a plaintext line.

@@ -108,9 +108,9 @@ class TraditionalSecureNvmController(MemoryController):
                 continue
             stored = self.nvm.read(member, now_ns)
             plaintext = self.cme.decrypt(stored.data, member, overflow.old_counters[member])
-            fresh = self.cme.encrypt(plaintext, member, self._split.counter_of(member))
+            fresh = self.cme.seal(plaintext, member, self._split.counter_of(member))
             self.nvm.energy.add_aes_line()
-            self.nvm.write(member, fresh, stored.complete_ns)
+            self.nvm.write_complete_ns(member, fresh, stored.complete_ns)
             self.reencrypted_lines += 1
             now_ns = stored.complete_ns
 
@@ -118,13 +118,17 @@ class TraditionalSecureNvmController(MemoryController):
         """The CME pipeline over the cursor's merged streams.
 
         The float arithmetic runs in request order, so reports are
-        byte-identical however a trace is sliced.  Split counters bump and
-        re-encrypt pages in line.  An attached tracer gets the per-request
-        spans (the device entry points that return ``wait_ns`` replace the
-        completion-only shortcuts), a timeline gets every request and
-        counter-cache touch, and a stage accumulator is fed by columnar
-        per-batch flushes.  An attached :attr:`request_record` gets one row
-        per request, a write's fact being the line's counter after it.
+        byte-identical however a trace is sliced; stats counters and
+        latency accumulators are hoisted into locals and written back once
+        per call, and the AES energy add is inlined.  A write seals its
+        line in the integer domain and programs it through the device's
+        integer write.  Split counters bump and re-encrypt pages in line.
+        An attached tracer gets the per-request spans (the device entry
+        points that return ``wait_ns`` replace the completion-only
+        shortcuts), a timeline gets every request and counter-cache touch,
+        and a stage accumulator is fed by columnar per-batch flushes.  An
+        attached :attr:`request_record` gets one row per request, a write's
+        fact being the line's counter after it.
         Returns the ``(serviced, reads, writes,
         deduplicated)`` counts as a plain tuple, which is cheaper to build
         than a :class:`BatchOutcome` on one-request calls.
@@ -153,9 +157,10 @@ class TraditionalSecureNvmController(MemoryController):
         # Split mode keeps no per-line counter dict: exactly the written
         # lines hold a counter there.
         has_counter = counters if split is None else written_set
-        encrypt = self.cme.encrypt
+        seal = self.cme.seal
         nvm = self.nvm
-        add_aes_line = nvm.energy.add_aes_line
+        energy = nvm.energy
+        aes_line_nj = energy.aes_line_nj
         nvm_write_done = nvm.write_complete_ns
         nvm_read_done = nvm.read_complete_ns
         tracer = self.tracer
@@ -184,8 +189,20 @@ class TraditionalSecureNvmController(MemoryController):
             st_rcrypto: list[float] = []
             st_read: list[float] = []
 
-        add_write_latency = stats.write_latency.add
-        add_read_latency = stats.read_latency.add
+        # Counter batching: plain integers, written back after the loop.
+        writes_requested = stats.writes_requested
+        writes_stored = stats.writes_stored
+        reads_requested = stats.reads_requested
+        wl = stats.write_latency
+        wl_total = wl.total_ns
+        wl_count = wl.count
+        wl_max = wl.max_ns
+        wl_min = wl.min_ns
+        rl = stats.read_latency
+        rl_total = rl.total_ns
+        rl_count = rl.count
+        rl_max = rl.max_ns
+        rl_min = rl.min_ns
 
         active = cursor.active
         streams = cursor.streams
@@ -223,8 +240,8 @@ class TraditionalSecureNvmController(MemoryController):
                         self._check_line(line)
                     if not 0 <= address < data_lines:
                         self._check_data_address(address)
-                    stats.writes_requested += 1
-                    stats.writes_stored += 1
+                    writes_requested += 1
+                    writes_stored += 1
                     if block in cache_blocks:
                         cache.hits += 1
                         cache_blocks.move_to_end(block)
@@ -238,14 +255,14 @@ class TraditionalSecureNvmController(MemoryController):
                         overflow = None
                     else:
                         counter, overflow = split.advance(address)
-                    ciphertext = encrypt(line, address, counter)
-                    add_aes_line()
+                    sealed = seal(line, address, counter)
+                    energy.aes_nj += aes_line_nj
                     issue = cnow + aes_ns
                     if trace_on:
-                        written = nvm.write(address, ciphertext, issue)
+                        written = nvm.write(address, sealed.to_bytes(line_size, "little"), issue)
                         complete = written.complete_ns
                     else:
-                        complete = nvm_write_done(address, ciphertext, issue)
+                        complete = nvm_write_done(address, sealed, issue)
                     written_set.add(address)
                     if overflow is not None:
                         self._reencrypt_page(overflow, address, complete)
@@ -254,7 +271,12 @@ class TraditionalSecureNvmController(MemoryController):
                         st_wcrypto.append(issue - cnow)
                         st_wnvm.append(complete - issue)
                         st_write.append(latency)
-                    add_write_latency(latency)
+                    wl_total += latency
+                    wl_count += 1
+                    if latency > wl_max:
+                        wl_max = latency
+                    if wl_count == 1 or latency < wl_min:
+                        wl_min = latency
                     if timeline_on:
                         timeline.record_write(arrival, deduplicated=False, latency_ns=latency)
                     if trace_on:
@@ -272,7 +294,7 @@ class TraditionalSecureNvmController(MemoryController):
                 else:
                     if not 0 <= address < data_lines:
                         self._check_data_address(address)
-                    stats.reads_requested += 1
+                    reads_requested += 1
                     if block in cache_blocks:
                         cache.hits += 1
                         cache_blocks.move_to_end(block)
@@ -283,7 +305,7 @@ class TraditionalSecureNvmController(MemoryController):
                     # kernel charges the OTP's AES energy and the XOR latency.
                     decrypted = address in has_counter
                     if decrypted:
-                        add_aes_line()
+                        energy.aes_nj += aes_line_nj
                     if trace_on:
                         fetched = nvm.read(address, issue)
                         rc = fetched.complete_ns
@@ -296,7 +318,12 @@ class TraditionalSecureNvmController(MemoryController):
                         st_rnvm.append(rc - issue)
                         st_rcrypto.append(rnow - rc)
                         st_read.append(latency)
-                    add_read_latency(latency)
+                    rl_total += latency
+                    rl_count += 1
+                    if latency > rl_max:
+                        rl_max = latency
+                    if rl_count == 1 or latency < rl_min:
+                        rl_min = latency
                     if timeline_on:
                         timeline.record_read(arrival, latency_ns=latency)
                     if trace_on:
@@ -321,6 +348,17 @@ class TraditionalSecureNvmController(MemoryController):
             _, rank, core = heappop(heap)
             limit, limit_rank, _ = heap[0] if heap else NO_LIMIT
 
+        stats.writes_requested = writes_requested
+        stats.writes_stored = writes_stored
+        stats.reads_requested = reads_requested
+        wl.total_ns = wl_total
+        wl.count = wl_count
+        wl.max_ns = wl_max
+        wl.min_ns = wl_min
+        rl.total_ns = rl_total
+        rl.count = rl_count
+        rl.max_ns = rl_max
+        rl.min_ns = rl_min
         if stage_on:
             record_many = stages.record_many
             record_many("write.crypto", st_wcrypto)
@@ -361,7 +399,7 @@ class TraditionalSecureNvmController(MemoryController):
         payload = self._payloads.pad(
             line, self._payload_version, self.nvm.config.organization.line_size_bytes
         )
-        self.nvm.write_complete_ns(line, payload, now_ns)
+        self.nvm.write_complete_ns(line, int.from_bytes(payload, "little"), now_ns)
         self.stats.metadata_writebacks += 1
 
     def _counter_line_for(self, block: int) -> int:

@@ -77,7 +77,7 @@ class SilentShredderController(TraditionalSecureNvmController):
         written_set = self._written
         shredded = self._shredded
         zero_line = self._zero_line
-        encrypt = self.cme.encrypt
+        seal = self.cme.seal
         nvm = self.nvm
         add_aes_line = nvm.energy.add_aes_line
         nvm_write_done = nvm.write_complete_ns
@@ -159,14 +159,16 @@ class SilentShredderController(TraditionalSecureNvmController):
                             cnow = arrival + self._access_counter(address, True, arrival)
                         counter = counters.get(address, 0) + 1
                         counters[address] = counter
-                        ciphertext = encrypt(line, address, counter)
+                        sealed = seal(line, address, counter)
                         add_aes_line()
                         issue = cnow + aes_ns
                         if trace_on:
-                            written = nvm.write(address, ciphertext, issue)
+                            written = nvm.write(
+                                address, sealed.to_bytes(line_size, "little"), issue
+                            )
                             complete = written.complete_ns
                         else:
-                            complete = nvm_write_done(address, ciphertext, issue)
+                            complete = nvm_write_done(address, sealed, issue)
                         written_set.add(address)
                         eliminated = False
                         if stage_on:

@@ -18,42 +18,47 @@ from typing import Iterator
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
-_PAGE_MASK = PAGE_SIZE - 1
+PAGE_MASK = PAGE_SIZE - 1
 _ZERO_PAGE = bytes(8 * PAGE_SIZE)
+
+
+def new_page() -> array:
+    """A zeroed page, for callers that inline :meth:`PagedCounterStore.add`."""
+    return array("Q", _ZERO_PAGE)
 
 
 class PagedCounterStore:
     """A sparse array of non-negative integers, dense within 4096-line pages."""
 
-    __slots__ = ("_pages",)
+    __slots__ = ("pages",)
 
     def __init__(self) -> None:
-        self._pages: dict[int, array] = {}
+        # Page index -> page.  Public so the hottest writers (the wear
+        # tracker) can inline :meth:`add`.
+        self.pages: dict[int, array] = {}
 
     def get(self, key: int) -> int:
         """Current value at ``key`` (0 if never set)."""
-        page = self._pages.get(key >> PAGE_SHIFT)
-        return page[key & _PAGE_MASK] if page is not None else 0
+        page = self.pages.get(key >> PAGE_SHIFT)
+        return page[key & PAGE_MASK] if page is not None else 0
 
     def set(self, key: int, value: int) -> None:
         """Set the value at ``key``."""
-        pages = self._pages
+        pages = self.pages
         index = key >> PAGE_SHIFT
         page = pages.get(index)
         if page is None:
-            page = array("Q", _ZERO_PAGE)
-            pages[index] = page
-        page[key & _PAGE_MASK] = value
+            page = pages[index] = new_page()
+        page[key & PAGE_MASK] = value
 
     def add(self, key: int, delta: int) -> int:
         """Add ``delta`` at ``key``; returns the new value."""
-        pages = self._pages
+        pages = self.pages
         index = key >> PAGE_SHIFT
         page = pages.get(index)
         if page is None:
-            page = array("Q", _ZERO_PAGE)
-            pages[index] = page
-        slot = key & _PAGE_MASK
+            page = pages[index] = new_page()
+        slot = key & PAGE_MASK
         value = page[slot] + delta
         page[slot] = value
         return value
@@ -76,8 +81,8 @@ class PagedCounterStore:
 
     def items(self) -> Iterator[tuple[int, int]]:
         """Yield (key, value) for every non-zero entry, pages in key order."""
-        for index in sorted(self._pages):
-            page = self._pages[index]
+        for index in sorted(self.pages):
+            page = self.pages[index]
             base = index << PAGE_SHIFT
             for slot, value in enumerate(page):
                 if value:
@@ -90,8 +95,8 @@ class PagedCounterStore:
 
     def max_key(self) -> int | None:
         """Largest key with a non-zero value (None when empty)."""
-        for index in sorted(self._pages, reverse=True):
-            page = self._pages[index]
+        for index in sorted(self.pages, reverse=True):
+            page = self.pages[index]
             for slot in range(PAGE_SIZE - 1, -1, -1):
                 if page[slot]:
                     return (index << PAGE_SHIFT) + slot
@@ -99,4 +104,4 @@ class PagedCounterStore:
 
     def clear(self) -> None:
         """Drop every entry (and every page)."""
-        self._pages.clear()
+        self.pages.clear()

@@ -82,6 +82,12 @@ class MetadataSystem:
             name: (layout.table_base(name), table_lines[name]) for name in self.caches
         }
         self._line_size = nvm.config.organization.line_size_bytes
+        # (cache, resident blocks, entries per block) per table, so replay
+        # looks each touched table up once.
+        self._replay_tables = {
+            name: (cache, cache._blocks, cache.entries_per_block)
+            for name, cache in self.caches.items()
+        }
 
     def access(
         self,
@@ -169,7 +175,7 @@ class MetadataSystem:
         :class:`~repro.core.tables.DedupIndex` mutators fill, applied in
         order at ``now_ns``.
         """
-        caches = self.caches
+        tables = self._replay_tables
         timeline_off = not self.timeline.enabled
         persistence = self._persistence_active
         access = self.access
@@ -178,9 +184,8 @@ class MetadataSystem:
             # Resident-block fast path, inlined from access(): posted
             # touches are the hottest metadata traffic, and the call
             # overhead alone is measurable on dedup-heavy traces.
-            cache = caches[table]
-            blocks = cache._blocks
-            block = index // cache.entries_per_block
+            cache, blocks, per_block = tables[table]
+            block = index // per_block
             if timeline_off:
                 if block in blocks:
                     if op != INSERT:
@@ -237,7 +242,7 @@ class MetadataSystem:
         line = base + block % table_lines
         self._payload_version += 1
         payload = self._payloads.pad(line, self._payload_version, self._line_size)
-        self.nvm.write_complete_ns(line, payload, now_ns)
+        self.nvm.write_complete_ns(line, int.from_bytes(payload, "little"), now_ns)
         self.metadata_writebacks += 1
 
 
@@ -382,13 +387,22 @@ class DedupEngine:
         """Ground-truth duplicate check (statistics only, no timing).
 
         Used to count duplicates the PNA short-circuit missed (§IV-B's
-        1.5 %).  Bypasses caches and reads the device functionally.
+        1.5 %).  Bypasses caches and reads the device functionally,
+        comparing in the integer domain as :meth:`detect`'s verify read
+        does.  The kernel calls it only when ``crc`` is indexed.
         """
-        for physical, reference in self.index.candidates(crc):
-            if reference >= self.config.reference_cap:
+        entry = self.index.candidate_entry(crc)
+        n = len(plaintext)
+        if not entry or n != self._nvm_line_size:
+            return False
+        plaintext_int = int.from_bytes(plaintext, "little")
+        peek_int = self.nvm.peek_int
+        peek_counter = self.index.peek_counter
+        pad_int_for = self.cme.pad_int_for
+        for physical, reference in entry.items():
+            if reference >= self._reference_cap:
                 continue
-            counter = self.index.peek_counter(physical)
-            stored_plain = self.cme.decrypt(self.nvm.peek(physical), physical, counter)
-            if stored_plain == plaintext:
+            pad = pad_int_for(physical, peek_counter(physical), n)
+            if peek_int(physical) ^ pad == plaintext_int:
                 return True
         return False

@@ -156,10 +156,14 @@ class DeWriteController(MemoryController):
         engine = self.engine
         detect = engine.detect
         truth_has_duplicate = engine.truth_has_duplicate
+        # Energy adds are inlined: the same float operation on the account,
+        # in the same order (detect's verify reads add dedup-logic energy
+        # too, so that bucket stays on the account, not in a local).
         energy = self.nvm.energy
-        add_dedup_op = energy.add_dedup_op
-        add_aes_line = energy.add_aes_line
+        dedup_op_nj = energy.dedup_op_nj
+        aes_line_nj = energy.aes_line_nj
         index = self.index
+        hash_table = index.hash_table
         apply_duplicate = index.apply_duplicate
         physical_of = index.physical_of
         counter_slot = index.counter_slot
@@ -167,14 +171,21 @@ class DeWriteController(MemoryController):
         metadata_access = self.metadata.access
         apply_unique = index.apply_unique
         bump_counter = index.bump_counter
-        encrypt = self.cme.encrypt
+        seal = self.cme.seal
         nvm_write = self.nvm.write
         nvm_write_done = self.nvm.write_complete_ns
         nvm_read = self.nvm.read
         nvm_read_done = self.nvm.read_complete_ns
+        # The history window's majority rule runs on hoisted copies of the
+        # predictor's running vote count and scores, written back after the
+        # loop; outcomes go straight onto its history deque.
         enable_prediction = self.config.enable_prediction
-        predict = self.predictor.predict
-        score = self.predictor.complete
+        predictor = self.predictor
+        history = predictor.history
+        window = len(history)
+        votes = predictor.votes
+        predictions = predictor.predictions
+        correct = predictor.correct
         use_crc32 = self._use_crc32
         slow_fingerprint = self._fingerprint
         xor_ns = self._xor_ns
@@ -266,12 +277,18 @@ class DeWriteController(MemoryController):
                     if not 0 <= address < data_lines:
                         self._check_data_address(address)
                     writes_requested += 1
-                    predicted = predict() if enable_prediction else False
+                    if enable_prediction:
+                        # Majority vote; an even window's tie goes to the
+                        # most recent outcome.
+                        twice = votes * 2
+                        predicted = history[-1] if twice == window else twice > window
+                    else:
+                        predicted = False
                     crc = line_fingerprint(line) if use_crc32 else slow_fingerprint(line)
                     target, done, v, collisions, capped, flags = detect(
                         line, crc, arrival, predicted
                     )
-                    add_dedup_op()
+                    energy.dedup_logic_nj += dedup_op_nj
                     if trace_on:
                         hash_done = arrival + fp_ns
                         tracer.span(
@@ -290,7 +307,7 @@ class DeWriteController(MemoryController):
                         hash_matches += 1
                         crc_collisions += collisions
                     capped_rejects += capped
-                    if flags & PNA_SKIPPED and truth_has_duplicate(line, crc):
+                    if flags & PNA_SKIPPED and crc in hash_table and truth_has_duplicate(line, crc):
                         missed_pna += 1
                     if stage_on:
                         hash_done = arrival + fp_ns
@@ -308,7 +325,7 @@ class DeWriteController(MemoryController):
                         replay(touches, complete)
                         if speculated:
                             # The speculative encryption was wasted: energy only.
-                            add_aes_line()
+                            energy.aes_nj += aes_line_nj
                             wasted_encryptions += 1
                             if trace_on:
                                 tracer.span(
@@ -319,16 +336,18 @@ class DeWriteController(MemoryController):
                         dedup = True
                         deduplicated += 1
                     else:
-                        # Encrypt under the destination's bumped counter, write.
+                        # Seal under the destination's bumped counter, write.
                         writes_stored += 1
                         dest = apply_unique(address, crc, touches)
-                        ciphertext = encrypt(line, dest, bump_counter(dest, touches))
-                        add_aes_line()
+                        sealed = seal(line, dest, bump_counter(dest, touches))
+                        energy.aes_nj += aes_line_nj
                         if speculated:
                             # AES started at arrival, concurrently with
                             # detection; the write issues once both finish.
                             crypto_start = arrival
-                            issue = max(arrival + aes_ns, done)
+                            issue = arrival + aes_ns
+                            if done > issue:
+                                issue = done
                         else:
                             crypto_start = done
                             issue = done + aes_ns
@@ -336,10 +355,10 @@ class DeWriteController(MemoryController):
                                 serialized_detections += 1
                         if trace_on:
                             # Only a span needs the bank wait; untraced, skip it.
-                            written = nvm_write(dest, ciphertext, issue)
+                            written = nvm_write(dest, sealed.to_bytes(line_size, "little"), issue)
                             complete = written.complete_ns
                         else:
-                            complete = nvm_write_done(dest, ciphertext, issue)
+                            complete = nvm_write_done(dest, sealed, issue)
                         replay(touches, complete)
                         if trace_on:
                             tracer.span(
@@ -357,7 +376,12 @@ class DeWriteController(MemoryController):
                         dedup = False
                     latency = complete - arrival
                     if enable_prediction:
-                        score(predicted, dedup)
+                        predictions += 1
+                        if predicted == dedup:
+                            correct += 1
+                        # The oldest outcome leaves the full window.
+                        votes += dedup - history[0]
+                        history.append(dedup)
                     if stage_on:
                         st_write.append(complete - arrival)
                     wl_total += latency
@@ -418,7 +442,7 @@ class DeWriteController(MemoryController):
                         rc = nvm_read_done(source, issue)
                     rnow = rc + xor_ns
                     if physical is not None:
-                        add_aes_line()
+                        energy.aes_nj += aes_line_nj
                     if stage_on:
                         st_rmeta.append(issue - arrival)
                         st_rnvm.append(rc - issue)
@@ -478,8 +502,9 @@ class DeWriteController(MemoryController):
         rl.max_ns = rl_max
         rl.min_ns = rl_min
         if enable_prediction:
-            stats.predictions = self.predictor.predictions
-            stats.correct_predictions = self.predictor.correct
+            predictor.votes = votes
+            predictor.predictions = stats.predictions = predictions
+            predictor.correct = stats.correct_predictions = correct
         self._sync_metadata_stats()
         if stage_on:
             record_many = stages.record_many

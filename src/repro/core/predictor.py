@@ -14,6 +14,13 @@ The prediction steers two mechanisms:
   energy;
 - §III-B2 PNA — on a hash-cache miss, only predicted *duplicates* pay the
   in-NVM hash-table query.
+
+The window keeps a running count of its duplicate outcomes (``votes``), so a
+prediction is one comparison rather than a sum over the window.  The DeWrite
+kernel runs the same majority rule on hoisted copies of ``votes``,
+``predictions`` and ``correct``, pushes outcomes onto ``history`` itself and
+writes the counts back once per call; :meth:`predict`, :meth:`record` and
+:meth:`observe` are the per-write API for everyone else.
 """
 
 from __future__ import annotations
@@ -36,14 +43,15 @@ class HistoryWindowPredictor:
         """
         if window < 1:
             raise ValueError("window must hold at least one outcome")
-        self._history: deque[bool] = deque([initial] * window, maxlen=window)
+        self.history: deque[bool] = deque([initial] * window, maxlen=window)
+        self.votes = window if initial else 0  # duplicate outcomes in the window
         self.predictions = 0
         self.correct = 0
 
     @property
     def window(self) -> int:
         """Window length in bits."""
-        return self._history.maxlen or 0
+        return self.history.maxlen or 0
 
     def predict(self) -> bool:
         """Predict whether the next write is duplicate (majority vote).
@@ -51,21 +59,25 @@ class HistoryWindowPredictor:
         Ties (possible only with even windows) resolve to the most recent
         outcome, degenerating to the 1-bit predictor.
         """
-        dup_votes = sum(self._history)
-        total = len(self._history)
-        if dup_votes * 2 == total:
-            return self._history[-1]
-        return dup_votes * 2 > total
+        twice = self.votes * 2
+        total = len(self.history)
+        if twice == total:
+            return self.history[-1]
+        return twice > total
 
     def record(self, was_duplicate: bool) -> None:
         """Push the true outcome of the write that was just serviced."""
-        self._history.append(was_duplicate)
+        history = self.history
+        # The oldest outcome leaves the full window as the new one enters.
+        self.votes += was_duplicate - history[0]
+        history.append(was_duplicate)
 
     def observe(self, was_duplicate: bool) -> bool:
         """Predict, score the prediction, then record the truth.
 
-        Returns the prediction.  This is the controller's one-call-per-write
-        entry point; accuracy statistics accumulate on the instance.
+        Returns the prediction.  This is the one-call-per-write entry point
+        for callers outside the DeWrite kernel; accuracy statistics
+        accumulate on the instance.
         """
         prediction = self.predict()
         self.predictions += 1
@@ -73,17 +85,6 @@ class HistoryWindowPredictor:
             self.correct += 1
         self.record(was_duplicate)
         return prediction
-
-    def complete(self, prediction: bool, was_duplicate: bool) -> None:
-        """Score a prediction made earlier with :meth:`predict` and record truth.
-
-        Controllers call :meth:`predict` up front (the prediction steers the
-        write path) and this method once the true duplication state is known.
-        """
-        self.predictions += 1
-        if prediction == was_duplicate:
-            self.correct += 1
-        self.record(was_duplicate)
 
     @property
     def accuracy(self) -> float:

@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Literal
 
-from repro.containers import PagedCounterStore
+from repro.containers import PAGE_MASK, PAGE_SHIFT, PagedCounterStore, new_page
 
 TableName = Literal["address_map", "inverted_hash", "hash_table", "fsm"]
 
@@ -75,6 +75,7 @@ class DedupIndex:
         # monotonically grow, exactly the dense-page access pattern
         # PagedCounterStore is built for.
         self._counters = PagedCounterStore()
+        self._counter_pages = self._counters.pages
 
         # Freed physical lines are recycled LIFO; fresh allocations grow
         # downward from the top of the device so they stay clear of the
@@ -87,21 +88,20 @@ class DedupIndex:
 
     # -- queries ---------------------------------------------------------
 
-    def candidates(self, crc: int) -> list[tuple[int, int]]:
-        """(physical, reference) entries currently indexed under ``crc``."""
-        entry = self._hash_table.get(crc)
-        if not entry:
-            return []
-        return list(entry.items())
-
     def candidate_entry(self, crc: int) -> dict[int, int] | None:
         """Live ``{physical: reference}`` dict under ``crc`` (None when absent).
 
-        The batched detection path iterates this in place;
-        :meth:`candidates` returns a defensive copy for everyone else.
-        Callers must not mutate the returned dict.
+        Detection iterates this in place; callers must not mutate it.
         """
         return self._hash_table.get(crc)
+
+    @property
+    def hash_table(self) -> dict[int, dict[int, int]]:
+        """The live hash table, ``crc -> {physical: reference}``.
+
+        For membership tests on the write path; callers must not mutate it.
+        """
+        return self._hash_table
 
     def content_crc(self, physical: int) -> int | None:
         """CRC of the content stored at a physical line (inverted table)."""
@@ -143,9 +143,25 @@ class DedupIndex:
         return self._mapping.get(logical)
 
     def bump_counter(self, physical: int, touches: list) -> int:
-        """Increment and return the counter (called once per physical write)."""
-        value = self._counters.add(physical, 1)
-        self._touch_counter(physical, touches)
+        """Increment and return the counter (called once per physical write).
+
+        Records the counter write in the slot :meth:`counter_slot` names,
+        with the rule inlined (this is every unique write's path).  An
+        overflowed counter is charged as an address-map touch: the overflow
+        store is tiny and on-chip in the patched design, but not free.
+        """
+        pages = self._counter_pages
+        page_index = physical >> PAGE_SHIFT
+        page = pages.get(page_index)
+        if page is None:
+            page = pages[page_index] = new_page()
+        slot = physical & PAGE_MASK
+        value = page[slot] + 1
+        page[slot] = value
+        if self._mapping.get(physical, physical) == physical or physical in self._stored:
+            touches += ("address_map", physical, WRITE)
+        else:
+            touches += ("inverted_hash", physical, WRITE)
         return value
 
     def overflow_counters(self) -> int:
@@ -160,15 +176,6 @@ class DedupIndex:
         uniqueness); a snapshot keeps the checker out of private state.
         """
         return tuple(self._counters.items())
-
-    def _touch_counter(self, physical: int, touches: list) -> None:
-        """Record the counter write in whichever slot hosts it."""
-        slot = self.counter_slot(physical)
-        if slot == "overflow":
-            # The overflow store is tiny and on-chip in our patched design;
-            # charge it as an address-map touch so it is not free.
-            slot = "address_map"
-        touches += (slot, physical, WRITE)
 
     # -- state transitions -------------------------------------------------
 
@@ -201,7 +208,8 @@ class DedupIndex:
         Picks the logical line's own physical slot when free (the common
         case), otherwise allocates via the FSM table (a relocation).
         """
-        self._release(logical, touches)
+        if logical in self._mapping:
+            self._release(logical, touches)
         if logical not in self._stored:
             dest = logical
         else:

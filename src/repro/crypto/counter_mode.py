@@ -6,12 +6,17 @@ traditional secure NVM baseline they live in a dedicated counter table.  The
 caller therefore passes the counter explicitly; this module only guarantees
 the cryptographic contract:
 
-- ``encrypt(line, address, counter)`` XORs the line with
-  ``pad(key, address, counter)``;
-- ``decrypt`` is the same XOR (counter mode is an involution), so decryption
-  overlaps the NVM read once the counter is cached;
+- ``seal(line, address, counter)`` is the encryption: the line's
+  little-endian integer XOR ``pad(key, address, counter)``, returned as that
+  integer — the form :meth:`repro.nvm.memory.NvmMainMemory.write_complete_ns`
+  programs, so a kernel's unique write converts its plaintext once and
+  never builds ciphertext bytes;
+- ``encrypt`` is ``seal`` as bytes, and ``decrypt`` the same XOR (counter
+  mode is an involution), so decryption overlaps the NVM read once the
+  counter is cached; ``pad_int_for`` hands out the pad itself for callers
+  that decrypt or compare in the integer domain;
 - an optional OTP-reuse detector raises :class:`OtpReuseError` when a
-  (address, counter) pair is used to *encrypt* twice — the security
+  (address, counter) pair is used to *seal* twice — the security
   invariant of §II-B that the test suite exercises.
 """
 
@@ -59,8 +64,17 @@ class CounterModeEngine:
         self._pad_cache: dict[tuple[int, int, int], int] = {}
         self._pad_cache_cap = 8192
 
-    def encrypt(self, plaintext: bytes, address: int, counter: int) -> bytes:
-        """Encrypt one line stored at ``address`` under its ``counter``."""
+    def seal(self, plaintext: bytes, address: int, counter: int) -> int:
+        """Encrypt one line stored at ``address`` under its ``counter``,
+        returning the ciphertext as its little-endian integer.
+
+        Records the (address, counter) pair when OTP reuse is tracked and
+        XORs once with the pad.  A sealed pair is fresh (a line's counter
+        only grows), so its pad is generated rather than looked up, and it
+        enters the shared bounded pad cache: the verify reads and decrypts
+        of the line this write stores find it there through
+        :meth:`pad_int_for`.
+        """
         if self._track:
             token = (address, counter)
             if token in self._used:
@@ -68,18 +82,31 @@ class CounterModeEngine:
                     f"OTP reuse: address {address:#x} counter {counter} already used"
                 )
             self._used.add(token)
-        return self._xor_pad(plaintext, address, counter)
+        n = len(plaintext)
+        cache = self._pad_cache
+        if len(cache) >= self._pad_cache_cap:
+            cache.clear()
+        pad_int = int.from_bytes(self._pads.pad(address, counter, n), "little")
+        cache[address, counter, n] = pad_int
+        return int.from_bytes(plaintext, "little") ^ pad_int
+
+    def encrypt(self, plaintext: bytes, address: int, counter: int) -> bytes:
+        """:meth:`seal` as bytes."""
+        return self.seal(plaintext, address, counter).to_bytes(len(plaintext), "little")
 
     def decrypt(self, ciphertext: bytes, address: int, counter: int) -> bytes:
         """Decrypt one line; identical XOR with the same pad."""
-        return self._xor_pad(ciphertext, address, counter)
+        n = len(ciphertext)
+        return (
+            int.from_bytes(ciphertext, "little") ^ self.pad_int_for(address, counter, n)
+        ).to_bytes(n, "little")
 
     def pad_int_for(self, address: int, counter: int, nbytes: int) -> int:
         """The one-time pad as a little-endian integer (the XOR operand).
 
-        For callers that compare lines in the integer domain — e.g. the
-        dedup verify read, which only needs ``decrypt(stored) == candidate``
-        — this skips the two bytes<->int conversions of a full
+        For callers that compare or decrypt lines in the integer domain —
+        e.g. the dedup verify read, which only needs ``decrypt(stored) ==
+        candidate`` — this skips the two bytes<->int conversions of a full
         :meth:`decrypt`.  Shares the bounded pad cache.
         """
         token = (address, counter, nbytes)
@@ -91,15 +118,3 @@ class CounterModeEngine:
             pad_int = int.from_bytes(self._pads.pad(address, counter, nbytes), "little")
             cache[token] = pad_int
         return pad_int
-
-    def _xor_pad(self, data: bytes, address: int, counter: int) -> bytes:
-        n = len(data)
-        token = (address, counter, n)
-        cache = self._pad_cache
-        pad_int = cache.get(token)
-        if pad_int is None:
-            if len(cache) >= self._pad_cache_cap:
-                cache.clear()
-            pad_int = int.from_bytes(self._pads.pad(address, counter, n), "little")
-            cache[token] = pad_int
-        return (int.from_bytes(data, "little") ^ pad_int).to_bytes(n, "little")

@@ -30,6 +30,7 @@ Three families cover the whole registry:
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Sequence
 
@@ -114,8 +115,9 @@ class DedupFamilyAdapter(ControllerFaultAdapter):
     def recovered_lines(self, durable: DurableState, addresses: Sequence[int]) -> list[bytes]:
         mapping = durable.mapping.get
         counters = durable.counters.get
-        peek = self.controller.nvm.peek
-        decrypt = self.controller.cme.decrypt
+        peek_int = self.controller.nvm.peek_int
+        pad_int_for = self.controller.cme.pad_int_for
+        n = self.controller.line_size
         zeros = self._zeros
         lines = []
         append = lines.append
@@ -125,7 +127,9 @@ class DedupFamilyAdapter(ControllerFaultAdapter):
                 # Never durably mapped: a rebuilt index serves the erased pattern.
                 append(zeros)
             else:
-                append(decrypt(peek(phys), phys, counters(phys, 0)))
+                # Decrypt in the integer domain the device stores lines in.
+                plain = peek_int(phys) ^ pad_int_for(phys, counters(phys, 0), n)
+                append(plain.to_bytes(n, "little"))
         return lines
 
 
@@ -156,7 +160,9 @@ class SecureFamilyAdapter(ControllerFaultAdapter):
         mapping = durable.mapping.get
         counters = durable.counters.get
         peek = self.controller.nvm.peek
-        decrypt = self.controller.cme.decrypt
+        peek_int = self.controller.nvm.peek_int
+        pad_int_for = self.controller.cme.pad_int_for
+        n = self.controller.line_size
         zeros = self._zeros
         lines = []
         append = lines.append
@@ -175,7 +181,8 @@ class SecureFamilyAdapter(ControllerFaultAdapter):
                     # the erased pattern for counter-less lines.
                     append(zeros)
                 else:
-                    append(decrypt(peek(phys), phys, counter))
+                    plain = peek_int(phys) ^ pad_int_for(phys, counter, n)
+                    append(plain.to_bytes(n, "little"))
         return lines
 
 
@@ -220,24 +227,34 @@ class INvmmAdapter(SecureFamilyAdapter):
 def adapter_for(controller: "MemoryController") -> ControllerFaultAdapter:
     """The most specific adapter for ``controller`` (by family).
 
-    Imports lazily, mirroring :mod:`repro.core.registry`, so the crash
-    model never forces every baseline into memory.
+    Imports nothing new: a controller's class, and every class it derives
+    from, is loaded before the controller exists, so a family whose module
+    is not in ``sys.modules`` cannot match and is skipped.  The crash model
+    thus never loads a baseline the campaign does not run.
     """
-    from repro.baselines.i_nvmm import INvmmController
-    from repro.baselines.secure_nvm import TraditionalSecureNvmController
-    from repro.baselines.silent_shredder import SilentShredderController
-    from repro.core.dewrite import DeWriteController
+    loaded = sys.modules
+    if "repro.baselines.silent_shredder" in loaded:
+        from repro.baselines.silent_shredder import SilentShredderController
 
-    if isinstance(controller, SilentShredderController):
-        return ShredderAdapter(controller)
-    if isinstance(controller, INvmmController):
-        return INvmmAdapter(controller)
-    if isinstance(controller, TraditionalSecureNvmController):
-        # Covers the CME-only baseline and out-of-line page dedup (whose
-        # background scan never mutates counters or line contents).
-        return SecureFamilyAdapter(controller)
-    if isinstance(controller, DeWriteController):
-        return DedupFamilyAdapter(controller)
+        if isinstance(controller, SilentShredderController):
+            return ShredderAdapter(controller)
+    if "repro.baselines.i_nvmm" in loaded:
+        from repro.baselines.i_nvmm import INvmmController
+
+        if isinstance(controller, INvmmController):
+            return INvmmAdapter(controller)
+    if "repro.baselines.secure_nvm" in loaded:
+        from repro.baselines.secure_nvm import TraditionalSecureNvmController
+
+        if isinstance(controller, TraditionalSecureNvmController):
+            # Covers the CME-only baseline and out-of-line page dedup (whose
+            # background scan never mutates counters or line contents).
+            return SecureFamilyAdapter(controller)
+    if "repro.core.dewrite" in loaded:
+        from repro.core.dewrite import DeWriteController
+
+        if isinstance(controller, DeWriteController):
+            return DedupFamilyAdapter(controller)
     raise UnsupportedControllerError(
         f"no fault adapter for controller type {type(controller).__name__}"
     )

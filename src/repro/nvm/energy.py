@@ -28,8 +28,9 @@ class EnergyAccount:
         # Per-op increments are pure functions of the (frozen) config;
         # recomputing them inside every add_* call costs a method call and
         # arithmetic on the hottest paths for the same constant.
-        self._aes_line_nj = self.config.aes_nj_per_line(self.line_size_bytes)
-        self._dedup_op_nj = self.config.dedup_logic_nj_per_op
+        # Public so fused kernels can inline the adds (same float operation).
+        self.aes_line_nj = self.config.aes_nj_per_line(self.line_size_bytes)
+        self.dedup_op_nj = self.config.dedup_logic_nj_per_op
 
     def add_line_read(self, row_hit: bool = False) -> None:
         """Array energy of one full-line read."""
@@ -43,11 +44,11 @@ class EnergyAccount:
 
     def add_aes_line(self) -> None:
         """AES engine energy for encrypting/decrypting one full line."""
-        self.aes_nj += self._aes_line_nj
+        self.aes_nj += self.aes_line_nj
 
     def add_dedup_op(self) -> None:
         """CRC + comparator energy for one duplication check."""
-        self.dedup_logic_nj += self._dedup_op_nj
+        self.dedup_logic_nj += self.dedup_op_nj
 
     @property
     def total_nj(self) -> float:

@@ -1,10 +1,12 @@
 """The banked NVM main-memory device.
 
-Functionally it is a sparse array of encrypted lines; temporally it is a set
-of independently busy banks with asymmetric read/write service times; and it
-feeds the wear and energy trackers on every access.  Memory controllers
-(DeWrite and all baselines) sit on top of this one class, so every design is
-measured against the identical device.
+Functionally it is a sparse array of encrypted lines, each stored once as
+its little-endian integer (the form the CME engine seals and the bit-flip
+count XORs; bytes are built only when a caller asks for them); temporally
+it is a set of independently busy banks with asymmetric read/write service
+times; and it feeds the wear and energy trackers on every access.  Memory
+controllers (DeWrite and all baselines) sit on top of this one class, so
+every design is measured against the identical device.
 """
 
 from __future__ import annotations
@@ -55,14 +57,11 @@ class NvmMainMemory:
         self.config = config if config is not None else NvmConfig()
         org = self.config.organization
         timing = self.config.timing
-        self._lines: dict[int, bytes] = {}
-        # Integer mirror of ``_lines`` (little-endian value of each stored
-        # line), maintained by write()/poke().  Bit-flip counting is then a
-        # single xor of cached ints instead of two bytes->int conversions
-        # per write.  Unwritten lines mirror to 0 == the all-zero line.
+        # Written line -> its little-endian value.  Bit-flip counting is one
+        # XOR of stored ints, and an unwritten line reads as 0, the all-zero
+        # line.
         self._line_ints: dict[int, int] = {}
         self._banks = [Bank(index=i) for i in range(org.total_banks)]
-        self._zero_line = bytes(org.line_size_bytes)
         self.wear = WearTracker()
         self.energy = EnergyAccount(
             config=self.config.energy, line_size_bytes=org.line_size_bytes
@@ -164,7 +163,7 @@ class NvmMainMemory:
             start_ns=start,
             complete_ns=complete,
             arrival_ns=arrival_ns,
-            data=self._lines.get(address, self._zero_line),
+            data=self._line_ints.get(address, 0).to_bytes(self._line_size, "little"),
         )
 
     def write(
@@ -184,11 +183,44 @@ class NvmMainMemory:
                 full line (naive write).  Bit-level reduction baselines pass
                 their own figure; wear always additionally records the true
                 number of flipped cells.
+
+        Converts ``data`` once and programs it through
+        :meth:`write_complete_ns`; the result adds the service start, read
+        off the bank before the write is scheduled.
         """
         if not 0 <= address < self._total_lines:
             self._check_address(address)
         if len(data) != self._line_size:
             raise ValueError(f"line must be {self._line_size} bytes, got {len(data)}")
+        busy = self._banks[address % self._bank_count].busy_until_ns
+        complete = self.write_complete_ns(
+            address, int.from_bytes(data, "little"), arrival_ns, bits_written
+        )
+        return AccessResult(
+            address=address,
+            start_ns=arrival_ns if arrival_ns > busy else busy,
+            complete_ns=complete,
+            arrival_ns=arrival_ns,
+        )
+
+    def write_complete_ns(
+        self,
+        address: int,
+        value: int,
+        arrival_ns: float,
+        bits_written: int | None = None,
+    ) -> float:
+        """Program one line, given as its little-endian integer; returns the
+        complete time.
+
+        The device's one write body: bank scheduling, wear, energy,
+        statistics, tracer and timeline.  ``value`` must be a line's value
+        (``0 <= value < 2 ** (8 * line_size)``): the CME engine's
+        :meth:`~repro.crypto.counter_mode.CounterModeEngine.seal` output
+        is one by construction.  ``bits_written`` is as in :meth:`write`.
+        """
+        if not 0 <= address < self._total_lines:
+            self._check_address(address)
         bank = self._banks[address % self._bank_count]
         # Inlined Bank.schedule(arrival, t_write) — arithmetic identical.
         busy = bank.busy_until_ns
@@ -196,74 +228,21 @@ class NvmMainMemory:
         if backlog > bank.peak_backlog_ns:
             bank.peak_backlog_ns = backlog
         start = arrival_ns if arrival_ns > busy else busy
-        complete = start + self._t_write_ns
+        t_write = self._t_write_ns
+        complete = start + t_write
         bank.busy_until_ns = complete
         bank.serviced_requests += 1
         bank.total_wait_ns += start - arrival_ns
-        bank.total_service_ns += self._t_write_ns
+        bank.total_service_ns += t_write
         bank.open_line = address
 
-        new_int = int.from_bytes(data, "little")
         line_ints = self._line_ints
-        flips = (line_ints.get(address, 0) ^ new_int).bit_count()
+        flips = (line_ints.get(address, 0) ^ value).bit_count()
         if bits_written is None:
             bits_written = self._full_line_bits
-        self.wear.record_write(address, bit_flips=flips, bits_written=bits_written)
-        self.energy.nvm_write_nj += bits_written * self._e_write_pj_per_bit / 1000.0
-        self._lines[address] = data
-        line_ints[address] = new_int
-        self.writes += 1
-        if self.tracer.enabled:
-            self.tracer.span(
-                "nvm.write",
-                arrival_ns,
-                complete,
-                bank=bank.index,
-                wait_ns=start - arrival_ns,
-                bit_flips=flips,
-            )
-        if self.timeline.enabled:
-            self.timeline.record_nvm_write(
-                arrival_ns, bank=bank.index, wait_ns=start - arrival_ns, bit_flips=flips
-            )
-        return AccessResult(
-            address=address, start_ns=start, complete_ns=complete, arrival_ns=arrival_ns
-        )
-
-    def write_complete_ns(self, address: int, data: bytes, arrival_ns: float) -> float:
-        """:meth:`write` without the result object: returns the complete time.
-
-        Scheduling, wear, energy, statistics, tracer and timeline effects
-        are identical to :meth:`write` with the default (naive, full-line)
-        ``bits_written``; only the :class:`AccessResult` is elided.  For the
-        fused batch kernels, which discard everything but the completion
-        time.
-        """
-        if not 0 <= address < self._total_lines:
-            self._check_address(address)
-        if len(data) != self._line_size:
-            raise ValueError(f"line must be {self._line_size} bytes, got {len(data)}")
-        bank = self._banks[address % self._bank_count]
-        busy = bank.busy_until_ns
-        backlog = busy - arrival_ns
-        if backlog > bank.peak_backlog_ns:
-            bank.peak_backlog_ns = backlog
-        start = arrival_ns if arrival_ns > busy else busy
-        complete = start + self._t_write_ns
-        bank.busy_until_ns = complete
-        bank.serviced_requests += 1
-        bank.total_wait_ns += start - arrival_ns
-        bank.total_service_ns += self._t_write_ns
-        bank.open_line = address
-
-        new_int = int.from_bytes(data, "little")
-        line_ints = self._line_ints
-        flips = (line_ints.get(address, 0) ^ new_int).bit_count()
-        bits_written = self._full_line_bits
         self.wear.record_write(address, flips, bits_written)
         self.energy.nvm_write_nj += bits_written * self._e_write_pj_per_bit / 1000.0
-        self._lines[address] = data
-        line_ints[address] = new_int
+        line_ints[address] = value
         self.writes += 1
         if self.tracer.enabled:
             self.tracer.span(
@@ -411,14 +390,13 @@ class NvmMainMemory:
         """Read line contents with no timing or energy effect (testing aid)."""
         if not 0 <= address < self._total_lines:
             self._check_address(address)
-        return self._lines.get(address, self._zero_line)
+        return self._line_ints.get(address, 0).to_bytes(self._line_size, "little")
 
     def peek_int(self, address: int) -> int:
         """Line contents as a little-endian integer, untimed (0 if unwritten).
 
-        The integer mirror the write path already maintains for bit-flip
-        counting; exposed so verify-read compares can stay in the integer
-        domain instead of round-tripping through bytes.
+        The stored form itself, so verify-read compares and audits stay in
+        the integer domain instead of round-tripping through bytes.
         """
         if not 0 <= address < self._total_lines:
             self._check_address(address)
@@ -426,7 +404,7 @@ class NvmMainMemory:
 
     def contains(self, address: int) -> bool:
         """Whether the line has ever been written."""
-        return address in self._lines
+        return address in self._line_ints
 
     def poke(self, address: int, data: bytes) -> None:
         """Overwrite line contents with no timing, wear or energy effect.
@@ -438,10 +416,8 @@ class NvmMainMemory:
         """
         if not 0 <= address < self._total_lines:
             self._check_address(address)
-        line_size = self.config.organization.line_size_bytes
-        if len(data) != line_size:
-            raise ValueError(f"line must be {line_size} bytes, got {len(data)}")
-        self._lines[address] = data
+        if len(data) != self._line_size:
+            raise ValueError(f"line must be {self._line_size} bytes, got {len(data)}")
         self._line_ints[address] = int.from_bytes(data, "little")
 
     # -- statistics -------------------------------------------------------------
@@ -472,10 +448,6 @@ class NvmMainMemory:
         self.energy.reset()
 
     # -- internals ----------------------------------------------------------------
-
-    @staticmethod
-    def _bit_flips(old: bytes, new: bytes) -> int:
-        return (int.from_bytes(old, "little") ^ int.from_bytes(new, "little")).bit_count()
 
     def _check_address(self, address: int) -> None:
         if not 0 <= address < self.config.organization.total_lines:

@@ -203,28 +203,34 @@ class WearLevelledNvm:
         result = self._nvm.write(
             self.mapper.translate(address), data, arrival_ns, bits_written
         )
-        move = self.mapper.record_write()
-        if move is not None:
-            source, dest = move
-            carried = self._nvm.peek(source)
-            self._nvm.write(dest, carried, result.complete_ns)
-            self.levelling_writes += 1
+        self._level(result.complete_ns)
         return result
 
     def read_complete_ns(self, address: int, arrival_ns: float, *, trace: bool = True) -> float:
         """Slim read through the translation (see ``NvmMainMemory``)."""
         return self._nvm.read_complete_ns(self.mapper.translate(address), arrival_ns, trace=trace)
 
-    def write_complete_ns(self, address: int, data: bytes, arrival_ns: float) -> float:
-        """Slim write through the translation; occasionally moves the gap."""
-        complete = self._nvm.write_complete_ns(self.mapper.translate(address), data, arrival_ns)
+    def write_complete_ns(
+        self,
+        address: int,
+        value: int,
+        arrival_ns: float,
+        bits_written: int | None = None,
+    ) -> float:
+        """Integer write through the translation; occasionally moves the gap."""
+        complete = self._nvm.write_complete_ns(
+            self.mapper.translate(address), value, arrival_ns, bits_written
+        )
+        self._level(complete)
+        return complete
+
+    def _level(self, now_ns: float) -> None:
+        """Count one data write; on a gap move, copy the line into the gap."""
         move = self.mapper.record_write()
         if move is not None:
             source, dest = move
-            carried = self._nvm.peek(source)
-            self._nvm.write(dest, carried, complete)
+            self._nvm.write_complete_ns(dest, self._nvm.peek_int(source), now_ns)
             self.levelling_writes += 1
-        return complete
 
     def read_burst(self, addresses, arrival_ns: float) -> None:
         """Burst read through the translation (see ``NvmMainMemory``)."""

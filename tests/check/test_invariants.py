@@ -185,7 +185,7 @@ class TestRoundTripLawFires:
             physical = checked.index.physical_of(address)
             stored = bytearray(checked.nvm.peek(physical))
             stored[0] ^= 0xFF
-            checked.nvm._lines[physical] = bytes(stored)
+            checked.nvm.poke(physical, bytes(stored))
 
         tamper_after_each_request(checked, corrupt)
         with pytest.raises(InvariantViolation, match="round-trip"):
@@ -197,7 +197,7 @@ class TestRoundTripLawFires:
         physical = checked.index.physical_of(5)
         stored = bytearray(checked.nvm.peek(physical))
         stored[0] ^= 0xFF
-        checked.nvm._lines[physical] = bytes(stored)
+        checked.nvm.poke(physical, bytes(stored))
         with pytest.raises(InvariantViolation, match="corrupted data"):
             checked.read(5, now)
 

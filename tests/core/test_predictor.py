@@ -59,15 +59,17 @@ class TestAccuracyAccounting:
         assert predictor.correct == 2
         assert predictor.accuracy == pytest.approx(2 / 3)
 
-    def test_complete_matches_observe(self):
-        a = HistoryWindowPredictor(window=3)
-        b = HistoryWindowPredictor(window=3)
-        outcomes = [True, True, False, True, False, False, True]
-        for outcome in outcomes:
-            a.observe(outcome)
-            b.complete(b.predict(), outcome)
-        assert a.accuracy == b.accuracy
-        assert a.predict() == b.predict()
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    def test_running_vote_count_matches_window(self, window):
+        rng = random.Random(window)
+        predictor = HistoryWindowPredictor(window=window, initial=window % 2 == 0)
+        for _ in range(200):
+            history = list(predictor.history)
+            votes = sum(history)
+            assert predictor.votes == votes
+            # The majority rule over the whole window; ties go to the latest.
+            expected = history[-1] if 2 * votes == window else 2 * votes > window
+            assert predictor.observe(rng.random() < 0.5) == expected
 
     def test_accuracy_empty(self):
         assert HistoryWindowPredictor().accuracy == 0.0

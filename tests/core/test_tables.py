@@ -50,7 +50,7 @@ class TestUniqueWrites:
         dest = index.apply_unique(5, crc=2, touches=sink())
         assert dest == 5
         assert index.content_crc(5) == 2
-        assert index.candidates(1) == []
+        assert index.candidate_entry(1) is None
         index.check_invariants()
 
     def test_relocation_when_own_slot_referenced(self):
@@ -194,7 +194,7 @@ class TestDuplicateWrites:
         index.apply_unique(2, crc=8, touches=sink())
         index.apply_duplicate(2, target=1, touches=sink())
         assert not index.holds_data(2)  # old content freed
-        assert index.candidates(8) == []
+        assert index.candidate_entry(8) is None
         index.check_invariants()
 
     def test_duplicate_to_empty_target_rejected(self):

@@ -80,3 +80,23 @@ class TestOtpReuseTracking:
         engine = CounterModeEngine()
         engine.encrypt(bytes(256), 1, 1)
         engine.encrypt(bytes(256), 1, 1)  # no error
+
+
+class TestSeal:
+    @given(st.binary(min_size=1, max_size=512), st.integers(0, 2**32), st.integers(1, 2**28))
+    def test_seal_is_encrypt_as_integer(self, line, address, counter):
+        engine = CounterModeEngine()
+        sealed = engine.seal(line, address, counter)
+        assert sealed == int.from_bytes(engine.encrypt(line, address, counter), "little")
+        assert sealed ^ engine.pad_int_for(address, counter, len(line)) == int.from_bytes(
+            line, "little"
+        )
+
+    def test_seal_tracks_reuse_like_encrypt(self):
+        engine = CounterModeEngine(track_otp_reuse=True)
+        engine.seal(bytes(256), 1, 1)
+        with pytest.raises(OtpReuseError):
+            engine.encrypt(bytes(256), 1, 1)
+        engine.encrypt(bytes(256), 1, 2)
+        with pytest.raises(OtpReuseError):
+            engine.seal(bytes(256), 1, 2)

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.interface import MemoryController
 from repro.core.persistence import MetadataPersistenceConfig, MetadataPersistencePolicy
-from repro.core.registry import build_controller
-from repro.faults.adapters import UnsupportedControllerError, adapter_for
+from repro.core.registry import available_controllers, build_controller
+from repro.faults.adapters import (
+    DedupFamilyAdapter,
+    INvmmAdapter,
+    SecureFamilyAdapter,
+    ShredderAdapter,
+    UnsupportedControllerError,
+    adapter_for,
+)
 from repro.faults.audit import ConsistencyAuditor, ConsistencyReport
 from repro.faults.crash import CrashRun, CrashSimulator, PowerLossError, run_crash_scenario
 from repro.faults.plan import FaultPlan
@@ -105,6 +117,43 @@ class TestAdapterDispatch:
             adapter = adapter_for(build_controller(name, make_nvm()))
             assert adapter.metadata_lines() > 0
             assert adapter.data_lines() > 0
+
+    def test_adapter_family_of_every_registered_controller(self):
+        expected = {
+            "dewrite": DedupFamilyAdapter,
+            "direct": DedupFamilyAdapter,
+            "parallel": DedupFamilyAdapter,
+            "traditional-dedup": DedupFamilyAdapter,
+            "secure-nvm": SecureFamilyAdapter,
+            "out-of-line": SecureFamilyAdapter,
+            "silent-shredder": ShredderAdapter,
+            "i-nvmm": INvmmAdapter,
+        }
+        assert sorted(expected) == sorted(available_controllers())
+        for name, adapter in expected.items():
+            assert type(adapter_for(build_controller(name, make_nvm()))) is adapter
+
+    def test_dispatch_loads_no_unused_baseline(self):
+        # A fresh interpreter: this process has imported every baseline.
+        probe = (
+            "import sys\n"
+            "from repro.core.registry import build_controller\n"
+            "from repro.faults.adapters import adapter_for\n"
+            "from repro.nvm.memory import NvmMainMemory\n"
+            "for name in ('dewrite', 'secure-nvm'):\n"
+            "    print(type(adapter_for(build_controller(name, NvmMainMemory()))).__name__)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.baselines.')))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout.splitlines()
+        assert out == [
+            "DedupFamilyAdapter",
+            "SecureFamilyAdapter",
+            "['repro.baselines.secure_nvm']",
+        ]
 
     def test_unknown_controller_rejected(self):
         class Mystery(MemoryController):
