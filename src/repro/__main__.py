@@ -96,6 +96,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any, Callable
 
 from repro.analysis import experiments as ex
 from repro.analysis import registry as figures
@@ -148,11 +149,75 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _VerbParser(argparse.ArgumentParser):
+    """A verb's parser; ``populate``, if set, adds its options on first parse,
+    so a verb whose defaults live in a subsystem (``faults`` reads
+    :mod:`repro.faults.plan`) imports it only when that verb runs."""
+
+    populate: Callable[[argparse.ArgumentParser], None] | None = None
+
+    def parse_known_args(self, args: Any = None, namespace: Any = None) -> Any:
+        populate, self.populate = self.populate, None
+        if populate is not None:
+            populate(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_faults_args(faults: argparse.ArgumentParser) -> None:
+    from repro.faults.plan import CELL_FAULT_MODES, DEFAULT_POINTS, DEFAULT_POLICIES
+
+    faults.add_argument(
+        "figure",
+        help="figure id or paper alias labelling the campaign (e.g. 'system')",
+    )
+    _add_settings_args(faults, default_accesses=4_000)
+    _add_cache_args(faults)
+    faults.add_argument(
+        "--controllers", default="", metavar="NAMES",
+        help="comma-separated controller subset (default: all registered)",
+    )
+    faults.add_argument(
+        "--policies", default=",".join(DEFAULT_POLICIES), metavar="NAMES",
+        help="comma-separated persistence policies "
+             f"(default: {','.join(DEFAULT_POLICIES)})",
+    )
+    faults.add_argument(
+        "--points", default=",".join(str(p) for p in DEFAULT_POINTS),
+        metavar="FRACTIONS",
+        help="crash points as trace fractions in (0, 1] "
+             f"(default {','.join(str(p) for p in DEFAULT_POINTS)})",
+    )
+    faults.add_argument(
+        "--interval-ns", type=float, default=100_000.0, metavar="NS",
+        help="periodic-writeback flush interval in ns (default 1e5)",
+    )
+    faults.add_argument(
+        "--cell-faults", type=int, default=0, metavar="N",
+        help="wear-correlated cell faults injected at the crash instant (default 0)",
+    )
+    faults.add_argument(
+        "--cell-fault-mode", choices=CELL_FAULT_MODES, default="bit_flip",
+        help="cell fault model (default bit_flip)",
+    )
+    faults.add_argument(
+        "--drop-probability", type=float, default=0.0, metavar="P",
+        help="probability each droppable metadata persist is torn (default 0)",
+    )
+    faults.add_argument(
+        "--json", default="", metavar="PATH",
+        help="also dump every scenario verdict as JSON",
+    )
+    faults.add_argument(
+        "--manifest", default="", metavar="PATH",
+        help="also write a run manifest embedding the faults section",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="DeWrite (MICRO 2018) reproduction toolkit"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_VerbParser)
 
     run = sub.add_parser(
         "run", help="regenerate figures on a parallel worker pool with a result cache"
@@ -348,57 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write a run manifest embedding the merged timeline",
     )
 
-    from repro.faults.campaign import DEFAULT_POINTS, DEFAULT_POLICIES
-    from repro.faults.plan import CELL_FAULT_MODES
-
-    faults = sub.add_parser(
+    sub.add_parser(
         "faults", help="crash/recover/audit campaign across persistence policies"
-    )
-    faults.add_argument(
-        "figure",
-        help="figure id or paper alias labelling the campaign (e.g. 'system')",
-    )
-    _add_settings_args(faults, default_accesses=4_000)
-    _add_cache_args(faults)
-    faults.add_argument(
-        "--controllers", default="", metavar="NAMES",
-        help="comma-separated controller subset (default: all registered)",
-    )
-    faults.add_argument(
-        "--policies", default=",".join(DEFAULT_POLICIES), metavar="NAMES",
-        help="comma-separated persistence policies "
-             f"(default: {','.join(DEFAULT_POLICIES)})",
-    )
-    faults.add_argument(
-        "--points", default=",".join(str(p) for p in DEFAULT_POINTS),
-        metavar="FRACTIONS",
-        help="crash points as trace fractions in (0, 1] "
-             f"(default {','.join(str(p) for p in DEFAULT_POINTS)})",
-    )
-    faults.add_argument(
-        "--interval-ns", type=float, default=100_000.0, metavar="NS",
-        help="periodic-writeback flush interval in ns (default 1e5)",
-    )
-    faults.add_argument(
-        "--cell-faults", type=int, default=0, metavar="N",
-        help="wear-correlated cell faults injected at the crash instant (default 0)",
-    )
-    faults.add_argument(
-        "--cell-fault-mode", choices=CELL_FAULT_MODES, default="bit_flip",
-        help="cell fault model (default bit_flip)",
-    )
-    faults.add_argument(
-        "--drop-probability", type=float, default=0.0, metavar="P",
-        help="probability each droppable metadata persist is torn (default 0)",
-    )
-    faults.add_argument(
-        "--json", default="", metavar="PATH",
-        help="also dump every scenario verdict as JSON",
-    )
-    faults.add_argument(
-        "--manifest", default="", metavar="PATH",
-        help="also write a run manifest embedding the faults section",
-    )
+    ).populate = _add_faults_args
 
     wear = sub.add_parser(
         "wear", help="wear heatmap, per-bank/per-region tables and lifetime panel"

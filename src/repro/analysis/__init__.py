@@ -8,6 +8,9 @@ plots; the benchmark suite calls these and prints them.
 so smoke tests and full runs share one code path.
 """
 
+from __future__ import annotations
+
+from repro._lazy import lazy_exports
 from repro.analysis.experiments import (
     ComparisonResult,
     ExperimentSettings,
@@ -28,8 +31,6 @@ from repro.analysis.experiments import (
     worst_case_comparison,
     write_reduction_survey,
 )
-from repro.analysis.charts import render_bar_chart
-from repro.analysis.export import dump_json, load_json, report_to_dict, table_to_dict
 from repro.analysis.registry import (
     ExperimentSpec,
     all_experiments,
@@ -39,7 +40,19 @@ from repro.analysis.registry import (
     register_experiment,
 )
 from repro.analysis.reporting import Table
-from repro.obs.drift import RegressionReport, compare_tables
+
+#: Optional export -> defining module, loaded on first use (PEP 562): a run
+#: plans and renders tables, but charts, JSON export and table regression
+#: belong to the verbs that ask for them.
+_EXPORTS = {
+    "render_bar_chart": "charts",
+    "dump_json": "export",
+    "load_json": "export",
+    "report_to_dict": "export",
+    "table_to_dict": "export",
+    "RegressionReport": "repro.obs.drift",
+    "compare_tables": "repro.obs.drift",
+}
 
 __all__ = [
     "ExperimentSettings",
@@ -75,3 +88,5 @@ __all__ = [
     "compare_tables",
     "RegressionReport",
 ]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

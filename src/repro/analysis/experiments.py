@@ -17,7 +17,6 @@ parallel engine expands and fans out ahead of rendering (see
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 
 from repro.analysis.reporting import Table
@@ -152,7 +151,11 @@ def evaluate_all(settings: ExperimentSettings) -> dict[str, ComparisonResult]:
 
 
 def _mean(values: list[float]) -> float:
-    return statistics.fmean(values) if values else 0.0
+    # Imported here, at render time: ``statistics`` loads ``fractions`` and
+    # ``decimal``, which a plan set-up never needs.
+    from statistics import fmean
+
+    return fmean(values) if values else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import TYPE_CHECKING
 
 from repro.core.batching import INF, NO_LIMIT, merge_state
 from repro.core.interface import MemoryController
 from repro.core.metadata_cache import MetadataCache
 from repro.core.stats import DeWriteStats
 from repro.crypto.counter_mode import CounterModeEngine
-from repro.crypto.split_counter import SplitCounterStore
 from repro.crypto.otp import SplitmixPadGenerator
 from repro.nvm.memory import NvmMainMemory
+
+if TYPE_CHECKING:
+    from repro.crypto.split_counter import SplitCounterStore
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,8 @@ class TraditionalSecureNvmController(MemoryController):
         self._counters: dict[int, int] = {}
         self._split: SplitCounterStore | None = None
         if self.config.use_split_counters:
+            from repro.crypto.split_counter import SplitCounterStore
+
             self._split = SplitCounterStore(
                 minor_bits=self.config.minor_counter_bits,
                 lines_per_page=self.config.lines_per_page,

@@ -166,9 +166,15 @@ class DeWriteController(MemoryController):
         hash_table = index.hash_table
         apply_duplicate = index.apply_duplicate
         physical_of = index.physical_of
-        counter_slot = index.counter_slot
-        replay = self.metadata.replay
-        metadata_access = self.metadata.access
+        mapping_get = index._mapping.get
+        metadata = self.metadata
+        replay = metadata.replay
+        metadata_access = metadata.access
+        # A read's two blocking address-map lookups take access()'s
+        # resident-block hit arm inline; a miss, or an attached timeline,
+        # calls access().
+        meta_hits_inline = not metadata.timeline.enabled
+        am_cache, am_blocks, am_per_block = metadata._replay_tables["address_map"]
         apply_unique = index.apply_unique
         bump_counter = index.bump_counter
         seal = self.cme.seal
@@ -418,21 +424,33 @@ class DeWriteController(MemoryController):
                         self._check_data_address(address)
                     reads_requested += 1
                     # Address-mapping lookup is on the critical path (§IV-C2).
-                    rnow = arrival + metadata_access(
-                        "address_map", address, False, arrival, True
-                    )
-                    physical = physical_of(address)
+                    block = address // am_per_block
+                    if meta_hits_inline and block in am_blocks:
+                        am_cache.hits += 1
+                        am_blocks.move_to_end(block)
+                        rnow = arrival
+                    else:
+                        rnow = arrival + metadata_access(
+                            "address_map", address, False, arrival, True
+                        )
+                    physical = mapping_get(address)
                     if physical is None:
                         # Never-written line: the array read happens regardless.
                         source = address
                     else:
                         if physical != address:
                             reads_redirected += 1
-                        # Counter fetch so the OTP overlaps the array read (Fig. 1).
-                        slot_table = counter_slot(physical)
-                        if slot_table == "overflow":
-                            slot_table = "address_map"
-                        rnow += metadata_access(slot_table, physical, False, rnow, True)
+                        # Counter fetch so the OTP overlaps the array read
+                        # (Fig. 1).  A mapping target always holds data (a
+                        # DedupIndex invariant), so DedupIndex.counter_slot
+                        # (§III-C) names its address-map slot or the
+                        # overflow store, charged as an address-map touch.
+                        block = physical // am_per_block
+                        if meta_hits_inline and block in am_blocks:
+                            am_cache.hits += 1
+                            am_blocks.move_to_end(block)
+                        else:
+                            rnow += metadata_access("address_map", physical, False, rnow, True)
                         source = physical
                     issue = rnow
                     if trace_on:

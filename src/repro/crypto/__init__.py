@@ -21,15 +21,23 @@ Modules:
   as the §II-B direct-encryption baseline.
 """
 
-from repro.crypto.aes import AES128
+from __future__ import annotations
+
+from repro._lazy import lazy_exports
 from repro.crypto.counter_mode import CounterModeEngine, OtpReuseError
-from repro.crypto.direct import DirectEncryptionEngine
 from repro.crypto.otp import (
     AesPadGenerator,
     PadGenerator,
     ShakePadGenerator,
     SplitmixPadGenerator,
 )
+
+#: Optional export -> defining submodule, loaded on first use (PEP 562): a
+#: simulation runs the CME engine and the splitmix pads, never AES itself.
+_EXPORTS = {
+    "AES128": "aes",
+    "DirectEncryptionEngine": "direct",
+}
 
 __all__ = [
     "AES128",
@@ -41,3 +49,5 @@ __all__ = [
     "ShakePadGenerator",
     "AesPadGenerator",
 ]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -19,48 +19,43 @@ package measures what each controller *loses* when the power fails:
 See docs/architecture.md §13 for the design rationale.
 """
 
-from repro.faults.adapters import (
-    ControllerFaultAdapter,
-    UnsupportedControllerError,
-    adapter_for,
-)
-from repro.faults.audit import ConsistencyAuditor, ConsistencyReport
-from repro.faults.campaign import campaign_specs, crash_recovery_spec, vulnerability_table
-from repro.faults.crash import (
-    CrashRun,
-    CrashScenarioResult,
-    CrashSimulator,
-    PowerLossError,
-    run_crash_scenario,
-)
-from repro.faults.injectors import CellFault, CellFaultInjector, FlushFaultModel
-from repro.faults.journal import DurabilityJournal, DurableState, MetadataUpdate, replay
-from repro.faults.plan import CELL_FAULT_MODES, FaultPlan
-from repro.faults.recovery import RecoveryManager, RecoveryResult
+from __future__ import annotations
 
-__all__ = [
-    "CELL_FAULT_MODES",
-    "CellFault",
-    "CellFaultInjector",
-    "ConsistencyAuditor",
-    "ConsistencyReport",
-    "ControllerFaultAdapter",
-    "CrashRun",
-    "CrashScenarioResult",
-    "CrashSimulator",
-    "DurabilityJournal",
-    "DurableState",
-    "FaultPlan",
-    "FlushFaultModel",
-    "MetadataUpdate",
-    "PowerLossError",
-    "RecoveryManager",
-    "RecoveryResult",
-    "UnsupportedControllerError",
-    "adapter_for",
-    "campaign_specs",
-    "crash_recovery_spec",
-    "replay",
-    "run_crash_scenario",
-    "vulnerability_table",
-]
+from repro._lazy import lazy_exports
+
+#: Public name -> defining submodule.  Exports load on first use (PEP 562),
+#: so reading the campaign defaults from :mod:`repro.faults.plan` does not
+#: compile the crash stack; a crash job loads it through
+#: :mod:`repro.faults.campaign`.
+_EXPORTS = {
+    "ControllerFaultAdapter": "adapters",
+    "UnsupportedControllerError": "adapters",
+    "adapter_for": "adapters",
+    "ConsistencyAuditor": "audit",
+    "ConsistencyReport": "audit",
+    "campaign_specs": "campaign",
+    "crash_recovery_spec": "campaign",
+    "vulnerability_table": "campaign",
+    "CrashRun": "crash",
+    "CrashScenarioResult": "crash",
+    "CrashSimulator": "crash",
+    "PowerLossError": "crash",
+    "run_crash_scenario": "crash",
+    "CellFault": "injectors",
+    "CellFaultInjector": "injectors",
+    "FlushFaultModel": "injectors",
+    "DurabilityJournal": "journal",
+    "DurableState": "journal",
+    "MetadataUpdate": "journal",
+    "replay": "journal",
+    "CELL_FAULT_MODES": "plan",
+    "DEFAULT_POINTS": "plan",
+    "DEFAULT_POLICIES": "plan",
+    "FaultPlan": "plan",
+    "RecoveryManager": "recovery",
+    "RecoveryResult": "recovery",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -31,19 +31,13 @@ from typing import Any
 from repro.analysis.reporting import Table
 from repro.core.persistence import MetadataPersistenceConfig, MetadataPersistencePolicy
 from repro.faults.crash import CrashRun
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import DEFAULT_POINTS, DEFAULT_POLICIES, FaultPlan
 from repro.runner.jobs import JobSpec, _core_params, canonical_json
 from repro.system.cpu import CoreModelConfig
-
-#: Policy grid of the paper's §V survey, in comparison order.
-DEFAULT_POLICIES = ("battery_backed", "write_through", "periodic_writeback")
 
 #: Controllers whose configs accept a persistence policy (runtime flush
 #: traffic then matches the crash model; see the module docstring).
 PERSISTENCE_AWARE_CONTROLLERS = ("dewrite", "direct", "parallel")
-
-#: Default crash points, as fractions of the trace length.
-DEFAULT_POINTS = (0.25, 0.5, 0.9)
 
 
 def crash_recovery_spec(

@@ -32,6 +32,12 @@ from typing import Any
 #: Cell-fault modes: disturb (toggle) vs stuck-at (force a value).
 CELL_FAULT_MODES = ("bit_flip", "stuck_at_zero", "stuck_at_one")
 
+#: Policy grid of the paper's §V survey, in comparison order.
+DEFAULT_POLICIES = ("battery_backed", "write_through", "periodic_writeback")
+
+#: Default crash points, as fractions of the trace length.
+DEFAULT_POINTS = (0.25, 0.5, 0.9)
+
 
 @dataclass(frozen=True)
 class FaultPlan:

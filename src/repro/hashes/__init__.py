@@ -20,6 +20,9 @@ three functions plus the hardware latency/size model of Table I:
   digest-size constants, consumed by the timing simulator.
 """
 
+from __future__ import annotations
+
+from repro._lazy import lazy_exports
 from repro.hashes.crc32 import crc32, crc32_fast, line_fingerprint
 from repro.hashes.latency import (
     CRC32_MODEL,
@@ -28,9 +31,18 @@ from repro.hashes.latency import (
     HashModel,
     model_for,
 )
-from repro.hashes.md5 import md5, md5_hexdigest
-from repro.hashes.sha1 import sha1, sha1_hexdigest
-from repro.hashes.vector import md5_many, sha1_many
+
+#: Optional export -> defining submodule, loaded on first use (PEP 562): a
+#: simulation fingerprints with CRC-32 and charges Table I latencies, but
+#: never computes a cryptographic digest.
+_EXPORTS = {
+    "md5": "md5",
+    "md5_hexdigest": "md5",
+    "sha1": "sha1",
+    "sha1_hexdigest": "sha1",
+    "md5_many": "vector",
+    "sha1_many": "vector",
+}
 
 __all__ = [
     "crc32",
@@ -48,3 +60,5 @@ __all__ = [
     "MD5_MODEL",
     "model_for",
 ]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

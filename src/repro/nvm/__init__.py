@@ -17,12 +17,22 @@ Public surface: :class:`NvmConfig` bundles the Table II-style parameters,
 :class:`NvmMainMemory` is the device model.
 """
 
+from __future__ import annotations
+
+from repro._lazy import lazy_exports
 from repro.nvm.config import NvmConfig, NvmEnergyConfig, NvmOrganization, NvmTimingConfig
 from repro.nvm.bank import Bank
 from repro.nvm.memory import AccessResult, NvmMainMemory
 from repro.nvm.wear import WearTracker
-from repro.nvm.wearlevel import StartGapConfig, StartGapMapper, WearLevelledNvm
 from repro.nvm.energy import EnergyAccount
+
+#: Optional export -> defining submodule, loaded on first use (PEP 562): no
+#: paper figure runs Start-Gap wear levelling.
+_EXPORTS = {
+    "StartGapConfig": "wearlevel",
+    "StartGapMapper": "wearlevel",
+    "WearLevelledNvm": "wearlevel",
+}
 
 __all__ = [
     "NvmConfig",
@@ -38,3 +48,5 @@ __all__ = [
     "StartGapMapper",
     "WearLevelledNvm",
 ]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -32,8 +32,7 @@ The observability layer for the simulator stack:
 
 from __future__ import annotations
 
-from importlib import import_module
-from typing import Any
+from repro._lazy import lazy_exports
 
 #: Public name -> defining submodule.  Exports load on first use (PEP 562),
 #: so importing one observability module never compiles the manifest,
@@ -103,11 +102,4 @@ _EXPORTS = {
 
 __all__ = list(_EXPORTS)
 
-
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -24,12 +24,12 @@ runs, never *what* it computes.
 
 from __future__ import annotations
 
+import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro._lazy import lazy_exports
 from repro.obs.events import NULL_EVENTS, EventBusLike
 from repro.obs.metrics import registry as metrics_registry
 from repro.obs.sinks import stderr_line
@@ -39,6 +39,10 @@ from repro.runner.cache import ResultCache, job_key
 from repro.runner.jobs import JobSpec, execute_job
 
 ProgressFn = Callable[[str], None]
+
+#: ``concurrent.futures.wait``, bound on first use (PEP 562) so importing
+#: the engine does not import the pool machinery.
+__getattr__ = lazy_exports(__name__, {"wait": "concurrent.futures"})
 
 
 @dataclass(frozen=True)
@@ -372,6 +376,13 @@ def _run_pool(
     events: EventBusLike = NULL_EVENTS,
 ) -> None:
     """Scheduler loop: submit, collect, enforce timeouts, retry crashes."""
+    # The pool machinery (multiprocessing, pickle, sockets) loads where a
+    # pool runs, never in a serial run.  ``wait`` is read off the module,
+    # so an instrumented ``engine.wait`` is the one the loop calls.
+    from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    wait = sys.modules[__name__].wait
     max_workers = min(parallel, len(misses))
     executor = ProcessPoolExecutor(max_workers=max_workers)
     pending: dict[Future, tuple[JobSpec, float, int, int]] = {}

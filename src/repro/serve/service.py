@@ -20,6 +20,10 @@ by shard index); payloads, the merge and the report stay in shard order.
 
 from __future__ import annotations
 
+# A sharded run dispatches over a process pool, and the runner imports the
+# pool machinery only when one starts: load it with the service instead,
+# so a pooled run's dispatch does no import work.
+import concurrent.futures.process  # noqa: F401
 from dataclasses import dataclass, field
 from typing import Any, Callable
 

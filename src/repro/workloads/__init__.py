@@ -13,8 +13,10 @@ and provides the ground-truth duplication oracle (:mod:`oracle`) used by
 Fig. 2 and the bit-flip analyzer.
 """
 
+from __future__ import annotations
+
+from repro._lazy import lazy_exports
 from repro.workloads.generator import TraceGenerator, generate_trace
-from repro.workloads.io import load_trace, save_trace
 from repro.workloads.oracle import DedupOracle, is_zero_line
 from repro.workloads.profiles import (
     ALL_PROFILES,
@@ -25,6 +27,13 @@ from repro.workloads.profiles import (
 )
 from repro.workloads.trace import MemoryAccess, Trace
 from repro.workloads.worstcase import worst_case_trace
+
+#: Optional export -> defining submodule, loaded on first use (PEP 562):
+#: simulations synthesize their traces and never touch trace files.
+_EXPORTS = {
+    "load_trace": "io",
+    "save_trace": "io",
+}
 
 __all__ = [
     "ApplicationProfile",
@@ -42,3 +51,5 @@ __all__ = [
     "save_trace",
     "load_trace",
 ]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
