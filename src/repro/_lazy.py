@@ -14,7 +14,9 @@ def lazy_exports(package: str, exports: dict[str, str]) -> Callable[[str], Any]:
     ``exports`` maps each public name to the module defining it: a
     submodule of ``package`` by its bare name, any other module by its
     dotted path.  The first access imports that module and binds the value
-    on the package, so later lookups are plain attribute reads.
+    on the package, so later lookups are plain attribute reads.  No export
+    may share its name with a submodule of ``package``: importing that
+    submodule would bind the module over the export.
     """
     namespace = vars(sys.modules[package])
 
@@ -23,12 +25,6 @@ def lazy_exports(package: str, exports: dict[str, str]) -> Callable[[str], Any]:
         if module is None:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
         value = namespace[name] = getattr(_load(package, module), name)
-        # Loading a submodule binds its name on the package, shadowing a
-        # same-named export (``repro.hashes.md5`` is a module and a
-        # function): put every shadowed export back.
-        for export, home in exports.items():
-            if isinstance(namespace.get(export), ModuleType):
-                namespace[export] = getattr(_load(package, home), export)
         return value
 
     return __getattr__

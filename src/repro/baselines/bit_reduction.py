@@ -183,9 +183,7 @@ class BitFlipAnalyzer:
             new_pt = int.from_bytes(data, "little")
             counter = counters.get(address, 0) + 1
             counters[address] = counter
-            pad = int.from_bytes(
-                self._pads.pad(address, counter, self.line_size_bytes), "little"
-            )
+            pad = self._pads.pad_int(address, counter, self.line_size_bytes)
             new_ct = new_pt ^ pad
 
             old_ct = full_ct.get(address, 0)

@@ -17,10 +17,8 @@ the bus — the quantified security exposure the comparison bench reports.
 from __future__ import annotations
 
 from collections import OrderedDict
-from heapq import heappop, heappush
 
 from repro.baselines.secure_nvm import SecureNvmConfig, TraditionalSecureNvmController
-from repro.core.batching import INF, NO_LIMIT, merge_state
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.nvm.memory import NvmMainMemory
 
@@ -62,34 +60,19 @@ class INvmmController(TraditionalSecureNvmController):
             return self.nvm.peek(address)
         return super()._plaintext(address)
 
-    def _service_stream(self, batch, cursor, max_requests=None):
-        """The i-NVMM pipeline: hot lines in plaintext, cold ones under CME.
+    def _request_bodies(self, batch):
+        """The i-NVMM bodies: hot lines in plaintext, cold ones under CME.
 
         Every write makes its line hot (the LRU victim is encrypted in
         place by :meth:`_encrypt_cold_line`) and goes to the array in
         plaintext, skipping AES; hot reads skip decryption, cold reads take
-        the parent's CME read pipeline.  Float arithmetic runs in request
-        order so reports stay byte-identical.  Observers and the request
-        record are fed as in the parent kernel; a write's facts are the
+        the parent's CME read pipeline.  Observers are fed as in the
+        parent's bodies; a write's :attr:`request_record` facts are the
         evicted victim (None when nothing went cold) and its new counter.
         """
-        ops = batch.ops
-        addresses = batch.addresses
-        gaps = batch.gaps
-        persistent = batch.persistent
         slots = batch.slots
         payload = batch.payload
         line_size = batch.line_size
-        npi = cursor.ns_per_instruction
-        exposure = cursor.read_stall_exposure
-        clock = cursor.clock_ghz
-        base_cpi = cursor.base_cpi
-
-        instructions = cursor.instructions
-        stall_cycles = cursor.stall_cycles
-        compute_cycles = cursor.compute_cycles
-        issued = reads = writes = 0
-
         stats = self.stats
         counters = self._counters
         written_set = self._written
@@ -104,187 +87,100 @@ class INvmmController(TraditionalSecureNvmController):
         timeline = self.timeline
         timeline_on = timeline.enabled
         record = self.request_record
-        cache = self.counter_cache
-        # A timeline counts every counter-cache touch (see the parent).
-        cache_blocks = {} if timeline_on else cache._blocks
-        per_block = cache.entries_per_block
+        touch_counter = self._access_counter
         xor_ns = self.config.xor_latency_ns
-        data_lines = self.data_lines
 
-        # Summary-mode stage accounting (columnar, flushed per batch).
         stages = self.stages
         stage_on = stages.enabled
-        if stage_on:
-            st_wnvm: list[float] = []
-            st_write: list[float] = []
-            st_rmeta: list[float] = []
-            st_rnvm: list[float] = []
-            st_rcrypto: list[float] = []
-            st_read: list[float] = []
+        st_wnvm: list[float] = []
+        st_rmeta: list[float] = []
+        st_rnvm: list[float] = []
+        st_rcrypto: list[float] = []
 
-        plaintext_bus = self.plaintext_bus_transfers
-        add_write_latency = stats.write_latency.add
-        add_read_latency = stats.read_latency.add
+        def write(req, address, arrival):
+            slot = slots[req]
+            line = payload[slot : slot + line_size]
+            if len(line) != line_size:
+                self._check_line(line)
+            # Hot-set touch: at most one LRU victim goes cold.
+            victim = None
+            if address in hot:
+                hot.move_to_end(address)
+            else:
+                hot[address] = None
+                if len(hot) > hot_cap:
+                    victim, _ = hot.popitem(last=False)
+                    self._encrypt_cold_line(victim, arrival)
+            stats.writes_requested += 1
+            stats.writes_stored += 1
+            self.plaintext_bus_transfers += 1
+            wnow = arrival + touch_counter(address, True, arrival)
+            # Plaintext at rest: no AES, the line's own value.
+            complete = nvm_write_done(address, int.from_bytes(line, "little"), wnow)
+            written_set.add(address)
+            # Hot lines are counter-less, so a stale counter can never be
+            # mistaken for the key of a plaintext line.
+            counters.pop(address, None)
+            if stage_on:
+                st_wnvm.append(complete - wnow)
+            if timeline_on:
+                timeline.record_write(arrival, deduplicated=False, latency_ns=complete - arrival)
+            if trace_on:
+                tracer.span("write.nvm", wnow, complete, encrypted=False)
+                tracer.span("write", arrival, complete, deduplicated=False)
+            if record is not None:
+                record.append((req, complete, victim, counters.get(victim)))
+            return complete
 
-        active = cursor.active
-        streams = cursor.streams
-        positions = cursor.positions
-        core_time = cursor.core_time
-        # Run the earliest stream until its next arrival passes the
-        # runner-up's (ties go to the lower rank, as in the scalar loop).
-        if len(active) > 1:
-            heap, rank, core, limit, limit_rank = merge_state(cursor)
-        else:  # merge_state's lone-stream state, without the call
-            (core,) = active
-            heap, rank, limit, limit_rank = None, 0, INF, 0
-        while True:
-            stream = streams[core]
-            position = positions[core]
-            length = len(stream)
-            now = core_time[core]
-            while position < length and issued != max_requests:
-                req = stream[position]
-                gap = gaps[req]
-                arrival = now + gap * npi
-                if arrival >= limit and (arrival > limit or rank > limit_rank):
-                    heappush(heap, (arrival, rank, core))
-                    break
-                instructions += gap
-                compute_cycles += gap * base_cpi
-                address = addresses[req]
-                block = address // per_block
-                if ops[req]:
-                    slot = slots[req]
-                    line = payload[slot : slot + line_size]
-                    if len(line) != line_size:
-                        self._check_line(line)
-                    if not 0 <= address < data_lines:
-                        self._check_data_address(address)
-                    # Hot-set touch: at most one LRU victim goes cold.
-                    victim = None
-                    if address in hot:
-                        hot.move_to_end(address)
-                    else:
-                        hot[address] = None
-                        if len(hot) > hot_cap:
-                            victim, _ = hot.popitem(last=False)
-                            self._encrypt_cold_line(victim, arrival)
-                    stats.writes_requested += 1
-                    stats.writes_stored += 1
-                    plaintext_bus += 1
-                    if block in cache_blocks:
-                        cache.hits += 1
-                        cache_blocks.move_to_end(block)
-                        cache_blocks[block] = True
-                        wnow = arrival
-                    else:
-                        wnow = arrival + self._access_counter(address, True, arrival)
-                    # Plaintext at rest: no AES, the line's own value.
-                    complete = nvm_write_done(address, int.from_bytes(line, "little"), wnow)
-                    written_set.add(address)
-                    # Hot lines are counter-less, so a stale counter can never
-                    # be mistaken for the key of a plaintext line.
-                    counters.pop(address, None)
-                    latency = complete - arrival
-                    if stage_on:
-                        st_wnvm.append(complete - wnow)
-                        st_write.append(latency)
-                    add_write_latency(latency)
-                    if timeline_on:
-                        timeline.record_write(arrival, deduplicated=False, latency_ns=latency)
-                    if trace_on:
-                        tracer.span("write.nvm", wnow, complete, encrypted=False)
-                        tracer.span("write", arrival, complete, deduplicated=False)
-                    if record is not None:
-                        record.append((req, complete, victim, counters.get(victim)))
-                    writes += 1
-                    if persistent[req]:
-                        now = complete
-                        stall_cycles += latency * clock
-                    else:
-                        now = arrival
+        def read(req, address, arrival):
+            stats.reads_requested += 1
+            hot_read = address in hot
+            issue = arrival + touch_counter(address, False, arrival)
+            if stage_on:
+                st_rmeta.append(issue - arrival)
+            if hot_read:
+                # Hot read: plaintext at rest, no decryption, no XOR.
+                self.plaintext_bus_transfers += 1
+                rnow = nvm_read_done(address, issue)
+                hot.move_to_end(address)
+                if stage_on:
+                    st_rnvm.append(rnow - issue)
+            else:
+                # Cold read: the parent's CME read pipeline.
+                decrypted = address in counters
+                if decrypted:
+                    add_aes_line()
+                if trace_on:
+                    fetched = nvm.read(address, issue)
+                    rc = fetched.complete_ns
                 else:
-                    if not 0 <= address < data_lines:
-                        self._check_data_address(address)
-                    stats.reads_requested += 1
-                    hot_read = address in hot
-                    if block in cache_blocks:
-                        cache.hits += 1
-                        cache_blocks.move_to_end(block)
-                        issue = arrival
-                    else:
-                        issue = arrival + self._access_counter(address, False, arrival)
-                    if hot_read:
-                        # Hot read: plaintext at rest, no decryption, no XOR.
-                        plaintext_bus += 1
-                        rnow = nvm_read_done(address, issue)
-                        hot.move_to_end(address)
-                        if stage_on:
-                            st_rmeta.append(issue - arrival)
-                            st_rnvm.append(rnow - issue)
-                    else:
-                        # Cold read: the parent's CME read pipeline.
-                        decrypted = address in counters
-                        if decrypted:
-                            add_aes_line()
-                        if trace_on:
-                            fetched = nvm.read(address, issue)
-                            rc = fetched.complete_ns
-                        else:
-                            rc = nvm_read_done(address, issue)
-                        rnow = rc + xor_ns
-                        if stage_on:
-                            st_rmeta.append(issue - arrival)
-                            st_rnvm.append(rc - issue)
-                            st_rcrypto.append(rnow - rc)
-                    latency = rnow - arrival
-                    if stage_on:
-                        st_read.append(latency)
-                    add_read_latency(latency)
-                    if timeline_on:
-                        timeline.record_read(arrival, latency_ns=latency)
-                    if trace_on:
-                        tracer.span("read.metadata", arrival, issue, redirected=False)
-                        if hot_read:
-                            tracer.span("read.nvm", issue, rnow)
-                            tracer.span("read", arrival, rnow, hot=True)
-                        else:
-                            tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
-                            tracer.span("read.crypto", rc, rnow, decrypted=decrypted)
-                            tracer.span("read", arrival, rnow, redirected=False)
-                    if record is not None:
-                        record.append((req, rnow))
-                    exposed = latency * exposure
-                    now = arrival + exposed
-                    stall_cycles += exposed * clock
-                    reads += 1
-                issued += 1
-                position += 1
-            positions[core] = position
-            core_time[core] = now
-            if position >= length:
-                active.discard(core)
-            if not heap or issued == max_requests:
-                break
-            _, rank, core = heappop(heap)
-            limit, limit_rank, _ = heap[0] if heap else NO_LIMIT
+                    rc = nvm_read_done(address, issue)
+                rnow = rc + xor_ns
+                if stage_on:
+                    st_rnvm.append(rc - issue)
+                    st_rcrypto.append(rnow - rc)
+            if trace_on:
+                tracer.span("read.metadata", arrival, issue, redirected=False)
+                if hot_read:
+                    tracer.span("read.nvm", issue, rnow)
+                    tracer.span("read", arrival, rnow, hot=True)
+                else:
+                    tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
+                    tracer.span("read.crypto", rc, rnow, decrypted=decrypted)
+                    tracer.span("read", arrival, rnow, redirected=False)
+            return rnow
 
-        self.plaintext_bus_transfers = plaintext_bus
-        if stage_on:
-            record_many = stages.record_many
-            record_many("write.nvm", st_wnvm)
-            record_many("write", st_write)
-            record_many("read.metadata", st_rmeta)
-            record_many("read.nvm", st_rnvm)
-            record_many("read.crypto", st_rcrypto)
-            record_many("read", st_read)
-        if issued:
-            self._complete_ns = complete if ops[stream[position - 1]] else rnow
+        def finish(st_write, st_read):
+            if stage_on:
+                record_many = stages.record_many
+                record_many("write.nvm", st_wnvm)
+                record_many("write", st_write)
+                record_many("read.metadata", st_rmeta)
+                record_many("read.nvm", st_rnvm)
+                record_many("read.crypto", st_rcrypto)
+                record_many("read", st_read)
 
-        cursor.instructions = instructions
-        cursor.stall_cycles = stall_cycles
-        cursor.compute_cycles = compute_cycles
-        return issued, reads, writes, 0
+        return write, read, finish
 
     def shutdown(self, now_ns: float) -> int:
         """Encrypt every remaining hot line (the power-down sweep)."""

@@ -57,7 +57,7 @@ class OutOfLinePageDedupController(TraditionalSecureNvmController):
         self._page_fp: dict[int, tuple[bytes, ...]] = {}
 
     def _service_stream(self, batch, cursor, max_requests=None):
-        """The parent's kernel, sliced at each scan-triggering write.
+        """The shared kernel, sliced at each scan-triggering write.
 
         Every write reaches the array first; dedup happens later.  Each
         slice ends at the write that completes a scan interval, so after
@@ -65,7 +65,7 @@ class OutOfLinePageDedupController(TraditionalSecureNvmController):
         and the background scan runs at that write's completion, before
         any later request issues.  While more than one stream is active,
         each slice is the one request the merge issues next, so the
-        bookkeeping follows the merged order.  The parent kernel writes
+        bookkeeping follows the merged order.  The secure bodies write
         the request record; the scan changes no counter, so its rows hold.
         """
         kernel = super()._service_stream

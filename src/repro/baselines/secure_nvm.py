@@ -10,10 +10,8 @@ and its hot blocks sit in the same 2 MB-class metadata cache DeWrite reuses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
-from repro.core.batching import INF, NO_LIMIT, merge_state
 from repro.core.interface import MemoryController
 from repro.core.metadata_cache import MetadataCache
 from repro.core.stats import DeWriteStats
@@ -119,42 +117,19 @@ class TraditionalSecureNvmController(MemoryController):
             self.reencrypted_lines += 1
             now_ns = stored.complete_ns
 
-    def _service_stream(self, batch, cursor, max_requests=None):
-        """The CME pipeline over the cursor's merged streams.
+    def _request_bodies(self, batch):
+        """The CME write and read bodies over ``batch``, and the finish step.
 
-        The float arithmetic runs in request order, so reports are
-        byte-identical however a trace is sliced; stats counters and
-        latency accumulators are hoisted into locals and written back once
-        per call, and the AES energy add is inlined.  A write seals its
-        line in the integer domain and programs it through the device's
-        integer write.  Split counters bump and re-encrypt pages in line.
-        An attached tracer gets the per-request spans (the device entry
-        points that return ``wait_ns`` replace the completion-only
-        shortcuts), a timeline gets every request and counter-cache touch,
-        and a stage accumulator is fed by columnar per-batch flushes.  An
-        attached :attr:`request_record` gets one row per request, a write's
-        fact being the line's counter after it.
-        Returns the ``(serviced, reads, writes,
-        deduplicated)`` counts as a plain tuple, which is cheaper to build
-        than a :class:`BatchOutcome` on one-request calls.
+        A write seals its line in the integer domain and programs it
+        through the device's integer write; split counters bump and
+        re-encrypt pages in line.  Counter-cache touches take the resident
+        block's hit arm inline.  Traced, the device entry points that
+        return ``wait_ns`` replace the completion-only shortcuts.  A
+        write's :attr:`request_record` fact is the line's counter after it.
         """
-        ops = batch.ops
-        addresses = batch.addresses
-        gaps = batch.gaps
-        persistent = batch.persistent
         slots = batch.slots
         payload = batch.payload
         line_size = batch.line_size
-        npi = cursor.ns_per_instruction
-        exposure = cursor.read_stall_exposure
-        clock = cursor.clock_ghz
-        base_cpi = cursor.base_cpi
-
-        instructions = cursor.instructions
-        stall_cycles = cursor.stall_cycles
-        compute_cycles = cursor.compute_cycles
-        issued = reads = writes = 0
-
         stats = self.stats
         split = self._split
         counters = self._counters
@@ -180,206 +155,112 @@ class TraditionalSecureNvmController(MemoryController):
         per_block = cache.entries_per_block
         aes_ns = self.config.aes_latency_ns
         xor_ns = self.config.xor_latency_ns
-        data_lines = self.data_lines
 
-        # Summary-mode stage accounting (columnar, flushed per batch).
         stages = self.stages
         stage_on = stages.enabled
-        if stage_on:
-            st_wcrypto: list[float] = []
-            st_wnvm: list[float] = []
-            st_write: list[float] = []
-            st_rmeta: list[float] = []
-            st_rnvm: list[float] = []
-            st_rcrypto: list[float] = []
-            st_read: list[float] = []
+        st_wcrypto: list[float] = []
+        st_wnvm: list[float] = []
+        st_rmeta: list[float] = []
+        st_rnvm: list[float] = []
+        st_rcrypto: list[float] = []
 
-        # Counter batching: plain integers, written back after the loop.
         writes_requested = stats.writes_requested
         writes_stored = stats.writes_stored
         reads_requested = stats.reads_requested
-        wl = stats.write_latency
-        wl_total = wl.total_ns
-        wl_count = wl.count
-        wl_max = wl.max_ns
-        wl_min = wl.min_ns
-        rl = stats.read_latency
-        rl_total = rl.total_ns
-        rl_count = rl.count
-        rl_max = rl.max_ns
-        rl_min = rl.min_ns
 
-        active = cursor.active
-        streams = cursor.streams
-        positions = cursor.positions
-        core_time = cursor.core_time
-        # Run the earliest stream until its next arrival passes the
-        # runner-up's (ties go to the lower rank, as in the scalar loop).
-        if len(active) > 1:
-            heap, rank, core, limit, limit_rank = merge_state(cursor)
-        else:  # merge_state's lone-stream state, without the call
-            (core,) = active
-            heap, rank, limit, limit_rank = None, 0, INF, 0
-        while True:
-            stream = streams[core]
-            position = positions[core]
-            length = len(stream)
-            now = core_time[core]
-            while position < length and issued != max_requests:
-                req = stream[position]
-                gap = gaps[req]
-                arrival = now + gap * npi
-                if arrival >= limit and (arrival > limit or rank > limit_rank):
-                    heappush(heap, (arrival, rank, core))
-                    break
-                instructions += gap
-                compute_cycles += gap * base_cpi
-                address = addresses[req]
-                # Counter-cache touches are fast-pathed for resident blocks;
-                # the slow path reuses the helper (NVM fetch + writeback).
-                block = address // per_block
-                if ops[req]:
-                    slot = slots[req]
-                    line = payload[slot : slot + line_size]
-                    if len(line) != line_size:
-                        self._check_line(line)
-                    if not 0 <= address < data_lines:
-                        self._check_data_address(address)
-                    writes_requested += 1
-                    writes_stored += 1
-                    if block in cache_blocks:
-                        cache.hits += 1
-                        cache_blocks.move_to_end(block)
-                        cache_blocks[block] = True
-                        cnow = arrival
-                    else:
-                        cnow = arrival + self._access_counter(address, True, arrival)
-                    if split is None:
-                        counter = counters.get(address, 0) + 1
-                        counters[address] = counter
-                        overflow = None
-                    else:
-                        counter, overflow = split.advance(address)
-                    sealed = seal(line, address, counter)
-                    energy.aes_nj += aes_line_nj
-                    issue = cnow + aes_ns
-                    if trace_on:
-                        written = nvm.write(address, sealed.to_bytes(line_size, "little"), issue)
-                        complete = written.complete_ns
-                    else:
-                        complete = nvm_write_done(address, sealed, issue)
-                    written_set.add(address)
-                    if overflow is not None:
-                        self._reencrypt_page(overflow, address, complete)
-                    latency = complete - arrival
-                    if stage_on:
-                        st_wcrypto.append(issue - cnow)
-                        st_wnvm.append(complete - issue)
-                        st_write.append(latency)
-                    wl_total += latency
-                    wl_count += 1
-                    if latency > wl_max:
-                        wl_max = latency
-                    if wl_count == 1 or latency < wl_min:
-                        wl_min = latency
-                    if timeline_on:
-                        timeline.record_write(arrival, deduplicated=False, latency_ns=latency)
-                    if trace_on:
-                        tracer.span("write.crypto", cnow, issue)
-                        tracer.span("write.nvm", issue, complete, wait_ns=written.wait_ns)
-                        tracer.span("write", arrival, complete, deduplicated=False)
-                    if record is not None:
-                        record.append((req, complete, counter))
-                    writes += 1
-                    if persistent[req]:
-                        now = complete
-                        stall_cycles += latency * clock
-                    else:
-                        now = arrival
-                else:
-                    if not 0 <= address < data_lines:
-                        self._check_data_address(address)
-                    reads_requested += 1
-                    if block in cache_blocks:
-                        cache.hits += 1
-                        cache_blocks.move_to_end(block)
-                        issue = arrival
-                    else:
-                        issue = arrival + self._access_counter(address, False, arrival)
-                    # The plaintext is rebuilt only by read(), functionally; the
-                    # kernel charges the OTP's AES energy and the XOR latency.
-                    decrypted = address in has_counter
-                    if decrypted:
-                        energy.aes_nj += aes_line_nj
-                    if trace_on:
-                        fetched = nvm.read(address, issue)
-                        rc = fetched.complete_ns
-                    else:
-                        rc = nvm_read_done(address, issue)
-                    rnow = rc + xor_ns
-                    latency = rnow - arrival
-                    if stage_on:
-                        st_rmeta.append(issue - arrival)
-                        st_rnvm.append(rc - issue)
-                        st_rcrypto.append(rnow - rc)
-                        st_read.append(latency)
-                    rl_total += latency
-                    rl_count += 1
-                    if latency > rl_max:
-                        rl_max = latency
-                    if rl_count == 1 or latency < rl_min:
-                        rl_min = latency
-                    if timeline_on:
-                        timeline.record_read(arrival, latency_ns=latency)
-                    if trace_on:
-                        tracer.span("read.metadata", arrival, issue, redirected=False)
-                        tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
-                        tracer.span("read.crypto", rc, rnow, decrypted=decrypted)
-                        tracer.span("read", arrival, rnow, redirected=False)
-                    if record is not None:
-                        record.append((req, rnow))
-                    exposed = latency * exposure
-                    now = arrival + exposed
-                    stall_cycles += exposed * clock
-                    reads += 1
-                issued += 1
-                position += 1
-            positions[core] = position
-            core_time[core] = now
-            if position >= length:
-                active.discard(core)
-            if not heap or issued == max_requests:
-                break
-            _, rank, core = heappop(heap)
-            limit, limit_rank, _ = heap[0] if heap else NO_LIMIT
+        def write(req, address, arrival):
+            nonlocal writes_requested, writes_stored
+            slot = slots[req]
+            line = payload[slot : slot + line_size]
+            if len(line) != line_size:
+                self._check_line(line)
+            writes_requested += 1
+            writes_stored += 1
+            block = address // per_block
+            if block in cache_blocks:
+                cache.hits += 1
+                cache_blocks.move_to_end(block)
+                cache_blocks[block] = True
+                cnow = arrival
+            else:
+                cnow = arrival + self._access_counter(address, True, arrival)
+            if split is None:
+                counter = counters.get(address, 0) + 1
+                counters[address] = counter
+                overflow = None
+            else:
+                counter, overflow = split.advance(address)
+            sealed = seal(line, address, counter)
+            energy.aes_nj += aes_line_nj
+            issue = cnow + aes_ns
+            if trace_on:
+                written = nvm.write(address, sealed.to_bytes(line_size, "little"), issue)
+                complete = written.complete_ns
+            else:
+                complete = nvm_write_done(address, sealed, issue)
+            written_set.add(address)
+            if overflow is not None:
+                self._reencrypt_page(overflow, address, complete)
+            if stage_on:
+                st_wcrypto.append(issue - cnow)
+                st_wnvm.append(complete - issue)
+            if timeline_on:
+                timeline.record_write(arrival, deduplicated=False, latency_ns=complete - arrival)
+            if trace_on:
+                tracer.span("write.crypto", cnow, issue)
+                tracer.span("write.nvm", issue, complete, wait_ns=written.wait_ns)
+                tracer.span("write", arrival, complete, deduplicated=False)
+            if record is not None:
+                record.append((req, complete, counter))
+            return complete
 
-        stats.writes_requested = writes_requested
-        stats.writes_stored = writes_stored
-        stats.reads_requested = reads_requested
-        wl.total_ns = wl_total
-        wl.count = wl_count
-        wl.max_ns = wl_max
-        wl.min_ns = wl_min
-        rl.total_ns = rl_total
-        rl.count = rl_count
-        rl.max_ns = rl_max
-        rl.min_ns = rl_min
-        if stage_on:
-            record_many = stages.record_many
-            record_many("write.crypto", st_wcrypto)
-            record_many("write.nvm", st_wnvm)
-            record_many("write", st_write)
-            record_many("read.metadata", st_rmeta)
-            record_many("read.nvm", st_rnvm)
-            record_many("read.crypto", st_rcrypto)
-            record_many("read", st_read)
-        if issued:
-            self._complete_ns = complete if ops[stream[position - 1]] else rnow
+        def read(req, address, arrival):
+            nonlocal reads_requested
+            reads_requested += 1
+            block = address // per_block
+            if block in cache_blocks:
+                cache.hits += 1
+                cache_blocks.move_to_end(block)
+                issue = arrival
+            else:
+                issue = arrival + self._access_counter(address, False, arrival)
+            # The plaintext is rebuilt only by read(), functionally; the body
+            # charges the OTP's AES energy and the XOR latency.
+            decrypted = address in has_counter
+            if decrypted:
+                energy.aes_nj += aes_line_nj
+            if trace_on:
+                fetched = nvm.read(address, issue)
+                rc = fetched.complete_ns
+            else:
+                rc = nvm_read_done(address, issue)
+            rnow = rc + xor_ns
+            if stage_on:
+                st_rmeta.append(issue - arrival)
+                st_rnvm.append(rc - issue)
+                st_rcrypto.append(rnow - rc)
+            if trace_on:
+                tracer.span("read.metadata", arrival, issue, redirected=False)
+                tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
+                tracer.span("read.crypto", rc, rnow, decrypted=decrypted)
+                tracer.span("read", arrival, rnow, redirected=False)
+            return rnow
 
-        cursor.instructions = instructions
-        cursor.stall_cycles = stall_cycles
-        cursor.compute_cycles = compute_cycles
-        return issued, reads, writes, 0
+        def finish(st_write, st_read):
+            stats.writes_requested = writes_requested
+            stats.writes_stored = writes_stored
+            stats.reads_requested = reads_requested
+            if stage_on:
+                record_many = stages.record_many
+                record_many("write.crypto", st_wcrypto)
+                record_many("write.nvm", st_wnvm)
+                record_many("write", st_write)
+                record_many("read.metadata", st_rmeta)
+                record_many("read.nvm", st_rnvm)
+                record_many("read.crypto", st_rcrypto)
+                record_many("read", st_read)
+
+        return write, read, finish
 
     # -- counter-cache plumbing ---------------------------------------------
 
@@ -401,15 +282,9 @@ class TraditionalSecureNvmController(MemoryController):
     def _writeback_counters(self, block: int, now_ns: float) -> None:
         self._payload_version += 1
         line = self._counter_line_for(block)
-        payload = self._payloads.pad(
-            line, self._payload_version, self.nvm.config.organization.line_size_bytes
-        )
-        self.nvm.write_complete_ns(line, int.from_bytes(payload, "little"), now_ns)
+        payload = self._payloads.pad_int(line, self._payload_version, self.line_size)
+        self.nvm.write_complete_ns(line, payload, now_ns)
         self.stats.metadata_writebacks += 1
 
     def _counter_line_for(self, block: int) -> int:
         return self._counter_base + block % self._counter_lines
-
-    def _check_data_address(self, address: int) -> None:
-        if not 0 <= address < self.data_lines:
-            raise IndexError(f"data line {address} out of range [0, {self.data_lines})")

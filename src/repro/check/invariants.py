@@ -88,6 +88,8 @@ class CheckedController(MemoryController):
         if deep_check_interval < 0:
             raise ValueError("deep_check_interval must be non-negative")
         self.inner = inner
+        #: The wrapped controller's statistics object.
+        self.stats = inner.stats
         self.deep_check_interval = deep_check_interval
         self.check_data = check_data
         self.operations = 0
@@ -99,11 +101,6 @@ class CheckedController(MemoryController):
         )
 
     # -- controller interface -------------------------------------------------
-
-    @property
-    def stats(self):  # noqa: ANN201 - mirrors the wrapped controller's type
-        """The wrapped controller's statistics object."""
-        return self.inner.stats
 
     def __getattr__(self, name: str):
         # Fall through to the wrapped controller for everything the wrapper

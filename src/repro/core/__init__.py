@@ -8,15 +8,8 @@ deduplication with counter-mode encryption under a history-window predictor
 exported for experiments and ablations.
 """
 
+from repro._lazy import lazy_exports
 from repro.core.config import DeWriteConfig, MetadataCacheConfig
-from repro.core.colocation import (
-    ColocationReport,
-    StorageOverhead,
-    audit_colocation,
-    counter_mode_overhead,
-    deuce_overhead,
-    dewrite_overhead,
-)
 from repro.core.dedup_engine import DedupEngine, MetadataSystem
 from repro.core.dewrite import DeWriteController, IntegrationMode
 from repro.core.interface import MemoryController, ReadOutcome, WriteOutcome
@@ -25,6 +18,20 @@ from repro.core.persistence import MetadataPersistenceConfig, MetadataPersistenc
 from repro.core.predictor import HistoryWindowPredictor
 from repro.core.stats import DeWriteStats, LatencyAccumulator
 from repro.core.tables import DedupIndex, DedupIndexError, MetadataLayout
+
+#: Optional exports, loaded on first use (PEP 562): only the storage-overhead
+#: figure computes the §III-C colocation budgets.
+_EXPORTS = dict.fromkeys(
+    (
+        "StorageOverhead",
+        "ColocationReport",
+        "dewrite_overhead",
+        "deuce_overhead",
+        "counter_mode_overhead",
+        "audit_colocation",
+    ),
+    "colocation",
+)
 
 __all__ = [
     "DeWriteController",
@@ -52,3 +59,5 @@ __all__ = [
     "counter_mode_overhead",
     "audit_colocation",
 ]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

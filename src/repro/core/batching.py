@@ -3,8 +3,9 @@
 The batched contract is: the *simulator* owns trace splitting and the CPU
 stall model parameters, a :class:`BatchCursor` carries the replay state
 (per-core position and local time, cycle accumulators) across
-``service_batch`` calls, and the *controller* owns the issue loop so it can
-fuse crypto/hash/dedup work across the requests of one batch.
+``service_batch`` calls, and the *controller* owns the issue loop: one
+kernel, :meth:`MemoryController._service_stream
+<repro.core.interface.MemoryController._service_stream>`, for every family.
 
 Correctness bar (tested property): driving a cursor through any
 controller's ``service_batch`` — one stream or a merge of several —
@@ -13,7 +14,7 @@ produces the same floating-point state evolution as the scalar
 request for request, so reports are byte-identical.
 
 The cursor replays requests in *global arrival order*, because bank
-occupancy makes request order causally significant.  Each kernel merges the
+occupancy makes request order causally significant.  The kernel merges the
 cursor's streams itself from :func:`merge_state`: it runs the earliest
 stream until that stream's next arrival passes the runner-up's, which
 issues requests exactly as the scalar loop's ``min(active,
@@ -132,7 +133,7 @@ def merge_state(cursor: BatchCursor) -> tuple[list | None, int, int, float, int]
     reorder a set, so ranks built afresh at each call are exact.  A lone
     stream builds no heap (``heap`` is ``None``) and its limit is
     ``+inf``, so a single-stream call pays one float compare per request;
-    the kernels build that lone state inline, so a one-request call pays
+    the kernel builds that lone state inline, so a one-request call pays
     no call here either.
     """
     active = cursor.active

@@ -20,6 +20,8 @@ Two classes:
 
 from __future__ import annotations
 
+import math
+
 from repro.core.config import DeWriteConfig
 from repro.core.metadata_cache import MetadataCache
 from repro.core.tables import INSERT, READ, DedupIndex, MetadataLayout, TableName
@@ -58,13 +60,13 @@ class MetadataSystem:
         self.layout = layout
         self.nvm = nvm
         self.decrypt_ns = config.metadata_decrypt_ns
-        self.persistence = config.persistence
-        # The persistence config is frozen; under the default battery-backed
-        # policy every dirtying access would otherwise pay two enum-property
-        # checks in _enforce_persistence for nothing.
-        self._persistence_active = (
-            config.persistence.is_write_through or config.persistence.is_periodic
-        )
+        self.persistence = policy = config.persistence
+        # The persistence config is frozen, so its arm is resolved once
+        # here rather than through enum properties on every dirtying touch.
+        self._write_through = policy.is_write_through
+        # The periodic full flush's interval; never (inf) under other policies.
+        self._flush_interval_ns = policy.writeback_interval_ns if policy.is_periodic else math.inf
+        self._persistence_active = self._write_through or policy.is_periodic
         self._last_periodic_flush_ns = 0.0
         self.metadata_reads = 0
         self.metadata_writebacks = 0
@@ -144,14 +146,15 @@ class MetadataSystem:
 
     def _enforce_persistence(self, table: TableName, entry_index: int, now_ns: float) -> None:
         """Apply the §V crash-consistency policy to a just-dirtied entry."""
-        policy = self.persistence
-        if policy.is_write_through:
+        if self._write_through:
             cache = self.caches[table]
-            self._writeback(table, cache.block_of(entry_index), now_ns)
-            cache.mark_clean(entry_index)
-        elif policy.is_periodic and (
-            now_ns - self._last_periodic_flush_ns >= policy.writeback_interval_ns
-        ):
+            block = entry_index // cache.entries_per_block
+            self._writeback(table, block, now_ns)
+            # Clean the block in place (a zero-capacity cache holds none).
+            blocks = cache._blocks
+            if block in blocks:
+                blocks[block] = False
+        elif now_ns - self._last_periodic_flush_ns >= self._flush_interval_ns:
             self._last_periodic_flush_ns = now_ns
             for name, cache in self.caches.items():
                 for block in cache.dirty_blocks():
@@ -241,8 +244,8 @@ class MetadataSystem:
         base, table_lines = self._line_map[table]
         line = base + block % table_lines
         self._payload_version += 1
-        payload = self._payloads.pad(line, self._payload_version, self._line_size)
-        self.nvm.write_complete_ns(line, int.from_bytes(payload, "little"), now_ns)
+        payload = self._payloads.pad_int(line, self._payload_version, self._line_size)
+        self.nvm.write_complete_ns(line, payload, now_ns)
         self.metadata_writebacks += 1
 
 

@@ -11,11 +11,9 @@ the banked NVM.  All metadata updates ride the write-back metadata cache.
 Read path: address-mapping lookup (possibly redirected to a deduplicated
 line), counter fetch, NVM read with the OTP generated in parallel, XOR.
 
-Both paths live in one kernel, :meth:`DeWriteController._service_stream`;
-:meth:`~repro.core.interface.MemoryController.write`,
-:meth:`~repro.core.interface.MemoryController.read` and
-:meth:`~repro.core.interface.MemoryController.service_batch` all run
-through it.
+Both paths are the request bodies of
+:meth:`DeWriteController._request_bodies`, run by the shared kernel
+:meth:`~repro.core.interface.MemoryController._service_stream`.
 
 The same class also implements the paper's two strawman integration modes
 (Fig. 3): ``mode="direct"`` always serialises detection before encryption,
@@ -26,10 +24,8 @@ DeWrite.  Figs. 15 and 20 compare the three.
 from __future__ import annotations
 
 import hashlib
-from heapq import heappop, heappush
 from typing import Literal
 
-from repro.core.batching import INF, NO_LIMIT, merge_state
 from repro.core.config import DeWriteConfig
 from repro.core.dedup_engine import PNA_SKIPPED, DedupEngine, MetadataSystem
 from repro.core.interface import MemoryController
@@ -85,7 +81,7 @@ class DeWriteController(MemoryController):
         self.stats = DeWriteStats()
         # Hot-path constants: pure functions of the frozen config/layout,
         # hoisted out of the per-request paths.
-        self._data_lines = self.layout.data_lines
+        self.data_lines = self.layout.data_lines
         self._aes_ns = self.config.aes_latency_ns
         self._xor_ns = self.config.xor_latency_ns
         self._use_crc32 = self.config.fingerprint == "crc32"
@@ -106,8 +102,8 @@ class DeWriteController(MemoryController):
         counter = self.index.peek_counter(physical)
         return self.cme.decrypt(self.nvm.peek(physical), physical, counter)
 
-    def _service_stream(self, batch, cursor, max_requests=None):
-        """DeWrite's write and read pipelines over the cursor's merged streams.
+    def _request_bodies(self, batch):
+        """DeWrite's write and read bodies over ``batch``, and its finish step.
 
         Write (Fig. 10): predict the duplication state, fingerprint, run
         detection; a confirmed duplicate cancels the array write and only
@@ -119,39 +115,16 @@ class DeWriteController(MemoryController):
         a serialized detection.  A speculation on a confirmed duplicate
         wastes the encryption: energy only.
         Read (Fig. 11): address-mapping lookup, counter fetch, array read
-        with the OTP overlapped, XOR.  The plaintext is rebuilt only by
-        :meth:`read`, functionally (:meth:`_plaintext`); the kernel charges
-        the OTP's AES energy and the XOR latency.
-
-        Stats counters and latency accumulators are hoisted into locals and
-        written back once per call, and the float arithmetic runs in
-        request order, so reports are byte-identical however a trace is
-        sliced.  An attached tracer gets the per-request spans (reads go
-        through ``nvm.read`` for ``wait_ns``), a timeline gets every
-        request, and a stage accumulator is fed by columnar per-batch
-        flushes.  An attached :attr:`request_record` gets one row per
-        request; a write's facts are the mapping before it, the new
+        with the OTP overlapped, XOR; :meth:`read` rebuilds the plaintext
+        functionally (:meth:`_plaintext`).  A write's
+        :attr:`request_record` facts are the mapping before it, the new
         physical line, that line's counter and stored CRC, and whether the
         old line still holds data.
         """
-        ops = batch.ops
-        addresses = batch.addresses
-        gaps = batch.gaps
-        persistent = batch.persistent
         slots = batch.slots
         payload = batch.payload
         line_size = batch.line_size
-        npi = cursor.ns_per_instruction
-        exposure = cursor.read_stall_exposure
-        clock = cursor.clock_ghz
-        base_cpi = cursor.base_cpi
 
-        instructions = cursor.instructions
-        stall_cycles = cursor.stall_cycles
-        compute_cycles = cursor.compute_cycles
-        issued = reads = writes = deduplicated = 0
-
-        # Controller internals, hoisted once per call.
         stats = self.stats
         engine = self.engine
         detect = engine.detect
@@ -183,8 +156,8 @@ class DeWriteController(MemoryController):
         nvm_read = self.nvm.read
         nvm_read_done = self.nvm.read_complete_ns
         # The history window's majority rule runs on hoisted copies of the
-        # predictor's running vote count and scores, written back after the
-        # loop; outcomes go straight onto its history deque.
+        # predictor's running vote count and scores, written back by the
+        # finish step; outcomes go straight onto its history deque.
         enable_prediction = self.config.enable_prediction
         predictor = self.predictor
         history = predictor.history
@@ -195,7 +168,6 @@ class DeWriteController(MemoryController):
         use_crc32 = self._use_crc32
         slow_fingerprint = self._fingerprint
         xor_ns = self._xor_ns
-        data_lines = self._data_lines
         is_direct = self.mode == "direct"
         is_parallel = self.mode == "parallel"
         is_predictive = self.mode == "predictive"
@@ -208,23 +180,19 @@ class DeWriteController(MemoryController):
         timeline_on = timeline.enabled
         record = self.request_record
 
-        # Summary-mode stage accounting: durations are collected into
-        # plain lists (request order) and flushed once per call.
-        # write.crypto takes both the unique writes' encryptions and the
-        # wasted speculative ones, in request order.
+        # Summary-mode sub-stages, in request order.  write.crypto takes
+        # both the unique writes' encryptions and the wasted speculative
+        # ones.
         stages = self.stages
         stage_on = stages.enabled
         st_whash: list[float] = []
         st_wdedup: list[float] = []
         st_wcrypto: list[float] = []
         st_wnvm: list[float] = []
-        st_write: list[float] = []
         st_rmeta: list[float] = []
         st_rnvm: list[float] = []
         st_rcrypto: list[float] = []
-        st_read: list[float] = []
 
-        # Counter batching: plain integers, written back after the loop.
         writes_requested = stats.writes_requested
         writes_deduplicated = stats.writes_deduplicated
         writes_stored = stats.writes_stored
@@ -237,311 +205,207 @@ class DeWriteController(MemoryController):
         wasted_encryptions = stats.wasted_encryptions
         reads_requested = stats.reads_requested
         reads_redirected = stats.reads_redirected
-        wl = stats.write_latency
-        wl_total = wl.total_ns
-        wl_count = wl.count
-        wl_max = wl.max_ns
-        wl_min = wl.min_ns
-        rl = stats.read_latency
-        rl_total = rl.total_ns
-        rl_count = rl.count
-        rl_max = rl.max_ns
-        rl_min = rl.min_ns
 
-        active = cursor.active
-        streams = cursor.streams
-        positions = cursor.positions
-        core_time = cursor.core_time
-        # Run the earliest stream until its next arrival passes the
-        # runner-up's (ties go to the lower rank, as in the scalar loop).
-        if len(active) > 1:
-            heap, rank, core, limit, limit_rank = merge_state(cursor)
-        else:  # merge_state's lone-stream state, without the call
-            (core,) = active
-            heap, rank, limit, limit_rank = None, 0, INF, 0
-        while True:
-            stream = streams[core]
-            position = positions[core]
-            length = len(stream)
-            now = core_time[core]
-            while position < length and issued != max_requests:
-                req = stream[position]
-                gap = gaps[req]
-                arrival = now + gap * npi
-                if arrival >= limit and (arrival > limit or rank > limit_rank):
-                    heappush(heap, (arrival, rank, core))
-                    break
-                instructions += gap
-                compute_cycles += gap * base_cpi
-                address = addresses[req]
-                if ops[req]:
-                    # ---- write (Fig. 10) ------------------------------------
-                    slot = slots[req]
-                    line = payload[slot : slot + line_size]
-                    if len(line) != line_size:
-                        self._check_line(line)
-                    if not 0 <= address < data_lines:
-                        self._check_data_address(address)
-                    writes_requested += 1
-                    if enable_prediction:
-                        # Majority vote; an even window's tie goes to the
-                        # most recent outcome.
-                        twice = votes * 2
-                        predicted = history[-1] if twice == window else twice > window
-                    else:
-                        predicted = False
-                    crc = line_fingerprint(line) if use_crc32 else slow_fingerprint(line)
-                    target, done, v, collisions, capped, flags = detect(
-                        line, crc, arrival, predicted
-                    )
-                    energy.dedup_logic_nj += dedup_op_nj
+        def write(req, address, arrival):
+            nonlocal writes_requested, writes_deduplicated, writes_stored
+            nonlocal serialized_detections, verify_reads_total, crc_collisions
+            nonlocal capped_rejects, hash_matches, missed_pna, wasted_encryptions
+            nonlocal votes, predictions, correct
+            slot = slots[req]
+            line = payload[slot : slot + line_size]
+            if len(line) != line_size:
+                self._check_line(line)
+            writes_requested += 1
+            if enable_prediction:
+                # Majority vote; an even window's tie goes to the most
+                # recent outcome.
+                twice = votes * 2
+                predicted = history[-1] if twice == window else twice > window
+            else:
+                predicted = False
+            crc = line_fingerprint(line) if use_crc32 else slow_fingerprint(line)
+            target, done, v, collisions, capped, flags = detect(line, crc, arrival, predicted)
+            energy.dedup_logic_nj += dedup_op_nj
+            if trace_on:
+                hash_done = arrival + fp_ns
+                tracer.span(
+                    "write.hash", arrival, hash_done, fingerprint=self.config.fingerprint
+                )
+                tracer.span(
+                    "write.dedup",
+                    hash_done,
+                    done,
+                    duplicate=target >= 0,
+                    verify_reads=v,
+                    pna_skipped=bool(flags & PNA_SKIPPED),
+                )
+            if v:
+                verify_reads_total += v
+                hash_matches += 1
+                crc_collisions += collisions
+            capped_rejects += capped
+            if flags & PNA_SKIPPED and crc in hash_table and truth_has_duplicate(line, crc):
+                missed_pna += 1
+            if stage_on:
+                hash_done = arrival + fp_ns
+                st_whash.append(hash_done - arrival)
+                st_wdedup.append(done - hash_done)
+            if record is not None:
+                old = physical_of(address)
+            speculated = not is_direct and (is_parallel or (par_enc and not predicted))
+            touches = []
+            if target >= 0:
+                # Cancel the write; record the address mapping (§III-B2).
+                writes_deduplicated += 1
+                apply_duplicate(address, target, touches)
+                complete = done
+                replay(touches, complete)
+                if speculated:
+                    # The speculative encryption was wasted: energy only.
+                    energy.aes_nj += aes_line_nj
+                    wasted_encryptions += 1
                     if trace_on:
-                        hash_done = arrival + fp_ns
-                        tracer.span(
-                            "write.hash", arrival, hash_done, fingerprint=self.config.fingerprint
-                        )
-                        tracer.span(
-                            "write.dedup",
-                            hash_done,
-                            done,
-                            duplicate=target >= 0,
-                            verify_reads=v,
-                            pna_skipped=bool(flags & PNA_SKIPPED),
-                        )
-                    if v:
-                        verify_reads_total += v
-                        hash_matches += 1
-                        crc_collisions += collisions
-                    capped_rejects += capped
-                    if flags & PNA_SKIPPED and crc in hash_table and truth_has_duplicate(line, crc):
-                        missed_pna += 1
+                        tracer.span("write.crypto", arrival, arrival + aes_ns, wasted=True)
                     if stage_on:
-                        hash_done = arrival + fp_ns
-                        st_whash.append(hash_done - arrival)
-                        st_wdedup.append(done - hash_done)
-                    if record is not None:
-                        old = physical_of(address)
-                    speculated = not is_direct and (is_parallel or (par_enc and not predicted))
-                    touches = []
-                    if target >= 0:
-                        # Cancel the write; record the address mapping (§III-B2).
-                        writes_deduplicated += 1
-                        apply_duplicate(address, target, touches)
-                        complete = done
-                        replay(touches, complete)
-                        if speculated:
-                            # The speculative encryption was wasted: energy only.
-                            energy.aes_nj += aes_line_nj
-                            wasted_encryptions += 1
-                            if trace_on:
-                                tracer.span(
-                                    "write.crypto", arrival, arrival + aes_ns, wasted=True
-                                )
-                            if stage_on:
-                                st_wcrypto.append(arrival + aes_ns - arrival)
-                        dedup = True
-                        deduplicated += 1
-                    else:
-                        # Seal under the destination's bumped counter, write.
-                        writes_stored += 1
-                        dest = apply_unique(address, crc, touches)
-                        sealed = seal(line, dest, bump_counter(dest, touches))
-                        energy.aes_nj += aes_line_nj
-                        if speculated:
-                            # AES started at arrival, concurrently with
-                            # detection; the write issues once both finish.
-                            crypto_start = arrival
-                            issue = arrival + aes_ns
-                            if done > issue:
-                                issue = done
-                        else:
-                            crypto_start = done
-                            issue = done + aes_ns
-                            if is_predictive and predicted:
-                                serialized_detections += 1
-                        if trace_on:
-                            # Only a span needs the bank wait; untraced, skip it.
-                            written = nvm_write(dest, sealed.to_bytes(line_size, "little"), issue)
-                            complete = written.complete_ns
-                        else:
-                            complete = nvm_write_done(dest, sealed, issue)
-                        replay(touches, complete)
-                        if trace_on:
-                            tracer.span(
-                                "write.crypto",
-                                crypto_start,
-                                crypto_start + aes_ns,
-                                parallel=speculated,
-                            )
-                            tracer.span(
-                                "write.nvm", issue, complete, dest=dest, wait_ns=written.wait_ns
-                            )
-                        if stage_on:
-                            st_wcrypto.append(crypto_start + aes_ns - crypto_start)
-                            st_wnvm.append(complete - issue)
-                        dedup = False
-                    latency = complete - arrival
-                    if enable_prediction:
-                        predictions += 1
-                        if predicted == dedup:
-                            correct += 1
-                        # The oldest outcome leaves the full window.
-                        votes += dedup - history[0]
-                        history.append(dedup)
-                    if stage_on:
-                        st_write.append(complete - arrival)
-                    wl_total += latency
-                    wl_count += 1
-                    if latency > wl_max:
-                        wl_max = latency
-                    if wl_count == 1 or latency < wl_min:
-                        wl_min = latency
-                    if timeline_on:
-                        timeline.record_write(arrival, deduplicated=dedup, latency_ns=latency)
-                    if trace_on:
-                        tracer.span(
-                            "write",
-                            arrival,
-                            complete,
-                            deduplicated=dedup,
-                            predicted_dup=predicted,
-                        )
-                    if record is not None:
-                        new = physical_of(address)
-                        record.append((
-                            req, complete, old, new, index.peek_counter(new),
-                            index.content_crc(new), old is not None and index.holds_data(old),
-                        ))
-                    writes += 1
-                    if persistent[req]:
-                        now = complete
-                        stall_cycles += latency * clock
-                    else:
-                        now = arrival
+                        st_wcrypto.append(arrival + aes_ns - arrival)
+                dedup = True
+            else:
+                # Seal under the destination's bumped counter, write.
+                writes_stored += 1
+                dest = apply_unique(address, crc, touches)
+                sealed = seal(line, dest, bump_counter(dest, touches))
+                energy.aes_nj += aes_line_nj
+                if speculated:
+                    # AES started at arrival, concurrently with detection;
+                    # the write issues once both finish.
+                    crypto_start = arrival
+                    issue = arrival + aes_ns
+                    if done > issue:
+                        issue = done
                 else:
-                    # ---- read (Fig. 11) -------------------------------------
-                    if not 0 <= address < data_lines:
-                        self._check_data_address(address)
-                    reads_requested += 1
-                    # Address-mapping lookup is on the critical path (§IV-C2).
-                    block = address // am_per_block
-                    if meta_hits_inline and block in am_blocks:
-                        am_cache.hits += 1
-                        am_blocks.move_to_end(block)
-                        rnow = arrival
-                    else:
-                        rnow = arrival + metadata_access(
-                            "address_map", address, False, arrival, True
-                        )
-                    physical = mapping_get(address)
-                    if physical is None:
-                        # Never-written line: the array read happens regardless.
-                        source = address
-                    else:
-                        if physical != address:
-                            reads_redirected += 1
-                        # Counter fetch so the OTP overlaps the array read
-                        # (Fig. 1).  A mapping target always holds data (a
-                        # DedupIndex invariant), so DedupIndex.counter_slot
-                        # (§III-C) names its address-map slot or the
-                        # overflow store, charged as an address-map touch.
-                        block = physical // am_per_block
-                        if meta_hits_inline and block in am_blocks:
-                            am_cache.hits += 1
-                            am_blocks.move_to_end(block)
-                        else:
-                            rnow += metadata_access("address_map", physical, False, rnow, True)
-                        source = physical
-                    issue = rnow
-                    if trace_on:
-                        fetched = nvm_read(source, issue)
-                        rc = fetched.complete_ns
-                    else:
-                        rc = nvm_read_done(source, issue)
-                    rnow = rc + xor_ns
-                    if physical is not None:
-                        energy.aes_nj += aes_line_nj
-                    if stage_on:
-                        st_rmeta.append(issue - arrival)
-                        st_rnvm.append(rc - issue)
-                        st_rcrypto.append(rnow - rc)
-                        st_read.append(rnow - arrival)
-                    latency = rnow - arrival
-                    rl_total += latency
-                    rl_count += 1
-                    if latency > rl_max:
-                        rl_max = latency
-                    if rl_count == 1 or latency < rl_min:
-                        rl_min = latency
-                    if timeline_on:
-                        timeline.record_read(arrival, latency_ns=latency)
-                    if trace_on:
-                        redirected = physical is not None and physical != address
-                        tracer.span("read.metadata", arrival, issue, redirected=redirected)
-                        tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
-                        tracer.span("read.crypto", rc, rnow, decrypted=physical is not None)
-                        tracer.span("read", arrival, rnow, redirected=redirected)
-                    if record is not None:
-                        record.append((req, rnow))
-                    exposed = latency * exposure
-                    now = arrival + exposed
-                    stall_cycles += exposed * clock
-                    reads += 1
-                issued += 1
-                position += 1
-            positions[core] = position
-            core_time[core] = now
-            if position >= length:
-                active.discard(core)
-            if not heap or issued == max_requests:
-                break
-            _, rank, core = heappop(heap)
-            limit, limit_rank, _ = heap[0] if heap else NO_LIMIT
+                    crypto_start = done
+                    issue = done + aes_ns
+                    if is_predictive and predicted:
+                        serialized_detections += 1
+                if trace_on:
+                    # Only a span needs the bank wait; untraced, skip it.
+                    written = nvm_write(dest, sealed.to_bytes(line_size, "little"), issue)
+                    complete = written.complete_ns
+                else:
+                    complete = nvm_write_done(dest, sealed, issue)
+                replay(touches, complete)
+                if trace_on:
+                    tracer.span(
+                        "write.crypto", crypto_start, crypto_start + aes_ns, parallel=speculated
+                    )
+                    tracer.span("write.nvm", issue, complete, dest=dest, wait_ns=written.wait_ns)
+                if stage_on:
+                    st_wcrypto.append(crypto_start + aes_ns - crypto_start)
+                    st_wnvm.append(complete - issue)
+                dedup = False
+            if enable_prediction:
+                predictions += 1
+                if predicted == dedup:
+                    correct += 1
+                # The oldest outcome leaves the full window.
+                votes += dedup - history[0]
+                history.append(dedup)
+            if timeline_on:
+                timeline.record_write(arrival, deduplicated=dedup, latency_ns=complete - arrival)
+            if trace_on:
+                tracer.span(
+                    "write", arrival, complete, deduplicated=dedup, predicted_dup=predicted
+                )
+            if record is not None:
+                new = physical_of(address)
+                record.append((
+                    req, complete, old, new, index.peek_counter(new),
+                    index.content_crc(new), old is not None and index.holds_data(old),
+                ))
+            return complete
 
-        # Write the batched counters and accumulators back.
-        stats.writes_requested = writes_requested
-        stats.writes_deduplicated = writes_deduplicated
-        stats.writes_stored = writes_stored
-        stats.serialized_detections = serialized_detections
-        stats.verify_reads = verify_reads_total
-        stats.crc_collisions = crc_collisions
-        stats.capped_reference_rejects = capped_rejects
-        stats.hash_matches = hash_matches
-        stats.missed_duplicates_pna = missed_pna
-        stats.wasted_encryptions = wasted_encryptions
-        stats.reads_requested = reads_requested
-        stats.reads_redirected = reads_redirected
-        wl.total_ns = wl_total
-        wl.count = wl_count
-        wl.max_ns = wl_max
-        wl.min_ns = wl_min
-        rl.total_ns = rl_total
-        rl.count = rl_count
-        rl.max_ns = rl_max
-        rl.min_ns = rl_min
-        if enable_prediction:
-            predictor.votes = votes
-            predictor.predictions = stats.predictions = predictions
-            predictor.correct = stats.correct_predictions = correct
-        self._sync_metadata_stats()
-        if stage_on:
-            record_many = stages.record_many
-            record_many("write.hash", st_whash)
-            record_many("write.dedup", st_wdedup)
-            record_many("write.crypto", st_wcrypto)
-            record_many("write.nvm", st_wnvm)
-            record_many("write", st_write)
-            record_many("read.metadata", st_rmeta)
-            record_many("read.nvm", st_rnvm)
-            record_many("read.crypto", st_rcrypto)
-            record_many("read", st_read)
-        if issued:
-            self._complete_ns = complete if ops[stream[position - 1]] else rnow
+        def read(req, address, arrival):
+            nonlocal reads_requested, reads_redirected
+            reads_requested += 1
+            # Address-mapping lookup is on the critical path (§IV-C2).
+            block = address // am_per_block
+            if meta_hits_inline and block in am_blocks:
+                am_cache.hits += 1
+                am_blocks.move_to_end(block)
+                rnow = arrival
+            else:
+                rnow = arrival + metadata_access("address_map", address, False, arrival, True)
+            physical = mapping_get(address)
+            if physical is None:
+                # Never-written line: the array read happens regardless.
+                source = address
+            else:
+                if physical != address:
+                    reads_redirected += 1
+                # Counter fetch so the OTP overlaps the array read (Fig. 1).
+                # A mapping target always holds data (a DedupIndex
+                # invariant), so DedupIndex.counter_slot (§III-C) names its
+                # address-map slot or the overflow store, charged as an
+                # address-map touch.
+                block = physical // am_per_block
+                if meta_hits_inline and block in am_blocks:
+                    am_cache.hits += 1
+                    am_blocks.move_to_end(block)
+                else:
+                    rnow += metadata_access("address_map", physical, False, rnow, True)
+                source = physical
+            issue = rnow
+            if trace_on:
+                fetched = nvm_read(source, issue)
+                rc = fetched.complete_ns
+            else:
+                rc = nvm_read_done(source, issue)
+            rnow = rc + xor_ns
+            if physical is not None:
+                energy.aes_nj += aes_line_nj
+            if stage_on:
+                st_rmeta.append(issue - arrival)
+                st_rnvm.append(rc - issue)
+                st_rcrypto.append(rnow - rc)
+            if trace_on:
+                redirected = physical is not None and physical != address
+                tracer.span("read.metadata", arrival, issue, redirected=redirected)
+                tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
+                tracer.span("read.crypto", rc, rnow, decrypted=physical is not None)
+                tracer.span("read", arrival, rnow, redirected=redirected)
+            return rnow
 
-        cursor.instructions = instructions
-        cursor.stall_cycles = stall_cycles
-        cursor.compute_cycles = compute_cycles
-        return issued, reads, writes, deduplicated
+        def finish(st_write, st_read):
+            stats.writes_requested = writes_requested
+            stats.writes_deduplicated = writes_deduplicated
+            stats.writes_stored = writes_stored
+            stats.serialized_detections = serialized_detections
+            stats.verify_reads = verify_reads_total
+            stats.crc_collisions = crc_collisions
+            stats.capped_reference_rejects = capped_rejects
+            stats.hash_matches = hash_matches
+            stats.missed_duplicates_pna = missed_pna
+            stats.wasted_encryptions = wasted_encryptions
+            stats.reads_requested = reads_requested
+            stats.reads_redirected = reads_redirected
+            if enable_prediction:
+                predictor.votes = votes
+                predictor.predictions = stats.predictions = predictions
+                predictor.correct = stats.correct_predictions = correct
+            self._sync_metadata_stats()
+            if stage_on:
+                record_many = stages.record_many
+                record_many("write.hash", st_whash)
+                record_many("write.dedup", st_wdedup)
+                record_many("write.crypto", st_wcrypto)
+                record_many("write.nvm", st_wnvm)
+                record_many("write", st_write)
+                record_many("read.metadata", st_rmeta)
+                record_many("read.nvm", st_rnvm)
+                record_many("read.crypto", st_rcrypto)
+                record_many("read", st_read)
+
+        return write, read, finish
 
     # -- maintenance -----------------------------------------------------------
 
@@ -582,9 +446,3 @@ class DeWriteController(MemoryController):
     def _sync_metadata_stats(self) -> None:
         self.stats.metadata_reads = self.metadata.metadata_reads
         self.stats.metadata_writebacks = self.metadata.metadata_writebacks
-
-    def _check_data_address(self, address: int) -> None:
-        if not 0 <= address < self._data_lines:
-            raise IndexError(
-                f"data line {address} out of range [0, {self._data_lines})"
-            )

@@ -2,14 +2,12 @@
 
 Every controller in this repository — DeWrite, the traditional secure NVM,
 the direct/parallel integration modes, traditional SHA-1 dedup, Silent
-Shredder — services the same two requests against the same
-:class:`repro.nvm.NvmMainMemory` device, so the system simulator and all
-experiments are controller-agnostic.
-
-Each controller has one request pipeline: its kernel
-:meth:`MemoryController._service_stream`, which merges the cursor's
-per-core streams in arrival order and feeds every attached observer.
-Everything else is defined once, here:
+Shredder, i-NVMM — services the same two requests against the same
+:class:`repro.nvm.NvmMainMemory` device, through one kernel defined here,
+:meth:`MemoryController._service_stream`.  The kernel merges the cursor's
+per-core streams in arrival order and times every request; a family
+supplies only its write and read bodies and a finish step
+(:meth:`MemoryController._request_bodies`).
 
 - :meth:`~MemoryController.service_batch` is the hot path.  The simulator
   hands it an :class:`~repro.workloads.batch.AccessBatch` plus a
@@ -21,11 +19,12 @@ Everything else is defined once, here:
 
 from __future__ import annotations
 
-import abc
 from array import array
-from typing import NamedTuple
+from heapq import heappop, heappush
+from typing import Callable, NamedTuple
 
-from repro.core.batching import BatchCursor, BatchOutcome
+from repro.core.batching import INF, NO_LIMIT, BatchCursor, BatchOutcome, merge_state
+from repro.core.stats import DeWriteStats
 from repro.nvm.memory import NvmMainMemory
 from repro.obs.metrics import registry
 from repro.obs.stages import NULL_STAGES, StagesLike
@@ -57,8 +56,17 @@ class ReadOutcome(NamedTuple):
     complete_ns: float
 
 
-class MemoryController(abc.ABC):
+#: A write or read body: ``(req, address, arrival_ns)`` -> completion time.
+RequestBody = Callable[[int, int, float], float]
+
+
+class MemoryController:
     """A secure-NVM memory controller servicing 256 B line requests."""
+
+    #: Request counters and latencies; the kernel keeps the latencies.
+    stats: DeWriteStats
+    #: Lines of the data region; a request outside it is an IndexError.
+    data_lines: int
 
     def __init__(self, nvm: NvmMainMemory) -> None:
         self.nvm = nvm
@@ -184,14 +192,10 @@ class MemoryController(abc.ABC):
     ) -> BatchOutcome:
         """Service up to ``max_requests`` accesses of ``batch`` through ``cursor``.
 
-        Requests are issued in global arrival order (the per-core streams
-        are merged by next arrival time, ties broken as the scalar
-        simulator loop breaks them), and the cursor's clocks and cycle
-        accumulators advance exactly as that loop advances them.
-
-        The kernel does all of it in one call.  A call on more than one
-        active stream (a batch the kernel merged) is counted in
-        ``batch.fallback.multi_stream``.
+        One kernel call issues them in global arrival order, ties broken
+        as the scalar simulator loop breaks them (see
+        :meth:`_service_stream`).  A call on more than one active stream
+        is counted in ``batch.fallback.multi_stream``.
         """
         active = cursor.active
         if not active:
@@ -200,24 +204,156 @@ class MemoryController(abc.ABC):
             registry().counter("batch.fallback.multi_stream").inc()
         return BatchOutcome(*self._service_stream(batch, cursor, max_requests))
 
-    @abc.abstractmethod
+    def _request_bodies(
+        self, batch: AccessBatch
+    ) -> tuple[RequestBody, RequestBody, Callable[[list, list], None]]:
+        """The family's ``(write, read, finish)`` for one kernel call on ``batch``.
+
+        A body services row ``req`` of ``batch`` for line ``address``,
+        arriving at ``arrival_ns``, and returns its completion time.  It
+        runs the family's pipeline, counts, sub-stage samples and spans; a
+        write body also records the write on the timeline and appends its
+        :attr:`request_record` row.  ``finish(write_samples,
+        read_samples)`` runs after the call's last request: it writes the
+        family's counters back and flushes every stage in the family's
+        order, the kernel's ``write``/``read`` samples included.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no request bodies")
+
     def _service_stream(
         self,
         batch: AccessBatch,
         cursor: BatchCursor,
         max_requests: int | None = None,
     ) -> tuple[int, int, int, int]:
-        """The controller's pipeline over the cursor's active streams.
+        """The one pipeline: up to ``max_requests`` requests of the cursor's streams.
 
-        Services up to ``max_requests`` requests in the merge order of
-        :func:`~repro.core.batching.merge_state` (one stream runs until
-        its next arrival passes the runner-up's), advances the cursor as
-        the scalar simulator loop would, sets ``_complete_ns`` to the last
-        serviced request's completion time and returns the ``(serviced,
-        reads, writes, deduplicated)`` counts.  With a
-        :attr:`request_record` attached it also appends one row per
-        serviced request.
+        Requests issue in the merge order of
+        :func:`~repro.core.batching.merge_state` (one stream runs until its
+        next arrival passes the runner-up's), each through the family's
+        write or read body.  Around the body the kernel advances the cursor
+        as the scalar simulator loop would, accumulates the latency, and
+        for a read records it on the timeline and appends its ``(req,
+        complete_ns)`` :attr:`request_record` row.  Floats add up in
+        request order and counters are written back once per call, so
+        reports are byte-identical however a trace is sliced.  Sets
+        ``_complete_ns`` to the last request's completion and returns the
+        ``(serviced, reads, writes, deduplicated)`` counts, the last being
+        the call's rise in ``stats.writes_deduplicated``.
         """
+        write, read, finish = self._request_bodies(batch)
+        ops = batch.ops
+        addresses = batch.addresses
+        gaps = batch.gaps
+        persistent = batch.persistent
+        npi = cursor.ns_per_instruction
+        exposure = cursor.read_stall_exposure
+        clock = cursor.clock_ghz
+        base_cpi = cursor.base_cpi
+
+        instructions = cursor.instructions
+        stall_cycles = cursor.stall_cycles
+        compute_cycles = cursor.compute_cycles
+        issued = reads = writes = 0
+
+        data_lines = self.data_lines
+        stats = self.stats
+        deduplicated_before = stats.writes_deduplicated
+        timeline = self.timeline
+        timeline_on = timeline.enabled
+        record = self.request_record
+        stage_on = self.stages.enabled
+        st_write: list[float] = []
+        st_read: list[float] = []
+        wl = stats.write_latency
+        wl_total, wl_count, wl_max, wl_min = wl.total_ns, wl.count, wl.max_ns, wl.min_ns
+        rl = stats.read_latency
+        rl_total, rl_count, rl_max, rl_min = rl.total_ns, rl.count, rl.max_ns, rl.min_ns
+
+        active = cursor.active
+        streams = cursor.streams
+        positions = cursor.positions
+        core_time = cursor.core_time
+        # Run the earliest stream until its next arrival passes the
+        # runner-up's (ties go to the lower rank, as in the scalar loop).
+        if len(active) > 1:
+            heap, rank, core, limit, limit_rank = merge_state(cursor)
+        else:  # merge_state's lone-stream state, without the call
+            (core,) = active
+            heap, rank, limit, limit_rank = None, 0, INF, 0
+        while True:
+            stream = streams[core]
+            position = positions[core]
+            length = len(stream)
+            now = core_time[core]
+            while position < length and issued != max_requests:
+                req = stream[position]
+                gap = gaps[req]
+                arrival = now + gap * npi
+                if arrival >= limit and (arrival > limit or rank > limit_rank):
+                    heappush(heap, (arrival, rank, core))
+                    break
+                instructions += gap
+                compute_cycles += gap * base_cpi
+                address = addresses[req]
+                if not 0 <= address < data_lines:
+                    raise IndexError(f"data line {address} out of range [0, {data_lines})")
+                if ops[req]:
+                    complete = write(req, address, arrival)
+                    latency = complete - arrival
+                    if stage_on:
+                        st_write.append(latency)
+                    wl_total += latency
+                    wl_count += 1
+                    if latency > wl_max:
+                        wl_max = latency
+                    if wl_count == 1 or latency < wl_min:
+                        wl_min = latency
+                    writes += 1
+                    if persistent[req]:
+                        now = complete
+                        stall_cycles += latency * clock
+                    else:
+                        now = arrival
+                else:
+                    complete = read(req, address, arrival)
+                    latency = complete - arrival
+                    if stage_on:
+                        st_read.append(latency)
+                    rl_total += latency
+                    rl_count += 1
+                    if latency > rl_max:
+                        rl_max = latency
+                    if rl_count == 1 or latency < rl_min:
+                        rl_min = latency
+                    if timeline_on:
+                        timeline.record_read(arrival, latency_ns=latency)
+                    if record is not None:
+                        record.append((req, complete))
+                    exposed = latency * exposure
+                    now = arrival + exposed
+                    stall_cycles += exposed * clock
+                    reads += 1
+                issued += 1
+                position += 1
+            positions[core] = position
+            core_time[core] = now
+            if position >= length:
+                active.discard(core)
+            if not heap or issued == max_requests:
+                break
+            _, rank, core = heappop(heap)
+            limit, limit_rank, _ = heap[0] if heap else NO_LIMIT
+
+        wl.total_ns, wl.count, wl.max_ns, wl.min_ns = wl_total, wl_count, wl_max, wl_min
+        rl.total_ns, rl.count, rl.max_ns, rl.min_ns = rl_total, rl_count, rl_max, rl_min
+        finish(st_write, st_read)
+        if issued:
+            self._complete_ns = complete
+        cursor.instructions = instructions
+        cursor.stall_cycles = stall_cycles
+        cursor.compute_cycles = compute_cycles
+        return issued, reads, writes, stats.writes_deduplicated - deduplicated_before
 
     # -- helpers ----------------------------------------------------------------
 

@@ -111,13 +111,6 @@ class MetadataCache:
         self._blocks.clear()
         return dirty
 
-    def mark_clean(self, entry_index: int) -> None:
-        """Clear the dirty bit of an entry's block (write-through policy:
-        the update has already reached NVM, so eviction owes nothing)."""
-        block = self.block_of(entry_index)
-        if block in self._blocks:
-            self._blocks[block] = False
-
     def dirty_blocks(self) -> list[int]:
         """Currently dirty blocks (in LRU order), without side effects."""
         return [block for block, dirty in self._blocks.items() if dirty]

@@ -86,7 +86,7 @@ class CounterModeEngine:
         cache = self._pad_cache
         if len(cache) >= self._pad_cache_cap:
             cache.clear()
-        pad_int = int.from_bytes(self._pads.pad(address, counter, n), "little")
+        pad_int = self._pads.pad_int(address, counter, n)
         cache[address, counter, n] = pad_int
         return int.from_bytes(plaintext, "little") ^ pad_int
 
@@ -115,6 +115,6 @@ class CounterModeEngine:
         if pad_int is None:
             if len(cache) >= self._pad_cache_cap:
                 cache.clear()
-            pad_int = int.from_bytes(self._pads.pad(address, counter, nbytes), "little")
+            pad_int = self._pads.pad_int(address, counter, nbytes)
             cache[token] = pad_int
         return pad_int

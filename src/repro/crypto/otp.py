@@ -38,6 +38,10 @@ class PadGenerator(Protocol):
         ``counter``-th encryption."""
         ...
 
+    def pad_int(self, address: int, counter: int, length: int) -> int:
+        """:meth:`pad` as its little-endian integer (the XOR operand)."""
+        ...
+
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -57,37 +61,41 @@ def _splitmix64(state: int) -> tuple[int, int]:
 # --- SWAR (SIMD-within-a-register) splitmix64 over big-integer lanes ------
 #
 # A 256 B pad needs 32 consecutive splitmix64 outputs.  The states form an
-# arithmetic progression (state_j = seed + (j+1)*gamma mod 2^64), so all 32
-# can be packed into 128-bit lanes of ONE Python integer and mixed together:
+# arithmetic progression (state_j = seed + (j+1)*gamma mod 2^64), so they
+# can be packed into 128-bit lanes of a Python integer and mixed together:
 # multiplying the packed integer by a 64-bit constant multiplies every lane
 # (each product < 2^128 stays inside its lane), and the xor-shift steps stay
 # lane-local when the shifted value is masked back to the low 64 bits of
-# each lane before use.  This turns ~32 interpreted mix steps into 4 big-int
-# operations, each executed in C.  The output is bit-identical to the
-# scalar loop — a tested invariant.
+# each lane before use.  This turns ~32 interpreted mix steps into a few
+# big-int operations, each executed in C.
 #
-# Per lane count k we precompute:
-#   U  — 1 in every lane            (seed * U broadcasts the seed)
-#   G  — ((j+1)*gamma) mod 2^64    (the per-lane state increments)
-#   LM — the low-64-bit mask of every lane
-_LANE_BYTES = 16
-_SWAR_MIN_WORDS = 4
-_swar_constants_cache: dict[int, tuple[int, int, int]] = {}
+# The even-indexed words go in one integer (lane i holds word 2i, state
+# increment (2i+1)*gamma) and the odd-indexed ones in another (lane i holds
+# word 2i+1, increment (2i+2)*gamma).  Each word then sits at bit 128i of
+# its integer, so ``even | odd << 64`` places word j at bit 64j: the pad's
+# little-endian integer, with no byte round trip.  The output is
+# bit-identical to the scalar loop — a tested invariant.
+#
+# Per pad length we precompute:
+#   U    — 1 in every lane           (seed * U broadcasts the seed)
+#   E, O — the even and odd lanes' state increments, mod 2^64
+#   LM   — the low-64-bit mask of every lane
+#   OM   — the mask of the pad's 8 * length bits
+_swar_constants_cache: dict[int, tuple[int, int, int, int, int]] = {}
 
 
-def _swar_constants(k: int) -> tuple[int, int, int]:
-    constants = _swar_constants_cache.get(k)
+def _swar_constants(length: int) -> tuple[int, int, int, int, int]:
+    constants = _swar_constants_cache.get(length)
     if constants is None:
-        unit = 0
-        increments = 0
-        lane_mask = 0
-        for j in range(k):
-            shift = 128 * j
+        unit = even = odd = lane_mask = 0
+        for i in range((length + 15) // 16):
+            shift = 128 * i
             unit |= 1 << shift
-            increments |= (((j + 1) * _GAMMA) & _MASK64) << shift
+            even |= (((2 * i + 1) * _GAMMA) & _MASK64) << shift
+            odd |= (((2 * i + 2) * _GAMMA) & _MASK64) << shift
             lane_mask |= _MASK64 << shift
-        constants = (unit, increments, lane_mask)
-        _swar_constants_cache[k] = constants
+        constants = (unit, even, odd, lane_mask, (1 << 8 * length) - 1)
+        _swar_constants_cache[length] = constants
     return constants
 
 
@@ -106,21 +114,6 @@ def swar_finalise(x: int, lane_mask: int) -> int:
     return x ^ ((x >> 31) & lane_mask)
 
 
-def _splitmix64_block(state: int, k: int) -> bytes:
-    """``k`` consecutive splitmix64 outputs of ``state``, packed little-endian.
-
-    Exactly equivalent to calling :func:`_splitmix64` ``k`` times and packing
-    the outputs with ``struct.pack("<kQ", ...)``.
-    """
-    unit, increments, lane_mask = _swar_constants(k)
-    x = swar_finalise((state * unit + increments) & lane_mask, lane_mask)
-    # Each lane's low 8 bytes hold one output word; view the buffer as
-    # 8-byte cells and take every other cell.  The cast is a raw 8-byte
-    # chunking (no integer interpretation), so this is endian-agnostic.
-    raw = x.to_bytes(_LANE_BYTES * k, "little")
-    return memoryview(raw).cast("Q")[::2].tobytes()
-
-
 class SplitmixPadGenerator:
     """Fast keyed PRF pad: splitmix64 seeded by (key, address, counter).
 
@@ -136,19 +129,18 @@ class SplitmixPadGenerator:
 
     def pad(self, address: int, counter: int, length: int) -> bytes:
         """Generate ``length`` pseudo-random pad bytes."""
+        return self.pad_int(address, counter, length).to_bytes(length, "little")
+
+    def pad_int(self, address: int, counter: int, length: int) -> int:
+        """:meth:`pad` as its little-endian integer, mixed in two SWAR halves."""
         # Two mixing rounds bind key, address and counter into the seed.
         _, a = _splitmix64((self._k0 ^ address) & _MASK64)
         _, b = _splitmix64((self._k1 ^ counter) & _MASK64)
-        state = (a ^ (b * _GAMMA)) & _MASK64
-        k = (length + 7) // 8
-        if k >= _SWAR_MIN_WORDS:
-            block = _splitmix64_block(state, k)
-            return block if len(block) == length else block[:length]
-        words = []
-        for _ in range(k):
-            state, out = _splitmix64(state)
-            words.append(out)
-        return struct.pack(f"<{k}Q", *words)[:length]
+        unit, even, odd, lane_mask, out_mask = _swar_constants(length)
+        seeds = ((a ^ (b * _GAMMA)) & _MASK64) * unit
+        words = swar_finalise((seeds + even) & lane_mask, lane_mask)
+        words |= swar_finalise((seeds + odd) & lane_mask, lane_mask) << 64
+        return words & out_mask
 
 
 class ShakePadGenerator:
@@ -170,6 +162,12 @@ class ShakePadGenerator:
         """Generate ``length`` pseudo-random pad bytes."""
         seed = self._key + struct.pack("<QQ", address & _MASK64, counter & _MASK64)
         return shake_128(seed).digest(length)
+
+    def pad_int(self, address: int, counter: int, length: int) -> int:
+        """:meth:`pad` as its little-endian integer (one XOF call, no :meth:`pad`
+        call: this is every CME seal's pad)."""
+        seed = self._key + struct.pack("<QQ", address & _MASK64, counter & _MASK64)
+        return int.from_bytes(shake_128(seed).digest(length), "little")
 
 
 class AesPadGenerator:
@@ -193,3 +191,7 @@ class AesPadGenerator:
             nonce = struct.pack("<QQ", address & _MASK64, ((counter << 8) | block_index) & _MASK64)
             blocks.append(self._aes.encrypt_block(nonce))
         return b"".join(blocks)[:length]
+
+    def pad_int(self, address: int, counter: int, length: int) -> int:
+        """:meth:`pad` as its little-endian integer."""
+        return int.from_bytes(self.pad(address, counter, length), "little")

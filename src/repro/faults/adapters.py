@@ -7,8 +7,8 @@ and hands each crash segment's write rows to the adapter in one
 :meth:`~ControllerFaultAdapter.journal_rows` call, which appends the
 semantic metadata updates those writes implied as plain ``(ns, kind, key,
 value)`` tuples (see :mod:`repro.faults.journal` for the vocabulary).
-Each kernel writes the facts its family's adapter reads, evaluated right
-after the write.  After power loss, the adapter also answers the
+Each family's write body writes the facts its adapter reads, evaluated
+right after the write.  After power loss, the adapter also answers the
 recovery-side questions: how large is the metadata region a recovery scan
 must read back, and what plaintext a rebuilt controller serves for the
 audited logical lines under a reconstructed durable metadata image

@@ -82,6 +82,7 @@ class CrashSimulator(MemoryController):
     def __init__(self, controller: MemoryController, plan: FaultPlan) -> None:
         super().__init__(controller.nvm)
         self.inner = controller
+        self.stats = controller.stats
         self.adapter = adapter_for(controller)
         self.plan = plan
         self.journal = DurabilityJournal()
@@ -89,10 +90,6 @@ class CrashSimulator(MemoryController):
         #: Requests issued to the wrapped controller.
         self.accesses = 0
         self.last_complete_ns = 0.0
-
-    @property
-    def stats(self):  # noqa: ANN201 - mirrors the wrapped controller's stats
-        return self.inner.stats
 
     def _propagate_observers(self, tracer: TracerLike, timeline) -> None:
         self.inner.attach_observers(tracer=tracer, timeline=timeline)

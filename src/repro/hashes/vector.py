@@ -1,6 +1,6 @@
 """SWAR batch kernels for the Table I hash circuits.
 
-The scalar :func:`repro.hashes.sha1.sha1` / :func:`repro.hashes.md5.md5`
+The scalar :func:`repro.hashes.sha1_ref.sha1` / :func:`repro.hashes.md5_ref.md5`
 implementations interpret ~1800 small-int operations per 64-byte block *per
 message*.  When the dedup pipeline fingerprints a whole write burst, the
 same rounds can be evaluated for every message in the burst simultaneously:
@@ -26,12 +26,12 @@ from __future__ import annotations
 import struct
 from typing import Sequence
 
-from repro.hashes.md5 import _INIT_STATE as _MD5_H0
-from repro.hashes.md5 import _SHIFTS as _MD5_SHIFTS
-from repro.hashes.md5 import _SINES as _MD5_SINES
-from repro.hashes.md5 import _pad as _md5_pad
-from repro.hashes.sha1 import _H0 as _SHA1_H0
-from repro.hashes.sha1 import _pad as _sha1_pad
+from repro.hashes.md5_ref import _INIT_STATE as _MD5_H0
+from repro.hashes.md5_ref import _SHIFTS as _MD5_SHIFTS
+from repro.hashes.md5_ref import _SINES as _MD5_SINES
+from repro.hashes.md5_ref import _pad as _md5_pad
+from repro.hashes.sha1_ref import _H0 as _SHA1_H0
+from repro.hashes.sha1_ref import _pad as _sha1_pad
 
 _LANE = 64  # bits per lane; 32-bit values + 32 bits of carry headroom
 

@@ -2,12 +2,55 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.otp import AesPadGenerator, SplitmixPadGenerator
+from repro.crypto.otp import (
+    _GAMMA,
+    _MASK64,
+    AesPadGenerator,
+    ShakePadGenerator,
+    SplitmixPadGenerator,
+    _splitmix64,
+)
 
 GENERATORS = [SplitmixPadGenerator, AesPadGenerator]
+
+
+@pytest.mark.parametrize(
+    "generator_cls", [SplitmixPadGenerator, ShakePadGenerator, AesPadGenerator]
+)
+def test_pad_int_is_the_pads_little_endian_integer(generator_cls):
+    gen = generator_cls(bytes(range(16)))
+    for length in range(1, 513):
+        address, counter = 977 * length, length % 29
+        expected = int.from_bytes(gen.pad(address, counter, length), "little")
+        assert gen.pad_int(address, counter, length) == expected, length
+
+
+def _scalar_splitmix_pad(key: bytes, address: int, counter: int, length: int) -> bytes:
+    """The splitmix pad one interpreted step per 8-byte word."""
+    k0, k1 = struct.unpack("<QQ", key)
+    _, a = _splitmix64((k0 ^ address) & _MASK64)
+    _, b = _splitmix64((k1 ^ counter) & _MASK64)
+    state = (a ^ (b * _GAMMA)) & _MASK64
+    words = []
+    for _ in range((length + 7) // 8):
+        state, word = _splitmix64(state)
+        words.append(word)
+    return struct.pack(f"<{len(words)}Q", *words)[:length]
+
+
+def test_splitmix_swar_halves_match_the_scalar_stream():
+    key = b"\x5a" * 8 + b"\x3c" * 8
+    gen = SplitmixPadGenerator(key)
+    for length in range(0, 513):
+        address, counter = (1 << 63) + length, (1 << 40) - length
+        assert gen.pad(address, counter, length) == _scalar_splitmix_pad(
+            key, address, counter, length
+        ), length
 
 
 @pytest.mark.parametrize("generator_cls", GENERATORS)

@@ -7,7 +7,7 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hashes.md5 import md5, md5_hexdigest
+from repro.hashes.md5_ref import md5, md5_hexdigest
 
 
 class TestRfc1321Vectors:

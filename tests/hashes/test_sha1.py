@@ -7,7 +7,7 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hashes.sha1 import sha1, sha1_hexdigest
+from repro.hashes.sha1_ref import sha1, sha1_hexdigest
 
 
 class TestKnownVectors:

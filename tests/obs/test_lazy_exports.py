@@ -16,6 +16,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -31,14 +32,15 @@ HEAVY = ("bench", "manifest", "diff", "profile", "chrome")
 #: and the baselines it builds lazily.
 FIRST_USE = ("repro.core.registry", "repro.baselines")
 
-#: Modules no plan, serve run or campaign uses: the AES cipher and direct
-#: encryption, the cryptographic digests, Start-Gap wear levelling, the
-#: drift rules, charts, JSON export and trace files.
+#: Modules no plan, serve run or campaign uses: the colocation budgets, the
+#: AES cipher and direct encryption, the cryptographic digests, Start-Gap
+#: wear levelling, the drift rules, charts, JSON export and trace files.
 OPTIONAL = (
+    "repro.core.colocation",
     "repro.crypto.aes",
     "repro.crypto.direct",
-    "repro.hashes.md5",
-    "repro.hashes.sha1",
+    "repro.hashes.md5_ref",
+    "repro.hashes.sha1_ref",
     "repro.hashes.vector",
     "repro.nvm.wearlevel",
     "repro.obs.drift",
@@ -164,8 +166,6 @@ def test_set_up_loads_no_optional_module_and_a_serial_one_no_pool(setup):
 
 
 def test_every_export_of_every_package_resolves_to_its_object():
-    # ``repro.hashes.md5`` and ``.sha1`` name a submodule and a function:
-    # the function must win whichever import order bound the submodule.
     bad = _run(
         """
 import importlib, json, types
@@ -188,12 +188,26 @@ print(json.dumps(bad))
 
 
 @pytest.mark.parametrize(
-    "package",
-    [name for name in PACKAGES if name not in ("repro", "repro.core")] + ["repro.runner.engine"],
+    "package", [name for name in PACKAGES if name != "repro"] + ["repro.runner.engine"]
 )
 def test_an_unknown_name_is_an_attribute_error_in_every_lazy_module(package):
     with pytest.raises(AttributeError, match="no_such_export"):
         getattr(importlib.import_module(package), "no_such_export")
+
+
+@pytest.mark.parametrize("package", PACKAGES[1:])
+def test_no_lazy_export_shares_its_name_with_a_submodule(package):
+    # Importing such a submodule would bind the module over the export.
+    module = importlib.import_module(package)
+    submodules = {info.name for info in pkgutil.iter_modules(module.__path__)}
+    assert sorted(set(module._EXPORTS) & submodules) == []
+
+
+def test_importing_a_digest_module_leaves_the_digest_export_a_function():
+    assert _run(
+        "import json, repro.hashes.md5_ref, repro.hashes\n"
+        "print(json.dumps(type(repro.hashes.md5).__name__))"
+    ) == "function"
 
 
 def test_a_serial_figure_run_loads_no_crash_serve_check_or_pool_module(tmp_path):
