@@ -103,9 +103,20 @@ from repro.analysis import registry as figures
 from repro.workloads.profiles import ALL_PROFILES, profile_by_name
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of every ``--accesses``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_settings_args(parser: argparse.ArgumentParser, default_accesses: int) -> None:
     parser.add_argument("--apps", default="", help="comma-separated subset (default: all)")
-    parser.add_argument("--accesses", type=int, default=default_accesses)
+    parser.add_argument("--accesses", type=_positive_int, default=default_accesses)
     parser.add_argument("--seed", type=int, default=1)
 
 
@@ -113,7 +124,7 @@ def _add_traffic_args(parser: argparse.ArgumentParser) -> None:
     """The seeded multi-tenant traffic knobs shared by serve and loadgen."""
     parser.add_argument("--tenants", type=int, default=1_000_000,
                         help="addressable tenant population (default 1,000,000)")
-    parser.add_argument("--accesses", type=int, default=250_000,
+    parser.add_argument("--accesses", type=_positive_int, default=250_000,
                         help="global interleaved access budget (default 250,000)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--zipf", type=float, default=1.1, dest="zipf_s",
@@ -260,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "'system'; optional with --from-jsonl)",
     )
     trace.add_argument("--app", default="lbm", help="workload to trace (default lbm)")
-    trace.add_argument("--accesses", type=int, default=2_000)
+    trace.add_argument("--accesses", type=_positive_int, default=2_000)
     trace.add_argument("--seed", type=int, default=1)
     trace.add_argument(
         "--controller", default="dewrite",
@@ -350,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="figure id or paper alias (fig14/fig16/fig17/fig19 resolve to 'system')",
     )
     profile.add_argument("--app", default="lbm", help="workload to profile (default lbm)")
-    profile.add_argument("--accesses", type=int, default=2_000)
+    profile.add_argument("--accesses", type=_positive_int, default=2_000)
     profile.add_argument("--seed", type=int, default=1)
     profile.add_argument(
         "--controller", default="dewrite",
@@ -425,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="figure id or paper alias (labels the run; fig12/fig13 are the wear figures)",
     )
     wear.add_argument("--app", default="lbm", help="workload to run (default lbm)")
-    wear.add_argument("--accesses", type=int, default=20_000)
+    wear.add_argument("--accesses", type=_positive_int, default=20_000)
     wear.add_argument("--seed", type=int, default=1)
     wear.add_argument(
         "--controller", default="dewrite",
@@ -481,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="microbenchmark the hot paths; write/gate BENCH_<gitsha>.json"
     )
-    bench.add_argument("--accesses", type=int, default=1_200,
+    bench.add_argument("--accesses", type=_positive_int, default=1_200,
                        help="trace length per controller case (default 1200)")
     bench.add_argument("--repeats", type=int, default=3,
                        help="interleaved repeats; best is kept (default 3)")
@@ -510,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="baseline vs DeWrite on one application")
     compare.add_argument("--app", default="lbm", help="application name (see `list`)")
-    compare.add_argument("--accesses", type=int, default=20_000)
+    compare.add_argument("--accesses", type=_positive_int, default=20_000)
     compare.add_argument("--seed", type=int, default=1)
     _add_cache_args(compare)
 
@@ -548,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--invariants", action="store_true", help="run only the runtime invariant pass"
     )
     check.add_argument(
-        "--accesses", type=int, default=4_000,
+        "--accesses", type=_positive_int, default=4_000,
         help="trace length for the invariant pass (default 4000)",
     )
     check.add_argument("--seed", type=int, default=1)

@@ -4,13 +4,13 @@ The public entry point is :class:`DeWriteController` — a drop-in secure-NVM
 memory controller that deduplicates line writes in-line (§III-B), overlaps
 deduplication with counter-mode encryption under a history-window predictor
 (§III-A), and colocates the encryption counters inside the dedup metadata
-(§III-C).  The supporting pieces (predictor, tables, caches, engine) are
+(§III-C).  The supporting pieces (predictor, tables, caches, metadata timing) are
 exported for experiments and ablations.
 """
 
 from repro._lazy import lazy_exports
 from repro.core.config import DeWriteConfig, MetadataCacheConfig
-from repro.core.dedup_engine import DedupEngine, MetadataSystem
+from repro.core.dedup_engine import MetadataSystem
 from repro.core.dewrite import DeWriteController, IntegrationMode
 from repro.core.interface import MemoryController, ReadOutcome, WriteOutcome
 from repro.core.metadata_cache import MetadataCache
@@ -44,7 +44,6 @@ __all__ = [
     "HistoryWindowPredictor",
     "MetadataPersistenceConfig",
     "MetadataPersistencePolicy",
-    "DedupEngine",
     "MetadataSystem",
     "MetadataCache",
     "DedupIndex",

@@ -1,21 +1,17 @@
-"""Duplication detection and the metadata timing layer.
+"""The metadata timing layer of the dedup logic.
 
-Two classes:
+:class:`MetadataSystem` glues the four :class:`~repro.core.metadata_cache.
+MetadataCache` instances to the NVM device: a cache miss becomes a timed
+metadata-line read (plus the direct-encryption decrypt latency when it
+blocks the requester), and a dirty eviction becomes a posted metadata-line
+write.  Metadata traffic therefore contends for banks exactly like data
+traffic — which is how the paper's 2.6 % metadata-write overhead and
+>98 % hit rates become measurable.
 
-- :class:`MetadataSystem` glues the four :class:`~repro.core.metadata_cache.
-  MetadataCache` instances to the NVM device: a cache miss becomes a timed
-  metadata-line read (plus the direct-encryption decrypt latency when it
-  blocks the requester), and a dirty eviction becomes a posted metadata-line
-  write.  Metadata traffic therefore contends for banks exactly like data
-  traffic — which is how the paper's 2.6 % metadata-write overhead and
-  >98 % hit rates become measurable.
-
-- :class:`DedupEngine` is the dedup logic of Fig. 5: CRC-32 the incoming
-  line (15 ns), look the fingerprint up in the hash cache, optionally fall
-  through to the in-NVM hash table (gated by the prediction-based NVM
-  access scheme, §III-B2), and confirm each candidate with a timed verify
-  read + byte compare, exploiting the NVM read/write asymmetry (§III-B1,
-  Table Ib: 15+75+1 ns for a duplicate, 15 ns for a fresh non-duplicate).
+Duplication detection itself (Fig. 5: CRC-32, hash-cache probe, the PNA
+skip of §III-B2, verify read + compare of §III-B1) is the write body of
+:meth:`repro.core.dewrite.DeWriteController._request_bodies`; the flags
+below name its three outcomes.
 """
 
 from __future__ import annotations
@@ -24,14 +20,14 @@ import math
 
 from repro.core.config import DeWriteConfig
 from repro.core.metadata_cache import MetadataCache
-from repro.core.tables import INSERT, READ, DedupIndex, MetadataLayout, TableName
-from repro.crypto.counter_mode import CounterModeEngine
+from repro.core.tables import INSERT, READ, MetadataLayout, TableName
 from repro.crypto.otp import SplitmixPadGenerator
 from repro.nvm.memory import NvmMainMemory
 from repro.obs.timeline import NULL_TIMELINE, TimelineLike
 from repro.obs.trace import NULL_TRACER, TracerLike
 
-# Bits of the ``flags`` element of :meth:`DedupEngine.detect`'s result.
+# Detection outcomes of one write, as bits (the ``write.dedup`` span carries
+# ``pna_skipped``; the hash cache's hit and miss counts tell the other two).
 PNA_SKIPPED = 1  # predicted non-duplicate, hash-cache miss: no NVM query
 HASH_CACHE_HIT = 2  # the fingerprint's hash entry was cached on chip
 QUERIED_NVM = 4  # a hash-cache miss paid the blocking in-NVM table query
@@ -247,165 +243,3 @@ class MetadataSystem:
         payload = self._payloads.pad_int(line, self._payload_version, self._line_size)
         self.nvm.write_complete_ns(line, payload, now_ns)
         self.metadata_writebacks += 1
-
-
-class DedupEngine:
-    """The dedup logic block of Fig. 5."""
-
-    def __init__(
-        self,
-        config: DeWriteConfig,
-        index: DedupIndex,
-        metadata: MetadataSystem,
-        nvm: NvmMainMemory,
-        cme: CounterModeEngine,
-    ) -> None:
-        self.config = config
-        self.index = index
-        self.metadata = metadata
-        self.nvm = nvm
-        self.cme = cme
-        self.tracer: TracerLike = NULL_TRACER
-        # Hot-path constants hoisted from the frozen config.
-        self._fp_ns = config.fingerprint_latency_ns
-        self._compare_ns = config.compare_latency_ns
-        self._enable_pna = config.enable_pna
-        self._trust_fingerprint = config.trust_fingerprint
-        self._reference_cap = config.reference_cap
-        self._max_verify_reads = config.max_verify_reads
-        self._hash_cache = metadata.caches["hash_table"]
-        # The hash cache holds individual entries (entries_per_block == 1),
-        # so detect() can probe/refresh it with plain dict operations.
-        self._hash_blocks = self._hash_cache._blocks
-        self._nvm_line_size = nvm.config.organization.line_size_bytes
-
-    def detect(
-        self, plaintext: bytes, crc: int, arrival_ns: float, predicted_duplicate: bool
-    ) -> tuple[int, float, int, int, int, int]:
-        """Run duplication detection for one incoming line write.
-
-        Timeline: CRC latency, then the hash-cache lookup (free), then — on
-        a miss — either the PNA short-circuit (predicted non-duplicate:
-        declare unique immediately) or a blocking in-NVM hash-table query,
-        then one verify read + compare per surviving candidate.
-
-        Returns a plain ``(target, done_ns, verify_reads, collisions,
-        capped_rejects, flags)`` tuple: ``target`` is the confirmed
-        duplicate's physical line, or -1 when there is none; ``flags``
-        ORs :data:`PNA_SKIPPED`, :data:`HASH_CACHE_HIT` and
-        :data:`QUERIED_NVM`.
-        """
-        now = arrival_ns + self._fp_ns
-
-        hash_blocks = self._hash_blocks
-        if crc in hash_blocks:
-            # Refresh LRU/hit bookkeeping; guaranteed hit (the resident arm
-            # of MetadataCache.access for the 1-entry-per-block hash cache).
-            self._hash_cache.hits += 1
-            hash_blocks.move_to_end(crc)
-            flags = HASH_CACHE_HIT
-        else:
-            if self._enable_pna and not predicted_duplicate:
-                # PNA: skip the expensive in-NVM query; declare non-duplicate.
-                return -1, now, 0, 0, 0, PNA_SKIPPED
-            now += self.metadata.access("hash_table", crc, write=False, now_ns=now, blocking=True)
-            flags = QUERIED_NVM
-
-        verify_reads = 0
-        collisions = 0
-        capped = 0
-        target = -1
-        # Newest entries first: when a highly referenced line saturates its
-        # 8-bit reference (§III-B2), the freshest copy of the same content
-        # is the live dedup target, so it must be checked first.  Saturated
-        # entries are skipped without a read — they can never be targets.
-        candidates = []
-        entry = self.index.candidate_entry(crc)
-        if entry:
-            for physical, reference in reversed(entry.items()):
-                if reference >= self._reference_cap:
-                    capped += 1
-                    continue
-                candidates.append((physical, reference))
-                if len(candidates) >= self._max_verify_reads:
-                    break
-
-        if self._trust_fingerprint:
-            # Traditional dedup (Table Ib): the cryptographic fingerprint is
-            # trusted, so no verifying read — match means duplicate.
-            if candidates:
-                target = candidates[0][0]
-            return target, now, 0, 0, capped, flags
-
-        if candidates:
-            n = len(plaintext)
-            full_line = n == self._nvm_line_size
-            if full_line:
-                plaintext_int = int.from_bytes(plaintext, "little")
-            nvm = self.nvm
-            read_done = nvm.read_complete_ns
-            peek_int = nvm.peek_int
-            peek_counter = self.index.peek_counter
-            pad_int_for = self.cme.pad_int_for
-            add_dedup_op = nvm.energy.add_dedup_op
-        for physical, reference in candidates:
-            # Verify read: the asymmetric-latency trade of §III-B1.  The OTP
-            # for the comparison overlaps the array read (Table Ib prices a
-            # confirmed duplicate at hash + read + compare = 91 ns), and its
-            # energy is part of the dedup logic, not the AES write path.
-            # trace=False: the verify read's interval lives inside the
-            # enclosing write.dedup span; a device-level nvm.read span per
-            # candidate would dominate the trace on dedup-heavy workloads.
-            complete = read_done(physical, now, trace=False)
-            verify_reads += 1
-            counter = peek_counter(physical)
-            # Compare in the integer domain: stored ^ pad == plaintext is
-            # decrypt(stored) == plaintext for equal-length lines, minus two
-            # bytes<->int conversions.  Stored lines are always one full
-            # line, so an off-size probe plaintext can never match.
-            matched = (
-                full_line
-                and peek_int(physical) ^ pad_int_for(physical, counter, n) == plaintext_int
-            )
-            add_dedup_op()
-            now = complete + self._compare_ns
-            # Only the anomalous case gets an event: a verify read that
-            # fails to match is a CRC collision worth flagging per-candidate,
-            # while the common confirmed-duplicate case is already fully
-            # described by the enclosing write.dedup span's verify_reads /
-            # duplicate attrs (and a per-candidate event there costs ~17 %
-            # of all trace records on dedup-heavy workloads).
-            if not matched and self.tracer.enabled:
-                self.tracer.event(
-                    "dedup.verify_read", sim_ns=now, candidate=physical, matched=False
-                )
-            if matched:
-                target = physical
-                break
-            collisions += 1
-
-        return target, now, verify_reads, collisions, capped, flags
-
-    def truth_has_duplicate(self, plaintext: bytes, crc: int) -> bool:
-        """Ground-truth duplicate check (statistics only, no timing).
-
-        Used to count duplicates the PNA short-circuit missed (§IV-B's
-        1.5 %).  Bypasses caches and reads the device functionally,
-        comparing in the integer domain as :meth:`detect`'s verify read
-        does.  The kernel calls it only when ``crc`` is indexed.
-        """
-        entry = self.index.candidate_entry(crc)
-        n = len(plaintext)
-        if not entry or n != self._nvm_line_size:
-            return False
-        plaintext_int = int.from_bytes(plaintext, "little")
-        peek_int = self.nvm.peek_int
-        peek_counter = self.index.peek_counter
-        pad_int_for = self.cme.pad_int_for
-        for physical, reference in entry.items():
-            if reference >= self._reference_cap:
-                continue
-            pad = pad_int_for(physical, peek_counter(physical), n)
-            if peek_int(physical) ^ pad == plaintext_int:
-                return True
-        return False

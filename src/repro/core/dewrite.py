@@ -26,12 +26,13 @@ from __future__ import annotations
 import hashlib
 from typing import Literal
 
+from repro.containers import PAGE_MASK, PAGE_SHIFT
 from repro.core.config import DeWriteConfig
-from repro.core.dedup_engine import PNA_SKIPPED, DedupEngine, MetadataSystem
+from repro.core.dedup_engine import MetadataSystem
 from repro.core.interface import MemoryController
 from repro.core.predictor import HistoryWindowPredictor
 from repro.core.stats import DeWriteStats
-from repro.core.tables import DedupIndex, MetadataLayout
+from repro.core.tables import WRITE, DedupIndex, DedupIndexError, MetadataLayout
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.hashes.crc32 import line_fingerprint
 from repro.nvm.memory import NvmMainMemory
@@ -76,7 +77,6 @@ class DeWriteController(MemoryController):
         )
         self.metadata = MetadataSystem(self.config, self.layout, nvm)
         self.cme = cme if cme is not None else CounterModeEngine()
-        self.engine = DedupEngine(self.config, self.index, self.metadata, nvm, self.cme)
         self.predictor = HistoryWindowPredictor(window=self.config.history_window)
         self.stats = DeWriteStats()
         # Hot-path constants: pure functions of the frozen config/layout,
@@ -108,7 +108,12 @@ class DeWriteController(MemoryController):
         Write (Fig. 10): predict the duplication state, fingerprint, run
         detection; a confirmed duplicate cancels the array write and only
         records the address mapping, a unique line is encrypted under its
-        destination's bumped counter and written.  Encryption runs
+        destination's bumped counter and written.  Detection (§III-B) is
+        the body itself: CRC latency, the hash-cache probe, on a miss
+        either the PNA skip (predicted non-duplicate: declare unique at
+        once) or the blocking in-NVM hash-table query, then one verify
+        read + compare per candidate, newest first (Table Ib: 15 + 75 + 1
+        ns for a duplicate, 15 ns for a skipped non-duplicate).  Encryption runs
         concurrently with detection (speculatively) unless the mode is the
         direct way or DeWrite predicted a duplicate: then AES starts when
         detection ends, and a predicted duplicate that was not one counts
@@ -126,28 +131,46 @@ class DeWriteController(MemoryController):
         line_size = batch.line_size
 
         stats = self.stats
-        engine = self.engine
-        detect = engine.detect
-        truth_has_duplicate = engine.truth_has_duplicate
+        truth_has_duplicate = self.truth_has_duplicate
         # Energy adds are inlined: the same float operation on the account,
-        # in the same order (detect's verify reads add dedup-logic energy
-        # too, so that bucket stays on the account, not in a local).
+        # in the same order.
         energy = self.nvm.energy
         dedup_op_nj = energy.dedup_op_nj
         aes_line_nj = energy.aes_line_nj
+        config = self.config
+        compare_ns = config.compare_latency_ns
+        enable_pna = config.enable_pna
+        trust_fingerprint = config.trust_fingerprint
+        reference_cap = config.reference_cap
+        max_verify_reads = config.max_verify_reads
         index = self.index
         hash_table = index.hash_table
+        hash_get = hash_table.get
         apply_duplicate = index.apply_duplicate
         physical_of = index.physical_of
-        mapping_get = index._mapping.get
+        mapping = index._mapping
+        mapping_get = mapping.get
+        counter_pages_get = index._counter_pages.get
         metadata = self.metadata
         replay = metadata.replay
         metadata_access = metadata.access
-        # A read's two blocking address-map lookups take access()'s
-        # resident-block hit arm inline; a miss, or an attached timeline,
-        # calls access().
+        enforce_persistence = metadata._enforce_persistence
+        persistence = metadata._persistence_active
+        # Resident metadata blocks take access()'s hit arm inline: the
+        # hash-cache probe always (detection has no timeline hook), a
+        # read's two blocking address-map lookups and a first mapping's
+        # two touches unless a timeline is attached; a miss calls access()
+        # or replay().
         meta_hits_inline = not metadata.timeline.enabled
         am_cache, am_blocks, am_per_block = metadata._replay_tables["address_map"]
+        # The hash cache holds single entries (one per block), keyed by CRC.
+        hash_cache = metadata.caches["hash_table"]
+        hash_blocks = hash_cache._blocks
+        # Verify reads go through the device (a wear-levelling facade
+        # translates them); their pads come from the CME pad cache.
+        nvm_peek_int = self.nvm.peek_int
+        pad_cache_get = self.cme._pad_cache.get
+        pad_int_for = self.cme.pad_int_for
         apply_unique = index.apply_unique
         bump_counter = index.bump_counter
         seal = self.cme.seal
@@ -224,7 +247,66 @@ class DeWriteController(MemoryController):
             else:
                 predicted = False
             crc = line_fingerprint(line) if use_crc32 else slow_fingerprint(line)
-            target, done, v, collisions, capped, flags = detect(line, crc, arrival, predicted)
+            done = arrival + fp_ns
+            target = -1
+            v = collisions = capped = 0
+            pna_skipped = False
+            if crc in hash_blocks:
+                # Hash-cache hit: LRU refresh and hit count, nothing more.
+                hash_cache.hits += 1
+                hash_blocks.move_to_end(crc)
+            elif enable_pna and not predicted:
+                # PNA: skip the expensive in-NVM query; declare non-duplicate.
+                pna_skipped = True
+            else:
+                done += metadata_access("hash_table", crc, False, done, True)
+            if not pna_skipped:
+                entry = hash_get(crc)
+                if entry:
+                    # Newest entries first: once a line's reference
+                    # saturates (§III-B2) the freshest copy of the content
+                    # is the live target.  Saturated entries are skipped
+                    # without a read and counted up to the
+                    # max_verify_reads-th candidate, even past a match.
+                    candidates = 0
+                    for physical, reference in reversed(entry.items()):
+                        if reference >= reference_cap:
+                            capped += 1
+                            continue
+                        candidates += 1
+                        if target < 0:
+                            if trust_fingerprint:
+                                # Traditional dedup (Table Ib): a fingerprint
+                                # match is trusted with no verify read.
+                                target = physical
+                            else:
+                                # Verify read, the asymmetric trade of
+                                # §III-B1: the pad overlaps the array read.
+                                # trace=False: its interval lives inside the
+                                # write.dedup span.  stored ^ pad ==
+                                # plaintext is decrypt(stored) == plaintext.
+                                complete = nvm_read_done(physical, done, trace=False)
+                                v += 1
+                                page = counter_pages_get(physical >> PAGE_SHIFT)
+                                counter = page[physical & PAGE_MASK] if page is not None else 0
+                                pad = pad_cache_get((physical, counter, line_size))
+                                if pad is None:
+                                    pad = pad_int_for(physical, counter, line_size)
+                                energy.dedup_logic_nj += dedup_op_nj
+                                done = complete + compare_ns
+                                if nvm_peek_int(physical) ^ pad == int.from_bytes(line, "little"):
+                                    target = physical
+                                else:
+                                    # Only a CRC collision gets an event; a
+                                    # match is described by the span attrs.
+                                    collisions += 1
+                                    if trace_on:
+                                        tracer.event(
+                                            "dedup.verify_read", sim_ns=done,
+                                            candidate=physical, matched=False,
+                                        )
+                        if candidates >= max_verify_reads:
+                            break
             energy.dedup_logic_nj += dedup_op_nj
             if trace_on:
                 hash_done = arrival + fp_ns
@@ -237,14 +319,14 @@ class DeWriteController(MemoryController):
                     done,
                     duplicate=target >= 0,
                     verify_reads=v,
-                    pna_skipped=bool(flags & PNA_SKIPPED),
+                    pna_skipped=pna_skipped,
                 )
             if v:
                 verify_reads_total += v
                 hash_matches += 1
                 crc_collisions += collisions
             capped_rejects += capped
-            if flags & PNA_SKIPPED and crc in hash_table and truth_has_duplicate(line, crc):
+            if pna_skipped and crc in hash_table and truth_has_duplicate(line, crc):
                 missed_pna += 1
             if stage_on:
                 hash_done = arrival + fp_ns
@@ -253,13 +335,44 @@ class DeWriteController(MemoryController):
             if record is not None:
                 old = physical_of(address)
             speculated = not is_direct and (is_parallel or (par_enc and not predicted))
-            touches = []
             if target >= 0:
                 # Cancel the write; record the address mapping (§III-B2).
                 writes_deduplicated += 1
-                apply_duplicate(address, target, touches)
                 complete = done
-                replay(touches, complete)
+                if address in mapping:
+                    # A remap releases the old content; a rewrite of the
+                    # same target touches nothing.
+                    touches = []
+                    apply_duplicate(address, target, touches)
+                    replay(touches, complete)
+                else:
+                    # First mapping of the line: apply_duplicate with
+                    # nothing to release, its address-map and hash-table
+                    # writes charged through the resident-block hit arm.
+                    refs = hash_table[crc]
+                    ref = refs[target] + 1
+                    if ref > reference_cap:
+                        raise DedupIndexError(
+                            f"target {target} reference saturated; caller must reject"
+                        )
+                    mapping[address] = target
+                    refs[target] = ref
+                    if ref == reference_cap:
+                        index.pinned_lines += 1
+                    block = address // am_per_block
+                    if meta_hits_inline and block in am_blocks and crc in hash_blocks:
+                        am_cache.hits += 1
+                        am_blocks.move_to_end(block)
+                        am_blocks[block] = True
+                        if persistence:
+                            enforce_persistence("address_map", address, complete)
+                        hash_cache.hits += 1
+                        hash_blocks.move_to_end(crc)
+                        hash_blocks[crc] = True
+                        if persistence:
+                            enforce_persistence("hash_table", crc, complete)
+                    else:
+                        replay(["address_map", address, WRITE, "hash_table", crc, WRITE], complete)
                 if speculated:
                     # The speculative encryption was wasted: energy only.
                     energy.aes_nj += aes_line_nj
@@ -272,6 +385,7 @@ class DeWriteController(MemoryController):
             else:
                 # Seal under the destination's bumped counter, write.
                 writes_stored += 1
+                touches = []
                 dest = apply_unique(address, crc, touches)
                 sealed = seal(line, dest, bump_counter(dest, touches))
                 energy.aes_nj += aes_line_nj
@@ -421,9 +535,33 @@ class DeWriteController(MemoryController):
 
     # -- internals -----------------------------------------------------------
 
+    def truth_has_duplicate(self, plaintext: bytes, crc: int) -> bool:
+        """Ground-truth duplicate check (statistics only, no timing).
+
+        Counts the duplicates the PNA skip missed (§IV-B's 1.5 %): reads
+        the device functionally, bypassing the caches, and compares in the
+        integer domain as a verify read does.  The write body calls it
+        only when ``crc`` is indexed.
+        """
+        entry = self.index.candidate_entry(crc)
+        n = len(plaintext)
+        if not entry or n != self.line_size:
+            return False
+        plaintext_int = int.from_bytes(plaintext, "little")
+        peek_int = self.nvm.peek_int
+        peek_counter = self.index.peek_counter
+        pad_int_for = self.cme.pad_int_for
+        reference_cap = self.config.reference_cap
+        for physical, reference in entry.items():
+            if reference >= reference_cap:
+                continue
+            pad = pad_int_for(physical, peek_counter(physical), n)
+            if peek_int(physical) ^ pad == plaintext_int:
+                return True
+        return False
+
     def _propagate_observers(self, tracer: TracerLike, timeline: TimelineLike) -> None:
         self.metadata.tracer = tracer
-        self.engine.tracer = tracer
         self.metadata.timeline = timeline
 
     def _fingerprint(self, data: bytes) -> int:

@@ -182,7 +182,7 @@ class DedupIndex:
     def apply_duplicate(self, logical: int, target: int, touches: list) -> None:
         """Record that ``logical``'s new content duplicates line ``target``.
 
-        The caller (dedup engine) has already verified byte equality and
+        The caller (the DeWrite write body) has already verified byte equality and
         that ``target``'s reference is below the cap.
         """
         crc = self._stored.get(target)

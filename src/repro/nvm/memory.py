@@ -99,7 +99,7 @@ class NvmMainMemory:
         row hit: it skips the array access (``row_hit_ns``, ~10 % energy).
 
         ``trace=False`` suppresses the device-level span only (scheduling,
-        energy and stats are unaffected) — the dedup engine uses it for
+        energy and stats are unaffected) — DeWrite's detection uses it for
         verify reads, whose interval the enclosing ``write.dedup`` span
         already records and which would otherwise dominate the trace on
         dedup-heavy workloads.

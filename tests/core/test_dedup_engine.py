@@ -1,6 +1,8 @@
-"""Dedup engine and metadata timing layer: detection paths and accounting."""
+"""DeWrite's detection (the write body) and the metadata timing layer."""
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core.tables import INSERT, READ, WRITE
 from repro.hashes.crc32 import line_fingerprint
 from repro.nvm.config import NvmConfig, NvmOrganization
 from repro.nvm.memory import NvmMainMemory
+from repro.obs.trace import NULL_TRACER, Tracer
 
 LINE = 256
 
@@ -27,25 +30,82 @@ def line(fill: int) -> bytes:
     return bytes([fill]) * LINE
 
 
+class Detection(NamedTuple):
+    """What the write body's detection did for one write."""
+
+    target: int  # physical line the write deduplicated to, or -1
+    done_ns: float  # end of detection (the write.dedup span's end)
+    verify_reads: int
+    collisions: int
+    capped_rejects: int
+    flags: int  # PNA_SKIPPED | HASH_CACHE_HIT | QUERIED_NVM
+
+
+def force_prediction(controller: DeWriteController, duplicate: bool) -> None:
+    """Fill the history window so the next write is predicted ``duplicate``."""
+    predictor = controller.predictor
+    window = len(predictor.history)
+    predictor.history.extend([duplicate] * window)
+    predictor.votes = window if duplicate else 0
+
+
+def detect(
+    controller: DeWriteController,
+    address: int,
+    data: bytes,
+    arrival_ns: float,
+    predicted_duplicate: bool,
+) -> Detection:
+    """Write ``data`` to the unwritten line ``address`` under a forced
+    prediction, and read detection's outcome off the ``write.dedup`` span,
+    the stats and the hash cache's counters."""
+    assert controller.index.physical_of(address) is None
+    force_prediction(controller, predicted_duplicate)
+    stats = controller.stats
+    hash_cache = controller.metadata.caches["hash_table"]
+    cached = hash_cache.probe(line_fingerprint(data))
+    misses = hash_cache.misses
+    deduplicated = stats.writes_deduplicated
+    verify_reads = stats.verify_reads
+    collisions = stats.crc_collisions
+    capped = stats.capped_reference_rejects
+    tracer = Tracer()
+    controller.attach_observers(tracer=tracer)
+    controller.write(address, data, arrival_ns)
+    controller.attach_observers(tracer=NULL_TRACER)
+    (span,) = tracer.spans("write.dedup")
+    attrs = span["attrs"]
+    assert attrs["duplicate"] == (stats.writes_deduplicated > deduplicated)
+    assert attrs["verify_reads"] == stats.verify_reads - verify_reads
+    flags = (
+        (PNA_SKIPPED if attrs["pna_skipped"] else 0)
+        | (HASH_CACHE_HIT if cached else 0)
+        | (QUERIED_NVM if hash_cache.misses > misses else 0)
+    )
+    return Detection(
+        controller.index.physical_of(address) if attrs["duplicate"] else -1,
+        span["end_ns"],
+        attrs["verify_reads"],
+        stats.crc_collisions - collisions,
+        stats.capped_reference_rejects - capped,
+        flags,
+    )
+
+
 class TestDetectionPaths:
     def test_fresh_line_is_non_duplicate(self):
         controller = make_controller()
-        data = line(1)
-        target, _, verify_reads, _, _, _ = controller.engine.detect(
-            data, line_fingerprint(data), 0.0, predicted_duplicate=True
-        )
-        assert target == -1
-        assert verify_reads == 0
+        outcome = detect(controller, 0, line(1), 0.0, predicted_duplicate=True)
+        assert outcome.target == -1
+        assert outcome.verify_reads == 0
 
     def test_duplicate_detected_after_store(self):
         controller = make_controller()
         data = line(1)
         controller.write(0, data, 0.0)
-        target, _, verify_reads, _, _, _ = controller.engine.detect(
-            data, line_fingerprint(data), 10_000.0, predicted_duplicate=True
-        )
-        assert target == 0
-        assert verify_reads == 1
+        outcome = detect(controller, 1, data, 10_000.0, predicted_duplicate=True)
+        assert outcome.target == 0
+        assert outcome.verify_reads == 1
 
     def test_detection_latency_duplicate_matches_table1(self):
         # 15 ns CRC + 75 ns read + compare (hash entry cached, idle banks).
@@ -53,61 +113,44 @@ class TestDetectionPaths:
         data = line(1)
         controller.write(0, data, 0.0)
         arrival = 100_000.0
-        _, done_ns, _, _, _, _ = controller.engine.detect(
-            data, line_fingerprint(data), arrival, predicted_duplicate=True
-        )
-        latency = done_ns - arrival
+        outcome = detect(controller, 1, data, arrival, predicted_duplicate=True)
+        latency = outcome.done_ns - arrival
         assert latency == pytest.approx(15 + 75 + 0.5)
 
     def test_detection_latency_nonduplicate_is_crc_only(self):
         controller = make_controller()
-        data = line(2)
-        _, done_ns, _, _, _, flags = controller.engine.detect(
-            data, line_fingerprint(data), 0.0, predicted_duplicate=False
-        )
-        assert done_ns == pytest.approx(15.0)
-        assert flags & PNA_SKIPPED
+        outcome = detect(controller, 0, line(2), 0.0, predicted_duplicate=False)
+        assert outcome.done_ns == pytest.approx(15.0)
+        assert outcome.flags & PNA_SKIPPED
 
     def test_pna_skips_nvm_query_for_predicted_nondup(self):
         controller = make_controller()
         controller.write(0, line(1), 0.0)
-        # Evict hash cache by making a fresh controller state: simulate a
-        # miss by probing an uncached fingerprint.
-        data = line(9)
-        target, _, _, _, _, flags = controller.engine.detect(
-            data, line_fingerprint(data), 10_000.0, predicted_duplicate=False
-        )
-        assert flags & PNA_SKIPPED
-        assert not flags & QUERIED_NVM
-        assert target == -1
+        # A hash-cache miss: the probed fingerprint was never cached.
+        outcome = detect(controller, 1, line(9), 10_000.0, predicted_duplicate=False)
+        assert outcome.flags & PNA_SKIPPED
+        assert not outcome.flags & QUERIED_NVM
+        assert outcome.target == -1
 
     def test_predicted_duplicate_pays_nvm_query_on_miss(self):
         controller = make_controller()
-        data = line(9)
-        _, done_ns, _, _, _, flags = controller.engine.detect(
-            data, line_fingerprint(data), 0.0, predicted_duplicate=True
-        )
-        assert flags & QUERIED_NVM
-        assert not flags & PNA_SKIPPED
+        outcome = detect(controller, 0, line(9), 0.0, predicted_duplicate=True)
+        assert outcome.flags & QUERIED_NVM
+        assert not outcome.flags & PNA_SKIPPED
         # NVM metadata read + direct decrypt on the critical path.
-        assert done_ns >= 15 + 75 + 96
+        assert outcome.done_ns >= 15 + 75 + 96
 
     def test_pna_disabled_always_queries(self):
         controller = make_controller(enable_pna=False)
-        data = line(9)
-        _, _, _, _, _, flags = controller.engine.detect(
-            data, line_fingerprint(data), 0.0, predicted_duplicate=False
-        )
-        assert flags & QUERIED_NVM
+        outcome = detect(controller, 0, line(9), 0.0, predicted_duplicate=False)
+        assert outcome.flags & QUERIED_NVM
 
     def test_cached_fingerprint_flags_a_cache_hit(self):
         controller = make_controller()
         data = line(1)
         controller.write(0, data, 0.0)  # inserts the hash entry on chip
-        _, _, _, _, _, flags = controller.engine.detect(
-            data, line_fingerprint(data), 10_000.0, predicted_duplicate=False
-        )
-        assert flags == HASH_CACHE_HIT
+        outcome = detect(controller, 1, data, 10_000.0, predicted_duplicate=False)
+        assert outcome.flags == HASH_CACHE_HIT
 
 
 class TestReferenceCapInDetection:
@@ -116,11 +159,9 @@ class TestReferenceCapInDetection:
         data = line(3)
         controller.write(0, data, 0.0)
         controller.write(1, data, 1_000.0)  # ref -> 2 (cap)
-        target, _, _, _, capped_rejects, _ = controller.engine.detect(
-            data, line_fingerprint(data), 100_000.0, predicted_duplicate=True
-        )
-        assert target == -1
-        assert capped_rejects == 1
+        outcome = detect(controller, 2, data, 100_000.0, predicted_duplicate=True)
+        assert outcome.target == -1
+        assert outcome.capped_rejects == 1
 
     def test_fresh_copy_becomes_new_target(self):
         controller = make_controller(reference_cap=2)
@@ -128,18 +169,30 @@ class TestReferenceCapInDetection:
         controller.write(0, data, 0.0)
         controller.write(1, data, 1_000.0)  # saturates line 0
         controller.write(2, data, 2_000.0)  # stored as a fresh copy
-        target, _, _, _, _, _ = controller.engine.detect(
-            data, line_fingerprint(data), 100_000.0, predicted_duplicate=True
-        )
-        assert target != -1
-        assert target != 0
+        outcome = detect(controller, 3, data, 100_000.0, predicted_duplicate=True)
+        assert outcome.target != -1
+        assert outcome.target != 0
+
+    def test_saturated_entries_behind_the_match_still_count(self):
+        # Candidates are gathered newest first up to max_verify_reads (2)
+        # before any is verified, so the saturated line 0 behind the
+        # matching fresh copy is a capped reject too.
+        controller = make_controller(reference_cap=2)
+        data = line(3)
+        controller.write(0, data, 0.0)
+        controller.write(1, data, 1_000.0)  # saturates line 0
+        controller.write(2, data, 2_000.0)  # stored as a fresh copy
+        outcome = detect(controller, 3, data, 100_000.0, predicted_duplicate=True)
+        assert outcome.target == 2
+        assert outcome.verify_reads == 1
+        assert outcome.capped_rejects == 1
 
 
 class TestCrcCollisions:
     def test_fingerprint_collision_rejected_by_verify_read(self):
         # Force a collision deterministically: register content A in the
         # index *under B's fingerprint* (as a hardware bit-flip in the hash
-        # table would), then detect B.  The verify read must expose the
+        # table would), then write B.  The verify read must expose the
         # mismatch: collision counted, no false deduplication.
         controller = make_controller()
         data_a = line(1)
@@ -152,12 +205,10 @@ class TestCrcCollisions:
         ciphertext = controller.cme.encrypt(data_a, dest, counter)
         controller.nvm.write(dest, ciphertext, 0.0)
 
-        target, _, verify_reads, collisions, _, _ = controller.engine.detect(
-            data_b, crc_b, 10_000.0, predicted_duplicate=True
-        )
-        assert target == -1
-        assert collisions == 1
-        assert verify_reads == 1
+        outcome = detect(controller, 1, data_b, 10_000.0, predicted_duplicate=True)
+        assert outcome.target == -1
+        assert outcome.collisions == 1
+        assert outcome.verify_reads == 1
 
     def test_collision_then_true_duplicate_in_same_chain(self):
         # Chain holds [collision, true duplicate]: detection must keep
@@ -168,7 +219,7 @@ class TestCrcCollisions:
 
         touches: list = []
         # Entry inserted first: the genuine content (checked last — the
-        # engine scans newest-first).
+        # detection scans newest-first).
         real_dest = controller.index.apply_unique(0, crc=crc_real, touches=touches)
         real_counter = controller.index.bump_counter(real_dest, touches)
         controller.nvm.write(
@@ -182,12 +233,10 @@ class TestCrcCollisions:
             fake_dest, controller.cme.encrypt(line(6), fake_dest, fake_counter), 1_000.0
         )
 
-        target, _, verify_reads, collisions, _, _ = controller.engine.detect(
-            data_real, crc_real, 100_000.0, predicted_duplicate=True
-        )
-        assert target == real_dest
-        assert collisions == 1
-        assert verify_reads == 2
+        outcome = detect(controller, 2, data_real, 100_000.0, predicted_duplicate=True)
+        assert outcome.target == real_dest
+        assert outcome.collisions == 1
+        assert outcome.verify_reads == 2
 
 
 class TestTruthOracle:
@@ -195,9 +244,9 @@ class TestTruthOracle:
         controller = make_controller()
         data = line(5)
         controller.write(0, data, 0.0)
-        assert controller.engine.truth_has_duplicate(data, line_fingerprint(data))
+        assert controller.truth_has_duplicate(data, line_fingerprint(data))
         other = line(6)
-        assert not controller.engine.truth_has_duplicate(other, line_fingerprint(other))
+        assert not controller.truth_has_duplicate(other, line_fingerprint(other))
 
 
 class TestMetadataSystem:

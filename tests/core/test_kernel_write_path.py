@@ -24,6 +24,7 @@ from repro.core.tables import WRITE, DedupIndex
 from repro.crypto.counter_mode import CounterModeEngine, OtpReuseError
 from repro.nvm.config import NvmConfig, NvmOrganization
 from repro.nvm.memory import NvmMainMemory
+from repro.obs.trace import Tracer
 from repro.system.simulator import simulate
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import profile_by_name
@@ -99,23 +100,15 @@ class TestPredictorInKernel:
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
     def test_kernel_scores_match_observe_replay(self, window):
         controller = DeWriteController(make_nvm(), config=DeWriteConfig(history_window=window))
-        outcomes: list[bool] = []
-        index = controller.index
-        apply_duplicate, apply_unique = index.apply_duplicate, index.apply_unique
-
-        def duplicate(*args):
-            outcomes.append(True)
-            return apply_duplicate(*args)
-
-        def unique(*args):
-            outcomes.append(False)
-            return apply_unique(*args)
-
-        index.apply_duplicate = duplicate
-        index.apply_unique = unique
+        # Each write's outcome, from its span: a first-mapping duplicate
+        # never calls the index's apply_duplicate.
+        tracer = Tracer()
+        controller.attach_observers(tracer=tracer)
         # Small batches: the hoisted vote count is written back and
         # re-read on every kernel call.
         simulate(controller, bursty_trace(window), batch_size=7)
+        outcomes = [span["attrs"]["deduplicated"] for span in tracer.spans("write")]
+        assert len(outcomes) == controller.stats.writes_requested
 
         replay = HistoryWindowPredictor(window=window)
         for outcome in outcomes:

@@ -129,6 +129,44 @@ class TestRegress:
         assert "lbm/v" in capsys.readouterr().out
 
 
+class TestAccessesOption:
+    """Every verb's ``--accesses`` takes a positive integer or is a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "fig2"],
+            ["run", "fig2"],
+            ["timeline", "fig12"],
+            ["faults", "system"],
+            ["trace", "fig14"],
+            ["profile", "fig12"],
+            ["wear", "fig12"],
+            ["bench"],
+            ["compare", "--app", "lbm"],
+            ["check", "--invariants"],
+            ["serve"],
+            ["loadgen"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("value", ["0", "-3", "many"])
+    def test_bad_value_is_a_one_line_usage_error(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--accesses", value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        error = captured.err.strip().splitlines()[-1]
+        assert error.startswith(f"repro {argv[0]}: error: argument --accesses: ")
+
+    def test_positive_value_parses(self):
+        from repro.__main__ import _build_parser
+
+        assert _build_parser().parse_args(["figure", "fig2", "--accesses", "7"]).accesses == 7
+
+
 class TestTopLevelPackage:
     def test_version(self):
         import repro
