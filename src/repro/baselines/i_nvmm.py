@@ -150,11 +150,7 @@ class INvmmController(TraditionalSecureNvmController):
                 decrypted = address in counters
                 if decrypted:
                     add_aes_line()
-                if trace_on:
-                    fetched = nvm.read(address, issue)
-                    rc = fetched.complete_ns
-                else:
-                    rc = nvm_read_done(address, issue)
+                rc = nvm_read_done(address, issue)
                 rnow = rc + xor_ns
                 if stage_on:
                     st_rnvm.append(rc - issue)
@@ -165,7 +161,7 @@ class INvmmController(TraditionalSecureNvmController):
                     tracer.span("read.nvm", issue, rnow)
                     tracer.span("read", arrival, rnow, hot=True)
                 else:
-                    tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
+                    tracer.span("read.nvm", issue, rc, wait_ns=nvm.last_start_ns - issue)
                     tracer.span("read.crypto", rc, rnow, decrypted=decrypted)
                     tracer.span("read", arrival, rnow, redirected=False)
             return rnow

@@ -143,6 +143,7 @@ class OutOfLinePageDedupController(TraditionalSecureNvmController):
         cached_fp = self._page_fp
         lines_per_page = self.lines_per_page
         merged = self._merged
+        read_done = self.nvm.read_complete_ns
         for page in sorted(self._pages):
             if page in merged:
                 continue
@@ -161,7 +162,8 @@ class OutOfLinePageDedupController(TraditionalSecureNvmController):
             for candidate in group[1:]:
                 # The scanner's verification reads occupy banks.
                 base = candidate * self.lines_per_page
-                self.nvm.read_burst(range(base, base + self.lines_per_page), now_ns)
+                for line in range(base, base + self.lines_per_page):
+                    read_done(line, now_ns, trace=False)
                 self._merged.add(candidate)
                 self.merged_pages += 1
                 self.capacity_saved_lines += self.lines_per_page

@@ -123,9 +123,9 @@ class TraditionalSecureNvmController(MemoryController):
         A write seals its line in the integer domain and programs it
         through the device's integer write; split counters bump and
         re-encrypt pages in line.  Counter-cache touches take the resident
-        block's hit arm inline.  Traced, the device entry points that
-        return ``wait_ns`` replace the completion-only shortcuts.  A
-        write's :attr:`request_record` fact is the line's counter after it.
+        block's hit arm inline.  A traced ``*.nvm`` span reads its bank
+        wait off the device's ``last_start_ns``.  A write's
+        :attr:`request_record` fact is the line's counter after it.
         """
         slots = batch.slots
         payload = batch.payload
@@ -149,9 +149,7 @@ class TraditionalSecureNvmController(MemoryController):
         timeline_on = timeline.enabled
         record = self.request_record
         cache = self.counter_cache
-        # A timeline counts every counter-cache touch, hits included, so
-        # with one attached every touch goes through the helper.
-        cache_blocks = {} if timeline_on else cache._blocks
+        cache_blocks = cache._blocks
         per_block = cache.entries_per_block
         aes_ns = self.config.aes_latency_ns
         xor_ns = self.config.xor_latency_ns
@@ -181,6 +179,8 @@ class TraditionalSecureNvmController(MemoryController):
                 cache.hits += 1
                 cache_blocks.move_to_end(block)
                 cache_blocks[block] = True
+                if timeline_on:
+                    timeline.record_metadata(arrival, hit=True)
                 cnow = arrival
             else:
                 cnow = arrival + self._access_counter(address, True, arrival)
@@ -193,11 +193,10 @@ class TraditionalSecureNvmController(MemoryController):
             sealed = seal(line, address, counter)
             energy.aes_nj += aes_line_nj
             issue = cnow + aes_ns
+            complete = nvm_write_done(address, sealed, issue)
             if trace_on:
-                written = nvm.write(address, sealed.to_bytes(line_size, "little"), issue)
-                complete = written.complete_ns
-            else:
-                complete = nvm_write_done(address, sealed, issue)
+                # A page re-encryption moves the device's last start.
+                wait_ns = nvm.last_start_ns - issue
             written_set.add(address)
             if overflow is not None:
                 self._reencrypt_page(overflow, address, complete)
@@ -208,7 +207,7 @@ class TraditionalSecureNvmController(MemoryController):
                 timeline.record_write(arrival, deduplicated=False, latency_ns=complete - arrival)
             if trace_on:
                 tracer.span("write.crypto", cnow, issue)
-                tracer.span("write.nvm", issue, complete, wait_ns=written.wait_ns)
+                tracer.span("write.nvm", issue, complete, wait_ns=wait_ns)
                 tracer.span("write", arrival, complete, deduplicated=False)
             if record is not None:
                 record.append((req, complete, counter))
@@ -221,6 +220,8 @@ class TraditionalSecureNvmController(MemoryController):
             if block in cache_blocks:
                 cache.hits += 1
                 cache_blocks.move_to_end(block)
+                if timeline_on:
+                    timeline.record_metadata(arrival, hit=True)
                 issue = arrival
             else:
                 issue = arrival + self._access_counter(address, False, arrival)
@@ -229,11 +230,7 @@ class TraditionalSecureNvmController(MemoryController):
             decrypted = address in has_counter
             if decrypted:
                 energy.aes_nj += aes_line_nj
-            if trace_on:
-                fetched = nvm.read(address, issue)
-                rc = fetched.complete_ns
-            else:
-                rc = nvm_read_done(address, issue)
+            rc = nvm_read_done(address, issue)
             rnow = rc + xor_ns
             if stage_on:
                 st_rmeta.append(issue - arrival)
@@ -241,7 +238,7 @@ class TraditionalSecureNvmController(MemoryController):
                 st_rcrypto.append(rnow - rc)
             if trace_on:
                 tracer.span("read.metadata", arrival, issue, redirected=False)
-                tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
+                tracer.span("read.nvm", issue, rc, wait_ns=nvm.last_start_ns - issue)
                 tracer.span("read.crypto", rc, rnow, decrypted=decrypted)
                 tracer.span("read", arrival, rnow, redirected=False)
             return rnow

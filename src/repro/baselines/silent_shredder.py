@@ -99,11 +99,7 @@ class SilentShredderController(TraditionalSecureNvmController):
                 sealed = seal(line, address, counter)
                 add_aes_line()
                 issue = cnow + aes_ns
-                if trace_on:
-                    written = nvm.write(address, sealed.to_bytes(line_size, "little"), issue)
-                    complete = written.complete_ns
-                else:
-                    complete = nvm_write_done(address, sealed, issue)
+                complete = nvm_write_done(address, sealed, issue)
                 written_set.add(address)
                 if stage_on:
                     st_wcrypto.append(issue - cnow)
@@ -124,7 +120,7 @@ class SilentShredderController(TraditionalSecureNvmController):
                     tracer.span("write.meta", arrival, complete, shredded=True)
                 else:
                     tracer.span("write.crypto", cnow, issue)
-                    tracer.span("write.nvm", issue, complete, wait_ns=written.wait_ns)
+                    tracer.span("write.nvm", issue, complete, wait_ns=nvm.last_start_ns - issue)
                 tracer.span("write", arrival, complete, deduplicated=eliminated)
             if record is not None:
                 record.append((req, complete, None if eliminated else counter, eliminated))
@@ -145,11 +141,7 @@ class SilentShredderController(TraditionalSecureNvmController):
                 decrypted = address in counters
                 if decrypted:
                     add_aes_line()
-                if trace_on:
-                    fetched = nvm.read(address, issue)
-                    rc = fetched.complete_ns
-                else:
-                    rc = nvm_read_done(address, issue)
+                rc = nvm_read_done(address, issue)
                 rnow = rc + xor_ns
                 if stage_on:
                     st_rnvm.append(rc - issue)
@@ -160,7 +152,7 @@ class SilentShredderController(TraditionalSecureNvmController):
                     tracer.span("read.crypto", issue, rnow, decrypted=False)
                     tracer.span("read", arrival, rnow, shredded=True)
                 else:
-                    tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
+                    tracer.span("read.nvm", issue, rc, wait_ns=nvm.last_start_ns - issue)
                     tracer.span("read.crypto", rc, rnow, decrypted=decrypted)
                     tracer.span("read", arrival, rnow, redirected=False)
             return rnow

@@ -105,22 +105,7 @@ class MetadataSystem:
         brand-new entry (``fetch_on_miss=False``) allocates without reading
         NVM — there is nothing to fetch.
         """
-        cache = self.caches[table]
-        # Fast path: resident block, no timeline observer.  Mirrors the hit
-        # arm of MetadataCache.access (same statistics, same LRU motion,
-        # same persistence hook) without the cache call's result tuple.
-        blocks = cache._blocks
-        block = entry_index // cache.entries_per_block
-        if block in blocks and not self.timeline.enabled:
-            if fetch_on_miss:
-                cache.hits += 1
-            blocks.move_to_end(block)
-            if write:
-                blocks[block] = True
-                if self._persistence_active:
-                    self._enforce_persistence(table, entry_index, now_ns)
-            return 0.0
-        hit, block, evicted = cache.access(entry_index, write, not fetch_on_miss)
+        hit, block, evicted = self.caches[table].access(entry_index, write, not fetch_on_miss)
         if self.timeline.enabled:
             self.timeline.record_metadata(now_ns, hit=hit)
         extra = 0.0
@@ -175,34 +160,38 @@ class MetadataSystem:
         order at ``now_ns``.
         """
         tables = self._replay_tables
-        timeline_off = not self.timeline.enabled
+        timeline = self.timeline
+        timeline_on = timeline.enabled
         persistence = self._persistence_active
         access = self.access
         it = iter(touches)
         for table, index, op in zip(it, it, it):
-            # Resident-block fast path, inlined from access(): posted
+            # Resident-block and insert arms, inlined from access(): posted
             # touches are the hottest metadata traffic, and the call
             # overhead alone is measurable on dedup-heavy traces.
             cache, blocks, per_block = tables[table]
             block = index // per_block
-            if timeline_off:
-                if block in blocks:
-                    if op != INSERT:
-                        cache.hits += 1
-                    blocks.move_to_end(block)
-                    if op:
-                        blocks[block] = True
-                        if persistence:
-                            self._enforce_persistence(table, index, now_ns)
-                    continue
-                if op == INSERT and len(blocks) < cache.capacity_blocks:
-                    # Insert arm of MetadataCache.access: a brand-new entry
-                    # allocates its block dirty with no fetch, no eviction
-                    # (the cache has room) and no hit/miss statistics.
+            if block in blocks:
+                if op != INSERT:
+                    cache.hits += 1
+                blocks.move_to_end(block)
+                if timeline_on:
+                    timeline.record_metadata(now_ns, hit=True)
+                if op:
                     blocks[block] = True
                     if persistence:
                         self._enforce_persistence(table, index, now_ns)
-                    continue
+                continue
+            if op == INSERT and len(blocks) < cache.capacity_blocks:
+                # Insert arm of MetadataCache.access: a brand-new entry
+                # allocates its block dirty with no fetch, no eviction
+                # (the cache has room) and no hit/miss statistics.
+                blocks[block] = True
+                if timeline_on:
+                    timeline.record_metadata(now_ns, hit=False)
+                if persistence:
+                    self._enforce_persistence(table, index, now_ns)
+                continue
             access(table, index, op != READ, now_ns, False, op != INSERT)
 
     def flush(self, now_ns: float) -> int:

@@ -156,12 +156,9 @@ class DeWriteController(MemoryController):
         metadata_access = metadata.access
         enforce_persistence = metadata._enforce_persistence
         persistence = metadata._persistence_active
-        # Resident metadata blocks take access()'s hit arm inline: the
-        # hash-cache probe always (detection has no timeline hook), a
-        # read's two blocking address-map lookups and a first mapping's
-        # two touches unless a timeline is attached; a miss calls access()
-        # or replay().
-        meta_hits_inline = not metadata.timeline.enabled
+        # Resident metadata blocks take the cache's hit arm inline (the
+        # hash-cache probe, a read's two blocking address-map lookups, a
+        # first mapping's two touches); a miss calls access() or replay().
         am_cache, am_blocks, am_per_block = metadata._replay_tables["address_map"]
         # The hash cache holds single entries (one per block), keyed by CRC.
         hash_cache = metadata.caches["hash_table"]
@@ -174,10 +171,9 @@ class DeWriteController(MemoryController):
         apply_unique = index.apply_unique
         bump_counter = index.bump_counter
         seal = self.cme.seal
-        nvm_write = self.nvm.write
-        nvm_write_done = self.nvm.write_complete_ns
-        nvm_read = self.nvm.read
-        nvm_read_done = self.nvm.read_complete_ns
+        nvm = self.nvm
+        nvm_write_done = nvm.write_complete_ns
+        nvm_read_done = nvm.read_complete_ns
         # The history window's majority rule runs on hoisted copies of the
         # predictor's running vote count and scores, written back by the
         # finish step; outcomes go straight onto its history deque.
@@ -360,15 +356,19 @@ class DeWriteController(MemoryController):
                     if ref == reference_cap:
                         index.pinned_lines += 1
                     block = address // am_per_block
-                    if meta_hits_inline and block in am_blocks and crc in hash_blocks:
+                    if block in am_blocks and crc in hash_blocks:
                         am_cache.hits += 1
                         am_blocks.move_to_end(block)
                         am_blocks[block] = True
+                        if timeline_on:
+                            timeline.record_metadata(complete, hit=True)
                         if persistence:
                             enforce_persistence("address_map", address, complete)
                         hash_cache.hits += 1
                         hash_blocks.move_to_end(crc)
                         hash_blocks[crc] = True
+                        if timeline_on:
+                            timeline.record_metadata(complete, hit=True)
                         if persistence:
                             enforce_persistence("hash_table", crc, complete)
                     else:
@@ -401,18 +401,17 @@ class DeWriteController(MemoryController):
                     issue = done + aes_ns
                     if is_predictive and predicted:
                         serialized_detections += 1
+                complete = nvm_write_done(dest, sealed, issue)
                 if trace_on:
-                    # Only a span needs the bank wait; untraced, skip it.
-                    written = nvm_write(dest, sealed.to_bytes(line_size, "little"), issue)
-                    complete = written.complete_ns
-                else:
-                    complete = nvm_write_done(dest, sealed, issue)
+                    # The replay's metadata traffic moves the device's
+                    # last start: take the write's bank wait first.
+                    wait_ns = nvm.last_start_ns - issue
                 replay(touches, complete)
                 if trace_on:
                     tracer.span(
                         "write.crypto", crypto_start, crypto_start + aes_ns, parallel=speculated
                     )
-                    tracer.span("write.nvm", issue, complete, dest=dest, wait_ns=written.wait_ns)
+                    tracer.span("write.nvm", issue, complete, dest=dest, wait_ns=wait_ns)
                 if stage_on:
                     st_wcrypto.append(crypto_start + aes_ns - crypto_start)
                     st_wnvm.append(complete - issue)
@@ -443,9 +442,11 @@ class DeWriteController(MemoryController):
             reads_requested += 1
             # Address-mapping lookup is on the critical path (§IV-C2).
             block = address // am_per_block
-            if meta_hits_inline and block in am_blocks:
+            if block in am_blocks:
                 am_cache.hits += 1
                 am_blocks.move_to_end(block)
+                if timeline_on:
+                    timeline.record_metadata(arrival, hit=True)
                 rnow = arrival
             else:
                 rnow = arrival + metadata_access("address_map", address, False, arrival, True)
@@ -462,18 +463,16 @@ class DeWriteController(MemoryController):
                 # address-map slot or the overflow store, charged as an
                 # address-map touch.
                 block = physical // am_per_block
-                if meta_hits_inline and block in am_blocks:
+                if block in am_blocks:
                     am_cache.hits += 1
                     am_blocks.move_to_end(block)
+                    if timeline_on:
+                        timeline.record_metadata(rnow, hit=True)
                 else:
                     rnow += metadata_access("address_map", physical, False, rnow, True)
                 source = physical
             issue = rnow
-            if trace_on:
-                fetched = nvm_read(source, issue)
-                rc = fetched.complete_ns
-            else:
-                rc = nvm_read_done(source, issue)
+            rc = nvm_read_done(source, issue)
             rnow = rc + xor_ns
             if physical is not None:
                 energy.aes_nj += aes_line_nj
@@ -484,7 +483,7 @@ class DeWriteController(MemoryController):
             if trace_on:
                 redirected = physical is not None and physical != address
                 tracer.span("read.metadata", arrival, issue, redirected=redirected)
-                tracer.span("read.nvm", issue, rc, wait_ns=fetched.wait_ns)
+                tracer.span("read.nvm", issue, rc, wait_ns=nvm.last_start_ns - issue)
                 tracer.span("read.crypto", rc, rnow, decrypted=physical is not None)
                 tracer.span("read", arrival, rnow, redirected=redirected)
             return rnow

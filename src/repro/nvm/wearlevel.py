@@ -169,6 +169,11 @@ class WearLevelledNvm:
         return self._nvm.peak_backlog_ns()
 
     @property
+    def last_start_ns(self) -> float:
+        """Service start of the latest data access (see ``NvmMainMemory``)."""
+        return self._nvm.last_start_ns
+
+    @property
     def tracer(self):
         """Wrapped device tracer (controllers attach through the facade)."""
         return self._nvm.tracer
@@ -225,17 +230,18 @@ class WearLevelledNvm:
         return complete
 
     def _level(self, now_ns: float) -> None:
-        """Count one data write; on a gap move, copy the line into the gap."""
+        """Count one data write; on a gap move, copy the line into the gap.
+
+        The copy leaves :attr:`last_start_ns` at the data write's start.
+        """
         move = self.mapper.record_write()
         if move is not None:
             source, dest = move
-            self._nvm.write_complete_ns(dest, self._nvm.peek_int(source), now_ns)
+            nvm = self._nvm
+            start = nvm.last_start_ns
+            nvm.write_complete_ns(dest, nvm.peek_int(source), now_ns)
+            nvm.last_start_ns = start
             self.levelling_writes += 1
-
-    def read_burst(self, addresses, arrival_ns: float) -> None:
-        """Burst read through the translation (see ``NvmMainMemory``)."""
-        translate = self.mapper.translate
-        self._nvm.read_burst([translate(a) for a in addresses], arrival_ns)
 
     def peek(self, address: int) -> bytes:
         """Functional read through the translation."""

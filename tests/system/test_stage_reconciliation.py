@@ -11,17 +11,21 @@ order.
 
 Also pinned here: attaching a stage accumulator, a tracer or a timeline
 never knocks a kernel off the fused path (``batch.fallback.*`` stays
-flat) and never perturbs the serialised :class:`SimulationReport`.
+flat), never perturbs the serialised :class:`SimulationReport`, and
+never changes which device and metadata entry points a run calls, or
+how often.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.core.registry import available_controllers, build_controller
 from repro.nvm.memory import NvmMainMemory
+from repro.nvm.wearlevel import StartGapConfig, WearLevelledNvm
 from repro.obs.metrics import registry
 from repro.obs.stages import StageAccumulator
 from repro.obs.timeline import TimelineCollector
@@ -132,8 +136,68 @@ class TestFusedPathPreserved:
             ), name
 
 
+#: Entry points whose call counts must not depend on what is attached.
+COUNTED = {
+    "nvm": ("read", "write", "read_complete_ns", "write_complete_ns"),
+    "metadata": ("access", "replay"),
+    "controller": ("_access_counter",),
+}
+
+OBSERVER_SETS = ("none", "tracer", "timeline", "stages", "all")
+
+
+def observers_for(kind: str) -> dict:
+    attached = {}
+    if kind in ("tracer", "all"):
+        attached["tracer"] = Tracer(sink=None)
+    if kind in ("timeline", "all"):
+        attached["timeline"] = TimelineCollector()
+    if kind in ("stages", "all"):
+        attached["stages"] = StageAccumulator()
+    return attached
+
+
+def count_calls(controller) -> Counter:
+    """Wrap the COUNTED methods on the controller's instances; returns the
+    live tally (a Start-Gap facade's wrapped device is counted too)."""
+    calls: Counter = Counter()
+    owners = {
+        "nvm": controller.nvm,
+        "device": getattr(controller.nvm, "_nvm", None),
+        "metadata": getattr(controller, "metadata", None),
+        "controller": controller,
+    }
+    for label, owner in owners.items():
+        if owner is None:
+            continue
+        for method in COUNTED["nvm" if label == "device" else label]:
+            bound = getattr(owner, method, None)
+            if bound is None:
+                continue
+
+            def counted(*args, _bound=bound, _key=f"{label}.{method}", **kwargs):
+                calls[_key] += 1
+                return _bound(*args, **kwargs)
+
+            setattr(owner, method, counted)
+    return calls
+
+
+def start_gap_dewrite(**attached):
+    device = WearLevelledNvm(NvmMainMemory(), config=StartGapConfig(gap_interval=7))
+    return build_controller("dewrite", device, **attached)
+
+
+def plain_controller(name):
+    return lambda **attached: build_controller(name, NvmMainMemory(), **attached)
+
+
+BUILDS = {name: plain_controller(name) for name in CONTROLLERS}
+BUILDS["dewrite+start-gap"] = start_gap_dewrite
+
+
 class TestObservedKernelsStayFused:
-    """A tracer or timeline on any controller rides its kernel."""
+    """A tracer or timeline on any controller rides its kernel, on one path."""
 
     @pytest.mark.parametrize("observer", ["tracer", "timeline"])
     @pytest.mark.parametrize("name", CONTROLLERS)
@@ -151,6 +215,25 @@ class TestObservedKernelsStayFused:
         assert json.dumps(observed.to_dict(), sort_keys=True) == json.dumps(
             plain.to_dict(), sort_keys=True
         )
+
+    # One body path: a tracer, a timeline or a stage accumulator, alone or
+    # together, leaves every device and metadata call of a run as it is
+    # with nothing attached; the bodies only feed the observers.
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    def test_calls_and_report_match_across_observers(self, build):
+        trace = single_stream_trace("sjeng", 400, 11)
+        calls = {}
+        reports = {}
+        for kind in OBSERVER_SETS:
+            controller = BUILDS[build](**observers_for(kind))
+            tally = count_calls(controller)
+            report = simulate(controller, trace, batch_size=128)
+            calls[kind] = dict(tally)
+            reports[kind] = json.dumps(report.to_dict(), sort_keys=True)
+        assert calls["none"], build
+        for kind in OBSERVER_SETS[1:]:
+            assert calls[kind] == calls["none"], (build, kind)
+            assert reports[kind] == reports["none"], (build, kind)
 
 
 class TestFallbackCounters:
