@@ -106,7 +106,9 @@ class MetadataSystem:
         NVM — there is nothing to fetch.
         """
         hit, block, evicted = self.caches[table].access(entry_index, write, not fetch_on_miss)
-        if self.timeline.enabled:
+        if fetch_on_miss and self.timeline.enabled:
+            # The timeline counts what the caches count (Fig. 21's query
+            # hit rate): an insert is not a lookup.
             self.timeline.record_metadata(now_ns, hit=hit)
         extra = 0.0
         if not hit and fetch_on_miss:
@@ -174,9 +176,9 @@ class MetadataSystem:
             if block in blocks:
                 if op != INSERT:
                     cache.hits += 1
+                    if timeline_on:
+                        timeline.record_metadata(now_ns, hit=True)
                 blocks.move_to_end(block)
-                if timeline_on:
-                    timeline.record_metadata(now_ns, hit=True)
                 if op:
                     blocks[block] = True
                     if persistence:
@@ -185,10 +187,9 @@ class MetadataSystem:
             if op == INSERT and len(blocks) < cache.capacity_blocks:
                 # Insert arm of MetadataCache.access: a brand-new entry
                 # allocates its block dirty with no fetch, no eviction
-                # (the cache has room) and no hit/miss statistics.
+                # (the cache has room) and no hit/miss statistics, so
+                # nothing on the timeline either.
                 blocks[block] = True
-                if timeline_on:
-                    timeline.record_metadata(now_ns, hit=False)
                 if persistence:
                     self._enforce_persistence(table, index, now_ns)
                 continue

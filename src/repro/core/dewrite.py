@@ -251,6 +251,8 @@ class DeWriteController(MemoryController):
                 # Hash-cache hit: LRU refresh and hit count, nothing more.
                 hash_cache.hits += 1
                 hash_blocks.move_to_end(crc)
+                if timeline_on:
+                    timeline.record_metadata(done, hit=True)
             elif enable_pna and not predicted:
                 # PNA: skip the expensive in-NVM query; declare non-duplicate.
                 pna_skipped = True

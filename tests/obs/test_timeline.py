@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.registry import available_controllers
 from repro.obs.timeline import (
     NULL_TIMELINE,
     NullTimeline,
@@ -291,3 +292,54 @@ class TestEndToEnd:
             assert totals["writes"] == stats.writes_requested, name
             assert totals["reads"] == stats.reads_requested, name
             assert totals["dedup_writes"] == stats.writes_deduplicated, name
+
+
+def metadata_caches(controller):
+    """The caches whose queries a controller's timeline counts."""
+    metadata = getattr(controller, "metadata", None)
+    if metadata is not None:
+        return list(metadata.caches.values())
+    return [controller.counter_cache]
+
+
+#: DeWrite with caches small enough to evict and to allocate inserts
+#: into a full cache, and with write-through dirtying touches.
+TINY_CACHES = {
+    "metadata_cache": {
+        "hash_cache_bytes": 64,
+        "address_map_cache_bytes": 2048,
+        "inverted_hash_cache_bytes": 2048,
+        "fsm_cache_bytes": 128,
+        "prefetch_entries": 16,
+    }
+}
+WRITE_THROUGH = {"persistence": {"policy": "write_through"}}
+
+
+class TestMetadataCountsMatchTheCaches:
+    """The timeline's per-window ``meta%`` is Fig. 21's query hit rate:
+    it counts exactly the lookups the caches count as hits and misses
+    (hash-cache probe hits included, entry inserts excluded)."""
+
+    @pytest.mark.parametrize(
+        "name, options",
+        [pytest.param(name, {}, id=name) for name in sorted(available_controllers())]
+        + [
+            pytest.param("dewrite", TINY_CACHES, id="dewrite-tiny-caches"),
+            pytest.param("dewrite", WRITE_THROUGH, id="dewrite-write-through"),
+        ],
+    )
+    def test_meta_totals_equal_cache_counters(self, name, options):
+        from repro.core.registry import build_controller
+        from repro.nvm.memory import NvmMainMemory
+        from repro.runner.jobs import trace_for
+        from repro.system.simulator import simulate
+
+        timeline = TimelineCollector(window_ns=10_000.0)
+        controller = build_controller(name, NvmMainMemory(), timeline=timeline, **options)
+        simulate(controller, trace_for("sjeng", 2000, 1))
+        caches = metadata_caches(controller)
+        totals = timeline.totals()
+        assert totals["meta_accesses"] > 0
+        assert totals["meta_hits"] == sum(cache.hits for cache in caches)
+        assert totals["meta_accesses"] == sum(cache.hits + cache.misses for cache in caches)
