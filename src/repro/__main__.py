@@ -95,6 +95,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Any, Callable
 
@@ -104,7 +105,7 @@ from repro.workloads.profiles import ALL_PROFILES, profile_by_name
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of every ``--accesses``: an integer of at least 1."""
+    """argparse type of every count and size option: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -114,8 +115,74 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of every width and time budget: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
+def _known(lookup: Callable[[str], Any]) -> Callable[[str], str]:
+    """argparse type that passes a name through if ``lookup`` accepts it;
+    the ``KeyError`` a lookup raises for an unknown name (it lists the
+    known ones) becomes the usage error."""
+
+    def check(text: str) -> str:
+        try:
+            lookup(text)
+        except KeyError as exc:
+            raise argparse.ArgumentTypeError(exc.args[0]) from None
+        return text
+
+    return check
+
+
+def _each(lookup: Callable[[str], Any]) -> Callable[[str], Any]:
+    """``lookup`` applied to every name of a comma-separated list."""
+
+    def each(text: str) -> None:
+        for name in text.split(","):
+            if name.strip():
+                lookup(name.strip())
+
+    return each
+
+
+def _figure(spec_id: str) -> None:
+    """A figure id or paper alias; empty is left to the verb."""
+    if spec_id:
+        figures.resolve_experiment(spec_id)
+
+
+def _controller(name: str) -> None:
+    from repro.core.registry import available_controllers
+
+    known = available_controllers()
+    if name not in known:
+        raise KeyError(f"unknown controller {name!r}; registered: {', '.join(known)}")
+
+
+def _baseline(name: str) -> None:
+    """A controller, or ``none`` (or empty) for no baseline run."""
+    if name not in ("", "none"):
+        _controller(name)
+
+
+_figure_id = _known(_figure)
+_app_name = _known(profile_by_name)
+_app_names = _known(_each(profile_by_name))
+_controller_name = _known(_controller)
+_controller_names = _known(_each(_controller))
+
+
 def _add_settings_args(parser: argparse.ArgumentParser, default_accesses: int) -> None:
-    parser.add_argument("--apps", default="", help="comma-separated subset (default: all)")
+    parser.add_argument(
+        "--apps", type=_app_names, default="", help="comma-separated subset (default: all)"
+    )
     parser.add_argument("--accesses", type=_positive_int, default=default_accesses)
     parser.add_argument("--seed", type=int, default=1)
 
@@ -143,7 +210,7 @@ def _add_traffic_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_cache_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
+        "--parallel", type=_positive_int, default=1, metavar="N",
         help="worker processes for cache misses (default 1: serial)",
     )
     parser.add_argument(
@@ -155,7 +222,7 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
         help="disable the on-disk result cache for this invocation",
     )
     parser.add_argument(
-        "--job-timeout", type=float, default=600.0, metavar="SECONDS",
+        "--job-timeout", type=_positive_float, default=600.0, metavar="SECONDS",
         help="per-job wall-clock budget before retry (default 600)",
     )
 
@@ -178,13 +245,13 @@ def _add_faults_args(faults: argparse.ArgumentParser) -> None:
     from repro.faults.plan import CELL_FAULT_MODES, DEFAULT_POINTS, DEFAULT_POLICIES
 
     faults.add_argument(
-        "figure",
+        "figure", type=_figure_id,
         help="figure id or paper alias labelling the campaign (e.g. 'system')",
     )
     _add_settings_args(faults, default_accesses=4_000)
     _add_cache_args(faults)
     faults.add_argument(
-        "--controllers", default="", metavar="NAMES",
+        "--controllers", type=_controller_names, default="", metavar="NAMES",
         help="comma-separated controller subset (default: all registered)",
     )
     faults.add_argument(
@@ -234,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "run", help="regenerate figures on a parallel worker pool with a result cache"
     )
     run.add_argument(
-        "figures", nargs="*", metavar="FIGURE",
+        "figures", nargs="*", metavar="FIGURE", type=_figure_id,
         help="figure ids to regenerate (default: every registered figure)",
     )
     _add_settings_args(run, default_accesses=20_000)
@@ -266,15 +333,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace", help="trace one figure's pipeline; print per-stage latency percentiles"
     )
     trace.add_argument(
-        "figure", nargs="?", default="",
+        "figure", nargs="?", default="", type=_figure_id,
         help="figure id or paper alias (fig14/fig16/fig17/fig19 resolve to "
              "'system'; optional with --from-jsonl)",
     )
-    trace.add_argument("--app", default="lbm", help="workload to trace (default lbm)")
+    trace.add_argument(
+        "--app", type=_app_name, default="lbm", help="workload to trace (default lbm)"
+    )
     trace.add_argument("--accesses", type=_positive_int, default=2_000)
     trace.add_argument("--seed", type=int, default=1)
     trace.add_argument(
-        "--controller", default="dewrite",
+        "--controller", type=_controller_name, default="dewrite",
         help="controller to instrument (default dewrite; see `list`)",
     )
     trace.add_argument(
@@ -340,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trend.add_argument(
         "source", nargs="?", default="benchmarks/results",
-        help="ledger file or directory of BENCH_*.json anchors "
+        help="ledger file, one BENCH_*.json record or a directory of them "
              "(default: benchmarks/results)",
     )
     trend.add_argument(
@@ -357,14 +426,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "(summary-mode stages + per-batch wall timing)",
     )
     profile.add_argument(
-        "figure",
+        "figure", type=_figure_id,
         help="figure id or paper alias (fig14/fig16/fig17/fig19 resolve to 'system')",
     )
-    profile.add_argument("--app", default="lbm", help="workload to profile (default lbm)")
+    profile.add_argument(
+        "--app", type=_app_name, default="lbm", help="workload to profile (default lbm)"
+    )
     profile.add_argument("--accesses", type=_positive_int, default=2_000)
     profile.add_argument("--seed", type=int, default=1)
     profile.add_argument(
-        "--controller", default="dewrite",
+        "--controller", type=_controller_name, default="dewrite",
         help="controller to profile (default dewrite; see `list`)",
     )
     profile.add_argument(
@@ -395,17 +466,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "timeline", help="windowed in-run time-series for one figure's workloads"
     )
     timeline.add_argument(
-        "figure",
+        "figure", type=_figure_id,
         help="figure id or paper alias (labels the run; fig14 etc. resolve to 'system')",
     )
     _add_settings_args(timeline, default_accesses=20_000)
     _add_cache_args(timeline)
     timeline.add_argument(
-        "--controller", default="dewrite",
+        "--controller", type=_controller_name, default="dewrite",
         help="controller to sample (default dewrite; see `list`)",
     )
     timeline.add_argument(
-        "--window-ns", type=float, default=1e6, metavar="NS",
+        "--window-ns", type=_positive_float, default=1e6, metavar="NS",
         help="sim-time window width in ns (default 1e6)",
     )
     timeline.add_argument(
@@ -432,25 +503,29 @@ def _build_parser() -> argparse.ArgumentParser:
         "wear", help="wear heatmap, per-bank/per-region tables and lifetime panel"
     )
     wear.add_argument(
-        "figure",
+        "figure", type=_figure_id,
         help="figure id or paper alias (labels the run; fig12/fig13 are the wear figures)",
     )
-    wear.add_argument("--app", default="lbm", help="workload to run (default lbm)")
+    wear.add_argument(
+        "--app", type=_app_name, default="lbm", help="workload to run (default lbm)"
+    )
     wear.add_argument("--accesses", type=_positive_int, default=20_000)
     wear.add_argument("--seed", type=int, default=1)
     wear.add_argument(
-        "--controller", default="dewrite",
+        "--controller", type=_controller_name, default="dewrite",
         help="controller under test (default dewrite)",
     )
     wear.add_argument(
-        "--baseline", default="secure-nvm",
+        "--baseline", type=_known(_baseline), default="secure-nvm",
         help="baseline controller for the lifetime panel (default secure-nvm; "
              "'none' skips the second run)",
     )
-    wear.add_argument("--rows", type=int, default=8, help="heatmap rows (default 8)")
-    wear.add_argument("--cols", type=int, default=32, help="heatmap columns (default 32)")
+    wear.add_argument("--rows", type=_positive_int, default=8, help="heatmap rows (default 8)")
     wear.add_argument(
-        "--regions", type=int, default=8,
+        "--cols", type=_positive_int, default=32, help="heatmap columns (default 32)"
+    )
+    wear.add_argument(
+        "--regions", type=_positive_int, default=8,
         help="contiguous address regions in the wear table (default 8)",
     )
     wear.add_argument(
@@ -494,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--accesses", type=_positive_int, default=1_200,
                        help="trace length per controller case (default 1200)")
-    bench.add_argument("--repeats", type=int, default=3,
+    bench.add_argument("--repeats", type=_positive_int, default=3,
                        help="interleaved repeats; best is kept (default 3)")
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument(
@@ -520,7 +595,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     compare = sub.add_parser("compare", help="baseline vs DeWrite on one application")
-    compare.add_argument("--app", default="lbm", help="application name (see `list`)")
+    compare.add_argument(
+        "--app", type=_app_name, default="lbm", help="application name (see `list`)"
+    )
     compare.add_argument("--accesses", type=_positive_int, default=20_000)
     compare.add_argument("--seed", type=int, default=1)
     _add_cache_args(compare)
@@ -690,7 +767,6 @@ def _run_run(args: argparse.Namespace) -> int:
     ids: list[str] = []
     for spec_id in requested:
         resolved = figures.resolve_id(spec_id)
-        figures.experiment(resolved)  # raises with the known ids on a typo
         if resolved not in ids:
             ids.append(resolved)
 
@@ -1627,8 +1703,8 @@ def _run_trend(args: argparse.Namespace) -> int:
 
     source = Path(args.source)
     try:
-        if source.is_dir():
-            anchors = bench.discover_anchors(source)
+        if source.is_dir() or source.match("BENCH_*.json"):
+            anchors = bench.discover_anchors(source) if source.is_dir() else [source]
             ledger = ledger_from_records(
                 (bench.load_record(anchor), str(anchor)) for anchor in anchors
             )

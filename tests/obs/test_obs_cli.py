@@ -58,8 +58,9 @@ class TestTrace:
         assert "write.crypto" in out
 
     def test_unknown_figure_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exit_info:
             main(["trace", "fig99", "--accesses", "100"])
+        assert exit_info.value.code == 2
 
 
 class TestRunManifest:

@@ -38,8 +38,10 @@ class TestCompare:
         assert "lbm" in out
 
     def test_unknown_app_raises(self):
-        with pytest.raises(KeyError):
+        # A usage error (exit 2) at parse time, not a KeyError traceback.
+        with pytest.raises(SystemExit) as exit_info:
             main(["compare", "--app", "doom3", "--accesses", "100"])
+        assert exit_info.value.code == 2
 
 
 class TestFigure:
@@ -99,8 +101,9 @@ class TestRun:
         assert capsys.readouterr().out == serial
 
     def test_unknown_figure_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exit_info:
             main(["run", "fig99", "--no-cache"])
+        assert exit_info.value.code == 2
 
 
 class TestRegress:
@@ -165,6 +168,68 @@ class TestAccessesOption:
         from repro.__main__ import _build_parser
 
         assert _build_parser().parse_args(["figure", "fig2", "--accesses", "7"]).accesses == 7
+
+
+class TestBadInputIsAUsageError:
+    """Unknown names and out-of-range sizes end in one usage line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["run", "nosuch"], "FIGURE"),
+            (["trace", "nosuch"], "figure"),
+            (["timeline", "nosuch"], "figure"),
+            (["faults", "nosuch"], "figure"),
+            (["wear", "nosuch"], "figure"),
+            (["profile", "nosuch"], "figure"),
+            (["trace", "fig14", "--app", "nosuch"], "--app"),
+            (["profile", "fig14", "--app", "nosuch"], "--app"),
+            (["wear", "fig12", "--app", "nosuch"], "--app"),
+            (["compare", "--app", "nosuch"], "--app"),
+            (["run", "fig2", "--apps", "lbm,nosuch"], "--apps"),
+            (["figure", "fig2", "--apps", "nosuch"], "--apps"),
+            (["timeline", "fig12", "--apps", "nosuch"], "--apps"),
+            (["faults", "system", "--apps", "nosuch"], "--apps"),
+            (["trace", "fig14", "--controller", "nosuch"], "--controller"),
+            (["wear", "fig12", "--controller", "nosuch"], "--controller"),
+            (["profile", "fig14", "--controller", "nosuch"], "--controller"),
+            (["timeline", "fig12", "--controller", "nosuch"], "--controller"),
+            (["faults", "system", "--controllers", "dewrite,nosuch"], "--controllers"),
+            (["wear", "fig12", "--baseline", "nosuch"], "--baseline"),
+            (["timeline", "fig12", "--window-ns", "0"], "--window-ns"),
+            (["timeline", "fig12", "--window-ns", "nan"], "--window-ns"),
+            (["wear", "fig12", "--rows", "0"], "--rows"),
+            (["wear", "fig12", "--cols", "0"], "--cols"),
+            (["wear", "fig12", "--regions", "0"], "--regions"),
+            (["bench", "--repeats", "0"], "--repeats"),
+            (["run", "fig2", "--parallel", "0"], "--parallel"),
+            (["run", "fig2", "--job-timeout", "0"], "--job-timeout"),
+            (["serve", "--parallel", "-1"], "--parallel"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+    )
+    def test_one_usage_line_and_exit_2(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        error = captured.err.strip().splitlines()[-1]
+        assert error.startswith(f"repro {argv[0]}: error: argument {option}: ")
+
+    def test_aliases_and_known_names_parse(self):
+        from repro.__main__ import _build_parser
+
+        parser = _build_parser()
+        args = parser.parse_args(["trace", "fig14", "--app", "mcf", "--controller", "secure-nvm"])
+        assert (args.figure, args.app, args.controller) == ("fig14", "mcf", "secure-nvm")
+        assert parser.parse_args(["run", "fig14", "fig2", "--apps", "lbm, mcf"]).figures == [
+            "fig14", "fig2"
+        ]
+        assert parser.parse_args(["trace", "--from-jsonl", "t.jsonl"]).figure == ""
+        assert parser.parse_args(["wear", "fig12", "--baseline", "none"]).baseline == "none"
+        assert parser.parse_args(["timeline", "fig12", "--window-ns", "2e5"]).window_ns == 2e5
 
 
 class TestTopLevelPackage:
