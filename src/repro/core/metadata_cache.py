@@ -56,8 +56,8 @@ class MetadataCache:
     def probe(self, entry_index: int) -> bool:
         """Whether the entry's block is resident, with no side effects.
 
-        Used by the PNA scheme, which must know if the hash entry is cached
-        before deciding whether to pay the in-NVM query on a miss.
+        A testing aid: the controllers test residency on ``_blocks``
+        inline, in their resident-block hit arms.
         """
         return self.block_of(entry_index) in self._blocks
 
@@ -144,16 +144,6 @@ class MetadataCache:
     def resident_blocks(self) -> int:
         """Blocks currently cached."""
         return len(self._blocks)
-
-    def stats_dict(self) -> dict[str, float]:
-        """JSON-shaped statistics snapshot (manifests, metrics export)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writebacks": self.writebacks,
-            "hit_rate": self.hit_rate,
-            "resident_blocks": len(self._blocks),
-        }
 
     def verify(self) -> None:
         """Check the cache's structural invariants; raises ``ValueError``.

@@ -351,7 +351,10 @@ def write_record(payload: dict[str, Any], out_dir: str | Path) -> Path:
 
 def load_record(path: str | Path) -> dict[str, Any]:
     """Read one bench record; raises ``ValueError`` when invalid."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as error:
+        raise ValueError(f"bench record {path} is not valid JSON: {error}") from None
     problems = validate_record(payload)
     if problems:
         raise ValueError(f"bench record {path} failed validation: " + "; ".join(problems))

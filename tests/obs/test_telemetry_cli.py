@@ -232,6 +232,21 @@ class TestTrendVerb:
         assert main(["trend", str(tmp_path / "nope.json")]) == 2
         assert "trend:" in capsys.readouterr().err
 
+    def test_one_bench_record_is_a_one_point_trend(self, capsys):
+        record = sorted(ANCHORS.glob("BENCH_*.json"))[0]
+        assert main(["trend", str(record)]) == 0
+        assert "1 bench anchor(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("directory", [False, True], ids=["record", "directory"])
+    def test_truncated_bench_record_is_named_as_one(self, tmp_path, capsys, directory):
+        record = sorted(ANCHORS.glob("BENCH_*.json"))[0]
+        truncated = tmp_path / record.name
+        truncated.write_text(record.read_text()[:300])
+        assert main(["trend", str(tmp_path if directory else truncated)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [err[-1]]
+        assert err[-1].startswith(f"trend: bench record {truncated} is not valid JSON: ")
+
 
 class TestBenchGate:
     BENCH = ["bench", "--accesses", "150", "--repeats", "1",
