@@ -113,10 +113,13 @@ class MemoryController:
         Subclasses with instrumented internals override
         :meth:`_propagate_observers` to forward the observers to them.
 
-        Observers never change the path a request takes: every kernel
-        feeds a *tracer* or *timeline* per request itself, and a *stages*
-        accumulator alone (**summary mode**) with columnar per-batch
-        flushes.
+        Observers never change the path a request takes: every body makes
+        the same device, metadata and counter-cache calls whatever is
+        attached, and only feeds what is enabled: a *tracer* or
+        *timeline* per request (a span's bank wait is read off the
+        device's ``last_start_ns``; a metadata hit arm records its own
+        touch), a *stages* accumulator (**summary mode**) with columnar
+        per-batch flushes.
         """
         if tracer is not None:
             self.tracer = tracer
