@@ -506,9 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "figure", type=_figure_id,
         help="figure id or paper alias (labels the run; fig12/fig13 are the wear figures)",
     )
-    wear.add_argument(
-        "--app", type=_app_name, default="lbm", help="workload to run (default lbm)"
-    )
+    wear.add_argument("--app", type=_app_name, default="lbm", help="workload to run (default lbm)")
     wear.add_argument("--accesses", type=_positive_int, default=20_000)
     wear.add_argument("--seed", type=int, default=1)
     wear.add_argument(
@@ -521,9 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "'none' skips the second run)",
     )
     wear.add_argument("--rows", type=_positive_int, default=8, help="heatmap rows (default 8)")
-    wear.add_argument(
-        "--cols", type=_positive_int, default=32, help="heatmap columns (default 32)"
-    )
+    wear.add_argument("--cols", type=_positive_int, default=32, help="heatmap columns (default 32)")
     wear.add_argument(
         "--regions", type=_positive_int, default=8,
         help="contiguous address regions in the wear table (default 8)",
@@ -669,7 +665,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_traffic_args(serve)
     serve.add_argument("--shards", type=int, default=8,
                        help="data-plane shard count (default 8)")
-    serve.add_argument("--controller", default="dewrite",
+    serve.add_argument("--controller", type=_controller_name, default="dewrite",
                        help="controller each shard runs (default dewrite)")
     serve.add_argument("--quota", type=int, default=0, metavar="N",
                        help="per-tenant admitted-access quota (0 = unbounded)")

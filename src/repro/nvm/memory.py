@@ -22,12 +22,9 @@ from repro.obs.trace import NULL_TRACER, TracerLike
 
 
 class AccessResult(NamedTuple):
-    """Timing outcome of one array access.
-
-    A NamedTuple rather than a dataclass: the device constructs one per
-    access on the hot path, and tuple allocation is several times cheaper
-    than dataclass ``__init__``.
-    """
+    """Timing outcome of one array access, as :meth:`NvmMainMemory.read`
+    and :meth:`NvmMainMemory.write` return it (the request bodies call the
+    ``*_complete_ns`` entry points and build none)."""
 
     address: int
     start_ns: float

@@ -194,6 +194,7 @@ class TestBadInputIsAUsageError:
             (["wear", "fig12", "--controller", "nosuch"], "--controller"),
             (["profile", "fig14", "--controller", "nosuch"], "--controller"),
             (["timeline", "fig12", "--controller", "nosuch"], "--controller"),
+            (["serve", "--controller", "nosuch"], "--controller"),
             (["faults", "system", "--controllers", "dewrite,nosuch"], "--controllers"),
             (["wear", "fig12", "--baseline", "nosuch"], "--baseline"),
             (["timeline", "fig12", "--window-ns", "0"], "--window-ns"),
