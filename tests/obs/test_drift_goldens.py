@@ -1,5 +1,5 @@
 """Golden CLI outputs of every drift verb: ``diff``, ``regress``, the bench
-gate render and ``trend``.
+gate render and ``trend``, plus ``stats`` on the fixture manifests.
 
 The inputs under ``fixtures/drift/`` carry drift in every section the
 verbs compare (counters, timeline windows, fault scenarios, stage
@@ -41,6 +41,10 @@ CLI_CASES = {
     "trend.txt": (["trend", str(ANCHORS)], 0),
     "trend.json": (["trend", str(ANCHORS), "--json"], 0),
     "trend_steps.txt": (["trend", "anchors"], 1),
+    "stats_a.txt": (["stats", "manifest_a.json"], 0),
+    "stats_b.txt": (["stats", "manifest_b.json"], 0),
+    "stats_profile.txt": (["stats", "manifest_profile.json"], 0),
+    "stats_run.txt": (["stats", "manifest_run.json"], 0),
 }
 
 
