@@ -2,16 +2,21 @@
 
 Subcommands:
 
-- ``run``      — regenerate many figures at once on a parallel worker
-  pool with a persistent result cache (the fast full reproduction);
-  every run writes a ``manifest.json`` recording exactly what produced
-  the output (see :mod:`repro.obs.manifest`);
+- ``run``      — regenerate the paper's tables/figures by id on a
+  parallel worker pool with a persistent result cache; ``--out DIR``
+  writes each table as ``DIR/<id>.txt`` and ``DIR/<id>.json`` (what
+  ``regress`` and ``diff --figures-a/b`` read), ``--chart COLUMN`` draws
+  a bar chart under each table with that column, and every run writes a
+  ``manifest.json`` recording exactly what produced the output (see
+  :mod:`repro.obs.manifest`);
 - ``trace``    — run one figure's pipeline with the structured tracer
   attached and print the per-stage latency breakdown (p50/p95/p99);
   ``--out`` streams the raw span records as JSONL; ``--chrome`` exports
   the spans in Chrome trace-event format (sim-time timeline, worker
   lanes), either from the run just traced or from an existing JSONL
-  file via ``--from-jsonl``;
+  file via ``--from-jsonl``; ``--flamegraph`` writes collapsed-stack
+  lines with sim-ns weights and ``--manifest`` records the per-stage
+  totals for ``diff``, both folded from the traced spans;
 - ``watch``    — live terminal dashboard over the event stream a run
   emits with ``run --events``: jobs in flight, warm-cache hit rate,
   throughput, ETA from the content-keyed plan, and the stage split when
@@ -21,10 +26,6 @@ Subcommands:
 - ``trend``    — per-case time series across the committed bench anchors
   (or a ledger file) with step-regression flags and stage-drift
   attribution;
-- ``profile``  — run one figure's pipeline with the summary-mode stage
-  accumulator and the batch profiler attached: the stage table is
-  deterministic, and ``--flamegraph`` writes collapsed-stack lines with
-  sim-ns weights; ``--manifest`` records the stage section for ``diff``;
 - ``stats``    — validate and summarise a run manifest (``--json`` emits
   the machine-readable digest the ``diff`` verb and CI consume);
 - ``timeline`` — run windowed simulations and print the in-run
@@ -55,7 +56,6 @@ Subcommands:
   a content census predicting the dedup ratio;
 - ``compare``  — run one application under the traditional secure NVM and
   under DeWrite, print the side-by-side report;
-- ``figure``   — regenerate one of the paper's tables/figures by id;
 - ``regress``  — compare two exported figure JSONs for drift;
 - ``check``    — run the simlint static rules and/or the runtime
   invariant pass (see :mod:`repro.check`);
@@ -63,8 +63,8 @@ Subcommands:
 
 Figure ids come from the declarative experiment registry
 (:mod:`repro.analysis.registry`); controllers are built through the
-controller registry (:mod:`repro.core.registry`).  ``run``, ``figure``
-and ``compare`` share the cache options ``--parallel`` / ``--cache-dir``
+controller registry (:mod:`repro.core.registry`).  ``run``, ``compare``,
+``timeline`` and ``faults`` share the cache options ``--parallel`` / ``--cache-dir``
 / ``--no-cache`` / ``--job-timeout``.
 
 Examples::
@@ -77,7 +77,7 @@ Examples::
     python -m repro trace --from-jsonl /tmp/trace.jsonl --chrome /tmp/trace.chrome.json
     python -m repro ledger add benchmarks/results/BENCH_*.json
     python -m repro trend benchmarks/results
-    python -m repro profile fig14 --flamegraph /tmp/stages.folded
+    python -m repro trace fig14 --flamegraph /tmp/stages.folded
     python -m repro stats manifest.json
     python -m repro timeline system --apps lbm --window-ns 2e5 --csv tl.csv
     python -m repro faults system --apps lbm --points 0.5 --cell-faults 2
@@ -87,7 +87,7 @@ Examples::
     python -m repro serve --tenants 1000000 --shards 8 --accesses 250000
     python -m repro loadgen --tenants 1000000 --shards 8 --json plan.json
     python -m repro compare --app lbm --accesses 20000
-    python -m repro figure fig13 --apps lbm,mcf,vips
+    python -m repro run fig14 --apps lbm,mcf,vips --chart write_speedup
     python -m repro check --lint src/repro
     python -m repro list
 """
@@ -96,6 +96,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import pathlib
 import sys
 from typing import Any, Callable
 
@@ -124,6 +126,35 @@ def _positive_float(text: str) -> float:
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
     return value
+
+
+def _output_path(text: str) -> str:
+    """argparse type of every output-file option: a file the run can create.
+
+    A path that names a directory, or whose nearest existing ancestor is
+    not a writable directory (a parent that is a regular file, say), is a
+    usage error before anything is simulated; missing directories are made
+    when the file is written.
+    """
+    if text:
+        path = pathlib.Path(text)
+        if path.is_dir():
+            raise argparse.ArgumentTypeError(f"{text} is a directory")
+        parent = path.parent
+        while not parent.exists():
+            parent = parent.parent
+        if not (parent.is_dir() and os.access(parent, os.W_OK)):
+            raise argparse.ArgumentTypeError(
+                f"cannot write {text}: {parent} is not a writable directory"
+            )
+    return text
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write one output file, making its missing directories."""
+    target = pathlib.Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text, encoding="utf-8")
 
 
 def _known(lookup: Callable[[str], Any]) -> Callable[[str], str]:
@@ -282,11 +313,11 @@ def _add_faults_args(faults: argparse.ArgumentParser) -> None:
         help="probability each droppable metadata persist is torn (default 0)",
     )
     faults.add_argument(
-        "--json", default="", metavar="PATH",
+        "--json", type=_output_path, default="", metavar="PATH",
         help="also dump every scenario verdict as JSON",
     )
     faults.add_argument(
-        "--manifest", default="", metavar="PATH",
+        "--manifest", type=_output_path, default="", metavar="PATH",
         help="also write a run manifest embedding the faults section",
     )
 
@@ -298,7 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_VerbParser)
 
     run = sub.add_parser(
-        "run", help="regenerate figures on a parallel worker pool with a result cache"
+        "run", help="regenerate paper tables/figures on a parallel worker pool "
+        "with a result cache"
     )
     run.add_argument(
         "figures", nargs="*", metavar="FIGURE", type=_figure_id,
@@ -308,7 +340,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_cache_args(run)
     run.add_argument(
         "--out", default="", metavar="DIR",
-        help="also write each rendered table to DIR/<figure>.txt",
+        help="also write each rendered table to DIR/<figure>.txt and DIR/<figure>.json",
+    )
+    run.add_argument(
+        "--chart", default="", metavar="COLUMN",
+        help="also render COLUMN of every table that has it as an ASCII bar chart",
     )
     run.add_argument(
         "--progress", action="store_true",
@@ -347,13 +383,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="controller to instrument (default dewrite; see `list`)",
     )
     trace.add_argument(
-        "--out", default="", metavar="PATH",
+        "--out", type=_output_path, default="", metavar="PATH",
         help="stream raw span/event records to PATH as JSONL",
     )
     trace.add_argument(
-        "--chrome", default="", metavar="PATH",
+        "--chrome", type=_output_path, default="", metavar="PATH",
         help="export the trace in Chrome trace-event format to PATH "
              "(open in chrome://tracing or Perfetto)",
+    )
+    trace.add_argument(
+        "--flamegraph", type=_output_path, default="", metavar="PATH",
+        help="write collapsed-stack flamegraph lines (sim-ns weights) to PATH",
+    )
+    trace.add_argument(
+        "--manifest", type=_output_path, default="", metavar="PATH",
+        help="write a run manifest carrying the per-stage totals (for `repro diff`)",
     )
     trace.add_argument(
         "--from-jsonl", default="", metavar="PATH", dest="from_jsonl",
@@ -420,37 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the trend report as JSON"
     )
 
-    profile = sub.add_parser(
-        "profile",
-        help="profile one figure's pipeline on the fused fast path "
-        "(summary-mode stages + per-batch wall timing)",
-    )
-    profile.add_argument(
-        "figure", type=_figure_id,
-        help="figure id or paper alias (fig14/fig16/fig17/fig19 resolve to 'system')",
-    )
-    profile.add_argument(
-        "--app", type=_app_name, default="lbm", help="workload to profile (default lbm)"
-    )
-    profile.add_argument("--accesses", type=_positive_int, default=2_000)
-    profile.add_argument("--seed", type=int, default=1)
-    profile.add_argument(
-        "--controller", type=_controller_name, default="dewrite",
-        help="controller to profile (default dewrite; see `list`)",
-    )
-    profile.add_argument(
-        "--flamegraph", default="", metavar="PATH",
-        help="write collapsed-stack flamegraph lines (sim-ns weights) to PATH",
-    )
-    profile.add_argument(
-        "--json", default="", metavar="PATH",
-        help="write the full profile payload (stages + wall section) to PATH",
-    )
-    profile.add_argument(
-        "--manifest", default="", metavar="PATH",
-        help="write a run manifest carrying the stage section (for `repro diff`)",
-    )
-
     stats = sub.add_parser("stats", help="validate and summarise a run manifest")
     stats.add_argument(
         "manifest", nargs="?", default="manifest.json",
@@ -484,14 +497,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cap on printed windows (default 40; export is never capped)",
     )
     timeline.add_argument(
-        "--csv", default="", metavar="PATH", help="also export every window as CSV"
+        "--csv", type=_output_path, default="", metavar="PATH",
+        help="also export every window as CSV",
     )
     timeline.add_argument(
-        "--jsonl", default="", metavar="PATH",
+        "--jsonl", type=_output_path, default="", metavar="PATH",
         help="also export one JSON object per window as JSONL",
     )
     timeline.add_argument(
-        "--manifest", default="", metavar="PATH",
+        "--manifest", type=_output_path, default="", metavar="PATH",
         help="also write a run manifest embedding the merged timeline",
     )
 
@@ -529,7 +543,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="heatmap intensity metric (default writes)",
     )
     wear.add_argument(
-        "--csv", default="", metavar="PATH", help="also export the heatmap grid as CSV"
+        "--csv", type=_output_path, default="", metavar="PATH",
+        help="also export the heatmap grid as CSV",
     )
 
     diff = sub.add_parser(
@@ -546,11 +561,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     diff.add_argument(
         "--figures-a", default="", metavar="DIR",
-        help="directory of figure JSONs from run A (enables figure drift)",
+        help="run A's `run --out` directory of figure JSONs (enables figure drift)",
     )
     diff.add_argument(
         "--figures-b", default="", metavar="DIR",
-        help="directory of figure JSONs from run B",
+        help="run B's `run --out` directory of figure JSONs",
     )
     diff.add_argument(
         "--tolerance", type=float, default=0.05,
@@ -598,22 +613,10 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seed", type=int, default=1)
     _add_cache_args(compare)
 
-    figure = sub.add_parser("figure", help="regenerate one paper table/figure")
-    figure.add_argument("id", choices=figures.experiment_ids())
-    _add_settings_args(figure, default_accesses=20_000)
-    _add_cache_args(figure)
-    figure.add_argument(
-        "--chart", default="", metavar="COLUMN",
-        help="also render COLUMN as an ASCII bar chart",
-    )
-    figure.add_argument(
-        "--json", default="", metavar="PATH", help="also dump the table as JSON"
-    )
-
     regress = sub.add_parser(
         "regress", help="compare two exported figure JSONs for drift"
     )
-    regress.add_argument("reference", help="reference JSON (from figure --json)")
+    regress.add_argument("reference", help="reference JSON (DIR/<figure>.json of run --out DIR)")
     regress.add_argument("current", help="current JSON to check")
     regress.add_argument("--tolerance", type=float, default=0.05,
                          help="relative tolerance per cell (default 5 %%)")
@@ -744,8 +747,6 @@ def _event_bus(path: str):
     An existing unix socket at PATH (a waiting ``repro watch --socket``)
     gets a datagram sink; anything else is treated as a JSONL file.
     """
-    import pathlib
-
     from repro.obs.events import EventBus, SocketSink
     from repro.obs.sinks import JsonlSink
 
@@ -794,12 +795,13 @@ def _run_run(args: argparse.Namespace) -> int:
 
     out_dir = None
     if args.out:
-        import pathlib
+        from repro.analysis.export import dump_json, table_to_dict
 
         out_dir = pathlib.Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
 
     rendered = 0
+    uncharted: list[str] = []
     for spec_id in ids:
         spec = figures.experiment(spec_id)
         try:
@@ -812,14 +814,41 @@ def _run_run(args: argparse.Namespace) -> int:
             print()
         print(text)
         rendered += 1
+        if args.chart:
+            chart = _bar_chart(table, args.chart)
+            if chart:
+                print()
+                print(chart)
+            else:
+                uncharted.append(f"{spec_id} ({', '.join(table.headers)})")
         if out_dir is not None:
             (out_dir / f"{spec_id}.txt").write_text(text + "\n")
+            dump_json(table_to_dict(table), out_dir / f"{spec_id}.json")
 
     print(report.cache_stats_line(), file=sys.stderr)
     if not args.no_manifest:
         path = _write_run_manifest(args, ids, settings, report, show_progress)
         print(f"manifest: {path}", file=sys.stderr)
+    if uncharted and len(uncharted) == rendered:
+        print(
+            f"repro run: error: argument --chart: no numeric column {args.chart!r} in "
+            + "; ".join(uncharted),
+            file=sys.stderr,
+        )
+        return 2
     return 0 if report.ok and rendered == len(ids) else 1
+
+
+def _bar_chart(table, column: str) -> str:
+    """``column`` of ``table`` as an ASCII bar chart, or "" if the table
+    has no such numeric column."""
+    from repro.analysis.charts import render_bar_chart
+
+    ratio = "speedup" in column or "ratio" in column
+    try:
+        return render_bar_chart(table, column, reference=1.0 if ratio else None)
+    except (KeyError, ValueError):
+        return ""
 
 
 def _write_run_manifest(args, ids, settings, report, show_progress, timeline=None,
@@ -862,10 +891,13 @@ def _write_run_manifest(args, ids, settings, report, show_progress, timeline=Non
 
 
 def _run_trace(args: argparse.Namespace) -> int:
+    import time
+
     from repro.core.registry import build_controller
     from repro.nvm.memory import NvmMainMemory
     from repro.obs.sinks import JsonlSink
-    from repro.obs.trace import Tracer, percentile
+    from repro.obs.stages import collapsed_stacks, fold_spans
+    from repro.obs.trace import Tracer, latency_summary
     from repro.runner.jobs import trace_for
     from repro.system.simulator import simulate
 
@@ -896,7 +928,9 @@ def _run_trace(args: argparse.Namespace) -> int:
         figure=spec.id, app=args.app, controller=args.controller, seed=args.seed
     )
     controller = build_controller(args.controller, NvmMainMemory(), tracer=tracer)
+    started = time.perf_counter()
     simulate(controller, workload)
+    elapsed_s = time.perf_counter() - started
     tracer.close()
 
     stages = tracer.stage_durations(clock="sim")
@@ -907,12 +941,10 @@ def _run_trace(args: argparse.Namespace) -> int:
     print(f"{'stage':16s}{'count':>8s}{'mean ns':>10s}{'p50 ns':>10s}"
           f"{'p95 ns':>10s}{'p99 ns':>10s}{'max ns':>10s}")
     for name in sorted(stages):
-        durations = sorted(stages[name])
-        mean = sum(durations) / len(durations)
+        row = latency_summary(stages[name])
         print(
-            f"{name:16s}{len(durations):8d}{mean:10.1f}"
-            f"{percentile(durations, 50):10.1f}{percentile(durations, 95):10.1f}"
-            f"{percentile(durations, 99):10.1f}{durations[-1]:10.1f}"
+            f"{name:16s}{int(row['count']):8d}{row['mean']:10.1f}{row['p50']:10.1f}"
+            f"{row['p95']:10.1f}{row['p99']:10.1f}{row['max']:10.1f}"
         )
     if args.out:
         print(f"\nwrote {len(tracer.records)} records to {args.out}")
@@ -921,53 +953,14 @@ def _run_trace(args: argparse.Namespace) -> int:
 
         path = write_chrome_trace(tracer.records, args.chrome)
         print(f"wrote Chrome trace to {path}")
-    return 0
-
-
-def _run_profile(args: argparse.Namespace) -> int:
-    import time as _time
-    from pathlib import Path
-
-    from repro.core.registry import build_controller
-    from repro.nvm.memory import NvmMainMemory
-    from repro.obs.metrics import registry as metrics_registry
-    from repro.obs.profile import (
-        BatchProfiler,
-        render_stage_table,
-        render_wall_summary,
-    )
-    from repro.runner.jobs import trace_for
-    from repro.system.simulator import simulate
-
-    spec = figures.resolve_experiment(args.figure)
-    workload = trace_for(args.app, args.accesses, args.seed)
-    controller = build_controller(args.controller, NvmMainMemory())
-    profiler = BatchProfiler(controller)
-    started = _time.perf_counter()
-    with profiler:
-        simulate(controller, workload)
-    elapsed_s = _time.perf_counter() - started
-
-    print(
-        f"{spec.id} ({spec.anchor}) — {args.controller} on {args.app}, "
-        f"{args.accesses} accesses, seed {args.seed}"
-    )
-    print(render_stage_table(profiler))
-    print(render_wall_summary(profiler))
+    folded = fold_spans(stages)
     if args.flamegraph:
-        lines = profiler.collapsed_stacks()
-        Path(args.flamegraph).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = collapsed_stacks(folded, f"{type(controller).__name__}.service_batch")
+        _write_text(args.flamegraph, "\n".join(lines) + "\n")
         print(f"wrote {len(lines)} flamegraph frame(s) to {args.flamegraph}", file=sys.stderr)
-    if args.json:
-        import json
-
-        Path(args.json).write_text(
-            json.dumps(profiler.report(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote profile payload to {args.json}", file=sys.stderr)
     if args.manifest:
         from repro.obs.manifest import build_manifest, write_manifest
+        from repro.obs.metrics import registry as metrics_registry
 
         payload = build_manifest(
             figures=[spec.id],
@@ -976,7 +969,7 @@ def _run_profile(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "applications": [args.app],
             },
-            options={"controller": args.controller, "command": "profile"},
+            options={"controller": args.controller, "command": "trace"},
             jobs=[],
             cache={
                 "planned": 1, "unique": 1, "disk_hits": 0,
@@ -985,7 +978,7 @@ def _run_profile(args: argparse.Namespace) -> int:
             failures=[],
             elapsed_s=elapsed_s,
             metrics=metrics_registry().to_dict(),
-            stages=profiler.stages.to_dict(),
+            stages=folded.to_dict(),
         )
         path = write_manifest(args.manifest, payload)
         print(f"manifest: {path}", file=sys.stderr)
@@ -993,32 +986,26 @@ def _run_profile(args: argparse.Namespace) -> int:
 
 
 def _run_stats(args: argparse.Namespace) -> int:
-    from repro.obs.manifest import (
-        ManifestError,
-        load_manifest,
-        summarize_manifest,
-        validate_manifest,
-    )
+    from repro.obs.manifest import ManifestError, load_manifest, summarize_manifest
 
     try:
         payload = load_manifest(args.manifest, validate=False)
     except ManifestError as error:
         print(f"stats: {error}", file=sys.stderr)
         return 1
+    summary = summarize_manifest(payload)
     if args.json:
         import json
 
-        summary = summarize_manifest(payload)
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0 if summary["valid"] else 1
 
-    problems = validate_manifest(payload)
     print(f"manifest: {args.manifest}")
-    print(f"  command:   {' '.join(payload.get('command', []) or ['?'])}")
-    print(f"  git sha:   {payload.get('git_sha') or 'unknown'}")
+    print(f"  command:   {' '.join(summary['command'] or ['?'])}")
+    print(f"  git sha:   {summary['git_sha'] or 'unknown'}")
     print(f"  python:    {payload.get('python', '?')}")
-    print(f"  figures:   {', '.join(payload.get('figures', []) or ['-'])}")
-    settings = payload.get("settings", {})
+    print(f"  figures:   {', '.join(summary['figures'] or ['-'])}")
+    settings = summary["settings"]
     if isinstance(settings, dict):
         print(
             f"  settings:  accesses={settings.get('accesses')} seed={settings.get('seed')} "
@@ -1026,48 +1013,37 @@ def _run_stats(args: argparse.Namespace) -> int:
         )
     jobs = payload.get("jobs", [])
     if isinstance(jobs, list):
-        by_source: dict[str, int] = {}
-        for job in jobs:
-            if isinstance(job, dict):
-                by_source[str(job.get("source"))] = by_source.get(str(job.get("source")), 0) + 1
-        summary = ", ".join(f"{count} {source}" for source, count in sorted(by_source.items()))
-        print(f"  jobs:      {len(jobs)} ({summary or 'none'})")
+        by_source = sorted(summary["jobs"]["by_source"].items())
+        counts = ", ".join(f"{count} {source}" for source, count in by_source)
+        print(f"  jobs:      {summary['jobs']['total']} ({counts or 'none'})")
         timed = [j for j in jobs if isinstance(j, dict) and j.get("source") == "executed"]
         for job in sorted(timed, key=lambda j: -float(j.get("compute_s", 0.0)))[:5]:
             print(
                 f"    {job.get('label', '?'):40s} compute {float(job.get('compute_s', 0)):6.2f}s "
                 f"queue {float(job.get('queue_s', 0)):6.2f}s x{job.get('attempts', 1)}"
             )
-    print(f"  elapsed:   {payload.get('elapsed_s', 0):.1f}s")
-    if payload.get("peak_rss_kb") is not None:
-        print(f"  peak RSS:  {payload['peak_rss_kb'] / 1024:.0f} MiB")
-    timeline = payload.get("timeline")
-    if isinstance(timeline, dict):
-        windows = timeline.get("windows", {})
+    print(f"  elapsed:   {summary['elapsed_s'] or 0:.1f}s")
+    if summary["peak_rss_kb"] is not None:
+        print(f"  peak RSS:  {summary['peak_rss_kb'] / 1024:.0f} MiB")
+    if "timeline" in summary:
+        timeline = summary["timeline"]
         print(
-            f"  timeline:  {len(windows) if isinstance(windows, dict) else 0} "
-            f"window(s) x {float(timeline.get('window_ns', 0) or 0):g} ns"
+            f"  timeline:  {timeline['windows']} window(s) x "
+            f"{float(timeline['window_ns'] or 0):g} ns"
         )
-    faults = payload.get("faults")
-    if isinstance(faults, dict):
-        scenarios = faults.get("scenarios", [])
+    if "faults" in summary:
+        faults = summary["faults"]
         print(
-            f"  faults:    {len(scenarios) if isinstance(scenarios, list) else 0} "
-            f"scenario(s), interval {float(faults.get('interval_ns', 0) or 0):g} ns"
+            f"  faults:    {faults['scenarios']} scenario(s), "
+            f"interval {float(faults['interval_ns'] or 0):g} ns"
         )
-    stages = payload.get("stages")
-    if isinstance(stages, dict):
-        entries = stages.get("stages", {})
-        samples = sum(
-            entry.get("count", 0)
-            for entry in (entries.values() if isinstance(entries, dict) else [])
-            if isinstance(entry, dict)
-        )
+    if "stages" in summary:
+        stages = summary["stages"]
         print(
-            f"  stages:    {len(entries) if isinstance(entries, dict) else 0} "
-            f"stage(s), {samples} sample(s) (summary mode)"
+            f"  stages:    {stages['stages']} stage(s), {stages['samples']} sample(s) "
+            "(summary mode)"
         )
-    metrics = payload.get("metrics", {})
+    metrics = summary["metrics"]
     if isinstance(metrics, dict):
         # Surface how many batches the kernels merged from several streams.
         fallbacks = {
@@ -1090,12 +1066,12 @@ def _run_stats(args: argparse.Namespace) -> int:
             rendered = ", ".join(f"{name.rsplit('.', 1)[-1]}={value:g}"
                                  for name, value in stream.items())
             print(f"  events:    {rendered} (live telemetry stream)")
-    failures = payload.get("failures", [])
-    if failures:
-        print(f"  failures:  {len(failures)}")
-        for failure in failures:
+    if summary["failures"]:
+        print(f"  failures:  {summary['failures']}")
+        for failure in payload["failures"]:
             if isinstance(failure, dict):
                 print(f"    {failure.get('label', '?')}: {failure.get('error', '?')}")
+    problems = summary["problems"]
     if problems:
         print(f"stats: manifest is INVALID ({len(problems)} problem(s)):")
         for problem in problems:
@@ -1106,8 +1082,6 @@ def _run_stats(args: argparse.Namespace) -> int:
 
 
 def _run_timeline(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.obs.timeline import TimelineCollector, render_timeline, timeline_csv
     from repro.runner import provider
     from repro.runner.jobs import simulate_spec
@@ -1146,14 +1120,14 @@ def _run_timeline(args: argparse.Namespace) -> int:
     )
     print(render_timeline(merged, max_rows=args.max_rows))
     if args.csv:
-        Path(args.csv).write_text(timeline_csv(merged), encoding="utf-8")
+        _write_text(args.csv, timeline_csv(merged))
         print(f"wrote {args.csv}", file=sys.stderr)
     if args.jsonl:
         import json
 
-        with Path(args.jsonl).open("w", encoding="utf-8") as handle:
-            for row in merged.rows():
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
+        _write_text(
+            args.jsonl, "".join(json.dumps(row, sort_keys=True) + "\n" for row in merged.rows())
+        )
         print(f"wrote {args.jsonl}", file=sys.stderr)
     if args.manifest:
         path = _write_run_manifest(
@@ -1258,15 +1232,12 @@ def _run_faults(args: argparse.Namespace) -> int:
 
     if args.json:
         import json
-        from pathlib import Path
 
         payload = [
             {"controller": controller, **scenario}
             for controller, scenario in entries
         ]
-        Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_text(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.json}", file=sys.stderr)
     if args.manifest:
         path = _write_run_manifest(
@@ -1278,8 +1249,6 @@ def _run_faults(args: argparse.Namespace) -> int:
 
 
 def _run_wear(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.analysis.charts import heatmap_csv, render_heatmap
     from repro.core.registry import build_controller
     from repro.nvm.memory import NvmMainMemory
@@ -1359,7 +1328,7 @@ def _run_wear(args: argparse.Namespace) -> int:
         )
 
     if args.csv:
-        Path(args.csv).write_text(heatmap_csv(grid), encoding="utf-8")
+        _write_text(args.csv, heatmap_csv(grid))
         print(f"wrote {args.csv}", file=sys.stderr)
     return 0
 
@@ -1520,19 +1489,17 @@ def _run_bench(args: argparse.Namespace) -> int:
 
 
 def _run_watch(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.obs.watch import follow_file, follow_socket
 
     max_wait = args.max_wait if args.max_wait > 0 else None
     if args.socket:
-        target = Path(args.target)
+        target = pathlib.Path(args.target)
         if target.exists():
             print(f"watch: {target} already exists; refusing to bind", file=sys.stderr)
             return 2
         model = follow_socket(target, interval_s=args.interval, max_wait_s=max_wait)
     else:
-        target = Path(args.target)
+        target = pathlib.Path(args.target)
         if target.is_dir():
             target = target / "events.jsonl"
         if args.once and not target.exists():
@@ -1562,7 +1529,6 @@ def _traffic_config(args: argparse.Namespace):
 
 def _run_serve(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.obs.events import NULL_EVENTS
     from repro.runner.engine import stderr_progress
@@ -1602,10 +1568,10 @@ def _run_serve(args: argparse.Namespace) -> int:
     print(outcome.run.cache_stats_line(), file=sys.stderr)
     if args.json_out:
         blob = json.dumps(report.to_dict(), sort_keys=True, indent=2)
-        Path(args.json_out).write_text(blob + "\n")
+        pathlib.Path(args.json_out).write_text(blob + "\n")
         print(f"wrote {args.json_out}", file=sys.stderr)
     if args.tables:
-        tables = Path(args.tables)
+        tables = pathlib.Path(args.tables)
         tables.mkdir(parents=True, exist_ok=True)
         (tables / "wear_balance.csv").write_text(report.wear_table_csv())
         (tables / "dedup_ratio.csv").write_text(report.dedup_table_csv())
@@ -1616,7 +1582,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 def _run_loadgen(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.serve.control import AdmissionPolicy
     from repro.serve.loadgen import build_load_plan
@@ -1630,18 +1595,17 @@ def _run_loadgen(args: argparse.Namespace) -> int:
     print(plan.render())
     if args.json_out:
         blob = json.dumps(plan.to_dict(), sort_keys=True, indent=2)
-        Path(args.json_out).write_text(blob + "\n")
+        pathlib.Path(args.json_out).write_text(blob + "\n")
         print(f"wrote {args.json_out}", file=sys.stderr)
     return 0
 
 
 def _run_ledger(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.obs.ledger import Ledger, LedgerError
 
-    path = Path(args.ledger_path)
+    path = pathlib.Path(args.ledger_path)
     if path.exists():
         try:
             ledger = Ledger.load(path)
@@ -1658,7 +1622,7 @@ def _run_ledger(args: argparse.Namespace) -> int:
         added = 0
         for record_path in args.records:
             try:
-                payload = json.loads(Path(record_path).read_text(encoding="utf-8"))
+                payload = json.loads(pathlib.Path(record_path).read_text(encoding="utf-8"))
                 if ledger.add_record(payload, source=str(record_path)):
                     added += 1
             except (OSError, json.JSONDecodeError, LedgerError) as error:
@@ -1692,12 +1656,11 @@ def _run_ledger(args: argparse.Namespace) -> int:
 
 def _run_trend(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.obs import bench
     from repro.obs.ledger import Ledger, LedgerError, compute_trend, ledger_from_records
 
-    source = Path(args.source)
+    source = pathlib.Path(args.source)
     try:
         if source.is_dir() or source.match("BENCH_*.json"):
             anchors = bench.discover_anchors(source) if source.is_dir() else [source]
@@ -1750,28 +1713,6 @@ def _run_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_figure(args: argparse.Namespace) -> int:
-    spec = figures.experiment(args.id)
-    settings = _settings(args)
-    cache = _configure_runner(args)
-    if args.parallel > 1:
-        _warm_jobs(args, spec.jobs(settings), cache)
-    table = spec.render(settings)
-    print(table.render())
-    if args.chart:
-        from repro.analysis.charts import render_bar_chart
-
-        reference = 1.0 if ("speedup" in args.chart or "ratio" in args.chart) else None
-        print()
-        print(render_bar_chart(table, args.chart, reference=reference))
-    if args.json:
-        from repro.analysis.export import dump_json, table_to_dict
-
-        dump_json(table_to_dict(table), args.json)
-        print(f"\nwrote {args.json}")
-    return 0
-
-
 def _run_regress(args: argparse.Namespace) -> int:
     from repro.obs.drift import compare_tables, load_table
 
@@ -1800,14 +1741,12 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def _run_check_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     import repro
     from repro.check.baseline import Baseline, discover_baseline
     from repro.check.lint import lint_paths
     from repro.check.output import render_json, render_sarif
 
-    targets = args.paths if args.paths else [str(Path(repro.__file__).parent)]
+    targets = args.paths if args.paths else [str(pathlib.Path(repro.__file__).parent)]
 
     if args.write_baseline:
         report = lint_paths(targets)
@@ -1822,13 +1761,13 @@ def _run_check_lint(args: argparse.Namespace) -> int:
     if args.baseline:
         baseline = Baseline.load(args.baseline)
     elif not args.no_baseline:
-        found = discover_baseline(Path(targets[0]))
+        found = discover_baseline(pathlib.Path(targets[0]))
         if found is not None:
             baseline = Baseline.load(found)
 
     report = lint_paths(targets, baseline=baseline)
     if args.sarif:
-        Path(args.sarif).write_text(render_sarif(report) + "\n", encoding="utf-8")
+        pathlib.Path(args.sarif).write_text(render_sarif(report) + "\n", encoding="utf-8")
     if args.json_output:
         print(render_json(report))
     else:
@@ -1950,8 +1889,6 @@ def main(argv: list[str] | None = None) -> int:
             return _run_run(args)
         if args.command == "trace":
             return _run_trace(args)
-        if args.command == "profile":
-            return _run_profile(args)
         if args.command == "stats":
             return _run_stats(args)
         if args.command == "timeline":
@@ -1976,8 +1913,6 @@ def main(argv: list[str] | None = None) -> int:
             return _run_trend(args)
         if args.command == "compare":
             return _run_compare(args)
-        if args.command == "figure":
-            return _run_figure(args)
         if args.command == "regress":
             return _run_regress(args)
         if args.command == "check":

@@ -33,9 +33,8 @@ actually corrupt a result:
 
 Taint propagates caller-inherits-from-callee through resolved call edges
 and, for unresolvable ``<expr>.meth()`` calls, through name-based method
-edges.  :data:`BARRIER_MODULES` (the trace bus, the batch profiler, the
-live event bus, the cross-run ledger, and their watch/chrome consumers)
-are the sanctioned
+edges.  :data:`BARRIER_MODULES` (the trace bus, the live event bus, the
+cross-run ledger, and their watch/chrome consumers) are the sanctioned
 wall-clock consumers: their wall-time spans and record timestamps are
 segregated from simulated results by the runtime diff gates (PR 4; the
 ``events.*`` counters and ledger provenance stamps are environment
@@ -62,7 +61,6 @@ if TYPE_CHECKING:
 BARRIER_MODULES = frozenset(
     {
         "repro.obs.trace",
-        "repro.obs.profile",
         "repro.obs.events",
         "repro.obs.ledger",
         "repro.obs.watch",

@@ -51,11 +51,6 @@ class ConsistencyReport:
                 f"{self.intact} + {self.stale} + {self.lost} != {self.total_lines}"
             )
 
-    @property
-    def intact_fraction(self) -> float:
-        """Fraction of written lines recovered bit-exact."""
-        return self.intact / self.total_lines if self.total_lines else 1.0
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "total_lines": self.total_lines,

@@ -24,10 +24,9 @@ The observability layer for the simulator stack:
   ``BENCH_<gitsha>.json`` regression gate (``python -m repro bench``);
 - :mod:`repro.obs.stages` — summary-mode per-stage latency accounting
   (:class:`~repro.obs.stages.StageAccumulator`) that the batch kernels
-  feed with columnar flushes, far cheaper than full tracing;
-- :mod:`repro.obs.profile` — the deterministic batch profiler behind
-  ``python -m repro profile`` (stage tables, collapsed-stack
-  flamegraphs, per-batch wall timing kept out of sim state).
+  feed with columnar flushes, far cheaper than full tracing, and the
+  fold of a trace's spans into the same accumulator behind
+  ``python -m repro trace --flamegraph/--manifest``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro._lazy import lazy_exports
 
 #: Public name -> defining submodule.  Exports load on first use (PEP 562),
 #: so importing one observability module never compiles the manifest,
-#: bench, diff, profile and chrome-export machinery a run does not use.
+#: bench, diff and chrome-export machinery a run does not use.
 _EXPORTS = {
     "MANIFEST_KIND": "manifest",
     "MANIFEST_SCHEMA_VERSION": "manifest",
@@ -66,15 +65,14 @@ _EXPORTS = {
     "diff_stages": "diff",
     "diff_timelines": "diff",
     "stage_percentiles": "diff",
-    "PROFILE_SCHEMA_VERSION": "profile",
-    "BatchProfiler": "profile",
-    "render_stage_table": "profile",
-    "render_wall_summary": "profile",
     "NULL_STAGES": "stages",
+    "NON_STAGE_SPANS": "stages",
     "STAGES_SCHEMA_VERSION": "stages",
     "NullStageAccumulator": "stages",
     "StageAccumulator": "stages",
     "StagesLike": "stages",
+    "collapsed_stacks": "stages",
+    "fold_spans": "stages",
     "LATENCY_BOUNDS_NS": "metrics",
     "SECONDS_BOUNDS": "metrics",
     "Counter": "metrics",
@@ -97,6 +95,7 @@ _EXPORTS = {
     "NullTracer": "trace",
     "Tracer": "trace",
     "TracerLike": "trace",
+    "latency_summary": "trace",
     "percentile": "trace",
 }
 

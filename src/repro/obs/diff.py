@@ -9,8 +9,8 @@ JSONs) and separates **deterministic** divergence from wall-clock noise:
   drift;
 - the *timeline* (per-window counters over the simulated clock),
   *faults* (crash-recovery verdicts from seeded fault plans, see
-  :mod:`repro.faults`) and *stages* (summary-mode per-stage totals from
-  ``python -m repro profile``) sections are pure products of the seed,
+  :mod:`repro.faults`) and *stages* (per-stage totals from
+  ``python -m repro trace --manifest``) sections are pure products of the seed,
   so they compare entry by entry and field by field, exactly;
 - per-stage latency percentiles extracted from JSONL sinks use the
   **sim** clock only, so p50/p95/p99 deltas are code-behaviour changes,
@@ -41,7 +41,7 @@ from repro.obs.drift import (
     match,
 )
 from repro.obs.manifest import summarize_manifest
-from repro.obs.trace import percentile
+from repro.obs.trace import latency_summary
 
 #: Counters measuring how much work the *runner* performed, which depends
 #: on cache warmth (a warm run executes zero jobs), not on what the
@@ -323,18 +323,7 @@ def stage_percentiles(path: str | Path) -> dict[str, dict[str, float]]:
                 stages.setdefault(record["name"], []).append(float(record["dur_ns"]))
         except (AttributeError, KeyError, TypeError, ValueError) as error:
             raise ValueError(f"{path}: malformed trace record {record!r}") from error
-    summary: dict[str, dict[str, float]] = {}
-    for name, durations in stages.items():
-        durations.sort()
-        summary[name] = {
-            "count": float(len(durations)),
-            "mean": sum(durations) / len(durations),
-            "p50": percentile(durations, 50),
-            "p95": percentile(durations, 95),
-            "p99": percentile(durations, 99),
-            "max": durations[-1],
-        }
-    return summary
+    return {name: latency_summary(durations) for name, durations in stages.items()}
 
 
 def diff_stages(

@@ -210,3 +210,39 @@ def _stage_histogram(
 
 #: Anything accepting the accumulator surface (real or null).
 StagesLike = StageAccumulator | NullStageAccumulator
+
+#: Span names that are not pipeline stages: the memory model's per-device
+#: sub-spans and the batch envelope.
+NON_STAGE_SPANS = ("nvm.", "batch")
+
+
+def fold_spans(durations: dict[str, list[float]]) -> StageAccumulator:
+    """Fold a tracer's sim-clock span durations into an accumulator.
+
+    ``durations`` is :meth:`~repro.obs.trace.Tracer.stage_durations`;
+    each pipeline stage goes in through one :meth:`~StageAccumulator.record_many`
+    in arrival order, so the result equals what the kernels feed a
+    summary-mode accumulator, bit for bit (the reconciliation contract).
+    """
+    accumulator = StageAccumulator()
+    for stage, samples in durations.items():
+        if not stage.startswith(NON_STAGE_SPANS):
+            accumulator.record_many(stage, samples)
+    return accumulator
+
+
+def collapsed_stacks(accumulator: StageAccumulator, kernel: str) -> list[str]:
+    """Flamegraph lines in collapsed-stack format, integer sim-ns weights::
+
+        controller;DeWriteController.service_batch;write.crypto 182034
+
+    Only leaf stages (``write.crypto``, ``read.nvm``, ...) become frames;
+    the composite ``read``/``write`` envelopes would count their children
+    twice.
+    """
+    lines = []
+    for name, histogram in accumulator.histograms().items():
+        weight = round(histogram.total)
+        if "." in name and weight:
+            lines.append(f"controller;{kernel};{name} {weight}")
+    return lines

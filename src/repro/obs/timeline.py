@@ -186,11 +186,6 @@ class TimelineCollector:
 
     # -- queries ------------------------------------------------------------
 
-    @property
-    def window_count(self) -> int:
-        """Retained (non-evicted) windows."""
-        return len(self._windows)
-
     def window_indices(self) -> list[int]:
         """Retained window indices, ascending."""
         return sorted(self._windows)

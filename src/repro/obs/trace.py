@@ -250,3 +250,20 @@ def percentile(sorted_values: list[float], q: float) -> float:
         raise ValueError(f"percentile must be in (0, 100], got {q}")
     rank = max(1, math.ceil(q * len(sorted_values) / 100.0))
     return sorted_values[min(rank, len(sorted_values)) - 1]
+
+
+def latency_summary(durations: list[float]) -> dict[str, float]:
+    """``{count, mean, p50, p95, p99, max}`` of one stage's span durations.
+
+    The row ``repro trace`` prints and ``repro diff`` compares per stage;
+    ``durations`` must be non-empty.
+    """
+    ordered = sorted(durations)
+    return {
+        "count": float(len(ordered)),
+        "mean": sum(ordered) / len(ordered),
+        "p50": percentile(ordered, 50),
+        "p95": percentile(ordered, 95),
+        "p99": percentile(ordered, 99),
+        "max": ordered[-1],
+    }

@@ -181,11 +181,6 @@ def register_job_kind(name: str, runner: JobRunner, *, replace: bool = False) ->
     _JOB_KINDS[name] = runner
 
 
-def registered_job_kinds() -> tuple[str, ...]:
-    """Names of all registered job kinds."""
-    return tuple(sorted(_JOB_KINDS))
-
-
 def execute_job(spec: JobSpec) -> dict[str, Any]:
     """Run one job in this process and return its JSON-shaped payload.
 

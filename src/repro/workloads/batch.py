@@ -94,18 +94,6 @@ class AccessBatch:
         """Number of write accesses in the batch."""
         return self.ops.count(OP_WRITE)
 
-    @property
-    def read_count(self) -> int:
-        """Number of read accesses in the batch."""
-        return self.ops.count(OP_READ)
-
-    def payload_of(self, index: int) -> bytes:
-        """Line data of the write at ``index`` (raises for reads)."""
-        slot = self.slots[index]
-        if slot < 0:
-            raise ValueError(f"access {index} is a read; reads carry no data")
-        return self.payload[slot : slot + self.line_size]
-
     def write_pairs(self) -> Iterator[tuple[int, bytes]]:
         """Yield (address, data) for every write, in access order."""
         payload = self.payload

@@ -1,7 +1,7 @@
 """Cold set-up imports the simulation path and nothing else.
 
 Every workload imports :mod:`repro.obs` for its tracer, metrics and
-stages, but none of them runs the manifest, bench, diff, profile or
+stages, but none of them runs the manifest, bench, diff or
 chrome-export code, so importing the package must not compile those
 modules.  The same holds for the optional exports of the substrate
 packages (PEP 562 tables in ``repro.crypto``, ``repro.hashes``,
@@ -26,7 +26,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: The heavy observability modules no simulation, serve run or campaign uses.
-HEAVY = ("bench", "manifest", "diff", "profile", "chrome")
+HEAVY = ("bench", "manifest", "diff", "chrome")
 
 #: Modules the jobs themselves import on first use: the controller registry
 #: and the baselines it builds lazily.

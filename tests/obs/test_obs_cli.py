@@ -278,6 +278,18 @@ class TestDiff:
         assert "percentiles match" in out
         assert "fig.json: clean" in out
 
+    def test_diff_reads_run_out_directories(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        self._manifest(a)
+        run = ["run", "fig2", "--apps", "lbm", "--accesses", "300", "--no-cache",
+               "--no-manifest", "--out"]
+        assert main([*run, str(tmp_path / "fa")]) == 0
+        assert main([*run, str(tmp_path / "fb")]) == 0
+        capsys.readouterr()
+        assert main(["diff", str(a), str(a), "--figures-a", str(tmp_path / "fa"),
+                     "--figures-b", str(tmp_path / "fb")]) == 0
+        assert "figures: fig2.json: clean" in capsys.readouterr().out
+
     def test_diff_one_sided_trace_flag_rejected(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         self._manifest(a)
@@ -373,40 +385,29 @@ class TestBench:
 
 
 class TestProfile:
-    PROFILE = ["profile", "fig14", "--accesses", "300"]
+    """The stage profile ``trace`` folds from its spans: ``--flamegraph``
+    and the ``stages`` section of ``--manifest``."""
 
-    def test_profile_prints_stage_table_and_wall_footer(self, capsys):
-        assert main(self.PROFILE) == 0
-        out = capsys.readouterr().out
-        assert "kernel: DeWriteController.service_batch" in out
-        for stage in ("write.dedup", "write.crypto", "read.nvm"):
-            assert stage in out
-        assert "wall (host, non-deterministic)" in out
+    PROFILE = ["trace", "fig14", "--accesses", "300"]
 
-    def test_profile_keeps_kernels_fused(self, capsys):
+    def test_profile_keeps_kernels_fused(self, tmp_path, capsys):
         from repro.obs.metrics import registry
 
-        assert main(self.PROFILE) == 0
+        assert main([*self.PROFILE, "--flamegraph", str(tmp_path / "stages.folded"),
+                     "--manifest", str(tmp_path / "m.json")]) == 0
         fallbacks = [n for n in registry().names() if n.startswith("batch.fallback.")]
         assert fallbacks == []
 
-    def test_profile_writes_flamegraph_and_json(self, tmp_path, capsys):
-        from repro.obs.profile import PROFILE_SCHEMA_VERSION
-
-        folded = tmp_path / "stages.folded"
-        report_path = tmp_path / "profile.json"
-        assert main([*self.PROFILE, "--flamegraph", str(folded),
-                     "--json", str(report_path)]) == 0
+    def test_profile_writes_flamegraph(self, tmp_path, capsys):
+        folded = tmp_path / "out" / "stages.folded"
+        assert main([*self.PROFILE, "--flamegraph", str(folded)]) == 0
         frames = folded.read_text().splitlines()
         assert frames
         for frame in frames:
             stack, _, weight = frame.rpartition(" ")
             assert int(weight) > 0
             assert stack.startswith("controller;DeWriteController.service_batch;")
-        report = json.loads(report_path.read_text())
-        assert report["schema"] == PROFILE_SCHEMA_VERSION
-        assert report["flamegraph"] == frames
-        assert report["wall"]["requests"] == 300
+        assert f"wrote {len(frames)} flamegraph frame(s)" in capsys.readouterr().err
 
     def test_profile_manifest_carries_stages_for_diff(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -415,6 +416,7 @@ class TestProfile:
         payload = json.loads(a.read_text())
         assert validate_manifest(payload) == []
         assert payload["stages"]["stages"], "manifest carries no stage entries"
+        assert payload["options"]["command"] == "trace"
         capsys.readouterr()
         assert main(["diff", str(a), str(b)]) == 0
         assert "deterministic state identical" in capsys.readouterr().out
@@ -432,7 +434,8 @@ class TestProfile:
         assert "stages:" in out and "summary mode" in out
         assert "fallbacks: tracer=3 (batches driven scalar)" in out
 
-    def test_profile_other_controller(self, capsys):
-        assert main(["profile", "fig14", "--accesses", "200",
-                     "--controller", "silent-shredder"]) == 0
-        assert "SilentShredderController.service_batch" in capsys.readouterr().out
+    def test_profile_other_controller(self, tmp_path, capsys):
+        folded = tmp_path / "stages.folded"
+        assert main(["trace", "fig14", "--accesses", "200",
+                     "--controller", "silent-shredder", "--flamegraph", str(folded)]) == 0
+        assert "SilentShredderController.service_batch" in folded.read_text()

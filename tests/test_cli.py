@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro.__main__ import main
@@ -45,19 +47,52 @@ class TestCompare:
 
 
 class TestFigure:
+    """One figure table rendered through ``run``."""
+
     def test_storage_figure(self, capsys):
-        assert main(["figure", "storage"]) == 0
+        assert main(["run", "storage", "--no-manifest"]) == 0
         out = capsys.readouterr().out
         assert "DEUCE" in out
 
     def test_fig2_with_subset(self, capsys):
-        assert main(["figure", "fig2", "--apps", "mcf,vips", "--accesses", "2000"]) == 0
+        assert main(["run", "fig2", "--apps", "mcf,vips", "--accesses", "2000",
+                     "--no-manifest"]) == 0
         out = capsys.readouterr().out
         assert "mcf" in out and "vips" in out and "AVERAGE" in out
 
     def test_unknown_figure_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["figure", "fig99"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "fig99", "--no-manifest"])
+        assert exit_info.value.code == 2
+        assert "unknown experiment 'fig99'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["figure", "profile"])
+    def test_folded_verbs_are_usage_errors(self, verb, capsys):
+        # ``figure`` is ``run``'s view and ``profile`` is ``trace``'s.
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "fig14"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err.strip().splitlines()[-1]
+
+    def test_chart_under_tables_with_the_column(self, capsys):
+        assert main(["run", "fig2", "storage", "--apps", "mcf", "--accesses", "500",
+                     "--no-cache", "--no-manifest", "--chart", "duplicate_ratio"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("— duplicate_ratio") == 1
+        assert out.index("— duplicate_ratio") > out.index("Fig. 2")
+
+    @pytest.mark.parametrize("column", ["nosuch", "application"])
+    def test_chart_on_unknown_column_is_one_line_exit_2(self, column, capsys):
+        code = main(["run", "fig2", "--apps", "mcf", "--accesses", "500",
+                     "--no-cache", "--no-manifest", "--chart", column])
+        assert code == 2
+        error = capsys.readouterr().err
+        assert "Traceback" not in error
+        last = error.strip().splitlines()[-1]
+        assert last.startswith(
+            f"repro run: error: argument --chart: no numeric column {column!r} in fig2 ("
+        )
+        assert "duplicate_ratio" in last
 
 
 class TestRun:
@@ -87,9 +122,13 @@ class TestRun:
              "--no-cache", "--out", str(out_dir)]
         )
         assert code == 0
-        assert (out_dir / "fig12.txt").exists()
-        assert (out_dir / "fig13.txt").exists()
+        for figure in ("fig12", "fig13"):
+            assert (out_dir / f"{figure}.txt").exists()
+            assert (out_dir / f"{figure}.json").exists()
         capsys.readouterr()
+        # The export is what ``regress`` reads.
+        export = str(out_dir / "fig12.json")
+        assert main(["regress", export, export]) == 0
 
     def test_parallel_matches_serial_output(self, capsys):
         assert main([*self.ARGS, "--no-cache"]) == 0
@@ -138,12 +177,10 @@ class TestAccessesOption:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["figure", "fig2"],
             ["run", "fig2"],
             ["timeline", "fig12"],
             ["faults", "system"],
             ["trace", "fig14"],
-            ["profile", "fig12"],
             ["wear", "fig12"],
             ["bench"],
             ["compare", "--app", "lbm"],
@@ -167,7 +204,7 @@ class TestAccessesOption:
     def test_positive_value_parses(self):
         from repro.__main__ import _build_parser
 
-        assert _build_parser().parse_args(["figure", "fig2", "--accesses", "7"]).accesses == 7
+        assert _build_parser().parse_args(["run", "fig2", "--accesses", "7"]).accesses == 7
 
 
 class TestBadInputIsAUsageError:
@@ -181,18 +218,14 @@ class TestBadInputIsAUsageError:
             (["timeline", "nosuch"], "figure"),
             (["faults", "nosuch"], "figure"),
             (["wear", "nosuch"], "figure"),
-            (["profile", "nosuch"], "figure"),
             (["trace", "fig14", "--app", "nosuch"], "--app"),
-            (["profile", "fig14", "--app", "nosuch"], "--app"),
             (["wear", "fig12", "--app", "nosuch"], "--app"),
             (["compare", "--app", "nosuch"], "--app"),
             (["run", "fig2", "--apps", "lbm,nosuch"], "--apps"),
-            (["figure", "fig2", "--apps", "nosuch"], "--apps"),
             (["timeline", "fig12", "--apps", "nosuch"], "--apps"),
             (["faults", "system", "--apps", "nosuch"], "--apps"),
             (["trace", "fig14", "--controller", "nosuch"], "--controller"),
             (["wear", "fig12", "--controller", "nosuch"], "--controller"),
-            (["profile", "fig14", "--controller", "nosuch"], "--controller"),
             (["timeline", "fig12", "--controller", "nosuch"], "--controller"),
             (["serve", "--controller", "nosuch"], "--controller"),
             (["faults", "system", "--controllers", "dewrite,nosuch"], "--controllers"),
@@ -218,6 +251,40 @@ class TestBadInputIsAUsageError:
         assert "Traceback" not in captured.err
         error = captured.err.strip().splitlines()[-1]
         assert error.startswith(f"repro {argv[0]}: error: argument {option}: ")
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["trace", "fig14", "--out"], "--out"),
+            (["trace", "fig14", "--chrome"], "--chrome"),
+            (["trace", "fig14", "--flamegraph"], "--flamegraph"),
+            (["trace", "fig14", "--manifest"], "--manifest"),
+            (["timeline", "fig12", "--csv"], "--csv"),
+            (["timeline", "fig12", "--jsonl"], "--jsonl"),
+            (["timeline", "fig12", "--manifest"], "--manifest"),
+            (["wear", "fig12", "--csv"], "--csv"),
+            (["faults", "system", "--json"], "--json"),
+            (["faults", "system", "--manifest"], "--manifest"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+    )
+    def test_unwritable_output_path_fails_before_the_run(self, argv, option, capsys):
+        # The parent is a regular file: no directory can be made there.
+        pathlib.Path("blocker").write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "blocker/out.txt", "--accesses", "50"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        error = captured.err.strip().splitlines()[-1]
+        assert error.startswith(f"repro {argv[0]}: error: argument {option}: cannot write ")
+
+    def test_output_path_may_name_a_missing_directory(self, capsys):
+        assert main(["wear", "fig12", "--accesses", "200", "--baseline", "none",
+                     "--csv", "new/dir/heat.csv"]) == 0
+        assert pathlib.Path("new/dir/heat.csv").read_text().strip()
+        capsys.readouterr()
 
     def test_aliases_and_known_names_parse(self):
         from repro.__main__ import _build_parser

@@ -43,12 +43,12 @@ def _call(argv: list[str]) -> str:
 
 
 def figure_outputs(stem: str, workdir: Path) -> tuple[str, str]:
-    """(stdout, JSON export) of one figure table."""
+    """(stdout, JSON export) of one figure table, from ``run --out``."""
     figure_id, extra = FIGURES[stem]
-    export = workdir / f"{stem}.json"
-    stdout = _call(["figure", figure_id, *extra, "--no-cache"])
-    _call(["figure", figure_id, *extra, "--no-cache", "--json", str(export)])
-    return stdout, export.read_text(encoding="utf-8")
+    with contextlib.redirect_stderr(io.StringIO()):
+        stdout = _call(["run", figure_id, *extra, "--no-cache", "--no-manifest",
+                        "--out", str(workdir)])
+    return stdout, (workdir / f"{figure_id}.json").read_text(encoding="utf-8")
 
 
 def stage_profile(controller: str, workdir: Path) -> dict:
@@ -56,7 +56,7 @@ def stage_profile(controller: str, workdir: Path) -> dict:
     folded = workdir / f"{controller}.folded"
     manifest = workdir / f"{controller}.manifest.json"
     with contextlib.redirect_stderr(io.StringIO()):
-        _call(["profile", *STAGE_PROFILE, "--controller", controller,
+        _call(["trace", *STAGE_PROFILE, "--controller", controller,
                "--flamegraph", str(folded), "--manifest", str(manifest)])
     return {
         "flamegraph": folded.read_text(encoding="utf-8"),
