@@ -644,7 +644,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the lint report as JSON instead of text",
     )
     check.add_argument(
-        "--sarif", default="", metavar="PATH",
+        "--sarif", type=_output_path, default="", metavar="PATH",
         help="also write the lint report as SARIF 2.1.0 to PATH",
     )
     check.add_argument(
@@ -677,7 +677,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_cache_args(serve)
     serve.add_argument("--events", default="", metavar="PATH",
                        help="emit lifecycle events (JSONL file or watch socket)")
-    serve.add_argument("--json", default="", dest="json_out", metavar="PATH",
+    serve.add_argument("--json", type=_output_path, default="", dest="json_out",
+                       metavar="PATH",
                        help="write the service report as canonical JSON")
     serve.add_argument("--tables", default="", metavar="DIR",
                        help="write wear-balance and dedup-ratio CSV tables to DIR")
@@ -695,7 +696,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="per-tenant admitted-access quota (0 = unbounded)")
     loadgen.add_argument("--max-slots", type=int, default=0, metavar="N",
                          help="per-shard tenant address-slot cap (0 = unbounded)")
-    loadgen.add_argument("--json", default="", dest="json_out", metavar="PATH",
+    loadgen.add_argument("--json", type=_output_path, default="", dest="json_out",
+                         metavar="PATH",
                          help="write the plan as canonical JSON")
 
     sub.add_parser("list", help="list figure ids, applications and controllers")
@@ -1568,7 +1570,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     print(outcome.run.cache_stats_line(), file=sys.stderr)
     if args.json_out:
         blob = json.dumps(report.to_dict(), sort_keys=True, indent=2)
-        pathlib.Path(args.json_out).write_text(blob + "\n")
+        _write_text(args.json_out, blob + "\n")
         print(f"wrote {args.json_out}", file=sys.stderr)
     if args.tables:
         tables = pathlib.Path(args.tables)
@@ -1595,7 +1597,7 @@ def _run_loadgen(args: argparse.Namespace) -> int:
     print(plan.render())
     if args.json_out:
         blob = json.dumps(plan.to_dict(), sort_keys=True, indent=2)
-        pathlib.Path(args.json_out).write_text(blob + "\n")
+        _write_text(args.json_out, blob + "\n")
         print(f"wrote {args.json_out}", file=sys.stderr)
     return 0
 
@@ -1767,7 +1769,7 @@ def _run_check_lint(args: argparse.Namespace) -> int:
 
     report = lint_paths(targets, baseline=baseline)
     if args.sarif:
-        pathlib.Path(args.sarif).write_text(render_sarif(report) + "\n", encoding="utf-8")
+        _write_text(args.sarif, render_sarif(report) + "\n")
     if args.json_output:
         print(render_json(report))
     else:

@@ -2,7 +2,7 @@
 
 The paper presents per-application results as bar charts; this renders a
 :class:`~repro.analysis.reporting.Table` column the same way in plain
-text, so ``python -m repro figure system --chart write_speedup`` visually
+text, so ``python -m repro run system --chart write_speedup`` visually
 mirrors Fig. 14 in a terminal.
 """
 

@@ -8,7 +8,7 @@ each other only by convention: the controller catalogue
 Nothing ties them together at import time — a controller registered
 today is silently invisible to ``repro.faults`` until someone *runs* a
 crash experiment against it, and a figure alias pointing at a renamed
-experiment id only explodes when a user types ``python -m repro figure
+experiment id only explodes when a user types ``python -m repro run
 fig14``.  This rule closes the loop statically:
 
 - every ``register_controller("name", builder)`` call must resolve — by

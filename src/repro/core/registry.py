@@ -79,7 +79,7 @@ def build_controller(name: str, nvm: "NvmMainMemory", **opts: Any) -> "MemoryCon
     for every registered controller: each is popped before the builder
     runs and attached via
     :meth:`~repro.core.interface.MemoryController.attach_observers`, so any
-    caller (the ``trace``/``timeline``/``profile`` CLI verbs, the overhead
+    caller (the ``trace``/``timeline`` CLI verbs, the overhead
     gate, tests) can observe any controller without per-builder wiring.
     All three are in-process objects — they never travel inside serialised
     job specs (the ``simulate`` job kind carries a ``timeline_window_ns``

@@ -66,13 +66,10 @@ _EXPORTS = {
     "diff_timelines": "diff",
     "stage_percentiles": "diff",
     "NULL_STAGES": "stages",
-    "NON_STAGE_SPANS": "stages",
     "STAGES_SCHEMA_VERSION": "stages",
     "NullStageAccumulator": "stages",
     "StageAccumulator": "stages",
     "StagesLike": "stages",
-    "collapsed_stacks": "stages",
-    "fold_spans": "stages",
     "LATENCY_BOUNDS_NS": "metrics",
     "SECONDS_BOUNDS": "metrics",
     "Counter": "metrics",
@@ -95,7 +92,6 @@ _EXPORTS = {
     "NullTracer": "trace",
     "Tracer": "trace",
     "TracerLike": "trace",
-    "latency_summary": "trace",
     "percentile": "trace",
 }
 

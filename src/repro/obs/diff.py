@@ -9,9 +9,9 @@ JSONs) and separates **deterministic** divergence from wall-clock noise:
   drift;
 - the *timeline* (per-window counters over the simulated clock),
   *faults* (crash-recovery verdicts from seeded fault plans, see
-  :mod:`repro.faults`) and *stages* (per-stage totals from
-  ``python -m repro trace --manifest``) sections are pure products of the seed,
-  so they compare entry by entry and field by field, exactly;
+  :mod:`repro.faults`) and *stages* (per-stage totals from ``python -m
+  repro trace --manifest``) sections are pure products of the seed, so
+  they compare entry by entry and field by field, exactly;
 - per-stage latency percentiles extracted from JSONL sinks use the
   **sim** clock only, so p50/p95/p99 deltas are code-behaviour changes,
   not scheduler luck;

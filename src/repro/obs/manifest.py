@@ -14,7 +14,7 @@ as the gate.
 Schema history: version 2 added the optional ``faults`` section written
 by ``python -m repro faults`` (per-scenario crash-recovery verdicts);
 version 3 added the optional ``stages`` section written by
-``python -m repro profile`` (the summary-mode
+``python -m repro trace --manifest`` (a
 :meth:`~repro.obs.stages.StageAccumulator.to_dict` snapshot).  Older
 manifests remain valid and loadable.
 """
@@ -97,8 +97,8 @@ def build_manifest(
     windowed run (``python -m repro timeline``); ``faults`` is the
     optional per-scenario verdict section of a fault campaign
     (``python -m repro faults``); ``stages`` is the optional
-    summary-mode :meth:`~repro.obs.stages.StageAccumulator.to_dict`
-    snapshot of a profiled run (``python -m repro profile``).  Plain
+    :meth:`~repro.obs.stages.StageAccumulator.to_dict` snapshot of a
+    traced run's stages (``python -m repro trace --manifest``).  Plain
     ``run`` manifests omit all three fields entirely.
     """
     payload = {
@@ -260,7 +260,7 @@ def validate_manifest(payload: Any) -> list[str]:
                         f"partition total_lines"
                     )
 
-    # Optional stage-accounting section (written by `repro profile`).
+    # Optional stage-accounting section (written by `repro trace --manifest`).
     if "stages" in payload:
         stages = payload["stages"]
         if not isinstance(stages, dict):
@@ -291,10 +291,11 @@ def validate_manifest(payload: Any) -> list[str]:
 def summarize_manifest(payload: dict[str, Any]) -> dict[str, Any]:
     """Machine-readable digest of one manifest.
 
-    This is what ``python -m repro stats --json`` emits and what the
-    ``diff`` verb and CI consume: validation verdict, provenance, job
-    counts by source, cache totals, metrics, and (when present) timeline
-    totals — never the raw job list, which can be huge.
+    This is what ``python -m repro stats`` renders (``--json`` emits it
+    as is) and what the ``diff`` verb and CI consume: validation verdict,
+    provenance, job counts by source, cache totals, metrics, and (when
+    present) timeline, faults and stages totals — never the raw job list,
+    which can be huge.
     """
     problems = validate_manifest(payload)
     jobs = payload.get("jobs", [])

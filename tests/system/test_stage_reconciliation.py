@@ -27,7 +27,7 @@ from repro.core.registry import available_controllers, build_controller
 from repro.nvm.memory import NvmMainMemory
 from repro.nvm.wearlevel import StartGapConfig, WearLevelledNvm
 from repro.obs.metrics import registry
-from repro.obs.stages import StageAccumulator
+from repro.obs.stages import NON_STAGE_SPANS, StageAccumulator
 from repro.obs.timeline import TimelineCollector
 from repro.obs.trace import Tracer
 from repro.system.simulator import simulate
@@ -35,11 +35,6 @@ from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import profile_by_name
 
 CONTROLLERS = sorted(available_controllers())
-
-#: Span names that are not pipeline stages: per-device NVM sub-spans
-#: (emitted by the memory model, not the controller pipeline) and the
-#: batch envelope.
-EXCLUDED_PREFIXES = ("nvm.", "batch")
 
 
 def single_stream_trace(app: str = "lbm", accesses: int = 500, seed: int = 9):
@@ -55,7 +50,7 @@ def scalar_span_sums(name: str, trace) -> dict[str, tuple[int, float]]:
     return {
         stage: (len(durations), sum(durations))
         for stage, durations in tracer.stage_durations(clock="sim").items()
-        if not stage.startswith(EXCLUDED_PREFIXES)
+        if not stage.startswith(NON_STAGE_SPANS)
     }
 
 

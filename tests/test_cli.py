@@ -253,22 +253,25 @@ class TestBadInputIsAUsageError:
         assert error.startswith(f"repro {argv[0]}: error: argument {option}: ")
 
     @pytest.mark.parametrize(
-        "argv, option",
+        "argv",
         [
-            (["trace", "fig14", "--out"], "--out"),
-            (["trace", "fig14", "--chrome"], "--chrome"),
-            (["trace", "fig14", "--flamegraph"], "--flamegraph"),
-            (["trace", "fig14", "--manifest"], "--manifest"),
-            (["timeline", "fig12", "--csv"], "--csv"),
-            (["timeline", "fig12", "--jsonl"], "--jsonl"),
-            (["timeline", "fig12", "--manifest"], "--manifest"),
-            (["wear", "fig12", "--csv"], "--csv"),
-            (["faults", "system", "--json"], "--json"),
-            (["faults", "system", "--manifest"], "--manifest"),
+            ["trace", "fig14", "--out"],
+            ["trace", "fig14", "--chrome"],
+            ["trace", "fig14", "--flamegraph"],
+            ["trace", "fig14", "--manifest"],
+            ["timeline", "fig12", "--csv"],
+            ["timeline", "fig12", "--jsonl"],
+            ["timeline", "fig12", "--manifest"],
+            ["wear", "fig12", "--csv"],
+            ["faults", "system", "--json"],
+            ["faults", "system", "--manifest"],
+            ["serve", "--json"],
+            ["loadgen", "--json"],
+            ["check", "--sarif"],
         ],
-        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+        ids=" ".join,
     )
-    def test_unwritable_output_path_fails_before_the_run(self, argv, option, capsys):
+    def test_unwritable_output_path_fails_before_the_run(self, argv, capsys):
         # The parent is a regular file: no directory can be made there.
         pathlib.Path("blocker").write_text("")
         with pytest.raises(SystemExit) as exit_info:
@@ -278,7 +281,7 @@ class TestBadInputIsAUsageError:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         error = captured.err.strip().splitlines()[-1]
-        assert error.startswith(f"repro {argv[0]}: error: argument {option}: cannot write ")
+        assert error.startswith(f"repro {argv[0]}: error: argument {argv[-1]}: cannot write ")
 
     def test_output_path_may_name_a_missing_directory(self, capsys):
         assert main(["wear", "fig12", "--accesses", "200", "--baseline", "none",

@@ -25,11 +25,11 @@ from repro.core.registry import available_controllers
 
 FIXTURES = Path(__file__).parent / "fixtures" / "verb_parity"
 
-#: golden stem -> (figure id, extra settings arguments)
+#: figure id -> settings arguments
 FIGURES = {
-    "fig2": ("fig2", ["--apps", "mcf,vips", "--accesses", "2000"]),
-    "storage": ("storage", []),
-    "system": ("system", ["--apps", "lbm,mcf", "--accesses", "2000"]),
+    "fig2": ["--apps", "mcf,vips", "--accesses", "2000"],
+    "storage": [],
+    "system": ["--apps", "lbm,mcf", "--accesses", "2000"],
 }
 
 STAGE_PROFILE = ["fig14", "--accesses", "2000"]
@@ -42,12 +42,11 @@ def _call(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def figure_outputs(stem: str, workdir: Path) -> tuple[str, str]:
+def figure_outputs(figure_id: str, workdir: Path) -> tuple[str, str]:
     """(stdout, JSON export) of one figure table, from ``run --out``."""
-    figure_id, extra = FIGURES[stem]
     with contextlib.redirect_stderr(io.StringIO()):
-        stdout = _call(["run", figure_id, *extra, "--no-cache", "--no-manifest",
-                        "--out", str(workdir)])
+        stdout = _call(["run", figure_id, *FIGURES[figure_id], "--no-cache",
+                        "--no-manifest", "--out", str(workdir)])
     return stdout, (workdir / f"{figure_id}.json").read_text(encoding="utf-8")
 
 
@@ -73,11 +72,19 @@ def golden(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("stem", sorted(FIGURES))
-def test_figure_table_matches_golden(stem, tmp_path):
-    stdout, export = figure_outputs(stem, tmp_path)
-    assert stdout == golden(f"{stem}.txt")
-    assert export == golden(f"{stem}.json")
+@pytest.fixture(autouse=True)
+def _reset_provider():
+    yield
+    from repro.runner import provider
+
+    provider.reset()
+
+
+@pytest.mark.parametrize("figure_id", sorted(FIGURES))
+def test_figure_table_matches_golden(figure_id, tmp_path):
+    stdout, export = figure_outputs(figure_id, tmp_path)
+    assert stdout == golden(f"{figure_id}.txt")
+    assert export == golden(f"{figure_id}.json")
 
 
 @pytest.mark.parametrize("controller", sorted(available_controllers()))
@@ -96,10 +103,10 @@ if __name__ == "__main__":
     FIXTURES.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         workdir = Path(scratch)
-        for stem in FIGURES:
-            stdout, export = figure_outputs(stem, workdir)
-            (FIXTURES / f"{stem}.txt").write_text(stdout, encoding="utf-8")
-            (FIXTURES / f"{stem}.json").write_text(export, encoding="utf-8")
+        for figure_id in FIGURES:
+            stdout, export = figure_outputs(figure_id, workdir)
+            (FIXTURES / f"{figure_id}.txt").write_text(stdout, encoding="utf-8")
+            (FIXTURES / f"{figure_id}.json").write_text(export, encoding="utf-8")
         profiles = {
             name: stage_profile(name, workdir) for name in sorted(available_controllers())
         }
