@@ -128,6 +128,18 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _check_writable_ancestor(text: str, path: pathlib.Path) -> None:
+    """Raise the usage error unless ``path``'s nearest existing ancestor
+    (``path`` itself included) is a writable directory."""
+    nearest = path
+    while not nearest.exists():
+        nearest = nearest.parent
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK)):
+        raise argparse.ArgumentTypeError(
+            f"cannot write {text}: {nearest} is not a writable directory"
+        )
+
+
 def _output_path(text: str) -> str:
     """argparse type of every output-file option: a file the run can create.
 
@@ -140,13 +152,20 @@ def _output_path(text: str) -> str:
         path = pathlib.Path(text)
         if path.is_dir():
             raise argparse.ArgumentTypeError(f"{text} is a directory")
-        parent = path.parent
-        while not parent.exists():
-            parent = parent.parent
-        if not (parent.is_dir() and os.access(parent, os.W_OK)):
-            raise argparse.ArgumentTypeError(
-                f"cannot write {text}: {parent} is not a writable directory"
-            )
+        _check_writable_ancestor(text, path.parent)
+    return text
+
+
+def _output_dir(text: str) -> str:
+    """argparse type of every output-directory option: a directory the run
+    can make or write into.
+
+    A path that is not a directory, or whose nearest existing ancestor is
+    not a writable directory, is a usage error before anything is
+    simulated; missing directories are made when the outputs are written.
+    """
+    if text:
+        _check_writable_ancestor(text, pathlib.Path(text))
     return text
 
 
@@ -339,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_settings_args(run, default_accesses=20_000)
     _add_cache_args(run)
     run.add_argument(
-        "--out", default="", metavar="DIR",
+        "--out", type=_output_dir, default="", metavar="DIR",
         help="also write each rendered table to DIR/<figure>.txt and DIR/<figure>.json",
     )
     run.add_argument(
@@ -352,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default: on when --parallel > 1)",
     )
     run.add_argument(
-        "--manifest", default="manifest.json", metavar="PATH",
+        "--manifest", type=_output_path, default=None, metavar="PATH",
         help="where to write the run manifest (default: ./manifest.json)",
     )
     run.add_argument(
@@ -588,7 +607,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated controller subset (default: all registered)",
     )
     bench.add_argument(
-        "--out", default=".", metavar="DIR",
+        "--out", type=_output_dir, default=".", metavar="DIR",
         help="directory for the BENCH_<gitsha>.json record (default .)",
     )
     bench.add_argument(
@@ -680,7 +699,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--json", type=_output_path, default="", dest="json_out",
                        metavar="PATH",
                        help="write the service report as canonical JSON")
-    serve.add_argument("--tables", default="", metavar="DIR",
+    serve.add_argument("--tables", type=_output_dir, default="", metavar="DIR",
                        help="write wear-balance and dedup-ratio CSV tables to DIR")
     serve.add_argument("--progress", action="store_true",
                        help="print one line per resolved shard job")
@@ -889,7 +908,7 @@ def _write_run_manifest(args, ids, settings, report, show_progress, timeline=Non
         elapsed_s=report.elapsed_s,
         metrics=metrics_registry().to_dict(),
     )
-    return write_manifest(args.manifest, payload)
+    return write_manifest(args.manifest or "manifest.json", payload)
 
 
 def _run_trace(args: argparse.Namespace) -> int:

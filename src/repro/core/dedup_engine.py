@@ -11,7 +11,11 @@ traffic — which is how the paper's 2.6 % metadata-write overhead and
 Duplication detection itself (Fig. 5: CRC-32, hash-cache probe, the PNA
 skip of §III-B2, verify read + compare of §III-B1) is the write body of
 :meth:`repro.core.dewrite.DeWriteController._request_bodies`; the flags
-below name its three outcomes.
+below name its three outcomes.  That body also charges a write's table
+touches itself, through the caches' resident-block hit arm and insert arm;
+:meth:`MetadataSystem.access` is its path for a blocking lookup that
+misses, and :meth:`MetadataSystem.replay` the path for a write whose
+touches miss (and the reference the tests replay the body against).
 """
 
 from __future__ import annotations
@@ -159,7 +163,10 @@ class MetadataSystem:
 
         ``touches`` is the flat ``(table, entry, op)`` triple list the
         :class:`~repro.core.tables.DedupIndex` mutators fill, applied in
-        order at ``now_ns``.
+        order at ``now_ns``.  DeWrite's write body builds one only when some
+        touched block is not resident (other than a new hash entry's insert
+        into a cache with room); resident touches take the same hit and
+        insert arms inline there.
         """
         tables = self._replay_tables
         timeline = self.timeline

@@ -26,13 +26,13 @@ from __future__ import annotations
 import hashlib
 from typing import Literal
 
-from repro.containers import PAGE_MASK, PAGE_SHIFT
+from repro.containers import PAGE_MASK, PAGE_SHIFT, new_page
 from repro.core.config import DeWriteConfig
 from repro.core.dedup_engine import MetadataSystem
 from repro.core.interface import MemoryController
 from repro.core.predictor import HistoryWindowPredictor
 from repro.core.stats import DeWriteStats
-from repro.core.tables import WRITE, DedupIndex, DedupIndexError, MetadataLayout
+from repro.core.tables import INSERT, READ, WRITE, DedupIndex, DedupIndexError, MetadataLayout
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.hashes.crc32 import line_fingerprint
 from repro.nvm.memory import NvmMainMemory
@@ -118,7 +118,11 @@ class DeWriteController(MemoryController):
         direct way or DeWrite predicted a duplicate: then AES starts when
         detection ends, and a predicted duplicate that was not one counts
         a serialized detection.  A speculation on a confirmed duplicate
-        wastes the encryption: energy only.
+        wastes the encryption: energy only.  The body then updates the
+        dedup index and charges the metadata touches itself, with the
+        effects of the :class:`~repro.core.tables.DedupIndex` mutators and
+        in their touch order; only a write with a touch that misses goes
+        through :meth:`~repro.core.dedup_engine.MetadataSystem.replay`.
         Read (Fig. 11): address-mapping lookup, counter fetch, array read
         with the OTP overlapped, XOR; :meth:`read` rebuilds the plaintext
         functionally (:meth:`_plaintext`).  A write's
@@ -143,14 +147,19 @@ class DeWriteController(MemoryController):
         trust_fingerprint = config.trust_fingerprint
         reference_cap = config.reference_cap
         max_verify_reads = config.max_verify_reads
+        # The write body updates the four tables itself, with the same
+        # effects as the DedupIndex mutators (the reference the differential
+        # test replays).
         index = self.index
         hash_table = index.hash_table
         hash_get = hash_table.get
-        apply_duplicate = index.apply_duplicate
-        physical_of = index.physical_of
         mapping = index._mapping
         mapping_get = mapping.get
-        counter_pages_get = index._counter_pages.get
+        stored = index._stored
+        free_lines = index._free_stack
+        allocate = index._allocate
+        counter_pages = index._counter_pages
+        counter_pages_get = counter_pages.get
         metadata = self.metadata
         replay = metadata.replay
         metadata_access = metadata.access
@@ -158,18 +167,20 @@ class DeWriteController(MemoryController):
         persistence = metadata._persistence_active
         # Resident metadata blocks take the cache's hit arm inline (the
         # hash-cache probe, a read's two blocking address-map lookups, a
-        # first mapping's two touches); a miss calls access() or replay().
-        am_cache, am_blocks, am_per_block = metadata._replay_tables["address_map"]
+        # write's index touches); a miss calls access() or replay().
+        replay_tables = metadata._replay_tables
+        am_cache, am_blocks, am_per_block = replay_tables["address_map"]
+        ih_cache, ih_blocks, ih_per_block = replay_tables["inverted_hash"]
+        fsm_cache, fsm_blocks, fsm_per_block = replay_tables["fsm"]
         # The hash cache holds single entries (one per block), keyed by CRC.
         hash_cache = metadata.caches["hash_table"]
         hash_blocks = hash_cache._blocks
+        hash_capacity = hash_cache.capacity_blocks
         # Verify reads go through the device (a wear-levelling facade
         # translates them); their pads come from the CME pad cache.
         nvm_peek_int = self.nvm.peek_int
         pad_cache_get = self.cme._pad_cache.get
         pad_int_for = self.cme.pad_int_for
-        apply_unique = index.apply_unique
-        bump_counter = index.bump_counter
         seal = self.cme.seal
         nvm = self.nvm
         nvm_write_done = nvm.write_complete_ns
@@ -330,23 +341,39 @@ class DeWriteController(MemoryController):
                 hash_done = arrival + fp_ns
                 st_whash.append(hash_done - arrival)
                 st_wdedup.append(done - hash_done)
-            if record is not None:
-                old = physical_of(address)
             speculated = not is_direct and (is_parallel or (par_enc and not predicted))
+            # Release the line's old mapping (DedupIndex._release), shared by
+            # a remap and a unique write.  released: 0 nothing (no mapping,
+            # or a rewrite of the same target), 1 a saturated reference
+            # (pinned: its exact count is lost), 2 a decrement, 3 the last
+            # reference (the old line is freed).
+            prev = mapping_get(address)
+            released = 0
+            if prev is not None and prev != target:
+                del mapping[address]
+                crc_old = stored.get(prev)
+                if crc_old is None:
+                    raise DedupIndexError(f"mapping of {address} points at empty line {prev}")
+                refs = hash_table[crc_old]
+                ref = refs[prev]
+                if ref >= reference_cap:
+                    released = 1
+                elif ref == 1:
+                    del refs[prev]
+                    if not refs:
+                        del hash_table[crc_old]
+                    del stored[prev]
+                    free_lines.append(prev)
+                    released = 3
+                else:
+                    refs[prev] = ref - 1
+                    released = 2
             if target >= 0:
                 # Cancel the write; record the address mapping (§III-B2).
                 writes_deduplicated += 1
                 complete = done
-                if address in mapping:
-                    # A remap releases the old content; a rewrite of the
-                    # same target touches nothing.
-                    touches = []
-                    apply_duplicate(address, target, touches)
-                    replay(touches, complete)
-                else:
-                    # First mapping of the line: apply_duplicate with
-                    # nothing to release, its address-map and hash-table
-                    # writes charged through the resident-block hit arm.
+                dest = target
+                if prev != target:
                     refs = hash_table[crc]
                     ref = refs[target] + 1
                     if ref > reference_cap:
@@ -357,39 +384,34 @@ class DeWriteController(MemoryController):
                     refs[target] = ref
                     if ref == reference_cap:
                         index.pinned_lines += 1
-                    block = address // am_per_block
-                    if block in am_blocks and crc in hash_blocks:
-                        am_cache.hits += 1
-                        am_blocks.move_to_end(block)
-                        am_blocks[block] = True
-                        if timeline_on:
-                            timeline.record_metadata(complete, hit=True)
-                        if persistence:
-                            enforce_persistence("address_map", address, complete)
-                        hash_cache.hits += 1
-                        hash_blocks.move_to_end(crc)
-                        hash_blocks[crc] = True
-                        if timeline_on:
-                            timeline.record_metadata(complete, hit=True)
-                        if persistence:
-                            enforce_persistence("hash_table", crc, complete)
-                    else:
-                        replay(["address_map", address, WRITE, "hash_table", crc, WRITE], complete)
-                if speculated:
-                    # The speculative encryption was wasted: energy only.
-                    energy.aes_nj += aes_line_nj
-                    wasted_encryptions += 1
-                    if trace_on:
-                        tracer.span("write.crypto", arrival, arrival + aes_ns, wasted=True)
-                    if stage_on:
-                        st_wcrypto.append(arrival + aes_ns - arrival)
-                dedup = True
             else:
-                # Seal under the destination's bumped counter, write.
+                # Store the unique line in its own slot when free, else in an
+                # FSM allocation (a relocation); seal it under the
+                # destination's bumped counter and write it.
                 writes_stored += 1
-                touches = []
-                dest = apply_unique(address, crc, touches)
-                sealed = seal(line, dest, bump_counter(dest, touches))
+                if address in stored:
+                    dest = allocate()
+                    index.relocations += 1
+                else:
+                    dest = address
+                stored[dest] = crc
+                refs = hash_get(crc)
+                fresh = refs is None
+                if fresh:
+                    hash_table[crc] = {dest: 1}
+                else:
+                    refs[dest] = 1
+                mapping[address] = dest
+                # The counter bump (§III-C).  dest now holds data, so its
+                # counter sits in dest's address-map slot: the own slot
+                # when logical dest is not deduplicated, else the overflow
+                # store, which is charged as an address-map touch too.
+                page = counter_pages_get(dest >> PAGE_SHIFT)
+                if page is None:
+                    page = counter_pages[dest >> PAGE_SHIFT] = new_page()
+                counter = page[dest & PAGE_MASK] + 1
+                page[dest & PAGE_MASK] = counter
+                sealed = seal(line, dest, counter)
                 energy.aes_nj += aes_line_nj
                 if speculated:
                     # AES started at arrival, concurrently with detection;
@@ -405,10 +427,155 @@ class DeWriteController(MemoryController):
                         serialized_detections += 1
                 complete = nvm_write_done(dest, sealed, issue)
                 if trace_on:
-                    # The replay's metadata traffic moves the device's
-                    # last start: take the write's bank wait first.
+                    # The metadata traffic below can move the device's last
+                    # start: take the write's bank wait first.
                     wait_ns = nvm.last_start_ns - issue
-                replay(touches, complete)
+            if prev != target:
+                # The metadata touches, at complete, in the mutators' order:
+                # the release's, then the duplicate's (address map, hash
+                # entry) or the unique write's (inverted hash, hash entry,
+                # address map, FSM, counter).  When every touched block is
+                # resident, or the unique write's new hash entry has room to
+                # be inserted, each touch takes the cache's hit or insert
+                # arm inline; otherwise the flat (table, entry, op) triples
+                # go through replay once, so misses, evictions and
+                # writebacks keep their order.
+                am_block = address // am_per_block
+                resident = am_block in am_blocks
+                if released:
+                    ih_old = prev // ih_per_block
+                    fsm_old = prev // fsm_per_block
+                    resident = resident and ih_old in ih_blocks and (
+                        released == 1
+                        or crc_old in hash_blocks and (released == 2 or fsm_old in fsm_blocks)
+                    )
+                if target >= 0:
+                    resident = resident and crc in hash_blocks
+                else:
+                    ih_dest = dest // ih_per_block
+                    fsm_dest = dest // fsm_per_block
+                    am_dest = dest // am_per_block
+                    resident = (
+                        resident
+                        and ih_dest in ih_blocks
+                        and fsm_dest in fsm_blocks
+                        and am_dest in am_blocks
+                        and (crc in hash_blocks or fresh and len(hash_blocks) < hash_capacity)
+                    )
+                if resident:
+                    if released:
+                        ih_cache.hits += 1
+                        ih_blocks.move_to_end(ih_old)
+                        if timeline_on:
+                            timeline.record_metadata(complete, hit=True)
+                        if released > 1:
+                            hash_cache.hits += 1
+                            hash_blocks.move_to_end(crc_old)
+                            hash_blocks[crc_old] = True
+                            if timeline_on:
+                                timeline.record_metadata(complete, hit=True)
+                            if persistence:
+                                enforce_persistence("hash_table", crc_old, complete)
+                        if released == 3:
+                            ih_cache.hits += 1
+                            ih_blocks.move_to_end(ih_old)
+                            ih_blocks[ih_old] = True
+                            if timeline_on:
+                                timeline.record_metadata(complete, hit=True)
+                            if persistence:
+                                enforce_persistence("inverted_hash", prev, complete)
+                            fsm_cache.hits += 1
+                            fsm_blocks.move_to_end(fsm_old)
+                            fsm_blocks[fsm_old] = True
+                            if timeline_on:
+                                timeline.record_metadata(complete, hit=True)
+                            if persistence:
+                                enforce_persistence("fsm", prev, complete)
+                    if target >= 0:
+                        am_cache.hits += 1
+                        am_blocks.move_to_end(am_block)
+                        am_blocks[am_block] = True
+                        if timeline_on:
+                            timeline.record_metadata(complete, hit=True)
+                        if persistence:
+                            enforce_persistence("address_map", address, complete)
+                        hash_cache.hits += 1
+                        hash_blocks.move_to_end(crc)
+                        hash_blocks[crc] = True
+                        if timeline_on:
+                            timeline.record_metadata(complete, hit=True)
+                        if persistence:
+                            enforce_persistence("hash_table", crc, complete)
+                    else:
+                        ih_cache.hits += 1
+                        ih_blocks.move_to_end(ih_dest)
+                        ih_blocks[ih_dest] = True
+                        if timeline_on:
+                            timeline.record_metadata(complete, hit=True)
+                        if persistence:
+                            enforce_persistence("inverted_hash", dest, complete)
+                        if crc in hash_blocks:
+                            # A new entry whose block is still resident is
+                            # an insert, not a lookup: no hit is counted.
+                            if not fresh:
+                                hash_cache.hits += 1
+                                if timeline_on:
+                                    timeline.record_metadata(complete, hit=True)
+                            hash_blocks.move_to_end(crc)
+                        hash_blocks[crc] = True
+                        if persistence:
+                            enforce_persistence("hash_table", crc, complete)
+                        am_cache.hits += 1
+                        am_blocks.move_to_end(am_block)
+                        am_blocks[am_block] = True
+                        if timeline_on:
+                            timeline.record_metadata(complete, hit=True)
+                        if persistence:
+                            enforce_persistence("address_map", address, complete)
+                        fsm_cache.hits += 1
+                        fsm_blocks.move_to_end(fsm_dest)
+                        fsm_blocks[fsm_dest] = True
+                        if timeline_on:
+                            timeline.record_metadata(complete, hit=True)
+                        if persistence:
+                            enforce_persistence("fsm", dest, complete)
+                        am_cache.hits += 1
+                        am_blocks.move_to_end(am_dest)
+                        am_blocks[am_dest] = True
+                        if timeline_on:
+                            timeline.record_metadata(complete, hit=True)
+                        if persistence:
+                            enforce_persistence("address_map", dest, complete)
+                else:
+                    touches = []
+                    if released:
+                        touches += ("inverted_hash", prev, READ)
+                        if released > 1:
+                            touches += ("hash_table", crc_old, WRITE)
+                        if released == 3:
+                            touches += ("inverted_hash", prev, WRITE, "fsm", prev, WRITE)
+                    if target >= 0:
+                        touches += ("address_map", address, WRITE, "hash_table", crc, WRITE)
+                    else:
+                        touches += (
+                            "inverted_hash", dest, WRITE,
+                            "hash_table", crc, INSERT if fresh else WRITE,
+                            "address_map", address, WRITE,
+                            "fsm", dest, WRITE,
+                            "address_map", dest, WRITE,
+                        )
+                    replay(touches, complete)
+            if target >= 0:
+                if speculated:
+                    # The speculative encryption was wasted: energy only.
+                    energy.aes_nj += aes_line_nj
+                    wasted_encryptions += 1
+                    if trace_on:
+                        tracer.span("write.crypto", arrival, arrival + aes_ns, wasted=True)
+                    if stage_on:
+                        st_wcrypto.append(arrival + aes_ns - arrival)
+                dedup = True
+            else:
                 if trace_on:
                     tracer.span(
                         "write.crypto", crypto_start, crypto_start + aes_ns, parallel=speculated
@@ -432,10 +599,9 @@ class DeWriteController(MemoryController):
                     "write", arrival, complete, deduplicated=dedup, predicted_dup=predicted
                 )
             if record is not None:
-                new = physical_of(address)
                 record.append((
-                    req, complete, old, new, index.peek_counter(new),
-                    index.content_crc(new), old is not None and index.holds_data(old),
+                    req, complete, prev, dest, index.peek_counter(dest),
+                    stored.get(dest), prev is not None and prev in stored,
                 ))
             return complete
 

@@ -14,12 +14,17 @@ functional state machine over the four tables —
 Every mutating method appends flat ``(table, entry, op)`` triples to the
 caller's list, naming the table entries it read or wrote in order; ``op`` is
 :data:`READ`, :data:`WRITE` or :data:`INSERT` (a write that creates a
-brand-new hash entry, so a cache miss allocates without an NVM fetch).  The
-controller replays those through the metadata cache to charge timing, so
-the functional core stays trivially testable (the property tests drive it
-directly).  Flat triples in one list rather than a record per touch: a
-write makes five to nine touches, and the write path allocates nothing
-per touch.
+brand-new hash entry, so a cache miss allocates without an NVM fetch).
+:meth:`~repro.core.dedup_engine.MetadataSystem.replay` charges such a list
+through the metadata caches, so the functional core stays trivially
+testable (the property tests drive it directly).
+
+The mutators are the functional reference, not the hot path: DeWrite's
+write body (:meth:`repro.core.dewrite.DeWriteController._request_bodies`)
+makes the same transitions and touches inline, and builds the same flat
+triple list for ``replay`` only when some touched metadata block misses.
+``tests/core/test_inline_duplicate_arm.py`` replays every decision the
+body makes through these mutators and checks that tables and caches agree.
 
 Counters for counter-mode encryption are kept per *physical* line and never
 reset (pad-uniqueness invariant, §II-B); where each counter physically
@@ -143,12 +148,13 @@ class DedupIndex:
         return self._mapping.get(logical)
 
     def bump_counter(self, physical: int, touches: list) -> int:
-        """Increment and return the counter (called once per physical write).
+        """Increment and return the counter (once per physical write).
 
         Records the counter write in the slot :meth:`counter_slot` names,
-        with the rule inlined (this is every unique write's path).  An
-        overflowed counter is charged as an address-map touch: the overflow
-        store is tiny and on-chip in the patched design, but not free.
+        with the rule inlined.  An overflowed counter is charged as an
+        address-map touch: the overflow store is tiny and on-chip in the
+        patched design, but not free.  The functional reference for the
+        DeWrite write body's inline bump (see the module docstring).
         """
         pages = self._counter_pages
         page_index = physical >> PAGE_SHIFT
@@ -182,8 +188,9 @@ class DedupIndex:
     def apply_duplicate(self, logical: int, target: int, touches: list) -> None:
         """Record that ``logical``'s new content duplicates line ``target``.
 
-        The caller (the DeWrite write body) has already verified byte equality and
-        that ``target``'s reference is below the cap.
+        The caller has already verified byte equality and that ``target``'s
+        reference is below the cap.  The functional reference for the
+        DeWrite write body's duplicate arm (see the module docstring).
         """
         crc = self._stored.get(target)
         if crc is None:
@@ -206,7 +213,9 @@ class DedupIndex:
         """Store new unique content for ``logical``; returns the destination.
 
         Picks the logical line's own physical slot when free (the common
-        case), otherwise allocates via the FSM table (a relocation).
+        case), otherwise allocates via the FSM table (a relocation).  The
+        functional reference for the DeWrite write body's unique arm (see
+        the module docstring).
         """
         if logical in self._mapping:
             self._release(logical, touches)
@@ -229,7 +238,8 @@ class DedupIndex:
 
     def _release(self, logical: int, touches: list) -> None:
         """Drop ``logical``'s reference to its current content, freeing the
-        physical line when it was the last reference."""
+        physical line when it was the last reference (the functional
+        reference for the DeWrite write body's release)."""
         old = self._mapping.pop(logical, None)
         if old is None:
             return

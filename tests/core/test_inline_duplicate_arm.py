@@ -1,13 +1,18 @@
-"""The write body's inline duplicate arm against the index mutators.
+"""The write body's fused index arms against the index mutators.
 
-A duplicate write to a logical line with no mapping yet updates the dedup
-index and charges its two metadata touches inline; every other write still
-goes through :meth:`DedupIndex.apply_duplicate` / ``apply_unique`` and
+DeWrite's write body updates the dedup index itself: a first mapping, a
+remap and a unique write each release the old mapping, pick the
+destination, bump the counter and charge their metadata touches inline
+through the caches' hit and insert arms, or, when some touched block is
+not resident, as one flat triple list through
 :meth:`MetadataSystem.replay`.  Here a reference pair — a bare
 ``DedupIndex`` and a second ``MetadataSystem`` — takes every decision the
-controller makes, one ``controller.write`` at a time, through the mutators
-and ``replay`` alone.  Tables, pinned lines, cache LRU order, dirty bits
-and traffic counters must agree after every request.
+controller makes, one ``controller.write`` at a time, through
+:meth:`DedupIndex.apply_duplicate` / ``apply_unique`` / ``bump_counter``
+and ``replay`` alone.  Tables, pinned lines, relocations, counters, cache
+LRU order, dirty bits and traffic counters must agree after every request,
+and the stream must reach every arm: both touch paths, each hash-entry
+insert, each release kind, a relocation and both counter slots.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from repro.core.dedup_engine import MetadataSystem
 from repro.core.dewrite import DeWriteController
 from repro.core.persistence import MetadataPersistenceConfig, MetadataPersistencePolicy
 from repro.core.predictor import HistoryWindowPredictor
-from repro.core.tables import DedupIndex
+from repro.core.tables import INSERT, DedupIndex
 from repro.hashes.crc32 import line_fingerprint
 from repro.nvm.config import NvmConfig, NvmOrganization
 from repro.nvm.memory import NvmMainMemory
@@ -106,9 +111,8 @@ def test_inline_duplicate_arm_matches_the_mutators(
     metadata = MetadataSystem(config, controller.layout, make_device())
     predictor = HistoryWindowPredictor(window=config.history_window)
     hash_cache = metadata.caches["hash_table"]
-    am_cache = metadata.caches["address_map"]
     stats = controller.stats
-    arms = {"inline": 0, "replayed": 0, "remap": 0}
+    reached = set()
 
     for position, (address, data) in enumerate(writes(reference_cap + hash_bytes)):
         arrival = position * 250.0
@@ -128,23 +132,68 @@ def test_inline_duplicate_arm_matches_the_mutators(
             hash_cache.access(crc, False)
         elif not (config.enable_pna and not predicted):
             metadata.access("hash_table", crc, False, arrival + config.fingerprint_latency_ns, True)
+        old = index.physical_of(address)
+        if old is None or old == new:
+            reached.add("release:none")
+        else:
+            reference = index.reference_of(old)
+            reached.add(
+                "release:saturated" if reference >= reference_cap
+                else "release:free" if reference == 1
+                else "release:decrement"
+            )
         touches: list = []
         if duplicate:
-            if index.physical_of(address) is not None:
-                arms["remap"] += 1
-            elif am_cache.probe(address) and hash_cache.probe(crc):
-                arms["inline"] += 1
-            else:
-                arms["replayed"] += 1
+            arm = "first" if old is None else "same" if old == new else "remap"
             index.apply_duplicate(address, new, touches)
         else:
+            arm = "unique"
             assert index.apply_unique(address, crc, touches) == new
+            reached.add(f"counter:{index.counter_slot(new)}")
             index.bump_counter(new, touches)
+            if new != address:
+                reached.add("relocation")
+        if touches:
+            path, insert = touch_path(metadata, touches)
+            reached.add(f"{arm}:{path}")
+            if insert:
+                reached.add(insert)
         metadata.replay(touches, complete)
 
         assert state(controller.index, controller.metadata) == state(index, metadata), position
 
-    # The stream reaches every duplicate arm the body has.
-    assert all(arms.values()), arms
+    expected = {
+        "first:resident", "first:replayed", "remap:resident", "remap:replayed",
+        "unique:resident", "unique:replayed", "insert:room",
+        "release:none", "release:free", "relocation",
+        "counter:address_map", "counter:overflow",
+    }
+    # Under a cap of 2 every shared line saturates, so a release is either
+    # the last reference or a saturated one.
+    expected.add("release:saturated" if reference_cap == 2 else "release:decrement")
+    if hash_bytes == 72:
+        expected.add("insert:full")
+    assert expected <= reached, sorted(expected - reached)
     if reference_cap == 2:
         assert index.pinned_lines > 0
+
+
+def touch_path(metadata: MetadataSystem, touches: list) -> tuple[str, str | None]:
+    """How the body charges ``touches``: "resident" when every block is
+    resident or the new hash entry's insert has room, else "replayed"; and,
+    for an insert into a block that is not resident, whether the hash cache
+    had room for it."""
+    resident = True
+    insert = None
+    it = iter(touches)
+    for table, entry, op in zip(it, it, it):
+        cache = metadata.caches[table]
+        if cache.probe(entry):
+            continue
+        if op == INSERT:
+            room = cache.resident_blocks < cache.capacity_blocks
+            insert = "insert:room" if room else "insert:full"
+            if room:
+                continue
+        resident = False
+    return ("resident" if resident else "replayed"), insert

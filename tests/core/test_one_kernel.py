@@ -15,9 +15,15 @@ import pytest
 
 import repro
 from repro.baselines.out_of_line import OutOfLinePageDedupController
+from repro.core.dedup_engine import MetadataSystem
 from repro.core.interface import MemoryController
 from repro.core.registry import available_controllers, build_controller
+from repro.core.tables import INSERT, DedupIndex
 from repro.nvm.memory import NvmMainMemory
+from repro.obs.timeline import TimelineCollector
+from repro.obs.trace import Tracer
+from repro.runner.jobs import WORST_CASE_WORKLOAD, trace_for
+from repro.system.simulator import simulate
 
 SRC = Path(repro.__file__).resolve().parent
 SKELETON = MemoryController._service_stream
@@ -74,3 +80,50 @@ def test_only_the_skeleton_and_the_per_request_wrappers_call_merge_state():
         ("faults/crash.py", "CrashSimulator._step"),
         ("check/invariants.py", "CheckedController._service_stream"),
     }
+
+
+INDEX_MUTATORS = ("apply_unique", "apply_duplicate", "_release", "bump_counter")
+
+
+def _has_touch_off_the_hit_arms(metadata: MetadataSystem, touches: list) -> bool:
+    """Whether some touch misses its cache: a block that is not resident,
+    other than a new hash entry's insert into a cache with room."""
+    it = iter(touches)
+    for table, entry, op in zip(it, it, it):
+        cache = metadata.caches[table]
+        if cache.probe(entry):
+            continue
+        if op == INSERT and cache.resident_blocks < cache.capacity_blocks:
+            continue
+        return True
+    return False
+
+
+@pytest.mark.parametrize("workload", ["sjeng", WORST_CASE_WORKLOAD])
+def test_dewrite_writes_update_the_index_in_the_write_body(monkeypatch, workload):
+    # The write body does the index mutators' work itself; replay runs
+    # only for a write with a touch that misses, whatever is attached.
+    calls = dict.fromkeys(INDEX_MUTATORS, 0)
+    for name in INDEX_MUTATORS:
+        original = getattr(DedupIndex, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(DedupIndex, name, counted)
+    replayed = []
+    replay = MetadataSystem.replay
+
+    def checked_replay(self, touches, now_ns):
+        assert _has_touch_off_the_hit_arms(self, touches), touches
+        replayed[-1] += 1
+        return replay(self, touches, now_ns)
+
+    monkeypatch.setattr(MetadataSystem, "replay", checked_replay)
+    trace = trace_for(workload, 2000, 1)
+    for observers in ({}, {"tracer": Tracer(sink=None)}, {"timeline": TimelineCollector()}):
+        replayed.append(0)
+        simulate(build_controller("dewrite", NvmMainMemory(), **observers), trace)
+    assert calls == dict.fromkeys(INDEX_MUTATORS, 0)
+    assert replayed[1:] == replayed[:-1], replayed

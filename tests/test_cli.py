@@ -283,6 +283,35 @@ class TestBadInputIsAUsageError:
         error = captured.err.strip().splitlines()[-1]
         assert error.startswith(f"repro {argv[0]}: error: argument {argv[-1]}: cannot write ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig2", "--apps", "lbm", "--no-cache", "--out"],
+            ["run", "fig2", "--apps", "lbm", "--no-cache", "--manifest"],
+            ["serve", "--tables"],
+            ["bench", "--out"],
+        ],
+        ids=" ".join,
+    )
+    def test_unwritable_output_dir_fails_before_the_run(self, argv, capsys):
+        # Under a regular file no directory (and no file) can be made.
+        pathlib.Path("blocker").write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "blocker/figs", "--accesses", "50"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        error = captured.err.strip().splitlines()[-1]
+        assert error.startswith(f"repro {argv[0]}: error: argument {argv[-1]}: cannot write ")
+
+    def test_output_dir_may_be_missing(self, capsys):
+        assert main(["run", "fig2", "--apps", "lbm", "--accesses", "200", "--no-cache",
+                     "--out", "new/figs", "--manifest", "new/run.json"]) == 0
+        assert pathlib.Path("new/figs/fig2.json").is_file()
+        assert pathlib.Path("new/run.json").is_file()
+        capsys.readouterr()
+
     def test_output_path_may_name_a_missing_directory(self, capsys):
         assert main(["wear", "fig12", "--accesses", "200", "--baseline", "none",
                      "--csv", "new/dir/heat.csv"]) == 0
