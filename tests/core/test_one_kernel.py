@@ -18,12 +18,14 @@ from repro.baselines.out_of_line import OutOfLinePageDedupController
 from repro.core.dedup_engine import MetadataSystem
 from repro.core.interface import MemoryController
 from repro.core.registry import available_controllers, build_controller
-from repro.core.tables import INSERT, DedupIndex
+from repro.core.tables import DedupIndex
 from repro.nvm.memory import NvmMainMemory
 from repro.obs.timeline import TimelineCollector
 from repro.obs.trace import Tracer
 from repro.runner.jobs import WORST_CASE_WORKLOAD, trace_for
 from repro.system.simulator import simulate
+
+from .test_inline_duplicate_arm import touch_path
 
 SRC = Path(repro.__file__).resolve().parent
 SKELETON = MemoryController._service_stream
@@ -85,20 +87,6 @@ def test_only_the_skeleton_and_the_per_request_wrappers_call_merge_state():
 INDEX_MUTATORS = ("apply_unique", "apply_duplicate", "_release", "bump_counter")
 
 
-def _has_touch_off_the_hit_arms(metadata: MetadataSystem, touches: list) -> bool:
-    """Whether some touch misses its cache: a block that is not resident,
-    other than a new hash entry's insert into a cache with room."""
-    it = iter(touches)
-    for table, entry, op in zip(it, it, it):
-        cache = metadata.caches[table]
-        if cache.probe(entry):
-            continue
-        if op == INSERT and cache.resident_blocks < cache.capacity_blocks:
-            continue
-        return True
-    return False
-
-
 @pytest.mark.parametrize("workload", ["sjeng", WORST_CASE_WORKLOAD])
 def test_dewrite_writes_update_the_index_in_the_write_body(monkeypatch, workload):
     # The write body does the index mutators' work itself; replay runs
@@ -116,7 +104,7 @@ def test_dewrite_writes_update_the_index_in_the_write_body(monkeypatch, workload
     replay = MetadataSystem.replay
 
     def checked_replay(self, touches, now_ns):
-        assert _has_touch_off_the_hit_arms(self, touches), touches
+        assert touch_path(self, touches)[0] == "replayed", touches
         replayed[-1] += 1
         return replay(self, touches, now_ns)
 
