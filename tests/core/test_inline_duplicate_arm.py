@@ -133,7 +133,8 @@ def test_inline_duplicate_arm_matches_the_mutators(
         elif not (config.enable_pna and not predicted):
             metadata.access("hash_table", crc, False, arrival + config.fingerprint_latency_ns, True)
         old = index.physical_of(address)
-        if old is None or old == new:
+        if old is None or duplicate and old == new:
+            # No mapping, or a duplicate rewrite of the same target.
             reached.add("release:none")
         else:
             reference = index.reference_of(old)
