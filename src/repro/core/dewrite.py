@@ -177,9 +177,9 @@ class DeWriteController(MemoryController):
         hash_blocks = hash_cache._blocks
         hash_capacity = hash_cache.capacity_blocks
         # Verify reads go through the device (a wear-levelling facade
-        # translates them); their pads come from the CME pad cache.
+        # translates them); their pads come from the CME pad memo.
         nvm_peek_int = self.nvm.peek_int
-        pad_cache_get = self.cme._pad_cache.get
+        pad_memo_get = self.cme._memo(line_size).get
         pad_int_for = self.cme.pad_int_for
         seal = self.cme.seal
         nvm = self.nvm
@@ -298,7 +298,7 @@ class DeWriteController(MemoryController):
                                 v += 1
                                 page = counter_pages_get(physical >> PAGE_SHIFT)
                                 counter = page[physical & PAGE_MASK] if page is not None else 0
-                                pad = pad_cache_get((physical, counter, line_size))
+                                pad = pad_memo_get(counter << 64 | physical)
                                 if pad is None:
                                     pad = pad_int_for(physical, counter, line_size)
                                 energy.dedup_logic_nj += dedup_op_nj
@@ -363,7 +363,7 @@ class DeWriteController(MemoryController):
                     if not refs:
                         del hash_table[crc_old]
                     del stored[prev]
-                    free_lines.append(prev)
+                    free_lines[prev] = None
                     released = 3
                 else:
                     refs[prev] = ref - 1
@@ -394,6 +394,7 @@ class DeWriteController(MemoryController):
                     index.relocations += 1
                 else:
                     dest = address
+                    free_lines.pop(address, None)
                 stored[dest] = crc
                 refs = hash_get(crc)
                 fresh = refs is None

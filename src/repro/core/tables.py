@@ -84,8 +84,10 @@ class DedupIndex:
 
         # Freed physical lines are recycled LIFO; fresh allocations grow
         # downward from the top of the device so they stay clear of the
-        # logical addresses applications touch first.
-        self._free_stack: list[int] = []
+        # logical addresses applications touch first.  The stack is an
+        # insertion-ordered dict, so a freed line stored again in its own
+        # slot leaves it at once: it never holds a stored line.
+        self._free_stack: dict[int, None] = {}
         self._next_fresh = total_lines - 1
 
         self.relocations = 0
@@ -217,10 +219,10 @@ class DedupIndex:
         functional reference for the DeWrite write body's unique arm (see
         the module docstring).
         """
-        if logical in self._mapping:
-            self._release(logical, touches)
+        self._release(logical, touches)
         if logical not in self._stored:
             dest = logical
+            self._free_stack.pop(logical, None)
         else:
             dest = self._allocate()
             self.relocations += 1
@@ -257,7 +259,7 @@ class DedupIndex:
             if not refs:
                 del self._hash_table[crc_old]
             del self._stored[old]
-            self._free_stack.append(old)
+            self._free_stack[old] = None
             touches += (
                 "hash_table", crc_old, WRITE,
                 "inverted_hash", old, WRITE,
@@ -269,10 +271,8 @@ class DedupIndex:
 
     def _allocate(self) -> int:
         """Pop a free physical line (recycled first, then fresh top-down)."""
-        while self._free_stack:
-            candidate = self._free_stack.pop()
-            if candidate not in self._stored:
-                return candidate
+        if self._free_stack:
+            return self._free_stack.popitem()[0]
         while self._next_fresh >= 0 and self._next_fresh in self._stored:
             self._next_fresh -= 1
         if self._next_fresh < 0:
@@ -306,7 +306,8 @@ class DedupIndex:
         - every mapping target holds data;
         - stored/inverted and hash-table entries mirror each other;
         - each entry's reference equals the number of logicals mapped to it
-          (exact below the cap; at least the cap once saturated).
+          (exact below the cap; at least the cap once saturated);
+        - no line on the free stack holds data.
         """
         mapped_refs: Counter[int] = Counter(self._mapping.values())
         for logical, phys in self._mapping.items():
@@ -325,6 +326,9 @@ class DedupIndex:
             for phys in entries:
                 if self._stored.get(phys) != crc:
                     raise DedupIndexError(f"hash entry {crc:#x}->{phys} not mirrored in inverted table")
+        for phys in self._free_stack:
+            if phys in self._stored:
+                raise DedupIndexError(f"free stack holds stored line {phys}")
 
     def verify(self) -> None:
         """Full consistency check: cross-table mirroring plus counter laws.

@@ -18,11 +18,27 @@ the cryptographic contract:
 - an optional OTP-reuse detector raises :class:`OtpReuseError` when a
   (address, counter) pair is used to *seal* twice — the security
   invariant of §II-B that the test suite exercises.
+
+A pad is a pure function of (key, address, counter, length), so every pad
+the engine hands out comes from a bounded memo keyed by the one int
+``counter << 64 | address``: one memo per line length, shared by every
+engine on the default SHAKE generator with the same key, so the
+controllers of one process (a figure's baseline and DeWrite, a pool
+worker's jobs) make each pad once.  An engine given its own generator
+keeps private memos.  Addresses are line indices below 2**64.
 """
 
 from __future__ import annotations
 
 from repro.crypto.otp import PadGenerator, ShakePadGenerator
+
+
+#: Entries one pad memo holds before it is cleared, so a multi-million-line
+#: run cannot hold every pad ever generated.
+_PAD_MEMO_CAP = 8192
+
+#: (key, line length) -> pad memo, for every engine on the default generator.
+_SHAKE_PAD_MEMOS: dict[tuple[bytes, int], dict[int, int]] = {}
 
 
 class OtpReuseError(RuntimeError):
@@ -52,28 +68,42 @@ class CounterModeEngine:
                 used for encryption and raise :class:`OtpReuseError` on
                 reuse.  Costs memory; intended for tests and small runs.
         """
-        self._pads = pad_generator if pad_generator is not None else ShakePadGenerator(key)
+        if pad_generator is None:
+            self._pads: PadGenerator = ShakePadGenerator(key)
+            self._shared_key: bytes | None = bytes(key)
+        else:
+            self._pads = pad_generator
+            self._shared_key = None
         self._track = track_otp_reuse
         self._used: set[tuple[int, int]] = set()
-        # Pads are pure functions of (address, counter, length), so repeated
-        # XORs against the same triple — dedup verify reads decrypt the same
-        # stored lines over and over — can reuse the pad.  Cached as ints
-        # (the XOR operand), saving one bytes->int conversion per call.
-        # Bounded so a multi-million-line run cannot hold every pad ever
-        # generated.
-        self._pad_cache: dict[tuple[int, int, int], int] = {}
-        self._pad_cache_cap = 8192
+        self._memos: dict[int, dict[int, int]] = {}  # line length -> pad memo
+
+    def _memo(self, nbytes: int) -> dict[int, int]:
+        """The pad memo for ``nbytes``-byte lines: ``counter << 64 | address``
+        -> the pad as a little-endian integer.
+
+        Shared by every default-generator engine with this engine's key;
+        cleared in place, never replaced, so a caller may hold it (or its
+        ``get``) across calls.  Read-only outside this class: a miss goes
+        through :meth:`pad_int_for`, which keeps the bound.
+        """
+        memo = self._memos.get(nbytes)
+        if memo is None:
+            if self._shared_key is None:
+                memo = {}
+            else:
+                memo = _SHAKE_PAD_MEMOS.setdefault((self._shared_key, nbytes), {})
+            self._memos[nbytes] = memo
+        return memo
 
     def seal(self, plaintext: bytes, address: int, counter: int) -> int:
         """Encrypt one line stored at ``address`` under its ``counter``,
         returning the ciphertext as its little-endian integer.
 
-        Records the (address, counter) pair when OTP reuse is tracked and
-        XORs once with the pad.  A sealed pair is fresh (a line's counter
-        only grows), so its pad is generated rather than looked up, and it
-        enters the shared bounded pad cache: the verify reads and decrypts
-        of the line this write stores find it there through
-        :meth:`pad_int_for`.
+        Records the (address, counter) pair when OTP reuse is tracked, then
+        is :meth:`pad_int_for` plus the XOR: the pad comes from the memo,
+        and only a pair no engine sharing it has sealed or decrypted since
+        the last clear generates one.
         """
         if self._track:
             token = (address, counter)
@@ -83,11 +113,15 @@ class CounterModeEngine:
                 )
             self._used.add(token)
         n = len(plaintext)
-        cache = self._pad_cache
-        if len(cache) >= self._pad_cache_cap:
-            cache.clear()
-        pad_int = self._pads.pad_int(address, counter, n)
-        cache[address, counter, n] = pad_int
+        memo = self._memos.get(n)
+        if memo is None:
+            memo = self._memo(n)
+        token = counter << 64 | address
+        pad_int = memo.get(token)
+        if pad_int is None:
+            if len(memo) >= _PAD_MEMO_CAP:
+                memo.clear()
+            pad_int = memo[token] = self._pads.pad_int(address, counter, n)
         return int.from_bytes(plaintext, "little") ^ pad_int
 
     def encrypt(self, plaintext: bytes, address: int, counter: int) -> bytes:
@@ -107,14 +141,16 @@ class CounterModeEngine:
         For callers that compare or decrypt lines in the integer domain —
         e.g. the dedup verify read, which only needs ``decrypt(stored) ==
         candidate`` — this skips the two bytes<->int conversions of a full
-        :meth:`decrypt`.  Shares the bounded pad cache.
+        :meth:`decrypt`.  Looks the pad up in the memo and generates
+        it only on a miss.
         """
-        token = (address, counter, nbytes)
-        cache = self._pad_cache
-        pad_int = cache.get(token)
+        memo = self._memos.get(nbytes)
+        if memo is None:
+            memo = self._memo(nbytes)
+        token = counter << 64 | address
+        pad_int = memo.get(token)
         if pad_int is None:
-            if len(cache) >= self._pad_cache_cap:
-                cache.clear()
-            pad_int = self._pads.pad_int(address, counter, nbytes)
-            cache[token] = pad_int
+            if len(memo) >= _PAD_MEMO_CAP:
+                memo.clear()
+            pad_int = memo[token] = self._pads.pad_int(address, counter, nbytes)
         return pad_int

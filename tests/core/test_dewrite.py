@@ -16,6 +16,10 @@ from repro.core.config import DeWriteConfig
 from repro.core.dewrite import DeWriteController
 from repro.nvm.config import NvmConfig, NvmOrganization
 from repro.nvm.memory import NvmMainMemory
+from repro.system.simulator import simulate
+from repro.workloads.generator import generate_trace
+from repro.workloads.profiles import profile_by_name
+from repro.workloads.worstcase import worst_case_trace
 
 LINE = 256
 
@@ -226,6 +230,23 @@ class TestMaintenance:
                 controller.read(address, t)
             t += 1_500.0
         controller.check_invariants()
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            pytest.param(lambda: worst_case_trace(num_accesses=9_000, seed=1), id="worst-case"),
+            pytest.param(
+                lambda: generate_trace(profile_by_name("bzip2"), 3_000, seed=1), id="bzip2"
+            ),
+        ],
+    )
+    def test_free_stack_holds_no_stored_line(self, trace):
+        # An in-place unique rewrite frees its own slot and stores it again
+        # at once; the slot must not stay behind on the free stack.
+        controller = DeWriteController(NvmMainMemory())
+        simulate(controller, trace())
+        index = controller.index
+        assert not [line for line in index._free_stack if index.holds_data(line)]
 
     def test_line_size_mismatch_rejected(self):
         nvm = NvmMainMemory(

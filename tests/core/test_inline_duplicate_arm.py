@@ -9,10 +9,11 @@ not resident, as one flat triple list through
 ``DedupIndex`` and a second ``MetadataSystem`` — takes every decision the
 controller makes, one ``controller.write`` at a time, through
 :meth:`DedupIndex.apply_duplicate` / ``apply_unique`` / ``bump_counter``
-and ``replay`` alone.  Tables, pinned lines, relocations, counters, cache
-LRU order, dirty bits and traffic counters must agree after every request,
-and the stream must reach every arm: both touch paths, each hash-entry
-insert, each release kind, a relocation and both counter slots.
+and ``replay`` alone.  Tables, pinned lines, relocations, the free
+stack, counters, cache LRU order, dirty bits and traffic counters must
+agree after every request, and the stream must reach every arm: both
+touch paths, each hash-entry insert, each release kind, a relocation and
+both counter slots.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ def state(index: DedupIndex, metadata: MetadataSystem) -> tuple:
         index.counter_items(),
         index.pinned_lines,
         index.relocations,
+        list(index._free_stack),
         {
             name: (cache.hits, cache.misses, cache.writebacks, list(cache._blocks.items()))
             for name, cache in metadata.caches.items()

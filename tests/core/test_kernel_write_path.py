@@ -5,7 +5,8 @@ tracking, run the history-window majority rule on hoisted locals and record
 counter touches with the §III-C slot rule inlined.  Each test here pins one
 of those against the code it replaced: a tracked engine that must still
 raise through every kernel, a :class:`HistoryWindowPredictor` replay of the
-same outcomes, and :meth:`DedupIndex.counter_slot`.
+same outcomes, and :meth:`DedupIndex.counter_slot`.  The last pins the
+shared pad memo: a DeWrite run after the baseline's makes no pad.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.core.dewrite import DeWriteController
 from repro.core.predictor import HistoryWindowPredictor
 from repro.core.tables import WRITE, DedupIndex
 from repro.crypto.counter_mode import CounterModeEngine, OtpReuseError
+from repro.crypto.otp import ShakePadGenerator
 from repro.nvm.config import NvmConfig, NvmOrganization
 from repro.nvm.memory import NvmMainMemory
 from repro.obs.trace import Tracer
@@ -29,6 +31,7 @@ from repro.system.simulator import simulate
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import profile_by_name
 from repro.workloads.trace import MemoryAccess, Trace
+from repro.workloads.worstcase import worst_case_trace
 
 LINE = 256
 CME_KERNELS = {
@@ -151,3 +154,25 @@ class TestCounterTouchSlot:
         # referenced by logical 5, so it is relocated into freed line 5.
         assert index.apply_unique(6, 0xC, touches) == 5
         self.assert_touch_matches_slot(index, 5, "overflow")
+
+
+class TestPadsMadeOncePerProcess:
+    def test_dewrite_after_secure_nvm_makes_no_pad(self, monkeypatch):
+        # Both controllers seal every worst-case write under the same
+        # (address, counter) pairs; the shared pad memo hands DeWrite the
+        # baseline's pads.
+        trace = worst_case_trace(num_accesses=3_000, seed=1)
+        CounterModeEngine()._memo(LINE).clear()
+        simulate(TraditionalSecureNvmController(NvmMainMemory()), trace)
+        calls = []
+        real = ShakePadGenerator.pad_int
+
+        def counted(self, address, counter, length):
+            calls.append((address, counter, length))
+            return real(self, address, counter, length)
+
+        monkeypatch.setattr(ShakePadGenerator, "pad_int", counted)
+        dewrite = DeWriteController(NvmMainMemory())
+        simulate(dewrite, trace)
+        assert dewrite.stats.writes_stored > 1_000
+        assert calls == []

@@ -51,6 +51,7 @@ class TestUniqueWrites:
         assert dest == 5
         assert index.content_crc(5) == 2
         assert index.candidate_entry(1) is None
+        assert not index._free_stack  # the freed slot was taken back
         index.check_invariants()
 
     def test_relocation_when_own_slot_referenced(self):

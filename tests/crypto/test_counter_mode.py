@@ -1,12 +1,15 @@
-"""Counter-mode engine: round trips, involution, OTP-reuse detection."""
+"""Counter-mode engine: round trips, involution, OTP-reuse detection, the
+shared pad memo."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.counter_mode import CounterModeEngine, OtpReuseError
-from repro.crypto.otp import AesPadGenerator
+from repro.crypto.counter_mode import _PAD_MEMO_CAP, CounterModeEngine, OtpReuseError
+from repro.crypto.otp import AesPadGenerator, ShakePadGenerator
 
 
 class TestRoundTrip:
@@ -100,3 +103,104 @@ class TestSeal:
         engine.encrypt(bytes(256), 1, 2)
         with pytest.raises(OtpReuseError):
             engine.seal(bytes(256), 1, 2)
+
+
+def fresh_memo(engine: CounterModeEngine, nbytes: int = 256) -> dict[int, int]:
+    """The engine's pad memo for ``nbytes``-byte lines, emptied first: the
+    default-generator memos are shared by the whole process."""
+    memo = engine._memo(nbytes)
+    memo.clear()
+    return memo
+
+
+class TestSharedPadMemo:
+    KEY = b"\x5a" * 16
+
+    def test_every_memo_entry_is_the_fresh_pad(self):
+        rng = random.Random(7)
+        first, second = CounterModeEngine(key=self.KEY), CounterModeEngine(key=self.KEY)
+        reference = ShakePadGenerator(self.KEY)
+        triples = [
+            (rng.randrange(2**32), rng.randrange(1, 2**28), rng.choice((1, 16, 64, 256, 512)))
+            for _ in range(300)
+        ]
+        for length in {length for _, _, length in triples}:
+            fresh_memo(first, length)
+        for i, (address, counter, length) in enumerate(triples):
+            line = rng.randbytes(length)
+            engine = first if i % 2 else second
+            pad = reference.pad_int(address, counter, length)
+            assert engine.seal(line, address, counter) == int.from_bytes(line, "little") ^ pad
+            # The other engine finds the same pad.
+            assert (second if i % 2 else first).pad_int_for(address, counter, length) == pad
+        for address, counter, length in triples:
+            assert first._memo(length)[counter << 64 | address] == reference.pad_int(
+                address, counter, length
+            )
+
+    def test_each_line_length_has_its_own_memo(self):
+        engine = CounterModeEngine(key=self.KEY)
+        short, full = fresh_memo(engine, 16), fresh_memo(engine, 256)
+        assert short is not full
+        line = bytes(range(256))
+        engine.seal(line, 3, 9)
+        sealed_short = engine.seal(line[:16], 3, 9)
+        assert sealed_short < 2**128
+        assert sealed_short == engine.seal(line, 3, 9) & (2**128 - 1)  # XOF prefix
+        assert len(short) == len(full) == 1
+        assert short[9 << 64 | 3] == ShakePadGenerator(self.KEY).pad_int(3, 9, 16)
+
+    def test_same_key_shares_other_key_or_explicit_generator_does_not(self, monkeypatch):
+        memo = CounterModeEngine(key=self.KEY)._memo(256)
+        assert CounterModeEngine(key=self.KEY)._memo(256) is memo
+        others = [
+            CounterModeEngine(key=b"\xa5" * 16),
+            CounterModeEngine(pad_generator=ShakePadGenerator(self.KEY)),
+            CounterModeEngine(pad_generator=ShakePadGenerator(self.KEY)),
+        ]
+        memos = [memo] + [engine._memo(256) for engine in others]
+        assert len({id(m) for m in memos}) == len(memos)
+        memo.clear()
+        CounterModeEngine(key=self.KEY).seal(bytes(256), 1, 1)
+        calls = []
+        real = ShakePadGenerator.pad_int
+
+        def counted(generator, address, counter, length):
+            calls.append((address, counter, length))
+            return real(generator, address, counter, length)
+
+        monkeypatch.setattr(ShakePadGenerator, "pad_int", counted)
+        for engine in others:
+            engine.seal(bytes(256), 1, 1)
+        assert len(calls) == len(others)  # none found the shared pad
+        CounterModeEngine(key=self.KEY).seal(bytes(256), 1, 1)
+        assert len(calls) == len(others)  # the same key did
+
+    def test_reuse_tracking_stays_per_engine(self):
+        first = CounterModeEngine(key=self.KEY, track_otp_reuse=True)
+        second = CounterModeEngine(key=self.KEY, track_otp_reuse=True)
+        first.seal(bytes(256), 4, 2)
+        second.seal(bytes(256), 4, 2)  # B's first use of the pair
+        with pytest.raises(OtpReuseError):
+            first.seal(bytes(256), 4, 2)
+        with pytest.raises(OtpReuseError):
+            second.seal(bytes(256), 4, 2)
+
+    def test_results_unchanged_across_a_clear_at_the_cap(self):
+        engine = CounterModeEngine(key=self.KEY)
+        memo = fresh_memo(engine)
+        reference = ShakePadGenerator(self.KEY)
+        line = bytes(range(256))
+        plain = int.from_bytes(line, "little")
+        for address in range(_PAD_MEMO_CAP):
+            engine.seal(line, address, 1)
+        assert len(memo) == _PAD_MEMO_CAP
+        # The next miss clears the full memo, then keeps its own pad.
+        assert engine.seal(line, _PAD_MEMO_CAP, 1) == plain ^ reference.pad_int(
+            _PAD_MEMO_CAP, 1, 256
+        )
+        assert len(memo) == 1
+        for address in (0, _PAD_MEMO_CAP // 2, _PAD_MEMO_CAP - 1):
+            assert engine.seal(line, address, 1) == plain ^ reference.pad_int(address, 1, 256)
+            assert engine.pad_int_for(address, 1, 256) == reference.pad_int(address, 1, 256)
+        assert engine._memo(256) is memo
