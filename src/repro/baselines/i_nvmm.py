@@ -60,16 +60,17 @@ class INvmmController(TraditionalSecureNvmController):
             return self.nvm.peek(address)
         return super()._plaintext(address)
 
-    def _request_bodies(self, batch):
-        """The i-NVMM bodies: hot lines in plaintext, cold ones under CME.
+    def _request_bodies(self, batch, columns):
+        """The parent's CME bodies with i-NVMM's plaintext arms.
 
         Every write makes its line hot (the LRU victim is encrypted in
         place by :meth:`_encrypt_cold_line`) and goes to the array in
-        plaintext, skipping AES; hot reads skip decryption, cold reads take
-        the parent's CME read pipeline.  Observers are fed as in the
-        parent's bodies; a write's :attr:`request_record` facts are the
-        evicted victim (None when nothing went cold) and its new counter.
+        plaintext, skipping AES.  A hot read skips decryption; a cold read
+        is the parent's CME read.  A write's :attr:`request_record` facts
+        are the evicted victim (None when nothing went cold) and its new
+        counter.
         """
+        _, cme_read, finish = super()._request_bodies(batch, columns)
         slots = batch.slots
         payload = batch.payload
         line_size = batch.line_size
@@ -78,24 +79,18 @@ class INvmmController(TraditionalSecureNvmController):
         written_set = self._written
         hot = self._hot
         hot_cap = self.hot_set_lines
-        nvm = self.nvm
-        add_aes_line = nvm.energy.add_aes_line
-        nvm_write_done = nvm.write_complete_ns
-        nvm_read_done = nvm.read_complete_ns
+        nvm_write_done = self.nvm.write_complete_ns
+        nvm_read_done = self.nvm.read_complete_ns
         tracer = self.tracer
         trace_on = tracer.enabled
         timeline = self.timeline
         timeline_on = timeline.enabled
         record = self.request_record
         touch_counter = self._access_counter
-        xor_ns = self.config.xor_latency_ns
-
-        stages = self.stages
-        stage_on = stages.enabled
-        st_wnvm: list[float] = []
-        st_rmeta: list[float] = []
-        st_rnvm: list[float] = []
-        st_rcrypto: list[float] = []
+        stage_on = self.stages.enabled
+        st_wnvm = columns["write.nvm"]
+        st_rmeta = columns["read.metadata"]
+        st_rnvm = columns["read.nvm"]
 
         def write(req, address, arrival):
             slot = slots[req]
@@ -133,48 +128,22 @@ class INvmmController(TraditionalSecureNvmController):
             return complete
 
         def read(req, address, arrival):
+            if address not in hot:
+                return cme_read(req, address, arrival)
+            # Hot read: plaintext at rest, no decryption, no XOR.
             stats.reads_requested += 1
-            hot_read = address in hot
             issue = arrival + touch_counter(address, False, arrival)
+            self.plaintext_bus_transfers += 1
+            rnow = nvm_read_done(address, issue)
+            hot.move_to_end(address)
             if stage_on:
                 st_rmeta.append(issue - arrival)
-            if hot_read:
-                # Hot read: plaintext at rest, no decryption, no XOR.
-                self.plaintext_bus_transfers += 1
-                rnow = nvm_read_done(address, issue)
-                hot.move_to_end(address)
-                if stage_on:
-                    st_rnvm.append(rnow - issue)
-            else:
-                # Cold read: the parent's CME read pipeline.
-                decrypted = address in counters
-                if decrypted:
-                    add_aes_line()
-                rc = nvm_read_done(address, issue)
-                rnow = rc + xor_ns
-                if stage_on:
-                    st_rnvm.append(rc - issue)
-                    st_rcrypto.append(rnow - rc)
+                st_rnvm.append(rnow - issue)
             if trace_on:
                 tracer.span("read.metadata", arrival, issue, redirected=False)
-                if hot_read:
-                    tracer.span("read.nvm", issue, rnow)
-                    tracer.span("read", arrival, rnow, hot=True)
-                else:
-                    tracer.span("read.nvm", issue, rc, wait_ns=nvm.last_start_ns - issue)
-                    tracer.span("read.crypto", rc, rnow, decrypted=decrypted)
-                    tracer.span("read", arrival, rnow, redirected=False)
+                tracer.span("read.nvm", issue, rnow)
+                tracer.span("read", arrival, rnow, hot=True)
             return rnow
-
-        def finish(st_write, st_read):
-            if stage_on:
-                record_many = stages.record_many
-                record_many("write.nvm", st_wnvm)
-                record_many("write", st_write)
-                record_many("read.metadata", st_rmeta)
-                record_many("read.nvm", st_rnvm)
-                record_many("read.crypto", st_rcrypto)
-                record_many("read", st_read)
 
         return write, read, finish
 

@@ -117,7 +117,7 @@ class TraditionalSecureNvmController(MemoryController):
             self.reencrypted_lines += 1
             now_ns = stored.complete_ns
 
-    def _request_bodies(self, batch):
+    def _request_bodies(self, batch, columns):
         """The CME write and read bodies over ``batch``, and the finish step.
 
         A write seals its line in the integer domain and programs it
@@ -125,7 +125,9 @@ class TraditionalSecureNvmController(MemoryController):
         re-encrypt pages in line.  Counter-cache touches take the resident
         block's hit arm inline.  A traced ``*.nvm`` span reads its bank
         wait off the device's ``last_start_ns``.  A write's
-        :attr:`request_record` fact is the line's counter after it.
+        :attr:`request_record` fact is the line's counter after it.  The
+        finish step adds the call's counts to :attr:`stats`, so a
+        subclass's own arms may count there directly.
         """
         slots = batch.slots
         payload = batch.payload
@@ -154,17 +156,14 @@ class TraditionalSecureNvmController(MemoryController):
         aes_ns = self.config.aes_latency_ns
         xor_ns = self.config.xor_latency_ns
 
-        stages = self.stages
-        stage_on = stages.enabled
-        st_wcrypto: list[float] = []
-        st_wnvm: list[float] = []
-        st_rmeta: list[float] = []
-        st_rnvm: list[float] = []
-        st_rcrypto: list[float] = []
+        stage_on = self.stages.enabled
+        st_wcrypto = columns["write.crypto"]
+        st_wnvm = columns["write.nvm"]
+        st_rmeta = columns["read.metadata"]
+        st_rnvm = columns["read.nvm"]
+        st_rcrypto = columns["read.crypto"]
 
-        writes_requested = stats.writes_requested
-        writes_stored = stats.writes_stored
-        reads_requested = stats.reads_requested
+        writes_requested = writes_stored = reads_requested = 0
 
         def write(req, address, arrival):
             nonlocal writes_requested, writes_stored
@@ -243,19 +242,10 @@ class TraditionalSecureNvmController(MemoryController):
                 tracer.span("read", arrival, rnow, redirected=False)
             return rnow
 
-        def finish(st_write, st_read):
-            stats.writes_requested = writes_requested
-            stats.writes_stored = writes_stored
-            stats.reads_requested = reads_requested
-            if stage_on:
-                record_many = stages.record_many
-                record_many("write.crypto", st_wcrypto)
-                record_many("write.nvm", st_wnvm)
-                record_many("write", st_write)
-                record_many("read.metadata", st_rmeta)
-                record_many("read.nvm", st_rnvm)
-                record_many("read.crypto", st_rcrypto)
-                record_many("read", st_read)
+        def finish():
+            stats.writes_requested += writes_requested
+            stats.writes_stored += writes_stored
+            stats.reads_requested += reads_requested
 
         return write, read, finish
 

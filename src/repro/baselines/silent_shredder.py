@@ -9,7 +9,8 @@ because most duplicate lines are non-zero — the observation motivating
 DeWrite.
 
 Implementation: a thin extension of the traditional secure-NVM controller
-with a shredded-line set; the shredded state piggybacks on the counter
+with a shredded-line set: its request bodies are the parent's CME bodies
+plus the two shortcut arms.  The shredded state piggybacks on the counter
 metadata (as in the original design), so its cache traffic reuses the
 counter cache.
 """
@@ -41,133 +42,72 @@ class SilentShredderController(TraditionalSecureNvmController):
             return self._zero_line
         return super()._plaintext(address)
 
-    def _request_bodies(self, batch):
-        """The CME bodies with the zero-line shortcut inlined.
+    def _request_bodies(self, batch, columns):
+        """The parent's CME bodies with the zero-line shortcut arms.
 
-        Non-zero writes and reads of live lines take the parent's CME
-        pipeline; all-zero writes and reads of shredded lines are the
-        counter-manipulation shortcut.  Both touch the line's counter
-        first.  Observers are fed as in the parent's bodies; a write's
-        :attr:`request_record` facts are the line's counter after it
-        (None when shredded) and whether it was shredded.
+        An all-zero write is cancelled: one counter-cache touch (the
+        shredded state rides the counter metadata) marks the line shredded.
+        A read of a shredded line touches the counter and zero-fills from
+        that state, with no array read.  Every other request is the
+        parent's write or read, and a non-zero write unshreds its line.  A
+        shredded write's :attr:`request_record` counter is None.
         """
+        cme_write, cme_read, finish = super()._request_bodies(batch, columns)
         slots = batch.slots
         payload = batch.payload
         line_size = batch.line_size
         stats = self.stats
-        counters = self._counters
-        written_set = self._written
         shredded = self._shredded
         zero_line = self._zero_line
-        seal = self.cme.seal
-        nvm = self.nvm
-        add_aes_line = nvm.energy.add_aes_line
-        nvm_write_done = nvm.write_complete_ns
-        nvm_read_done = nvm.read_complete_ns
         tracer = self.tracer
         trace_on = tracer.enabled
         timeline = self.timeline
         timeline_on = timeline.enabled
         record = self.request_record
         touch_counter = self._access_counter
-        aes_ns = self.config.aes_latency_ns
         xor_ns = self.config.xor_latency_ns
-
-        stages = self.stages
-        stage_on = stages.enabled
-        st_wmeta: list[float] = []
-        st_wcrypto: list[float] = []
-        st_wnvm: list[float] = []
-        st_rmeta: list[float] = []
-        st_rnvm: list[float] = []
-        st_rcrypto: list[float] = []
+        stage_on = self.stages.enabled
+        st_wmeta = columns["write.meta"]
+        st_rmeta = columns["read.metadata"]
+        st_rcrypto = columns["read.crypto"]
 
         def write(req, address, arrival):
             slot = slots[req]
-            line = payload[slot : slot + line_size]
-            if len(line) != line_size:
-                self._check_line(line)
-            stats.writes_requested += 1
-            cnow = arrival + touch_counter(address, True, arrival)
-            eliminated = line == zero_line
-            if not eliminated:
-                # Non-zero: the parent's CME write pipeline.
+            if payload[slot : slot + line_size] != zero_line:
+                complete = cme_write(req, address, arrival)
                 shredded.discard(address)
-                stats.writes_stored += 1
-                counter = counters.get(address, 0) + 1
-                counters[address] = counter
-                sealed = seal(line, address, counter)
-                add_aes_line()
-                issue = cnow + aes_ns
-                complete = nvm_write_done(address, sealed, issue)
-                written_set.add(address)
-                if stage_on:
-                    st_wcrypto.append(issue - cnow)
-                    st_wnvm.append(complete - issue)
-            else:
-                # All-zero: cancel the write; one counter manipulation.
-                stats.writes_deduplicated += 1
-                shredded.add(address)
-                complete = cnow
-                if stage_on:
-                    st_wmeta.append(complete - arrival)
+                return complete
+            # All-zero: cancel the write; one counter manipulation.
+            stats.writes_requested += 1
+            stats.writes_deduplicated += 1
+            complete = arrival + touch_counter(address, True, arrival)
+            shredded.add(address)
+            if stage_on:
+                st_wmeta.append(complete - arrival)
             if timeline_on:
-                timeline.record_write(
-                    arrival, deduplicated=eliminated, latency_ns=complete - arrival
-                )
+                timeline.record_write(arrival, deduplicated=True, latency_ns=complete - arrival)
             if trace_on:
-                if eliminated:
-                    tracer.span("write.meta", arrival, complete, shredded=True)
-                else:
-                    tracer.span("write.crypto", cnow, issue)
-                    tracer.span("write.nvm", issue, complete, wait_ns=nvm.last_start_ns - issue)
-                tracer.span("write", arrival, complete, deduplicated=eliminated)
+                tracer.span("write.meta", arrival, complete, shredded=True)
+                tracer.span("write", arrival, complete, deduplicated=True)
             if record is not None:
-                record.append((req, complete, None if eliminated else counter, eliminated))
+                record.append((req, complete, None))
             return complete
 
         def read(req, address, arrival):
+            if address not in shredded:
+                return cme_read(req, address, arrival)
+            # Shredded: zero-fill from counter state, no array read.
             stats.reads_requested += 1
             issue = arrival + touch_counter(address, False, arrival)
+            rnow = issue + xor_ns
             if stage_on:
                 st_rmeta.append(issue - arrival)
-            zero_fill = address in shredded
-            if zero_fill:
-                # Shredded: zero-fill from counter state, no array read.
-                rnow = issue + xor_ns
-                if stage_on:
-                    st_rcrypto.append(rnow - issue)
-            else:
-                decrypted = address in counters
-                if decrypted:
-                    add_aes_line()
-                rc = nvm_read_done(address, issue)
-                rnow = rc + xor_ns
-                if stage_on:
-                    st_rnvm.append(rc - issue)
-                    st_rcrypto.append(rnow - rc)
+                st_rcrypto.append(rnow - issue)
             if trace_on:
                 tracer.span("read.metadata", arrival, issue, redirected=False)
-                if zero_fill:
-                    tracer.span("read.crypto", issue, rnow, decrypted=False)
-                    tracer.span("read", arrival, rnow, shredded=True)
-                else:
-                    tracer.span("read.nvm", issue, rc, wait_ns=nvm.last_start_ns - issue)
-                    tracer.span("read.crypto", rc, rnow, decrypted=decrypted)
-                    tracer.span("read", arrival, rnow, redirected=False)
+                tracer.span("read.crypto", issue, rnow, decrypted=False)
+                tracer.span("read", arrival, rnow, shredded=True)
             return rnow
-
-        def finish(st_write, st_read):
-            if stage_on:
-                record_many = stages.record_many
-                record_many("write.meta", st_wmeta)
-                record_many("write.crypto", st_wcrypto)
-                record_many("write.nvm", st_wnvm)
-                record_many("write", st_write)
-                record_many("read.metadata", st_rmeta)
-                record_many("read.nvm", st_rnvm)
-                record_many("read.crypto", st_rcrypto)
-                record_many("read", st_read)
 
         return write, read, finish
 

@@ -84,12 +84,6 @@ class MetadataSystem:
             name: (layout.table_base(name), table_lines[name]) for name in self.caches
         }
         self._line_size = nvm.config.organization.line_size_bytes
-        # (cache, resident blocks, entries per block) per table, so replay
-        # looks each touched table up once.
-        self._replay_tables = {
-            name: (cache, cache._blocks, cache.entries_per_block)
-            for name, cache in self.caches.items()
-        }
 
     def access(
         self,
@@ -163,43 +157,16 @@ class MetadataSystem:
 
         ``touches`` is the flat ``(table, entry, op)`` triple list the
         :class:`~repro.core.tables.DedupIndex` mutators fill, applied in
-        order at ``now_ns``.  DeWrite's write body builds one only when some
-        touched block is not resident (other than a new hash entry's insert
-        into a cache with room); resident touches take the same hit and
-        insert arms inline there.
+        order at ``now_ns``, each one :meth:`access`: a ``READ`` a lookup,
+        a ``WRITE`` a dirtying lookup, an ``INSERT`` a new entry's
+        allocation with nothing to fetch.  DeWrite's write body builds one
+        only when some touched block is not resident (other than a new
+        hash entry's insert into a cache with room); resident touches take
+        the same hit and insert arms inline there.
         """
-        tables = self._replay_tables
-        timeline = self.timeline
-        timeline_on = timeline.enabled
-        persistence = self._persistence_active
         access = self.access
         it = iter(touches)
         for table, index, op in zip(it, it, it):
-            # Resident-block and insert arms, inlined from access(): posted
-            # touches are the hottest metadata traffic, and the call
-            # overhead alone is measurable on dedup-heavy traces.
-            cache, blocks, per_block = tables[table]
-            block = index // per_block
-            if block in blocks:
-                if op != INSERT:
-                    cache.hits += 1
-                    if timeline_on:
-                        timeline.record_metadata(now_ns, hit=True)
-                blocks.move_to_end(block)
-                if op:
-                    blocks[block] = True
-                    if persistence:
-                        self._enforce_persistence(table, index, now_ns)
-                continue
-            if op == INSERT and len(blocks) < cache.capacity_blocks:
-                # Insert arm of MetadataCache.access: a brand-new entry
-                # allocates its block dirty with no fetch, no eviction
-                # (the cache has room) and no hit/miss statistics, so
-                # nothing on the timeline either.
-                blocks[block] = True
-                if persistence:
-                    self._enforce_persistence(table, index, now_ns)
-                continue
             access(table, index, op != READ, now_ns, False, op != INSERT)
 
     def flush(self, now_ns: float) -> int:

@@ -102,7 +102,7 @@ class DeWriteController(MemoryController):
         counter = self.index.peek_counter(physical)
         return self.cme.decrypt(self.nvm.peek(physical), physical, counter)
 
-    def _request_bodies(self, batch):
+    def _request_bodies(self, batch, columns):
         """DeWrite's write and read bodies over ``batch``, and its finish step.
 
         Write (Fig. 10): predict the duplication state, fingerprint, run
@@ -168,12 +168,15 @@ class DeWriteController(MemoryController):
         # Resident metadata blocks take the cache's hit arm inline (the
         # hash-cache probe, a read's two blocking address-map lookups, a
         # write's index touches); a miss calls access() or replay().
-        replay_tables = metadata._replay_tables
-        am_cache, am_blocks, am_per_block = replay_tables["address_map"]
-        ih_cache, ih_blocks, ih_per_block = replay_tables["inverted_hash"]
-        fsm_cache, fsm_blocks, fsm_per_block = replay_tables["fsm"]
+        caches = metadata.caches
+        am_cache = caches["address_map"]
+        am_blocks, am_per_block = am_cache._blocks, am_cache.entries_per_block
+        ih_cache = caches["inverted_hash"]
+        ih_blocks, ih_per_block = ih_cache._blocks, ih_cache.entries_per_block
+        fsm_cache = caches["fsm"]
+        fsm_blocks, fsm_per_block = fsm_cache._blocks, fsm_cache.entries_per_block
         # The hash cache holds single entries (one per block), keyed by CRC.
-        hash_cache = metadata.caches["hash_table"]
+        hash_cache = caches["hash_table"]
         hash_blocks = hash_cache._blocks
         hash_capacity = hash_cache.capacity_blocks
         # Verify reads go through the device (a wear-levelling facade
@@ -213,15 +216,14 @@ class DeWriteController(MemoryController):
         # Summary-mode sub-stages, in request order.  write.crypto takes
         # both the unique writes' encryptions and the wasted speculative
         # ones.
-        stages = self.stages
-        stage_on = stages.enabled
-        st_whash: list[float] = []
-        st_wdedup: list[float] = []
-        st_wcrypto: list[float] = []
-        st_wnvm: list[float] = []
-        st_rmeta: list[float] = []
-        st_rnvm: list[float] = []
-        st_rcrypto: list[float] = []
+        stage_on = self.stages.enabled
+        st_whash = columns["write.hash"]
+        st_wdedup = columns["write.dedup"]
+        st_wcrypto = columns["write.crypto"]
+        st_wnvm = columns["write.nvm"]
+        st_rmeta = columns["read.metadata"]
+        st_rnvm = columns["read.nvm"]
+        st_rcrypto = columns["read.crypto"]
 
         writes_requested = stats.writes_requested
         writes_deduplicated = stats.writes_deduplicated
@@ -657,7 +659,7 @@ class DeWriteController(MemoryController):
                 tracer.span("read", arrival, rnow, redirected=redirected)
             return rnow
 
-        def finish(st_write, st_read):
+        def finish():
             stats.writes_requested = writes_requested
             stats.writes_deduplicated = writes_deduplicated
             stats.writes_stored = writes_stored
@@ -675,17 +677,6 @@ class DeWriteController(MemoryController):
                 predictor.predictions = stats.predictions = predictions
                 predictor.correct = stats.correct_predictions = correct
             self._sync_metadata_stats()
-            if stage_on:
-                record_many = stages.record_many
-                record_many("write.hash", st_whash)
-                record_many("write.dedup", st_wdedup)
-                record_many("write.crypto", st_wcrypto)
-                record_many("write.nvm", st_wnvm)
-                record_many("write", st_write)
-                record_many("read.metadata", st_rmeta)
-                record_many("read.nvm", st_rnvm)
-                record_many("read.crypto", st_rcrypto)
-                record_many("read", st_read)
 
         return write, read, finish
 

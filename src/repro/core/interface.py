@@ -20,6 +20,7 @@ supplies only its write and read bodies and a finish step
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
@@ -58,6 +59,9 @@ class ReadOutcome(NamedTuple):
 
 #: A write or read body: ``(req, address, arrival_ns)`` -> completion time.
 RequestBody = Callable[[int, int, float], float]
+
+#: One kernel call's stage samples: stage name -> samples in request order.
+StageColumns = defaultdict[str, list[float]]
 
 
 class MemoryController:
@@ -208,18 +212,20 @@ class MemoryController:
         return BatchOutcome(*self._service_stream(batch, cursor, max_requests))
 
     def _request_bodies(
-        self, batch: AccessBatch
-    ) -> tuple[RequestBody, RequestBody, Callable[[list, list], None]]:
+        self, batch: AccessBatch, columns: StageColumns
+    ) -> tuple[RequestBody, RequestBody, Callable[[], None]]:
         """The family's ``(write, read, finish)`` for one kernel call on ``batch``.
 
         A body services row ``req`` of ``batch`` for line ``address``,
         arriving at ``arrival_ns``, and returns its completion time.  It
-        runs the family's pipeline, counts, sub-stage samples and spans; a
-        write body also records the write on the timeline and appends its
-        :attr:`request_record` row.  ``finish(write_samples,
-        read_samples)`` runs after the call's last request: it writes the
-        family's counters back and flushes every stage in the family's
-        order, the kernel's ``write``/``read`` samples included.
+        runs the family's pipeline, counts and spans; a write body also
+        records the write on the timeline and appends its
+        :attr:`request_record` row.  While a stage accumulator is attached,
+        a body appends its sub-stage samples to ``columns[stage]``, the
+        call's one list per stage name, in request order; a subclass that
+        wraps its parent's bodies appends to the same lists.  ``finish()``
+        runs after the call's last request and writes the family's
+        counters back; the kernel then flushes every column.
         """
         raise NotImplementedError(f"{type(self).__name__} has no request bodies")
 
@@ -239,12 +245,16 @@ class MemoryController:
         for a read records it on the timeline and appends its ``(req,
         complete_ns)`` :attr:`request_record` row.  Floats add up in
         request order and counters are written back once per call, so
-        reports are byte-identical however a trace is sliced.  Sets
+        reports are byte-identical however a trace is sliced.  The call's
+        stage columns, the bodies' and the kernel's ``write``/``read``
+        samples, go to the stage accumulator in one
+        :meth:`~repro.obs.stages.StageAccumulator.record_many` each.  Sets
         ``_complete_ns`` to the last request's completion and returns the
         ``(serviced, reads, writes, deduplicated)`` counts, the last being
         the call's rise in ``stats.writes_deduplicated``.
         """
-        write, read, finish = self._request_bodies(batch)
+        columns: StageColumns = defaultdict(list)
+        write, read, finish = self._request_bodies(batch, columns)
         ops = batch.ops
         addresses = batch.addresses
         gaps = batch.gaps
@@ -265,9 +275,10 @@ class MemoryController:
         timeline = self.timeline
         timeline_on = timeline.enabled
         record = self.request_record
-        stage_on = self.stages.enabled
-        st_write: list[float] = []
-        st_read: list[float] = []
+        stages = self.stages
+        stage_on = stages.enabled
+        st_write = columns["write"]
+        st_read = columns["read"]
         wl = stats.write_latency
         wl_total, wl_count, wl_max, wl_min = wl.total_ns, wl.count, wl.max_ns, wl.min_ns
         rl = stats.read_latency
@@ -350,7 +361,10 @@ class MemoryController:
 
         wl.total_ns, wl.count, wl.max_ns, wl.min_ns = wl_total, wl_count, wl_max, wl_min
         rl.total_ns, rl.count, rl.max_ns, rl.min_ns = rl_total, rl_count, rl_max, rl_min
-        finish(st_write, st_read)
+        finish()
+        if stage_on:
+            for stage, samples in columns.items():
+                stages.record_many(stage, samples)
         if issued:
             self._complete_ns = complete
         cursor.instructions = instructions

@@ -195,9 +195,9 @@ class ShredderAdapter(SecureFamilyAdapter):
         self, addresses: Sequence[int], rows: list[tuple], events: list[Event]
     ) -> None:
         append = events.append
-        for req, ns, counter, shredded in rows:
+        for req, ns, counter in rows:
             address = addresses[req]
-            if shredded:
+            if counter is None:
                 # The write was cancelled; only the shred mark must persist.
                 append((ns, "shred", address, None))
             else:

@@ -6,8 +6,13 @@ import pytest
 
 from repro.baselines.secure_nvm import SecureNvmConfig
 from repro.baselines.silent_shredder import SilentShredderController
+from repro.core.registry import build_controller
 from repro.nvm.config import NvmConfig, NvmOrganization
 from repro.nvm.memory import NvmMainMemory
+from repro.obs.stages import StageAccumulator
+from repro.obs.trace import Tracer
+from repro.system.simulator import simulate
+from repro.workloads.worstcase import worst_case_trace
 
 LINE = 256
 
@@ -87,3 +92,29 @@ class TestComparisonWithDuplication:
         assert controller.stats.writes_requested == 2
         assert controller.stats.writes_deduplicated == 1
         assert controller.stats.write_reduction == pytest.approx(0.5)
+
+
+def observed_run(name: str, trace) -> tuple[dict, list, dict]:
+    """The report (less its controller name), every span and the stage
+    summary of one traced, summary-mode run."""
+    tracer = Tracer(sink=None)
+    stages = StageAccumulator()
+    controller = build_controller(name, NvmMainMemory(), tracer=tracer, stages=stages)
+    report = simulate(controller, trace).to_dict()
+    del report["controller"]
+    spans = [
+        (span["name"], span["start_ns"], span["end_ns"], span["attrs"])
+        for span in tracer.spans()
+    ]
+    return report, spans, stages.to_dict()
+
+
+def test_without_zero_writes_it_is_the_cme_pipeline():
+    # The shortcut arms are Silent Shredder's only code of its own: on a
+    # trace with no all-zero write, every request runs the secure-NVM
+    # controller's bodies, with the same timing, spans and stage samples.
+    trace = worst_case_trace(2000, seed=1)
+    assert not any(access.data == bytes(LINE) for access in trace.writes)
+    shredder = observed_run("silent-shredder", trace)
+    assert shredder[1]
+    assert shredder == observed_run("secure-nvm", trace)

@@ -84,6 +84,33 @@ def test_only_the_skeleton_and_the_per_request_wrappers_call_merge_state():
     }
 
 
+def test_the_kernel_alone_flushes_the_stage_columns():
+    # The bodies append to the kernel's columns; one record_many per
+    # column after the call's last request.
+    flushes = {
+        (path, scope)
+        for path, scope in _references(frozenset({"record_many"}))
+        if path.startswith(("core/", "baselines/"))
+    }
+    assert flushes == {("core/interface.py", "MemoryController._service_stream")}
+
+
+def test_silent_shredder_has_no_cme_arm_of_its_own():
+    # Its non-zero writes and live reads are the secure-NVM bodies.
+    device_and_seal = frozenset({"seal", "write_complete_ns", "read_complete_ns"})
+    assert not {
+        scope
+        for path, scope in _references(device_and_seal)
+        if path == "baselines/silent_shredder.py"
+    }
+
+
+def test_replay_is_a_loop_over_access():
+    # No copy of access()'s resident or insert arm: replay reads no cache.
+    cache_internals = _references(frozenset({"_blocks", "hits", "_replay_tables"}))
+    assert ("core/dedup_engine.py", "MetadataSystem.replay") not in cache_internals
+
+
 INDEX_MUTATORS = ("apply_unique", "apply_duplicate", "_release", "bump_counter")
 
 
