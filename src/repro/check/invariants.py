@@ -111,6 +111,9 @@ class CheckedController(MemoryController):
             raise AttributeError(name) from None
         return getattr(inner, name)
 
+    def _propagate_observers(self, tracer, timeline, stages) -> None:
+        self.inner.attach_observers(tracer=tracer, timeline=timeline, stages=stages)
+
     def _plaintext(self, address: int) -> bytes:
         return self.inner._plaintext(address)
 

@@ -36,6 +36,7 @@ from repro.core.tables import INSERT, READ, WRITE, DedupIndex, DedupIndexError, 
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.hashes.crc32 import line_fingerprint
 from repro.nvm.memory import NvmMainMemory
+from repro.obs.stages import StagesLike
 from repro.obs.timeline import TimelineLike
 from repro.obs.trace import TracerLike
 
@@ -719,7 +720,9 @@ class DeWriteController(MemoryController):
                 return True
         return False
 
-    def _propagate_observers(self, tracer: TracerLike, timeline: TimelineLike) -> None:
+    def _propagate_observers(
+        self, tracer: TracerLike, timeline: TimelineLike, stages: StagesLike
+    ) -> None:
         self.metadata.tracer = tracer
         self.metadata.timeline = timeline
 

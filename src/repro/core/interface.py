@@ -114,8 +114,9 @@ class MemoryController:
         :data:`~repro.obs.timeline.NULL_TIMELINE` /
         :data:`~repro.obs.stages.NULL_STAGES`, so instrumented paths cost
         one ``enabled`` check until a real observer is attached.
-        Subclasses with instrumented internals override
-        :meth:`_propagate_observers` to forward the observers to them.
+        Subclasses with instrumented internals, and wrappers around
+        another controller, override :meth:`_propagate_observers` to
+        forward all three observers to them.
 
         Observers never change the path a request takes: every body makes
         the same device, metadata and counter-cache calls whatever is
@@ -133,9 +134,11 @@ class MemoryController:
             self.nvm.timeline = timeline
         if stages is not None:
             self.stages = stages
-        self._propagate_observers(self.tracer, self.timeline)
+        self._propagate_observers(self.tracer, self.timeline, self.stages)
 
-    def _propagate_observers(self, tracer: TracerLike, timeline: TimelineLike) -> None:
+    def _propagate_observers(
+        self, tracer: TracerLike, timeline: TimelineLike, stages: StagesLike
+    ) -> None:
         """Hook for subclasses to hand the observers to internal components."""
 
     # -- one-request interface ---------------------------------------------------

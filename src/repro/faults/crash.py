@@ -91,8 +91,8 @@ class CrashSimulator(MemoryController):
         self.accesses = 0
         self.last_complete_ns = 0.0
 
-    def _propagate_observers(self, tracer: TracerLike, timeline) -> None:
-        self.inner.attach_observers(tracer=tracer, timeline=timeline)
+    def _propagate_observers(self, tracer, timeline, stages) -> None:
+        self.inner.attach_observers(tracer=tracer, timeline=timeline, stages=stages)
 
     def _plaintext(self, address: int) -> bytes:
         return self.inner._plaintext(address)

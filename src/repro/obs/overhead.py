@@ -4,9 +4,9 @@ CI runs ``python -m repro.obs.overhead --budget 0.15`` to pin the promise
 the observability layer makes: with a live :class:`~repro.obs.trace.Tracer`
 attached, a full simulation must stay within the budgeted fraction of the
 untraced wall time (and with tracing *disabled* the cost is one attribute
-check per instrumentation site, which no timer can see).  Every arm also
-fails on any ``batch.fallback.*`` increment: attaching an observer must
-never change the path a request takes.
+check per instrumentation site, which no timer can see).  That attaching
+an observer never changes the path a request takes is pinned by the test
+suite, which counts every device and metadata call under each observer.
 
 Runs are interleaved (untraced, traced, untraced, traced, ...) and the
 minimum per mode is compared, which suppresses one-off scheduler noise on
@@ -52,10 +52,6 @@ def measure(
     instrumented arm attaches only a
     :class:`~repro.obs.stages.StageAccumulator` (no tracer).
 
-    Every arm's result carries the ``batch.fallback.*`` counters observed
-    during the measured runs under ``"fallbacks"``, and the gate fails if
-    any fired.
-
     ``with_events`` measures the *live telemetry* path: the instrumented
     arm attaches a StageAccumulator **and** streams schema-v1 lifecycle
     records plus a full metrics+stages snapshot per run through an
@@ -77,11 +73,6 @@ def measure(
     from repro.system.simulator import simulate
 
     trace = trace_for(app, accesses, seed)
-    fallbacks_before = {
-        name: registry().get(name).value  # type: ignore[union-attr]
-        for name in registry().names()
-        if name.startswith("batch.fallback.")
-    }
 
     events_bus = None
     events_path: str | None = None
@@ -164,20 +155,6 @@ def measure(
         "traced_s": traced,
         "overhead": overhead,
     }
-    # No observer may change the path: any batch.fallback.* increment
-    # during the measured runs fails the gate.  Compare against the
-    # pre-measurement snapshot so counters accumulated by earlier work in
-    # this process don't leak into the verdict.
-    snapshot = registry()
-    result["fallbacks"] = {
-        name: delta
-        for name in snapshot.names()
-        if name.startswith("batch.fallback.")
-        and (
-            delta := snapshot.get(name).value  # type: ignore[union-attr]
-            - fallbacks_before.get(name, 0.0)
-        )
-    }
     if with_events and events_bus is not None:
         events_bus.close()
         result["events"] = {
@@ -241,14 +218,6 @@ def main(argv: list[str] | None = None) -> int:
         f"(budget {args.budget:.0%}, {result['app']}/{result['accesses']} accesses, "
         f"{result['pairs']} pairs)"
     )
-    fallbacks = result["fallbacks"]
-    if fallbacks:
-        stdout_line(
-            "instrumentation knocked kernels off the fused path: "
-            + ", ".join(f"{name}={value:g}" for name, value in sorted(fallbacks.items()))
-        )
-        return 1
-    stdout_line("fused kernels stayed active (zero batch.fallback.* increments)")
     if args.with_events:
         from repro.obs.events import read_events, validate_event
 

@@ -11,7 +11,11 @@ list and resolves every job, fanning cache misses out over a
 3. **schedule** — misses run on ``--parallel N`` worker processes with a
    per-job timeout and retry-once-on-crash handling (a worker that raises
    *or* dies taking the pool down gets one resubmission; a second failure
-   is recorded, not raised);
+   is recorded, not raised).  A serial run (``parallel <= 1``, or a single
+   miss) executes each job in-process with no per-job timeout; both
+   executors take the same attempt, failure and resolve steps, so the
+   report, the failure text, the trace and the lifecycle records do not
+   depend on ``--parallel``;
 4. **prime** — every payload is pushed into the active
    :mod:`~repro.runner.provider` memo (and the disk cache), so the figure
    renderers that run afterwards hit warm results only.
@@ -27,6 +31,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Any, Callable
 
 from repro._lazy import lazy_exports
@@ -109,60 +114,6 @@ def _pool_worker(kind: str, params_json: str) -> dict[str, Any]:
     }
 
 
-def _execute_with_retry(
-    spec: JobSpec,
-    retries: int,
-    report: RunReport,
-    tracer: TracerLike = NULL_TRACER,
-    events: EventBusLike = NULL_EVENTS,
-) -> tuple[dict[str, Any] | None, float, int]:
-    """Serial fallback path: run in-process, retrying once on any error.
-
-    Returns ``(payload, compute_s, attempts)``; payload is ``None`` after
-    the final attempt failed (the failure is recorded on ``report``).
-    """
-    for attempt in range(1, retries + 2):
-        if events.enabled:
-            events.emit("started", key=job_key(spec), label=spec.label, attempt=attempt)
-        started = time.perf_counter()
-        try:
-            payload = execute_job(spec)
-        except Exception as exc:  # noqa: BLE001 — a failed job must not kill the run
-            if attempt <= retries:
-                report.retries += 1
-                if tracer.enabled:
-                    tracer.event(
-                        "job.retry",
-                        key=job_key(spec),
-                        label=spec.label,
-                        error=repr(exc),
-                        attempt=attempt,
-                    )
-                if events.enabled:
-                    events.emit(
-                        "retried",
-                        key=job_key(spec),
-                        label=spec.label,
-                        attempt=attempt,
-                        error=repr(exc),
-                    )
-                continue
-            report.failures.append(
-                JobFailure(spec=spec, error=f"{type(exc).__name__}: {exc}", attempts=attempt)
-            )
-            if tracer.enabled:
-                tracer.event(
-                    "job.failed",
-                    key=job_key(spec),
-                    label=spec.label,
-                    error=repr(exc),
-                    attempts=attempt,
-                )
-        else:
-            return payload, time.perf_counter() - started, attempt
-    return None, 0.0, retries + 1
-
-
 def run_jobs(
     jobs: list[JobSpec],
     *,
@@ -171,7 +122,6 @@ def run_jobs(
     job_timeout_s: float = 600.0,
     retries: int = 1,
     progress: ProgressFn | None = None,
-    prime: bool = True,
     tracer: TracerLike = NULL_TRACER,
     events: EventBusLike = NULL_EVENTS,
 ) -> RunReport:
@@ -183,12 +133,11 @@ def run_jobs(
             in this process (bit-identical results either way).
         cache: optional on-disk cache consulted before and written after
             every execution.
-        job_timeout_s: per-job wall-clock budget; an overrun counts as a
-            crash (retried once, then recorded as a failure).
+        job_timeout_s: per-job wall-clock budget of a pooled job; an
+            overrun counts as a crash (retried once, then recorded as a
+            failure).  A serial run has no per-job timeout.
         retries: resubmissions per job after a crash/timeout (default 1).
         progress: optional callback receiving one line per resolved job.
-        prime: push results into the active provider memo so subsequent
-            figure rendering in this process executes nothing.
         tracer: observability sink for wall-clock ``job`` spans and
             ``job.retry`` / ``job.failed`` events (default: no-op).
         events: live-telemetry bus receiving schema-v1 lifecycle records
@@ -196,7 +145,9 @@ def run_jobs(
             ``retried``/``finished``/``snapshot``/``run_finished``) for
             ``repro watch`` (default: no-op; the caller owns ``close()``).
 
-    Worker-side metrics snapshots are merged into this process's
+    Every payload is primed into the active provider memo, so figure
+    rendering in this process afterwards executes nothing.  Worker-side
+    metrics snapshots are merged into this process's
     :func:`repro.obs.metrics.registry` as each pool job completes, so the
     process-wide registry after a parallel run holds the same totals a
     serial run would have recorded.  Per-job wall timings accumulate in
@@ -255,90 +206,122 @@ def run_jobs(
         else:
             misses.append(spec)
 
-    def record(
+    # The per-attempt steps both executors take.
+    def finished(
+        spec: JobSpec, status: str, compute_s: float, queue_s: float, attempts: int
+    ) -> None:
+        events.emit(
+            "finished",
+            key=job_key(spec),
+            label=spec.label,
+            status=status,
+            compute_s=compute_s,
+            queue_s=queue_s,
+            attempts=attempts,
+        )
+
+    def attempted(spec: JobSpec, attempt: int) -> None:
+        if events.enabled:
+            events.emit("started", key=job_key(spec), label=spec.label, attempt=attempt)
+
+    def failed(spec: JobSpec, error: str, attempt: int) -> bool:
+        """Record a failed attempt; True when the job gets another one."""
+        if attempt <= retries:
+            report.retries += 1
+            if tracer.enabled:
+                tracer.event(
+                    "job.retry", key=job_key(spec), label=spec.label, error=error, attempt=attempt
+                )
+            if events.enabled:
+                events.emit(
+                    "retried", key=job_key(spec), label=spec.label, attempt=attempt, error=error
+                )
+            return True
+        report.failures.append(JobFailure(spec=spec, error=error, attempts=attempt))
+        timing(spec, "failed", 0.0, 0.0, attempt)
+        if tracer.enabled:
+            tracer.event(
+                "job.failed", key=job_key(spec), label=spec.label, error=error, attempts=attempt
+            )
+        if events.enabled:
+            finished(spec, "failed", 0.0, 0.0, attempt)
+        note(spec, f"FAILED ({error})")
+        return False
+
+    def resolved(
         spec: JobSpec,
         payload: dict[str, Any],
-        *,
+        attempt: int,
+        started_ns: int,
+        finished_ns: int,
         compute_s: float,
-        queue_s: float,
-        attempts: int,
     ) -> None:
+        """Record a payload; wall time past ``compute_s`` is queue time
+        (exactly 0.0 for an in-process attempt)."""
+        queue_s = max(0.0, (finished_ns - started_ns) / 1e9 - compute_s)
         results[spec.identity] = payload
         report.executed += 1
         report.simulations += int(payload.get("simulations", 0))
-        timing(spec, "executed", compute_s, queue_s, attempts)
+        timing(spec, "executed", compute_s, queue_s, attempt)
         if cache is not None:
             cache.put(job_key(spec), payload, meta={"label": spec.label})
         if events.enabled:
-            events.emit(
-                "finished",
-                key=job_key(spec),
+            finished(spec, "ok", compute_s, queue_s, attempt)
+        note(spec, "done")
+        if tracer.enabled:
+            tracer.span_wall(
+                "job",
+                started_ns,
+                finished_ns,
                 label=spec.label,
-                status="ok",
+                source="executed",
+                attempts=attempt,
                 compute_s=compute_s,
                 queue_s=queue_s,
-                attempts=attempts,
             )
-        note(spec, "done")
+
+    def snapshot(in_flight: int) -> None:
+        if events.enabled:
+            events.maybe_snapshot(
+                done=report.disk_hits + report.executed,
+                failed=len(report.failures),
+                in_flight=in_flight,
+                total=report.unique,
+                metrics=metrics_registry().to_dict(),
+            )
 
     # Phase 2 — execute misses (serial, or across a process pool).
     if parallel <= 1 or len(misses) <= 1:
         for spec in misses:
-            wall_start = time.perf_counter_ns()
-            payload, compute_s, attempts = _execute_with_retry(
-                spec, retries, report, tracer, events
-            )
-            if payload is not None:
-                record(spec, payload, compute_s=compute_s, queue_s=0.0, attempts=attempts)
-                if tracer.enabled:
-                    tracer.span_wall(
-                        "job",
-                        wall_start,
-                        time.perf_counter_ns(),
-                        label=spec.label,
-                        source="executed",
-                        attempts=attempts,
-                    )
-            else:
-                timing(spec, "failed", 0.0, 0.0, attempts)
-                if events.enabled:
-                    events.emit(
-                        "finished",
-                        key=job_key(spec),
-                        label=spec.label,
-                        status="failed",
-                        compute_s=0.0,
-                        queue_s=0.0,
-                        attempts=attempts,
-                    )
-                note(spec, "FAILED")
-            if events.enabled:
-                events.maybe_snapshot(
-                    done=report.disk_hits + report.executed,
-                    failed=len(report.failures),
-                    in_flight=0,
-                    total=report.unique,
-                    metrics=metrics_registry().to_dict(),
-                )
-    elif misses:
+            for attempt in count(1):
+                attempted(spec, attempt)
+                started_ns = time.perf_counter_ns()
+                try:
+                    payload = execute_job(spec)
+                except Exception as exc:  # noqa: BLE001 — a failed job must not kill the run
+                    if failed(spec, repr(exc), attempt):
+                        continue
+                else:
+                    finished_ns = time.perf_counter_ns()
+                    compute_s = (finished_ns - started_ns) / 1e9
+                    resolved(spec, payload, attempt, started_ns, finished_ns, compute_s)
+                break
+            snapshot(0)
+    else:
         _run_pool(
             misses,
             parallel=parallel,
             job_timeout_s=job_timeout_s,
-            retries=retries,
-            record=record,
-            timing=timing,
-            report=report,
-            note=note,
-            tracer=tracer,
-            events=events,
+            attempted=attempted,
+            failed=failed,
+            resolved=resolved,
+            snapshot=snapshot,
         )
 
     # Phase 3 — prime the in-process provider for the render phase.
-    if prime:
-        active = provider_module.active()
-        for identity, payload in results.items():
-            active.prime(unique[identity], payload)
+    active = provider_module.active()
+    for identity, payload in results.items():
+        active.prime(unique[identity], payload)
 
     report.elapsed_s = time.monotonic() - started
     if events.enabled:
@@ -367,13 +350,10 @@ def _run_pool(
     *,
     parallel: int,
     job_timeout_s: float,
-    retries: int,
-    record: Callable[..., None],
-    timing: Callable[[JobSpec, str, float, float, int], None],
-    report: RunReport,
-    note: Callable[[JobSpec, str], None],
-    tracer: TracerLike = NULL_TRACER,
-    events: EventBusLike = NULL_EVENTS,
+    attempted: Callable[[JobSpec, int], None],
+    failed: Callable[[JobSpec, str, int], bool],
+    resolved: Callable[[JobSpec, dict[str, Any], int, int, int, float], None],
+    snapshot: Callable[[int], None],
 ) -> None:
     """Scheduler loop: submit, collect, enforce timeouts, retry crashes."""
     # The pool machinery (multiprocessing, pickle, sockets) loads where a
@@ -388,29 +368,6 @@ def _run_pool(
     pending: dict[Future, tuple[JobSpec, float, int, int]] = {}
     abandoned = False
 
-    def fail(spec: JobSpec, error: str, attempt: int) -> None:
-        report.failures.append(JobFailure(spec=spec, error=error, attempts=attempt))
-        timing(spec, "failed", 0.0, 0.0, attempt)
-        if tracer.enabled:
-            tracer.event(
-                "job.failed",
-                key=job_key(spec),
-                label=spec.label,
-                error=error,
-                attempts=attempt,
-            )
-        if events.enabled:
-            events.emit(
-                "finished",
-                key=job_key(spec),
-                label=spec.label,
-                status="failed",
-                compute_s=0.0,
-                queue_s=0.0,
-                attempts=attempt,
-            )
-        note(spec, f"FAILED ({error})")
-
     def submit(spec: JobSpec, attempt: int) -> None:
         future = executor.submit(_pool_worker, spec.kind, spec.params_json)
         pending[future] = (
@@ -419,31 +376,11 @@ def _run_pool(
             attempt,
             time.perf_counter_ns(),
         )
-        if events.enabled:
-            events.emit("started", key=job_key(spec), label=spec.label, attempt=attempt)
+        attempted(spec, attempt)
 
     def resubmit_or_fail(spec: JobSpec, error: str, attempt: int) -> None:
-        if attempt <= retries:
-            report.retries += 1
-            if tracer.enabled:
-                tracer.event(
-                    "job.retry",
-                    key=job_key(spec),
-                    label=spec.label,
-                    error=error,
-                    attempt=attempt,
-                )
-            if events.enabled:
-                events.emit(
-                    "retried",
-                    key=job_key(spec),
-                    label=spec.label,
-                    attempt=attempt,
-                    error=error,
-                )
+        if failed(spec, error, attempt):
             submit(spec, attempt + 1)
-        else:
-            fail(spec, error, attempt)
 
     try:
         for spec in misses:
@@ -478,36 +415,10 @@ def _run_pool(
                     resubmit_or_fail(spec, repr(exc), attempt)
                 else:
                     finished_ns = time.perf_counter_ns()
-                    compute_s = float(envelope["compute_s"])
-                    turnaround_s = (finished_ns - submitted_ns) / 1e9
-                    queue_s = max(0.0, turnaround_s - compute_s)
                     metrics_registry().merge(envelope["metrics"])
-                    record(
-                        spec,
-                        envelope["payload"],
-                        compute_s=compute_s,
-                        queue_s=queue_s,
-                        attempts=attempt,
-                    )
-                    if tracer.enabled:
-                        tracer.span_wall(
-                            "job",
-                            submitted_ns,
-                            finished_ns,
-                            label=spec.label,
-                            source="executed",
-                            attempts=attempt,
-                            compute_s=compute_s,
-                            queue_s=queue_s,
-                        )
-            if events.enabled:
-                events.maybe_snapshot(
-                    done=report.disk_hits + report.executed,
-                    failed=len(report.failures),
-                    in_flight=len(pending),
-                    total=report.unique,
-                    metrics=metrics_registry().to_dict(),
-                )
+                    payload, compute_s = envelope["payload"], float(envelope["compute_s"])
+                    resolved(spec, payload, attempt, submitted_ns, finished_ns, compute_s)
+            snapshot(len(pending))
             if broken:
                 continue
             now = time.monotonic()

@@ -12,17 +12,20 @@ class TestWithStages:
         with pytest.raises(ValueError, match="separate arms"):
             measure(with_stages=True, with_timeline=True)
 
-    def test_staged_arm_reports_zero_fallbacks(self):
-        # One pair at a small scale: correctness of the fallback
-        # accounting, not the timing gate (CI runs the real budget).
+    def test_staged_arm_measures_one_pair(self):
+        # One pair at a small scale: the measurement's shape, not the
+        # timing gate (CI runs the real budget).
         result = measure(accesses=300, repeats=1, with_stages=True)
-        assert result["fallbacks"] == {}
         assert result["pairs"] == 1
         assert result["untraced_s"] > 0.0 and result["traced_s"] > 0.0
 
-    def test_traced_and_timeline_arms_report_zero_fallbacks(self):
-        assert measure(accesses=200, repeats=1)["fallbacks"] == {}
-        assert measure(accesses=200, repeats=1, with_timeline=True)["fallbacks"] == {}
+    def test_traced_and_timeline_arms_measure_both_modes(self):
+        for result in (
+            measure(accesses=200, repeats=1),
+            measure(accesses=200, repeats=1, with_timeline=True),
+        ):
+            assert result["pairs"] == 1
+            assert result["untraced_s"] > 0.0 and result["traced_s"] > 0.0
 
 
 class TestWithEvents:
@@ -32,11 +35,10 @@ class TestWithEvents:
         with pytest.raises(ValueError, match="separate arms"):
             measure(with_events=True, with_timeline=True)
 
-    def test_events_arm_streams_a_valid_schema_with_zero_fallbacks(self):
+    def test_events_arm_streams_a_valid_schema(self):
         from repro.obs.events import read_events, validate_event
 
         result = measure(accesses=300, repeats=1, with_events=True)
-        assert result["fallbacks"] == {}
         events = result["events"]
         assert events["dropped"] == 0
         assert events["emitted"] > 0

@@ -55,6 +55,18 @@ def _sleepy(params):
 register_job_kind("sleepy", _sleepy, replace=True)
 
 
+def _raise_once(params):
+    marker = params["marker"]
+    if not os.path.exists(marker):
+        with open(marker, "w") as handle:
+            handle.write("raised")
+        raise ValueError("boom once")
+    return {"token": "second try", "simulations": 1}
+
+
+register_job_kind("raise-once", _raise_once, replace=True)
+
+
 class TestScheduling:
     def test_serial_run_resolves_and_primes(self):
         jobs = [_token_spec("a"), _token_spec("b")]
@@ -254,3 +266,57 @@ class TestObservability:
         assert registry().counter("jobs.echo-token").value == 4.0
         assert registry().counter("simulations").value == 4.0
         reset_registry()
+
+
+class TestSerialPooledParity:
+    """``--parallel`` changes where a job runs, not what the run records."""
+
+    def _observe(self, parallel: int, marker) -> dict:
+        from repro.obs.events import EventBus
+        from repro.obs.trace import Tracer
+        from repro.runner.cache import job_key
+
+        if marker.exists():
+            marker.unlink()
+        jobs = [
+            JobSpec("always-fails", canonical_json({"workload": "fails"})),
+            JobSpec("raise-once", canonical_json({"workload": "flaky", "marker": str(marker)})),
+            _token_spec("fine", workload="fine"),
+        ]
+        tracer = Tracer()
+        seen: list[dict] = []
+        report = run_jobs(
+            jobs, parallel=parallel, retries=1, tracer=tracer, events=EventBus(seen.append)
+        )
+        lifecycle = {
+            spec.label: [r["event"] for r in seen if r.get("key") == job_key(spec)]
+            for spec in jobs
+        }
+        return {
+            "failures": [(f.spec.label, f.error, f.attempts) for f in report.failures],
+            "retries": report.retries,
+            "timings": sorted(
+                (t["label"], t["source"], t["attempts"]) for t in report.job_timings
+            ),
+            "lifecycle": lifecycle,
+            "trace_events": sorted(
+                (e["name"], sorted(e["attrs"].items()))
+                for e in tracer.events()
+                if e["name"] in ("job.retry", "job.failed")
+            ),
+            "span_keys": sorted(sorted(s["attrs"]) for s in tracer.spans("job")),
+        }
+
+    def test_serial_and_pooled_runs_record_the_same(self, tmp_path):
+        marker = tmp_path / "raised-once"
+        serial = self._observe(1, marker)
+        pooled = self._observe(2, marker)
+        assert serial == pooled
+        assert serial["failures"] == [
+            ("always-fails fails", "ValueError('synthetic failure')", 2)
+        ]
+        assert serial["retries"] == 2
+        assert serial["lifecycle"]["raise-once flaky"] == [
+            "planned", "started", "retried", "started", "finished"
+        ]
+        assert all("compute_s" in keys and "queue_s" in keys for keys in serial["span_keys"])

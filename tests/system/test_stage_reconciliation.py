@@ -10,10 +10,12 @@ expressions the spans imply, and both sides sum left-to-right in arrival
 order.
 
 Also pinned here: attaching a stage accumulator, a tracer or a timeline
-never knocks a kernel off the fused path (``batch.fallback.*`` stays
-flat), never perturbs the serialised :class:`SimulationReport`, and
-never changes which device and metadata entry points a run calls, or
-how often.
+never changes which device and metadata entry points a run calls, or how
+often, and never perturbs the serialised :class:`SimulationReport`; a
+wrapper (the invariant checker, the crash simulator) hands what is
+attached to it to the kernel it wraps.  ``batch.fallback.multi_stream``
+counts merged multi-stream kernel calls and stays flat on a single
+stream.
 """
 
 from __future__ import annotations
@@ -23,13 +25,17 @@ from collections import Counter
 
 import pytest
 
+from repro.check.invariants import CheckedController
 from repro.core.registry import available_controllers, build_controller
+from repro.faults.crash import CrashSimulator
+from repro.faults.plan import FaultPlan
 from repro.nvm.memory import NvmMainMemory
 from repro.nvm.wearlevel import StartGapConfig, WearLevelledNvm
 from repro.obs.metrics import registry
 from repro.obs.stages import NON_STAGE_SPANS, StageAccumulator
 from repro.obs.timeline import TimelineCollector
 from repro.obs.trace import Tracer
+from repro.runner.jobs import trace_for
 from repro.system.simulator import simulate
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import profile_by_name
@@ -229,6 +235,33 @@ class TestObservedKernelsStayFused:
         for kind in OBSERVER_SETS[1:]:
             assert calls[kind] == calls["none"], (build, kind)
             assert reports[kind] == reports["none"], (build, kind)
+
+
+#: Wrappers around a controller: each forwards what is attached to it.
+WRAPPERS = {
+    "checked": CheckedController,
+    "crash": lambda inner: CrashSimulator(inner, FaultPlan()),
+}
+
+
+class TestWrappersForwardObservers:
+    """A wrapped kernel feeds the observers attached to its wrapper."""
+
+    @staticmethod
+    def observe(name: str, wrap) -> tuple:
+        tracer, timeline, stages = Tracer(sink=None), TimelineCollector(), StageAccumulator()
+        controller = wrap(build_controller(name, NvmMainMemory()))
+        controller.attach_observers(tracer=tracer, timeline=timeline, stages=stages)
+        simulate(controller, trace_for("sjeng", 500, 1))
+        spans = Counter(record["name"] for record in tracer.spans())
+        return spans, timeline.to_dict(), stages.to_dict()
+
+    @pytest.mark.parametrize("wrapper", sorted(WRAPPERS))
+    @pytest.mark.parametrize("name", ["dewrite", "secure-nvm"])
+    def test_wrapped_run_observes_what_the_bare_run_does(self, name, wrapper):
+        bare = self.observe(name, lambda inner: inner)
+        assert bare[2]["stages"] and "write" in bare[0]
+        assert self.observe(name, WRAPPERS[wrapper]) == bare
 
 
 class TestFallbackCounters:
